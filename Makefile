@@ -19,7 +19,7 @@ test:
 
 # The packages that evaluate programs concurrently.
 race:
-	$(GO) test -race ./internal/cm ./internal/db ./internal/im ./internal/engine ./internal/engine/difftest ./internal/obs ./internal/obs/journal ./internal/planner ./internal/prof ./internal/server ./internal/solvecache
+	$(GO) test -race ./internal/cm ./internal/db ./internal/im ./internal/engine ./internal/engine/difftest ./internal/obs ./internal/obs/journal ./internal/planner ./internal/prof ./internal/server ./internal/solvecache ./internal/wdgraph
 
 # Run every Go micro-benchmark once: a compile-and-run guard for the bench
 # code. Meaningful numbers need -benchtime left at its default; compare
@@ -51,8 +51,11 @@ fuzz:
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzEvalProgram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cm -run=NONE -fuzz=FuzzExactVsRIS -fuzztime=$(FUZZTIME)
 
+# perfbench is a module of its own, so go vet ./... and go test ./... skip
+# it; it imports the packages above, so vet and test it here as well.
 check: build test race
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Static-analyze every example and testdata program; warnings are
 # reported but only errors (or missing files) fail the build.

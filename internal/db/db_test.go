@@ -138,6 +138,35 @@ func TestLookupPatternMaintainedAcrossInserts(t *testing.T) {
 	}
 }
 
+// TestRelationProbesAllocFree pins the key-free probe paths: Contains,
+// the hit path of Insert and LookupPattern (hit or miss) pack their keys
+// on the stack. The index is created before the inserts, so its buckets
+// are filled by Insert's index maintenance.
+func TestRelationProbesAllocFree(t *testing.T) {
+	r := db.NewRelation("r", 3)
+	r.EnsureIndex(0b101)
+	for i := 0; i < 50; i++ {
+		r.Insert(db.Tuple{db.Sym(i % 7), db.Sym(i), db.Sym(i % 3)})
+	}
+	hit, miss := db.Tuple{3, 10, 1}, db.Tuple{99, 0, 99}
+	if n := testing.AllocsPerRun(100, func() {
+		r.Contains(hit)
+		r.Contains(miss)
+		r.Insert(hit)
+		r.LookupPattern(0b101, hit)
+		r.LookupPattern(0b101, miss)
+	}); n != 0 {
+		t.Errorf("probes allocate %.1f objects per run, want 0", n)
+	}
+	// i%7 == 3 and i%3 == 1: i = 10 and 31.
+	if ids, _ := r.LookupPattern(0b101, hit); fmt.Sprint(ids) != "[10 31]" {
+		t.Errorf("LookupPattern = %v, want [10 31]", ids)
+	}
+	if ids, ok := r.LookupPattern(0b101, miss); !ok || ids != nil {
+		t.Errorf("LookupPattern miss = %v, %v; want nil, true", ids, ok)
+	}
+}
+
 func TestLookupPatternProperty(t *testing.T) {
 	// Property: for random tuple sets, an indexed lookup returns exactly
 	// the tuples a linear scan finds.

@@ -35,7 +35,24 @@ type Relation struct {
 
 type patternIndex struct {
 	positions []int // sorted bound positions
-	buckets   map[string][]TupleID
+	// slot maps a projected key to its bucket: the ids of the matching
+	// tuples, ascending. Going through a slot lets a probe or an append to
+	// an existing bucket look its key up without allocating; only a new
+	// bucket stores a key string.
+	slot    map[string]int32
+	buckets [][]TupleID
+}
+
+// add appends id (the id of t) to its bucket.
+func (idx *patternIndex) add(t Tuple, id TupleID) {
+	var buf [keyBufLen]byte
+	k := appendProjKey(buf[:0], t, idx.positions)
+	if s, ok := idx.slot[string(k)]; ok {
+		idx.buckets[s] = append(idx.buckets[s], id)
+		return
+	}
+	idx.slot[string(k)] = int32(len(idx.buckets))
+	idx.buckets = append(idx.buckets, []TupleID{id})
 }
 
 // NewRelation creates an empty relation.
@@ -60,31 +77,33 @@ func (r *Relation) Len() int { return len(r.tuples) }
 // modified.
 func (r *Relation) Tuple(id TupleID) Tuple { return r.tuples[id] }
 
-// Contains reports whether the relation holds t, and its id if so.
+// Contains reports whether the relation holds t, and its id if so. The
+// probe packs t's key on the stack and allocates nothing.
 func (r *Relation) Contains(t Tuple) (TupleID, bool) {
-	id, ok := r.byKey[t.Key()]
+	var buf [keyBufLen]byte
+	id, ok := r.byKey[string(t.AppendKey(buf[:0]))]
 	return id, ok
 }
 
 // Insert adds t if absent. It returns the tuple's id and whether it was
 // newly added. The relation keeps its own copy of new tuples, so callers may
-// reuse the argument slice.
+// reuse the argument slice. Finding t already present allocates nothing.
 func (r *Relation) Insert(t Tuple) (TupleID, bool) {
-	key := t.Key()
-	if id, ok := r.byKey[key]; ok {
+	var buf [keyBufLen]byte
+	key := t.AppendKey(buf[:0])
+	if id, ok := r.byKey[string(key)]; ok {
 		return id, false
 	}
 	id := TupleID(len(r.tuples))
 	r.tuples = append(r.tuples, t.Clone())
-	r.byKey[key] = id
+	r.byKey[string(key)] = id
 	// The write lock (not RLock: bucket appends mutate the index maps, and
 	// the single-writer contract still allows a concurrent EnsureIndex from
 	// a stale reader to be in flight) keeps index maintenance consistent
 	// with lazy index creation.
 	r.idxMu.Lock()
 	for _, idx := range r.indexes {
-		k := projKey(r.tuples[id], idx.positions)
-		idx.buckets[k] = append(idx.buckets[k], id)
+		idx.add(r.tuples[id], id)
 	}
 	r.idxMu.Unlock()
 	return id, true
@@ -104,8 +123,11 @@ func (r *Relation) LookupPattern(mask uint32, bound Tuple) (ids []TupleID, ok bo
 		return nil, false
 	}
 	idx := r.index(mask)
-	key := projKey(bound, idx.positions)
-	return idx.buckets[key], true
+	var buf [keyBufLen]byte
+	if s, ok := idx.slot[string(appendProjKey(buf[:0], bound, idx.positions))]; ok {
+		return idx.buckets[s], true
+	}
+	return nil, true
 }
 
 // EnsureIndex pre-builds the hash index for the given binding-pattern
@@ -141,10 +163,9 @@ func (r *Relation) index(mask uint32) *patternIndex {
 			positions = append(positions, i)
 		}
 	}
-	idx = &patternIndex{positions: positions, buckets: make(map[string][]TupleID)}
+	idx = &patternIndex{positions: positions, slot: make(map[string]int32)}
 	for id, t := range r.tuples {
-		k := projKey(t, positions)
-		idx.buckets[k] = append(idx.buckets[k], TupleID(id))
+		idx.add(t, TupleID(id))
 	}
 	r.indexes[mask] = idx
 	return idx

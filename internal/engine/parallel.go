@@ -65,8 +65,7 @@ type parWorker struct {
 // emitBuffered is the worker-side emit path: buffer the instantiation
 // instead of inserting. The head tuple id is pre-resolved here against the
 // relation's key map — frozen for the whole worker phase — which moves the
-// hash lookups (and their projection-key allocations) off the sequential
-// merge and into the parallel phase.
+// hash lookups off the sequential merge and into the parallel phase.
 func (w *parWorker) emitBuffered(cr *compiledRule, vars []db.Sym, body []FactRef) {
 	for _, t := range cr.head.terms {
 		if t.isVar {

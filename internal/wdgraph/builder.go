@@ -2,6 +2,7 @@ package wdgraph
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -40,6 +41,14 @@ type Projection struct {
 	// KeepBody returns the body positions of rule i that carry original
 	// (non-magic) atoms; nil keeps all positions.
 	KeepBody func(ruleIndex int) []int
+
+	// distinctInstantiations records that no two fired instantiations can
+	// project to the same rule node, so the builder skips its dedup map.
+	// Only IdentityProjection sets it, after checking that the program's
+	// rule labels are distinct: the engine fires each (rule, body facts)
+	// instantiation once, and under the identity projection a label names
+	// one rule and a fact node one fact.
+	distinctInstantiations bool
 }
 
 // IdentityProjection returns the projection matching Definition 3.1 for an
@@ -51,6 +60,10 @@ func IdentityProjection(prog *ast.Program) *Projection {
 		edb[p] = true
 	}
 	rules := prog.Rules
+	labels := make(map[string]bool, len(rules))
+	for _, r := range rules {
+		labels[r.Label] = true
+	}
 	return &Projection{
 		IncludeRule: func(int) bool { return true },
 		RuleLabel:   func(i int) string { return rules[i].Label },
@@ -58,7 +71,8 @@ func IdentityProjection(prog *ast.Program) *Projection {
 		MapPred: func(pred string) (string, bool, bool) {
 			return pred, edb[pred], true
 		},
-		KeepBody: func(int) []int { return nil },
+		KeepBody:               func(int) []int { return nil },
+		distinctInstantiations: len(labels) == len(rules),
 	}
 }
 
@@ -75,13 +89,41 @@ type rawEdge struct {
 // both adjacency directions out in CSR form, preserving per-node insertion
 // order (the order the old per-node slices grew in), so walk results are
 // unchanged by the layout.
+//
+// Each fired instantiation costs a few array and integer-keyed lookups:
+// fact nodes are memoized by the engine's identity for a fact (relation and
+// tuple id), the projection of a relation's predicate is computed once per
+// relation, and a rule's label once per rule. The string-keyed fact index
+// behind Graph.FactID is consulted only the first time a relation yields a
+// fact, which is also where adorned relations of one predicate (p_bf, p_fb
+// under the Magic projection) merge into one fact node.
 type Builder struct {
 	proj      *Projection
 	g         *Graph
 	edges     []rawEdge
-	rules     map[string]NodeID // rule-instantiation dedup key -> node
-	keyBuf    []byte            // reusable dedup-key scratch
+	names     map[string]int32 // interned name -> index into g.names
+	rels      map[*db.Relation]*relMemo
+	labels    []int32           // rule index -> interned label + 1 (0: not seen yet)
+	rules     map[string]NodeID // instantiation dedup key -> node; nil if nothing can merge
+	body      []NodeID          // the current instantiation's body nodes
+	keyBuf    []byte            // reusable key scratch
 	finalized bool
+}
+
+// relMemo is the builder's per-relation state: the projection of the
+// relation's predicate and the fact node of every tuple id seen so far.
+// Relations the build itself fills (idb relations) and relations the edb
+// preload walks in full keep the memo in a slice indexed by tuple id; any
+// other relation, such as a large edb relation a Magic^S RR subgraph shares
+// with the input database, keeps it in a map, so the memo's cost follows
+// the facts the build touches rather than the relation's length.
+type relMemo struct {
+	drop   bool   // MapPred dropped the predicate (magic atoms)
+	pred   string // projected predicate
+	name   int32  // its index in Graph.names
+	edb    bool
+	ids    []NodeID              // tuple id -> node id + 1 (0: no node yet), if sparse is nil
+	sparse map[db.TupleID]NodeID // tuple id -> node id, for relations the build does not fill
 }
 
 // NewBuilder returns a builder using proj.
@@ -90,23 +132,22 @@ func NewBuilder(proj *Projection) *Builder {
 }
 
 // NewBuilderSized is NewBuilder with capacity hints: factHint pre-sizes the
-// fact-node map (e.g. the edb tuple count when preloading, or a previous
-// run's engine.Stats.NewFacts), ruleHint the instantiation-dedup map (e.g.
-// engine.Stats.Instantiations). Hints are optional; zero means unknown.
+// fact-node tables (e.g. the edb tuple count when preloading, or a previous
+// run's engine.Stats.NewFacts), ruleHint the instantiation-dedup map of
+// projections that need one (e.g. engine.Stats.Instantiations). Hints are
+// optional; zero means unknown.
 func NewBuilderSized(proj *Projection, factHint, ruleHint int) *Builder {
-	if factHint < 0 {
-		factHint = 0
+	factHint = max(factHint, 0)
+	b := &Builder{
+		proj:  proj,
+		g:     &Graph{nodes: make([]nodeRec, 0, factHint), factIDs: make(map[string]NodeID, factHint)},
+		names: make(map[string]int32),
+		rels:  make(map[*db.Relation]*relMemo),
 	}
-	if ruleHint < 0 {
-		ruleHint = 0
+	if !proj.distinctInstantiations {
+		b.rules = make(map[string]NodeID, max(ruleHint, 0))
 	}
-	return &Builder{
-		proj: proj,
-		g: &Graph{
-			factIDs: make(map[string]NodeID, factHint),
-		},
-		rules: make(map[string]NodeID, ruleHint),
-	}
+	return b
 }
 
 // Graph finalizes the CSR adjacency and returns the graph. The builder must
@@ -120,17 +161,83 @@ func (b *Builder) Graph() *Graph {
 // AddFact ensures a node for the fact pred(t) (already projected) and
 // returns its id.
 func (b *Builder) AddFact(pred string, t db.Tuple, edb bool) NodeID {
-	key := factKey(pred, t)
-	if id, ok := b.g.factIDs[key]; ok {
+	return b.factNode(pred, b.intern(pred), edb, t)
+}
+
+// factNode returns the node of the projected fact pred(t), adding one (and
+// copying t into the graph's tuple storage) if absent. name is pred's
+// interned index.
+func (b *Builder) factNode(pred string, name int32, edb bool, t db.Tuple) NodeID {
+	g := b.g
+	b.keyBuf = appendFactKey(b.keyBuf[:0], pred, t)
+	if id, ok := g.factIDs[string(b.keyBuf)]; ok {
 		return id
 	}
 	if b.finalized {
-		panic("wdgraph: AddFact after Graph() finalized the CSR layout")
+		panic("wdgraph: fact added after Graph() finalized the CSR layout")
 	}
-	id := NodeID(len(b.g.nodes))
-	b.g.nodes = append(b.g.nodes, Node{Kind: FactNode, Pred: pred, Tuple: t, EDB: edb})
-	b.g.factIDs[key] = id
+	id := NodeID(len(g.nodes))
+	g.nodes = append(grow(g.nodes), nodeRec{kind: FactNode, name: name, edb: edb, off: int32(len(g.syms)), arity: int32(len(t))})
+	g.syms = append(g.syms, t...)
+	g.factIDs[string(b.keyBuf)] = id
 	return id
+}
+
+// intern returns the index of name in the graph's name table, adding it
+// on first use.
+func (b *Builder) intern(name string) int32 {
+	if i, ok := b.names[name]; ok {
+		return i
+	}
+	i := int32(len(b.g.names))
+	b.g.names = append(b.g.names, name)
+	b.names[name] = i
+	return i
+}
+
+// memo returns rel's memo, projecting its predicate on first use.
+func (b *Builder) memo(rel *db.Relation) *relMemo {
+	if m, ok := b.rels[rel]; ok {
+		return m
+	}
+	m := &relMemo{}
+	if pred, edb, ok := b.proj.MapPred(rel.Name()); !ok {
+		m.drop = true
+	} else {
+		m.pred, m.name, m.edb = pred, b.intern(pred), edb
+		if edb {
+			m.sparse = make(map[db.TupleID]NodeID)
+		}
+	}
+	b.rels[rel] = m
+	return m
+}
+
+// fact returns the node of the fact ref, adding it if absent; ok=false
+// means the projection drops the fact's predicate.
+func (b *Builder) fact(ref engine.FactRef) (NodeID, bool) {
+	m := b.memo(ref.Rel)
+	if m.drop {
+		return 0, false
+	}
+	i := int(ref.ID)
+	if m.sparse != nil {
+		if id, ok := m.sparse[ref.ID]; ok {
+			return id, true
+		}
+	} else if i < len(m.ids) && m.ids[i] != 0 {
+		return m.ids[i] - 1, true
+	}
+	id := b.factNode(m.pred, m.name, m.edb, ref.Rel.Tuple(ref.ID))
+	if m.sparse != nil {
+		m.sparse[ref.ID] = id
+	} else {
+		if i >= len(m.ids) {
+			m.ids = append(m.ids, make([]NodeID, i+1-len(m.ids))...)
+		}
+		m.ids[i] = id + 1
+	}
+	return id, true
 }
 
 // PreloadEDB adds a node for every tuple of every edb relation of prog
@@ -142,12 +249,15 @@ func (b *Builder) PreloadEDB(prog *ast.Program, database *db.Database) {
 		if !ok {
 			continue
 		}
-		mapped, edb, keep := b.proj.MapPred(pred)
-		if !keep {
+		m := b.memo(rel)
+		if m.drop {
 			continue
 		}
+		if len(m.sparse) == 0 {
+			m.sparse = nil // the walk below touches every tuple id
+		}
 		for i := 0; i < rel.Len(); i++ {
-			b.AddFact(mapped, rel.Tuple(db.TupleID(i)), edb)
+			b.fact(engine.FactRef{Rel: rel, ID: db.TupleID(i)})
 		}
 	}
 }
@@ -162,77 +272,88 @@ func (b *Builder) Listener() engine.DerivationListener {
 	return func(d engine.Derivation) { b.observe(d) }
 }
 
+// label returns the interned label of rule i.
+func (b *Builder) label(i int) int32 {
+	if i >= len(b.labels) {
+		b.labels = append(b.labels, make([]int32, i+1-len(b.labels))...)
+	}
+	if l := b.labels[i]; l != 0 {
+		return l - 1
+	}
+	l := b.intern(b.proj.RuleLabel(i))
+	b.labels[i] = l + 1
+	return l
+}
+
 func (b *Builder) observe(d engine.Derivation) {
 	if !b.proj.IncludeRule(d.RuleIndex) {
 		return
 	}
-	headPred, headEDB, ok := b.proj.MapPred(d.Head.Rel.Name())
+	headID, ok := b.fact(d.Head)
 	if !ok {
 		return
 	}
-	headID := b.AddFact(headPred, d.Head.Rel.Tuple(d.Head.ID), headEDB)
-
-	keep := b.proj.KeepBody(d.RuleIndex)
-	var bodyIDs [32]NodeID
-	n := 0
-	record := func(ref engine.FactRef) bool {
-		pred, edb, ok := b.proj.MapPred(ref.Rel.Name())
-		if !ok {
-			return true // dropped (magic atom)
-		}
-		if n >= len(bodyIDs) {
-			return false
-		}
-		bodyIDs[n] = b.AddFact(pred, ref.Rel.Tuple(ref.ID), edb)
-		n++
-		return true
-	}
-	if keep == nil {
+	body := b.body[:0]
+	if keep := b.proj.KeepBody(d.RuleIndex); keep == nil {
 		for _, ref := range d.Body {
-			if !record(ref) {
-				return
+			if id, ok := b.fact(ref); ok {
+				body = append(body, id)
 			}
 		}
 	} else {
 		for _, pos := range keep {
-			if !record(d.Body[pos]) {
-				return
+			if id, ok := b.fact(d.Body[pos]); ok {
+				body = append(body, id)
 			}
 		}
 	}
+	b.body = body
+	label := b.label(d.RuleIndex)
 
-	// Dedup key: label, head node, body nodes. Two adorned versions of one
-	// origin rule instantiation produce identical keys and merge. The key is
-	// assembled in a reusable byte buffer; the map lookup below compiles to
-	// an allocation-free string conversion, so only genuinely new
-	// instantiations pay a key allocation (on insert).
-	label := b.proj.RuleLabel(d.RuleIndex)
-	buf := append(b.keyBuf[:0], label...)
-	appendID := func(id NodeID) {
-		buf = append(buf, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
-	}
-	appendID(headID)
-	for i := 0; i < n; i++ {
-		appendID(bodyIDs[i])
-	}
-	b.keyBuf = buf
-	if _, seen := b.rules[string(buf)]; seen {
-		return
+	if b.rules != nil {
+		// Dedup key: label, head node, body nodes. Two adorned versions of
+		// one origin rule instantiation produce identical keys and merge.
+		// The lookup converts the reusable buffer without allocating, so
+		// only genuinely new instantiations pay a key allocation (on
+		// insert).
+		buf := appendNodeID(append(b.keyBuf[:0], b.g.names[label]...), headID)
+		for _, id := range body {
+			buf = appendNodeID(buf, id)
+		}
+		b.keyBuf = buf
+		if _, seen := b.rules[string(buf)]; seen {
+			return
+		}
 	}
 	if b.finalized {
 		panic("wdgraph: derivation observed after Graph() finalized the CSR layout")
 	}
 	ruleID := NodeID(len(b.g.nodes))
-	b.g.nodes = append(b.g.nodes, Node{Kind: RuleNode, Pred: label})
-	b.rules[string(buf)] = ruleID
-
-	w := b.proj.RuleWeight(d.RuleIndex)
-	// body -> rule edges, weight 1.
-	for i := 0; i < n; i++ {
-		b.edges = append(b.edges, rawEdge{from: bodyIDs[i], to: ruleID, w: 1})
+	b.g.nodes = append(grow(b.g.nodes), nodeRec{kind: RuleNode, name: label})
+	if b.rules != nil {
+		b.rules[string(b.keyBuf)] = ruleID
 	}
-	// rule -> head edge, weight w(r).
-	b.edges = append(b.edges, rawEdge{from: ruleID, to: headID, w: w})
+
+	// body -> rule edges, weight 1; then rule -> head, weight w(r).
+	for _, id := range body {
+		b.edges = append(grow(b.edges), rawEdge{from: id, to: ruleID, w: 1})
+	}
+	b.edges = append(grow(b.edges), rawEdge{from: ruleID, to: headID, w: b.proj.RuleWeight(d.RuleIndex)})
+}
+
+// grow returns s with room for one more element, doubling the capacity of
+// a full slice. The node table and edge log of a full WD graph reach
+// hundreds of thousands of entries, where append's 1.25x step for large
+// slices would allocate and copy several times their final size.
+func grow[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(len(s), 16))
+}
+
+func appendNodeID(dst []byte, id NodeID) []byte {
+	return append(dst, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
 }
 
 // finalize lays the accumulated edge log out as CSR adjacency in both
@@ -328,12 +449,6 @@ type BuildConfig struct {
 	// Gate is set it must implement engine.ParallelSafeGate for the
 	// parallel path to engage (magic.HashGate does).
 	Parallelism int
-	// HintFacts and HintRules pre-size the builder's dedup maps (fact
-	// nodes and rule instantiations respectively). Zero means unknown; a
-	// good source is a previous run's engine.Stats or the database's edb
-	// tuple count.
-	HintFacts int
-	HintRules int
 	// Journal, when non-nil, receives one graph.build event per
 	// construction (node/edge counts, wall time) and is forwarded to the
 	// engine for its per-round engine.round events. Full-graph builds set
@@ -368,15 +483,15 @@ func BuildWith(prog *ast.Program, database *db.Database, cfg BuildConfig) (*Grap
 	if proj == nil {
 		proj = IdentityProjection(prog)
 	}
-	factHint := cfg.HintFacts
-	if factHint == 0 && cfg.PreloadEDB {
+	factHint := 0
+	if cfg.PreloadEDB {
 		for _, pred := range prog.EDBs() {
 			if rel, ok := database.Lookup(pred); ok {
 				factHint += rel.Len()
 			}
 		}
 	}
-	b := NewBuilderSized(proj, factHint, cfg.HintRules)
+	b := NewBuilderSized(proj, factHint, 0)
 	if cfg.PreloadEDB {
 		b.PreloadEDB(prog, database)
 	}
@@ -408,7 +523,8 @@ func BuildWith(prog *ast.Program, database *db.Database, cfg BuildConfig) (*Grap
 // DebugString renders a small graph for tests and the wddump tool.
 func (g *Graph) DebugString(symbols *db.SymbolTable) string {
 	var sb strings.Builder
-	for i, n := range g.nodes {
+	for i := range g.nodes {
+		n := g.Node(NodeID(i))
 		sb.WriteString(strconv.Itoa(i))
 		sb.WriteString(": ")
 		if n.Kind == RuleNode {

@@ -186,9 +186,9 @@ func captureDerivations(b *testing.B) (*ast.Program, *db.Database, []engine.Deri
 	return prog, d, derivs
 }
 
-// BenchmarkBuilderReplay measures graph construction alone (dedup, edge
-// log, CSR finalize) on a captured derivation stream — the component the
-// byte-key dedup and size hints optimize.
+// BenchmarkBuilderReplay measures graph construction alone (fact memo,
+// pointer-free node table, edge log, CSR finalize) on a captured
+// derivation stream, without the cost of evaluation.
 func BenchmarkBuilderReplay(b *testing.B) {
 	prog, d, derivs := captureDerivations(b)
 	proj := IdentityProjection(prog)

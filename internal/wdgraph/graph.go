@@ -44,6 +44,19 @@ type Node struct {
 	EDB bool
 }
 
+// nodeRec is the stored form of a node. It holds no pointers, so the node
+// table costs the garbage collector nothing to scan, and a graph holds no
+// reference into the database its facts came from. name indexes
+// Graph.names (a fact's predicate or a rule node's label); a fact's tuple
+// is syms[off : off+arity].
+type nodeRec struct {
+	name  int32
+	off   int32
+	arity int32
+	kind  NodeKind
+	edb   bool
+}
+
 // Edges is a view of one node's incident edges in one direction: To[i] is
 // the i-th neighbor and W[i] the i-th edge weight. Both slices alias the
 // graph's CSR arrays; callers must not modify them.
@@ -59,7 +72,9 @@ func (e Edges) Len() int { return len(e.To) }
 // Graph method finalizes the CSR arrays). Graphs are immutable after
 // building and safe for concurrent reads.
 type Graph struct {
-	nodes []Node
+	nodes []nodeRec
+	syms  []db.Sym // fact tuples, back to back
+	names []string // predicates and rule labels, interned
 
 	// In-adjacency: the in-edges of node v are inTo[inOff[v]:inOff[v+1]]
 	// with weights inW at the same indexes. inDet[v] is the end (absolute
@@ -95,12 +110,23 @@ func (g *Graph) NumEdges() int { return len(g.outTo) }
 // memory footprint.
 func (g *Graph) Size() int { return g.NumNodes() + g.NumEdges() }
 
-// Node returns the node with the given id.
-func (g *Graph) Node(id NodeID) Node { return g.nodes[id] }
+// Node returns the node with the given id. A fact node's Tuple aliases the
+// graph's tuple storage (capped, so appending to it copies); callers must
+// not modify it.
+func (g *Graph) Node(id NodeID) Node {
+	r := g.nodes[id]
+	n := Node{Kind: r.kind, Pred: g.names[r.name], EDB: r.edb}
+	if r.kind == FactNode {
+		end := r.off + r.arity
+		n.Tuple = g.syms[r.off:end:end]
+	}
+	return n
+}
 
 // FactID returns the node id of the fact pred(tuple) and whether it exists.
 func (g *Graph) FactID(pred string, t db.Tuple) (NodeID, bool) {
-	id, ok := g.factIDs[factKey(pred, t)]
+	var buf [64]byte
+	id, ok := g.factIDs[string(appendFactKey(buf[:0], pred, t))]
 	return id, ok
 }
 
@@ -137,13 +163,16 @@ func (g *Graph) MemoryBytes() int64 {
 
 // FactNodes calls fn for every fact node.
 func (g *Graph) FactNodes(fn func(id NodeID, n Node)) {
-	for i, n := range g.nodes {
-		if n.Kind == FactNode {
-			fn(NodeID(i), n)
+	for i, r := range g.nodes {
+		if r.kind == FactNode {
+			fn(NodeID(i), g.Node(NodeID(i)))
 		}
 	}
 }
 
-func factKey(pred string, t db.Tuple) string {
-	return pred + "\x00" + t.Key()
+// appendFactKey appends the factIDs key of pred(t) to dst.
+func appendFactKey(dst []byte, pred string, t db.Tuple) []byte {
+	dst = append(dst, pred...)
+	dst = append(dst, 0)
+	return t.AppendKey(dst)
 }

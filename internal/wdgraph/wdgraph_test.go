@@ -1,6 +1,7 @@
 package wdgraph_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -302,5 +303,50 @@ func TestDebugString(t *testing.T) {
 	out := g.DebugString(d.Symbols())
 	if !strings.Contains(out, "edge(a,b) edb") || !strings.Contains(out, "[rule r2]") {
 		t.Errorf("DebugString:\n%s", out)
+	}
+}
+
+// TestWideInstantiation pins that an instantiation keeps every body edge
+// however many body atoms its rule has: a 40-atom rule fires once and
+// yields one rule node with 40 in-edges and one out-edge to its head.
+func TestWideInstantiation(t *testing.T) {
+	const width = 40
+	var body, facts []string
+	for i := 0; i < width; i++ {
+		body = append(body, fmt.Sprintf("e%d(X)", i))
+		facts = append(facts, fmt.Sprintf("e%d(a).", i))
+	}
+	prog := mustProgram(t, "0.5 wide: h(X) :- "+strings.Join(body, ", ")+".")
+	d := mustDB(t, strings.Join(facts, " "))
+	g, _, err := wdgraph.Build(prog, d, nil, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rules []wdgraph.NodeID
+	for i := 0; i < g.NumNodes(); i++ {
+		if g.Node(wdgraph.NodeID(i)).Kind == wdgraph.RuleNode {
+			rules = append(rules, wdgraph.NodeID(i))
+		}
+	}
+	if len(rules) != 1 {
+		t.Fatalf("rule nodes = %d, want 1\n%s", len(rules), g.DebugString(d.Symbols()))
+	}
+	r := rules[0]
+	if got := g.InDegree(r); got != width {
+		t.Errorf("rule in-degree = %d, want %d", got, width)
+	}
+	if got := g.OutDegree(r); got != 1 {
+		t.Errorf("rule out-degree = %d, want 1", got)
+	}
+	ha, _ := d.InternAtom(ast.NewAtom("h", ast.C("a")))
+	head, ok := g.FactID("h", ha)
+	if !ok {
+		t.Fatal("h(a) missing")
+	}
+	if in := g.InEdges(head); in.Len() != 1 || in.To[0] != r || in.W[0] != 0.5 {
+		t.Errorf("h(a) in-edges = %+v, want one edge from rule node %d weighted 0.5", in, r)
+	}
+	if g.NumNodes() != width+2 || g.NumEdges() != width+1 {
+		t.Errorf("graph has %d nodes and %d edges, want %d and %d", g.NumNodes(), g.NumEdges(), width+2, width+1)
 	}
 }
