@@ -37,14 +37,11 @@ func run() error {
 		diff          = flag.String("diff", "", "compare this run against a baseline BENCH_*.json and warn (stderr) on regressions beyond -diff-threshold")
 		diffThreshold = flag.Float64("diff-threshold", 0.20, "relative slowdown that counts as a regression for -diff (0.20 = 20%)")
 		diffStrict    = flag.Bool("diff-strict", false, "exit nonzero when -diff finds regressions (default: warn only, for noisy CI runners)")
-		noplan        = flag.Bool("noplan", false, "disable the greedy join planner in every solve (results are byte-identical; for bisecting timing regressions)")
-		planAB        = flag.Bool("plan-ab", false, "also run and print the join-planner A/B measurement (always included in -json reports)")
 		cacheAB       = flag.Bool("cache-ab", false, "also run and print the solve-cache cold/warm A/B (always included in -json reports)")
 		estimatorAB   = flag.Bool("estimator-ab", false, "also run and print the exact/RIS/DNF estimator A/B (always included in -json reports)")
 		profileRun    = flag.Bool("profile", false, "also run and print the runtime-profiled reference solve's rule hotspots (always included in -json reports)")
 	)
 	flag.Parse()
-	experiments.NoPlan = *noplan
 
 	scale := experiments.Quick
 	scaleName := "quick"
@@ -138,28 +135,6 @@ func run() error {
 		}
 		if err := emit(t); err != nil {
 			return err
-		}
-	}
-	if *planAB || report != nil {
-		// The planner A/B times the same Magic^S solves with the join
-		// planner on and off and records the plan cache's accounting.
-		summaries, err := experiments.PlannerSummaries()
-		if err != nil {
-			return err
-		}
-		if report != nil {
-			report.Planner = summaries
-		}
-		if *planAB {
-			t := experiments.PlannerTable(summaries)
-			if *format == "csv" {
-				if err := t.WriteCSV(os.Stdout); err != nil {
-					return err
-				}
-			} else {
-				t.Print(os.Stdout)
-			}
-			fmt.Println()
 		}
 	}
 	if *cacheAB || report != nil {

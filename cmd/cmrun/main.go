@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		nolint      = fs.Bool("nolint", false, "skip the static-analysis gate (errors still fail inside the algorithms; warnings are not printed)")
 		warnFlag    = fs.String("W", "", `"error" makes static-analysis warnings fatal, matching cmlint -W error`)
 		prune       = fs.Bool("prune", false, "drop rules provably outside the targets' dependency cone before solving (results are byte-identical)")
-		noplan      = fs.Bool("noplan", false, "disable the greedy join planner and its plan cache (results are byte-identical; escape hatch / A-B lever)")
 		explain     = fs.Bool("explain", false, "profile the solve and print an EXPLAIN ANALYZE-style tree on stderr: rules ranked by self-time, per-stratum convergence, RR-phase attribution (results are byte-identical)")
 		profileOut  = fs.String("profile-json", "", "profile the solve and write the full runtime profile artifact (schema contribmax/profile/v1) to this file as JSON")
 	)
@@ -137,13 +136,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if len(patterns) > 0 {
 		// Evaluate on a scratch database sharing the edb relations, then
 		// expand each pattern against the derived facts.
-		scratch := db.CloneSchema()
-		for _, pred := range prog.EDBs() {
-			if rel, ok := db.Lookup(pred); ok {
-				scratch.Attach(rel)
-			}
-		}
-		sdb := contribmax.Database{Database: scratch}
+		sdb := contribmax.Database{Database: db.Scratch(prog.EDBs())}
 		if _, err := contribmax.Eval(prog, sdb); err != nil {
 			return err
 		}
@@ -171,9 +164,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Rand:                rand.New(rand.NewPCG(*seed, *seed^0x9E3779B9)),
 		SkipAnalysis:        true,
 		Prune:               *prune,
-	}
-	if *noplan {
-		opts.Plan = contribmax.PlanOff
 	}
 	var trace *contribmax.TraceSpan
 	if *stats {

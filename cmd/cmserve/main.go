@@ -47,7 +47,6 @@ func run() error {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	solveTimeout := flag.Duration("solve-timeout", 60*time.Second, "per-request solve deadline (0 = none)")
 	warnFlag := flag.String("W", "", `"error" rejects requests whose programs have static-analysis warnings, matching cmrun -W error`)
-	noplan := flag.Bool("noplan", false, "disable the greedy join planner for every solve (results are byte-identical; escape hatch)")
 	cacheMB := flag.Int64("cache-size", 0, "solve-cache bound in MiB (0 = default 256; negative disables caching)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max solves executing at once (0 = unlimited); excess queues, then sheds with 429")
 	maxQueue := flag.Int("queue", 0, "max solves waiting for a slot (0 = 2 x max-concurrent)")
@@ -69,7 +68,6 @@ func run() error {
 		Obs:                 reg,
 		SolveTimeout:        *solveTimeout,
 		WarnAsError:         *warnFlag == "error",
-		NoPlan:              *noplan,
 		CacheBytes:          cacheBytes,
 		MaxConcurrentSolves: *maxConcurrent,
 		MaxQueueDepth:       *maxQueue,

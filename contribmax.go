@@ -38,10 +38,6 @@ type (
 	Input = cm.Input
 	// Options tunes the CM algorithms (θ policy, randomness source).
 	Options = cm.Options
-	// PlanMode toggles the greedy join planner for Options.Plan: PlanOn
-	// (the zero value) plans and caches join orders; PlanOff evaluates
-	// with the engine's built-in per-rule ordering and no cache.
-	PlanMode = cm.PlanMode
 	// Result is a CM algorithm's outcome: seeds, contribution estimate,
 	// and the cost statistics the paper's figures report.
 	Result = cm.Result
@@ -127,14 +123,6 @@ const (
 	SeverityInfo    = analysis.Info
 	SeverityWarning = analysis.Warning
 	SeverityError   = analysis.Error
-)
-
-// Join-planner modes for Options.Plan. Both modes provably compute the
-// same results (the engine's differential battery holds them byte-
-// identical); PlanOff exists as an escape hatch and an A/B lever.
-const (
-	PlanOn  = cm.PlanOn
-	PlanOff = cm.PlanOff
 )
 
 // NewMetricsRegistry returns an empty metrics registry for Options.Obs.
@@ -469,12 +457,7 @@ func relevantGraph(prog *Program, d Database, target Atom) (*wdgraph.Graph, wdgr
 	if !target.IsGround() {
 		return nil, 0, false, fmt.Errorf("contribmax: target %s is not ground", target)
 	}
-	scratch := d.CloneSchema()
-	for _, pred := range prog.EDBs() {
-		if rel, found := d.Lookup(pred); found {
-			scratch.Attach(rel)
-		}
-	}
+	scratch := d.Scratch(prog.EDBs())
 	var g *wdgraph.Graph
 	if tr, terr := magic.Transform(prog, []Atom{target}); terr == nil {
 		eng, err := engine.New(tr.Program, scratch)
@@ -539,12 +522,6 @@ func Eval(prog *Program, d Database) (EvalStats, error) {
 // 3.1, including a node for every edb fact. The evaluation runs on a
 // scratch copy sharing d's edb relations, so d itself is not mutated.
 func BuildWDGraph(prog *Program, d Database) (*WDGraph, error) {
-	scratch := d.CloneSchema()
-	for _, pred := range prog.EDBs() {
-		if rel, ok := d.Lookup(pred); ok {
-			scratch.Attach(rel)
-		}
-	}
-	g, _, err := wdgraph.Build(prog, scratch, nil, true, nil)
+	g, _, err := wdgraph.Build(prog, d.Scratch(prog.EDBs()), nil, true, nil)
 	return g, err
 }

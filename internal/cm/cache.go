@@ -29,9 +29,9 @@ import (
 //     every later draw — is identical whether the graph was built or
 //     reused.
 //
-// Knobs proven byte-identical across their settings (join planning; the
-// parallel worker count within the Parallelism >= 1 class) are absent from
-// the keys, so solves differing only in those share entries.
+// The parallel worker count within the Parallelism >= 1 class is proven
+// byte-identical across its settings and absent from the keys, so solves
+// differing only in it share entries.
 
 type solveFn func(Input, Options) (*Result, error)
 
@@ -258,7 +258,7 @@ func effectiveProgramID(inst *instance, id solvecache.Identity) string {
 // reuse.
 func cachedFullGraph(in Input, opts Options, inst *instance, res *Result) (*wdgraph.Graph, error) {
 	build := func() (*wdgraph.Graph, error) {
-		g, _, err := wdgraph.BuildWith(inst.prog, scratchFor(in), wdgraph.BuildConfig{
+		g, _, err := wdgraph.BuildWith(inst.prog, in.DB.Scratch(in.Program.EDBs()), wdgraph.BuildConfig{
 			PreloadEDB:  true,
 			Ctx:         opts.ctx(),
 			Obs:         opts.Obs,

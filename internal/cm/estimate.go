@@ -34,7 +34,7 @@ func NewEstimator(in Input) (*Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, _, err := wdgraph.Build(in.Program, scratchFor(in), nil, true, nil)
+	g, _, err := wdgraph.Build(in.Program, in.DB.Scratch(in.Program.EDBs()), nil, true, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -37,26 +37,6 @@ type Input struct {
 	K int
 }
 
-// PlanMode selects the join-planning strategy for every fixpoint engine a
-// solve compiles.
-type PlanMode int
-
-const (
-	// PlanOn (the zero value) routes rule compilation through
-	// internal/planner: the positive-atom join order is identical to the
-	// engine's legacy greedy order — the derivation stream, and therefore
-	// every solver output, is byte-for-byte unchanged — but built-in and
-	// negated checks run at the earliest join step where their variables
-	// are bound, and plans are cached solve-wide by rule shape, so the
-	// Magic variants' thousands of per-RR engine compilations replan each
-	// adorned rule family exactly once.
-	PlanOn PlanMode = iota
-	// PlanOff keeps the legacy per-engine planning with checks evaluated
-	// at instantiation completion — the escape hatch behind the
-	// cmrun/cmserve/cmbench -noplan flags and the planner A/B benchmark.
-	PlanOff
-)
-
 // Options tunes the algorithms.
 type Options struct {
 	// Theta selects the number of RR sets (see im.ThetaSpec). The zero
@@ -100,10 +80,6 @@ type Options struct {
 	// at load time) or construct programs the analyzer provably accepts;
 	// ast.Program.Validate still runs as a cheap backstop.
 	SkipAnalysis bool
-	// Plan selects the join-planning strategy (see PlanMode; the zero
-	// value keeps planning on). Planning never changes results — only
-	// evaluation cost and the plan.* stats/journal/metric signals.
-	Plan PlanMode
 	// Prune runs the analyzer's provably-sound dead-rule elimination
 	// (analysis.Prune, unreachable criterion only) over the program before
 	// any rewriting or graph construction: rules whose head predicate lies
@@ -199,14 +175,10 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// solvePlanner returns the solve-wide plan cache, nil under PlanOff. One
-// cache spans every engine compilation of the solve — full-graph builds and
-// per-RR subgraph builds alike — so hit counts measure real cross-engine
-// plan reuse.
+// solvePlanner returns a fresh solve-wide plan cache. One cache spans every
+// engine compilation of the solve — full-graph builds and per-RR subgraph
+// builds alike — so hit counts measure real cross-engine plan reuse.
 func (o Options) solvePlanner() *planner.Planner {
-	if o.Plan == PlanOff {
-		return nil
-	}
 	return planner.New(o.Obs)
 }
 
@@ -246,8 +218,8 @@ type Result struct {
 
 	// rrColl retains the RR collection for the selection phase.
 	rrColl *im.RRCollection
-	// pl is the solve's plan cache (nil under PlanOff); finishSelection
-	// folds its counters into Stats.
+	// pl is the solve's plan cache; finishSelection folds its counters
+	// into Stats.
 	pl *planner.Planner
 }
 
@@ -282,12 +254,11 @@ type Stats struct {
 	RulesTotal  int
 	RulesPruned int
 
-	// Join-planning totals (all 0 under Options.Plan == PlanOff).
-	// PlansBuilt counts plans computed (cache misses), PlanCacheHits plans
-	// served from the solve-wide shape-keyed cache, PlanAtomsReordered
-	// plan positions deviating from written body order summed over built
-	// plans. Deterministic: a fixed configuration yields the same counts
-	// on every run, at every Parallelism level.
+	// Join-planning totals. PlansBuilt counts plans computed (cache
+	// misses), PlanCacheHits plans served from the solve-wide shape-keyed
+	// cache, PlanAtomsReordered plan positions deviating from written body
+	// order summed over built plans. Deterministic: a fixed configuration
+	// yields the same counts on every run, at every Parallelism level.
 	PlansBuilt         int64
 	PlanCacheHits      int64
 	PlanAtomsReordered int64
@@ -559,18 +530,4 @@ func (inst *instance) relationGroups() []int32 {
 // theta resolves the RR-set count for this instance.
 func (inst *instance) theta(opts Options) int {
 	return opts.Theta.Theta(len(inst.candidates), len(inst.targets), inst.in.K)
-}
-
-// scratchFor returns a fresh database sharing in.DB's symbol table and edb
-// relations (by reference). All evaluations — full WD graph construction
-// included — run on such scratch databases, so the caller's database is
-// never mutated with derived facts.
-func scratchFor(in Input) *db.Database {
-	scratch := in.DB.CloneSchema()
-	for _, pred := range in.Program.EDBs() {
-		if rel, ok := in.DB.Lookup(pred); ok {
-			scratch.Attach(rel)
-		}
-	}
-	return scratch
 }

@@ -275,29 +275,17 @@ func mergeStats(dst, src *Stats) {
 // delegate to wdgraph.BuildWith). jr, when non-nil, receives graph.build
 // and per-round engine.round events — only the grouped variant's one
 // full union-graph build passes it (per-RR subgraph builds number in the
-// thousands and are summarized by rr.batch events instead). pl, when
-// non-nil, is the solve's shared plan cache: the transformed program is
-// recompiled here for every RR set, and the cache turns each recompilation
-// after the first into pure plan lookups per adorned rule family. pf, when
-// non-nil, receives per-rule fixpoint accounting (keyed by source rule
-// text, so the thousands of per-target engines of one solve merge into one
-// adorned-rule-family ledger).
+// thousands and are summarized by rr.batch events instead). pl is the
+// solve's shared plan cache: the transformed program is recompiled here for
+// every RR set, and the cache turns each recompilation after the first into
+// pure plan lookups per adorned rule family. pf, when non-nil, receives
+// per-rule fixpoint accounting (keyed by source rule text, so the thousands
+// of per-target engines of one solve merge into one adorned-rule-family
+// ledger).
 func buildMagicGraph(in Input, tr *magic.Transformed, rng *rand.Rand, sampled bool,
 	ctx context.Context, reg *obs.Registry, jr *journal.Journal, par int, pl *planner.Planner, pf *prof.Profile) (*wdgraph.Graph, error) {
 	start := time.Now()
-	scratch := in.DB.CloneSchema()
-	for _, pred := range in.Program.EDBs() {
-		if rel, ok := in.DB.Lookup(pred); ok {
-			scratch.Attach(rel)
-		}
-	}
-	var eng *engine.Engine
-	var err error
-	if pl != nil {
-		eng, err = engine.NewPlanned(tr.Program, scratch, pl)
-	} else {
-		eng, err = engine.New(tr.Program, scratch)
-	}
+	eng, err := engine.NewPlanned(tr.Program, in.DB.Scratch(in.Program.EDBs()), pl)
 	if err != nil {
 		return nil, err
 	}

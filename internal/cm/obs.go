@@ -101,7 +101,6 @@ func journalSolveStart(opts Options, inst *instance, name string) {
 			MaxSeedsPerRelation: opts.MaxSeedsPerRelation,
 			LazyGreedy:          opts.LazyGreedy,
 			SIPS:                fmt.Sprintf("%d", opts.SIPS),
-			Plan:                opts.Plan == PlanOn,
 			Prune:               opts.Prune,
 		}.Hash(),
 		K:           inst.in.K,

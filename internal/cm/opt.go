@@ -53,7 +53,7 @@ func BruteForceOPT(in Input, rrSets int, rng *rand.Rand) (*OPTResult, error) {
 	}
 
 	// Build the full graph once; generate the shared RR pool.
-	g, _, err := wdgraph.Build(in.Program, scratchFor(in), nil, true, nil)
+	g, _, err := wdgraph.Build(in.Program, in.DB.Scratch(in.Program.EDBs()), nil, true, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,56 +1,12 @@
 package cm_test
 
 import (
-	"encoding/json"
-	"fmt"
 	"math/rand/v2"
-	"os"
 	"testing"
 
 	"contribmax/internal/cm"
 	"contribmax/internal/im"
 )
-
-// TestGoldenPlanOff is the other half of the planner equivalence proof at
-// the solver level: with planning disabled the Result stream must STILL
-// match the committed golden fingerprints (which the default planner-on
-// runs match in TestGoldenResultStream). Both modes reproducing one golden
-// file is the byte-identical equivalence the planner promises.
-func TestGoldenPlanOff(t *testing.T) {
-	in := goldenInstance(t)
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden file (regenerate with -update-golden): %v", err)
-	}
-	want := map[string]string{}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	for _, al := range algos {
-		for _, par := range []int{0, 1, 4} {
-			if al.name == "MagicSCM" && testing.Short() && par > 1 {
-				continue
-			}
-			res, err := al.run(in, cm.Options{
-				Theta:       im.ThetaSpec{Explicit: 120},
-				Rand:        rand.New(rand.NewPCG(17, 23)),
-				Parallelism: par,
-				Plan:        cm.PlanOff,
-			})
-			if err != nil {
-				t.Fatalf("%s parallelism %d: %v", al.name, par, err)
-			}
-			key := fmt.Sprintf("%s/p%d", al.name, par)
-			if got := resultFingerprint(res); got != want[key] {
-				t.Errorf("%s with PlanOff diverged from golden:\n  got  %s\n  want %s", key, got, want[key])
-			}
-			if res.Stats.PlansBuilt != 0 || res.Stats.PlanCacheHits != 0 {
-				t.Errorf("%s with PlanOff reported planner activity: built=%d hits=%d",
-					key, res.Stats.PlansBuilt, res.Stats.PlanCacheHits)
-			}
-		}
-	}
-}
 
 // TestPlanCacheDeterministic asserts the plan cache actually engages on the
 // Magic^S path — a solve compiles one engine per RR set, so every rule

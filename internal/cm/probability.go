@@ -45,16 +45,10 @@ func DerivationProbability(prog *ast.Program, database *db.Database, target ast.
 	hits := 0
 	// One plan cache for all samples: the transformed program is recompiled
 	// per sample, and every compilation after the first reuses the cached
-	// plan of each adorned rule. Results are unchanged (the planner
-	// preserves the engine's join order), only the per-sample setup shrinks.
+	// plan of each adorned rule.
 	pl := planner.New(nil)
 	for s := 0; s < samples; s++ {
-		scratch := database.CloneSchema()
-		for _, pred := range prog.EDBs() {
-			if rel, ok := database.Lookup(pred); ok {
-				scratch.Attach(rel)
-			}
-		}
+		scratch := database.Scratch(prog.EDBs())
 		eng, err := engine.NewPlanned(tr.Program, scratch, pl)
 		if err != nil {
 			return 0, err

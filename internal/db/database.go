@@ -165,6 +165,20 @@ func (d *Database) CloneSchema() *Database {
 	}
 }
 
+// Scratch returns a database for one evaluation over d's data: a
+// CloneSchema with the named relations of d attached by reference, in the
+// order given (names d does not hold are skipped). Derived facts land in
+// the scratch database, so d itself is never mutated.
+func (d *Database) Scratch(names []string) *Database {
+	scratch := d.CloneSchema()
+	for _, name := range names {
+		if rel, ok := d.Lookup(name); ok {
+			scratch.Attach(rel)
+		}
+	}
+	return scratch
+}
+
 // AttachShared shares an existing relation (typically an edb relation of
 // another database with the same symbol table) under its own name. The
 // relation is shared by reference: the Magic-Sets algorithms attach the

@@ -265,6 +265,28 @@ func TestCloneSchemaAndAttach(t *testing.T) {
 	c.Attach(other)
 }
 
+func TestScratchAttachesNamedRelationsInOrder(t *testing.T) {
+	d := db.NewDatabase()
+	d.MustInsertAtom(ast.NewAtom("e", ast.C("a"), ast.C("b")))
+	d.MustInsertAtom(ast.NewAtom("f", ast.C("c")))
+	d.MustInsertAtom(ast.NewAtom("g", ast.C("d")))
+	s := d.Scratch([]string{"g", "missing", "e"})
+	if got := s.RelationNames(); fmt.Sprint(got) != "[g e]" {
+		t.Errorf("Scratch relations = %v, want [g e] (given order, missing skipped)", got)
+	}
+	e, _ := d.Lookup("e")
+	if got, ok := s.Lookup("e"); !ok || got != e {
+		t.Error("Scratch did not share relation e by reference")
+	}
+	if _, ok := s.Symbols().Lookup("c"); !ok {
+		t.Error("Scratch did not share the symbol table")
+	}
+	s.MustInsertAtom(ast.NewAtom("p", ast.C("a")))
+	if _, ok := d.Lookup("p"); ok {
+		t.Error("a relation created in the scratch database leaked into the original")
+	}
+}
+
 func TestRelationNamesOrderedAndStats(t *testing.T) {
 	d := db.NewDatabase()
 	d.MustInsertAtom(ast.NewAtom("zz", ast.C("1")))

@@ -59,80 +59,19 @@ type compiledRule struct {
 	body     []compiledAtom
 	checks   []compiledCheck
 
-	// plans[d] is the join order used when body position d carries the
-	// delta: plans[d][0] == d, and the remaining positions are ordered
-	// bound-first (greedily maximizing already-bound argument positions)
-	// so index lookups stay selective. Join order affects only cost, never
-	// the result set; the semi-naive watermark of each atom depends on its
-	// original position, not its place in the plan.
-	plans [][]int
-
-	// Planner-sourced scheduling (NewPlanned only). planned selects the
-	// early-check evaluation path; the positive-atom order in plans is the
-	// same either way (planner.Build replicates buildPlans exactly), so
-	// planning never changes the derivation stream. checksAt[d][step] lists
-	// check indices to evaluate as soon as plan step `step` of delta
+	// The rule's join schedule, sourced from internal/planner. plans[d] is
+	// the join order used when body position d carries the delta:
+	// plans[d][0] == d, and the remaining positions are ordered bound-first
+	// (greedily maximizing already-bound argument positions) so index
+	// lookups stay selective. Join order affects only cost, never the
+	// result set; the semi-naive watermark of each atom depends on its
+	// original position, not its place in the plan. checksAt[d][step]
+	// lists check indices to evaluate as soon as plan step `step` of delta
 	// position d binds its atom; preChecks lists ground checks evaluated
-	// once per pass. Both may alias a shared cached Plan — read-only.
-	planned   bool
+	// once per pass. All three may alias a shared cached Plan — read-only.
+	plans     [][]int
 	checksAt  [][][]int
 	preChecks []int
-}
-
-// buildPlans fills cr.plans with a greedy bound-first order per delta
-// position.
-func (cr *compiledRule) buildPlans() {
-	n := len(cr.body)
-	cr.plans = make([][]int, n)
-	for d := 0; d < n; d++ {
-		bound := make([]bool, len(cr.varNames))
-		bind := func(a *compiledAtom) {
-			for _, t := range a.terms {
-				if t.isVar {
-					bound[t.slot] = true
-				}
-			}
-		}
-		score := func(a *compiledAtom) int {
-			s := 0
-			for _, t := range a.terms {
-				if !t.isVar || bound[t.slot] {
-					s++
-				}
-			}
-			return s
-		}
-		plan := make([]int, 0, n)
-		used := make([]bool, n)
-		plan = append(plan, d)
-		used[d] = true
-		bind(&cr.body[d])
-		for len(plan) < n {
-			best, bestScore := -1, -1
-			for p := 0; p < n; p++ {
-				if used[p] {
-					continue
-				}
-				if s := score(&cr.body[p]); s > bestScore {
-					best, bestScore = p, s
-				}
-			}
-			plan = append(plan, best)
-			used[best] = true
-			bind(&cr.body[best])
-		}
-		cr.plans[d] = plan
-	}
-}
-
-// applyPlan swaps the rule onto the planner path: join order from the
-// (possibly cached) Plan, checks scheduled at their earliest bound step.
-func (cr *compiledRule) applyPlan(pl *planner.Planner) {
-	p := pl.PlanRule(plannerRule(cr))
-	cr.plans = p.Order
-	cr.checksAt = p.ChecksAt
-	cr.preChecks = p.Pre
-	cr.planned = true
 }
 
 // plannerRule projects the compiled rule onto the planner's shape view:
@@ -162,9 +101,10 @@ func plannerRule(cr *compiledRule) *planner.Rule {
 }
 
 // compile resolves a program against a database: it interns all constants,
-// assigns variable slots per rule, and resolves (creating when necessary)
-// the relation of every predicate.
-func compile(prog *ast.Program, database *db.Database) ([]*compiledRule, error) {
+// assigns variable slots per rule, resolves (creating when necessary) the
+// relation of every predicate, and plans every rule through pl (nil plans
+// without caching).
+func compile(prog *ast.Program, database *db.Database, pl *planner.Planner) ([]*compiledRule, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: invalid program: %w", err)
 	}
@@ -258,7 +198,8 @@ func compile(prog *ast.Program, database *db.Database) ([]*compiledRule, error) 
 		if cr.head, err = compileAtom(r.Head); err != nil {
 			return nil, err
 		}
-		cr.buildPlans()
+		p := pl.PlanRule(plannerRule(cr))
+		cr.plans, cr.checksAt, cr.preChecks = p.Order, p.ChecksAt, p.Pre
 		rules[i] = cr
 	}
 	return rules, nil

@@ -21,7 +21,6 @@ import (
 	"contribmax/internal/db"
 	"contribmax/internal/engine"
 	"contribmax/internal/parser"
-	"contribmax/internal/planner"
 )
 
 // Spec is one differential test case: a program plus the extensional facts
@@ -58,19 +57,6 @@ func (s *Spec) NewDB() (*db.Database, error) {
 // deliver identical streams, so a budgeted run still snapshots
 // identically at every Parallelism level.
 func Snapshot(prog *ast.Program, d *db.Database, opts engine.Options, maxDerivations int) string {
-	return snapshot(prog, d, opts, maxDerivations, false)
-}
-
-// SnapshotPlanned is Snapshot with rule compilation routed through
-// engine.NewPlanned (a fresh per-call planner, no shared cache). The
-// planner preserves the engine's join order, so for every program this must
-// produce a byte-identical snapshot to Snapshot — ComparePlanModes asserts
-// exactly that.
-func SnapshotPlanned(prog *ast.Program, d *db.Database, opts engine.Options, maxDerivations int) string {
-	return snapshot(prog, d, opts, maxDerivations, true)
-}
-
-func snapshot(prog *ast.Program, d *db.Database, opts engine.Options, maxDerivations int, planned bool) string {
 	var sb strings.Builder
 	var ctx context.Context
 	var cancel context.CancelFunc
@@ -91,13 +77,7 @@ func snapshot(prog *ast.Program, d *db.Database, opts engine.Options, maxDerivat
 			cancel()
 		}
 	}
-	var eng *engine.Engine
-	var err error
-	if planned {
-		eng, err = engine.NewPlanned(prog, d, planner.New(nil))
-	} else {
-		eng, err = engine.New(prog, d)
-	}
+	eng, err := engine.New(prog, d)
 	if err != nil {
 		return "new error: " + err.Error()
 	}

@@ -67,9 +67,7 @@ func TestExamplesCorpusParallelIdentical(t *testing.T) {
 
 // TestGeneratedProgramsPlanEquivalent is the planner's differential
 // battery: random stratified programs (negation and built-ins included)
-// must evaluate byte-identically with planning on — sequentially and in
-// parallel — and reach the same fixpoint as strict written-order
-// evaluation.
+// must reach the same fixpoint as strict written-order evaluation.
 func TestGeneratedProgramsPlanEquivalent(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -78,7 +76,7 @@ func TestGeneratedProgramsPlanEquivalent(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewPCG(uint64(seed), 0x9a7))
 		spec := difftest.Generate(rng)
-		if err := difftest.ComparePlanModes(spec, engine.Options{MaxRounds: 64}, 0, parLevels); err != nil {
+		if err := difftest.CompareWrittenOrder(spec, engine.Options{MaxRounds: 64}); err != nil {
 			t.Errorf("seed %d: %v\nprogram:\n%s", seed, err, spec.Prog)
 		}
 	}
@@ -86,7 +84,8 @@ func TestGeneratedProgramsPlanEquivalent(t *testing.T) {
 
 // TestMagicProgramsPlanEquivalent runs the same battery over Magic-Sets
 // output — the adorned, guard-heavy rule shape the CM variants actually
-// evaluate and the one the plan cache is keyed for.
+// evaluate and the one the plan cache is keyed for — and checks that
+// parallel evaluation of it stays byte-identical to sequential.
 func TestMagicProgramsPlanEquivalent(t *testing.T) {
 	seeds := 25
 	if testing.Short() {
@@ -98,14 +97,17 @@ func TestMagicProgramsPlanEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := difftest.ComparePlanModes(spec, engine.Options{MaxRounds: 64}, 0, parLevels); err != nil {
+		if err := difftest.CompareWrittenOrder(spec, engine.Options{MaxRounds: 64}); err != nil {
+			t.Errorf("seed %d: %v\nprogram:\n%s", seed, err, spec.Prog)
+		}
+		if err := difftest.CompareParallel(spec, engine.Options{MaxRounds: 64}, 0, parLevels); err != nil {
 			t.Errorf("seed %d: %v\nprogram:\n%s", seed, err, spec.Prog)
 		}
 	}
 }
 
 // TestExamplesCorpusPlanEquivalent runs the repository's example programs
-// through the plan-mode differential check.
+// through the written-order differential check.
 func TestExamplesCorpusPlanEquivalent(t *testing.T) {
 	entries, err := difftest.LoadCorpus("../../../examples", "../../../testdata")
 	if err != nil {
@@ -116,7 +118,7 @@ func TestExamplesCorpusPlanEquivalent(t *testing.T) {
 		if strings.Contains(e.Path, "analysis") {
 			continue
 		}
-		if err := difftest.ComparePlanModes(e.Spec, engine.Options{}, 0, []int{4}); err != nil {
+		if err := difftest.CompareWrittenOrder(e.Spec, engine.Options{}); err != nil {
 			t.Errorf("%s: %v", e.Path, err)
 		}
 		ran++

@@ -12,66 +12,29 @@ import (
 	"contribmax/internal/magic"
 )
 
-// ComparePlanModes is the planner's differential battery over one spec. It
-// asserts two layers of equivalence:
-//
-//   - stream preservation: the planned engine's snapshot — derivation
-//     stream, relation tuple sequences with ids, Stats — is byte-identical
-//     to the legacy engine's, sequentially and at every given Parallelism
-//     level. This is the strong property that keeps golden fingerprints
-//     valid with planning on by default.
-//   - fixpoint equivalence against written order: with maxDerivations == 0,
-//     the planned fixpoint's relation contents equal (as sets) those of a
-//     DisableJoinReorder run. Written order enumerates instantiations in a
-//     different sequence, so tuple ids legitimately differ and only the
-//     set-level comparison is meaningful. (A mid-run derivation budget
-//     aborts at an order-dependent point, so this leg only runs unbudgeted;
-//     a MaxRounds bound in base is fine — round boundaries are
-//     order-independent.)
-//
-// base supplies gate/round budget etc.; its Listener, Context, Parallelism,
+// CompareWrittenOrder is the planner's differential check over one spec:
+// the planned fixpoint's relation contents must equal (as sets) those of a
+// DisableJoinReorder run, which joins in written order and evaluates checks
+// only on complete instantiations. Written order enumerates instantiations
+// in a different sequence, so tuple ids legitimately differ and only the
+// set-level comparison is meaningful. (A mid-run derivation budget would
+// abort at an order-dependent point, so the runs are unbudgeted; a
+// MaxRounds bound in base is fine — round boundaries are
+// order-independent.) base supplies gate/round budget etc.; its Listener
 // and DisableJoinReorder are managed here.
-func ComparePlanModes(s *Spec, base engine.Options, maxDerivations int, levels []int) error {
+func CompareWrittenOrder(s *Spec, base engine.Options) error {
 	base.DisableJoinReorder = false
-	base.Parallelism = 0
 	d, err := s.NewDB()
 	if err != nil {
 		return err
 	}
-	want := Snapshot(s.Prog, d, base, maxDerivations)
-
-	if d, err = s.NewDB(); err != nil {
-		return err
-	}
-	got := SnapshotPlanned(s.Prog, d, base, maxDerivations)
-	if got != want {
-		return fmt.Errorf("difftest: planned sequential run diverges from legacy:\n%s", firstDiff(want, got))
-	}
-	for _, par := range levels {
-		if d, err = s.NewDB(); err != nil {
-			return err
-		}
-		opts := base
-		opts.Parallelism = par
-		got := SnapshotPlanned(s.Prog, d, opts, maxDerivations)
-		if got != want {
-			return fmt.Errorf("difftest: planned Parallelism=%d diverges from legacy sequential:\n%s", par, firstDiff(want, got))
-		}
-	}
-
-	if maxDerivations > 0 {
-		return nil
-	}
-	if d, err = s.NewDB(); err != nil {
-		return err
-	}
-	planned := fixpointSet(s.Prog, d, base, true)
+	planned := fixpointSet(s.Prog, d, base)
 	if d, err = s.NewDB(); err != nil {
 		return err
 	}
 	written := base
 	written.DisableJoinReorder = true
-	writtenSet := fixpointSet(s.Prog, d, written, false)
+	writtenSet := fixpointSet(s.Prog, d, written)
 	if planned != writtenSet {
 		return fmt.Errorf("difftest: planned fixpoint differs from written-order fixpoint:\n%s", firstDiff(writtenSet, planned))
 	}
@@ -81,15 +44,9 @@ func ComparePlanModes(s *Spec, base engine.Options, maxDerivations int, levels [
 // fixpointSet evaluates prog over d and renders every relation's contents
 // as a sorted tuple set — the order-insensitive view two runs with
 // different enumeration orders can still be compared under.
-func fixpointSet(prog *ast.Program, d *db.Database, opts engine.Options, planned bool) string {
+func fixpointSet(prog *ast.Program, d *db.Database, opts engine.Options) string {
 	opts.Listener = nil
-	var eng *engine.Engine
-	var err error
-	if planned {
-		eng, err = engine.NewPlanned(prog, d, nil)
-	} else {
-		eng, err = engine.New(prog, d)
-	}
+	eng, err := engine.New(prog, d)
 	if err != nil {
 		return "new error: " + err.Error()
 	}

@@ -85,9 +85,10 @@ type Options struct {
 	// terminates, so this is belt-and-suspenders for debugging).
 	MaxRounds int
 	// DisableJoinReorder evaluates rule bodies strictly left to right
-	// (after the delta atom) instead of the greedy bound-first order. Join
-	// order never changes results; the flag exists for the ablation
-	// benchmark.
+	// (after the delta atom) instead of the planned bound-first order, and
+	// evaluates checks only on complete instantiations. Join order never
+	// changes results; written order is the reference the differential
+	// tests and the early-check benchmark compare the planner against.
 	DisableJoinReorder bool
 	// Parallelism, when >= 2, evaluates each semi-naive round on that many
 	// worker goroutines: every rule's delta-tuple range is partitioned
@@ -160,35 +161,28 @@ type Engine struct {
 	ran   bool
 }
 
-// New compiles prog against database. All predicates mentioned by the
-// program are resolved (idb relations are created empty if absent).
+// New compiles prog against database with per-engine planning and no plan
+// cache: NewPlanned(prog, database, nil).
 func New(prog *ast.Program, database *db.Database) (*Engine, error) {
-	rules, err := compile(prog, database)
+	return NewPlanned(prog, database, nil)
+}
+
+// NewPlanned compiles prog against database. All predicates mentioned by
+// the program are resolved (idb relations are created empty if absent), and
+// each rule's join plan comes from the planner package: a greedy
+// bound-first atom order per delta position, with every built-in or negated
+// check evaluated at the earliest join step where its variables are bound,
+// pruning doomed partial bindings instead of fully materializing them. pl,
+// when non-nil, caches plans by rule shape across engines — the Magic
+// variants compile thousands of engines per solve from the same adorned
+// rule families, and each family plans once. A nil pl plans per-engine
+// without caching.
+func NewPlanned(prog *ast.Program, database *db.Database, pl *planner.Planner) (*Engine, error) {
+	rules, err := compile(prog, database, pl)
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{prog: prog, db: database, rules: rules}, nil
-}
-
-// NewPlanned compiles prog like New but sources each rule's join plan from
-// the planner package: the positive-atom order is identical to New's greedy
-// bound-first order (planner.Build replicates it exactly, so the derivation
-// stream — and every golden fingerprint over it — is byte-identical), and
-// additionally every built-in or negated check is evaluated at the earliest
-// join step where its variables are bound, pruning doomed partial bindings
-// instead of fully materializing them. pl, when non-nil, caches plans by
-// rule shape across engines — the Magic variants compile thousands of
-// engines per solve from the same adorned rule families, and each family
-// plans once. A nil pl plans per-engine without caching.
-func NewPlanned(prog *ast.Program, database *db.Database, pl *planner.Planner) (*Engine, error) {
-	e, err := New(prog, database)
-	if err != nil {
-		return nil, err
-	}
-	for _, cr := range e.rules {
-		cr.applyPlan(pl)
-	}
-	return e, nil
 }
 
 // RuleVarNames returns the variable slot names of rule ruleIndex, in slot
@@ -494,7 +488,11 @@ func (ev *evaluator) emitSequential(cr *compiledRule, vars []db.Sym, body []Fact
 // are shared with the coordinator and read-only for the duration of a
 // pass.
 type joinRun struct {
-	engine         *Engine
+	engine *Engine
+	// disableReorder selects written-order evaluation, which also evaluates
+	// checks at instantiation completion instead of on the planner's step
+	// schedule: that schedule is computed against plan order and need not
+	// be bound-safe in written order.
 	disableReorder bool
 	gate           FireGate
 
@@ -566,20 +564,11 @@ func (jr *joinRun) pass(cr *compiledRule, deltaPos, lo, hi int) {
 	jr.joinFrom(cr, deltaPos, 0)
 }
 
-// earlyChecks reports whether the runner evaluates cr's checks on the
-// planner schedule (during the join) instead of at instantiation
-// completion. Written-order evaluation keeps the legacy at-completion path:
-// the planner's step schedule is computed against plan order and need not
-// be bound-safe under DisableJoinReorder.
-func (jr *joinRun) earlyChecks(cr *compiledRule) bool {
-	return cr.planned && !jr.disableReorder
-}
-
-// preChecksOK evaluates a planned rule's ground (variable-free) checks,
-// which hold for every instantiation of the pass or for none: a single
-// failed comparison vetoes the whole pass before any scan.
+// preChecksOK evaluates cr's ground (variable-free) checks, which hold for
+// every instantiation of the pass or for none: a single failed comparison
+// vetoes the whole pass before any scan.
 func (jr *joinRun) preChecksOK(cr *compiledRule) bool {
-	if !jr.earlyChecks(cr) {
+	if jr.disableReorder {
 		return true
 	}
 	for _, ci := range cr.preChecks {
@@ -616,12 +605,15 @@ func (jr *joinRun) joinFrom(cr *compiledRule, deltaPos, step int) {
 		jr.completeInstantiation(cr)
 		return
 	}
-	// Determine which atom this step matches.
+	// Determine which atom this step matches, and which checks it makes
+	// evaluable (none early in written order).
 	var pos int
+	var sched []int
 	if jr.disableReorder {
 		pos = stepAtom(deltaPos, step)
 	} else {
 		pos = cr.plans[deltaPos][step]
+		sched = cr.checksAt[deltaPos][step]
 	}
 	atom := &cr.body[pos]
 	rel := atom.rel
@@ -637,27 +629,25 @@ func (jr *joinRun) joinFrom(cr *compiledRule, deltaPos, step int) {
 	if minID >= maxID {
 		return
 	}
-	if jr.earlyChecks(cr) {
-		if sched := cr.checksAt[deltaPos][step]; len(sched) > 0 {
-			jr.scanAtom(cr, atom, pos, minID, maxID, func() {
-				if jr.prof != nil {
-					jr.prof.StepMatches[cr.index][step]++
-				}
-				// All variables of these checks were just bound by this
-				// step; failing one prunes the partial binding and every
-				// join extension under it.
-				for _, ci := range sched {
-					if !jr.evalCheck(&cr.checks[ci]) {
-						if jr.prof != nil {
-							jr.prof.StepVetoes[cr.index][step]++
-						}
-						return
+	if len(sched) > 0 {
+		jr.scanAtom(cr, atom, pos, minID, maxID, func() {
+			if jr.prof != nil {
+				jr.prof.StepMatches[cr.index][step]++
+			}
+			// All variables of these checks were just bound by this step;
+			// failing one prunes the partial binding and every join
+			// extension under it.
+			for _, ci := range sched {
+				if !jr.evalCheck(&cr.checks[ci]) {
+					if jr.prof != nil {
+						jr.prof.StepVetoes[cr.index][step]++
 					}
+					return
 				}
-				jr.joinFrom(cr, deltaPos, step+1)
-			})
-			return
-		}
+			}
+			jr.joinFrom(cr, deltaPos, step+1)
+		})
+		return
 	}
 	jr.scanAtom(cr, atom, pos, minID, maxID, func() {
 		if jr.prof != nil {
@@ -756,13 +746,13 @@ func (jr *joinRun) scanAtom(cr *compiledRule, atom *compiledAtom, pos, minID, ma
 
 // completeInstantiation is called with all positive body atoms matched: it
 // evaluates the rule's checks (an instantiation failing a check does not
-// exist), consults the gate, and hands the instantiation to emit. On the
-// planner path every check already ran — at pass level (ground) or at its
+// exist), consults the gate, and hands the instantiation to emit. Outside
+// written order every check already ran — at pass level (ground) or at its
 // earliest bound join step — with the same verdicts: built-ins are pure and
 // negated relations are frozen by stratification, so evaluation time never
 // changes a check's outcome.
 func (jr *joinRun) completeInstantiation(cr *compiledRule) {
-	if !jr.earlyChecks(cr) {
+	if jr.disableReorder {
 		for i := range cr.checks {
 			if !jr.evalCheck(&cr.checks[i]) {
 				return

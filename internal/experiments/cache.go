@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand/v2"
+	"time"
 
 	"contribmax/internal/cm"
 	"contribmax/internal/im"
@@ -136,3 +137,5 @@ func CacheTable(summaries []CacheSummary) *Table {
 	}
 	return t
 }
+
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

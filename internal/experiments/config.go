@@ -95,12 +95,7 @@ func feasibleUnsampled(ds Dataset, scale Scale, nOut int) bool {
 // returns (a) the total number of derived idb tuples and (b) all derived
 // tuples as atoms, for target sampling.
 func evalOutputs(w workload.Workload) (int, []ast.Atom, error) {
-	scratch := w.DB.CloneSchema()
-	for _, p := range w.Program.EDBs() {
-		if rel, ok := w.DB.Lookup(p); ok {
-			scratch.Attach(rel)
-		}
-	}
+	scratch := w.DB.Scratch(w.Program.EDBs())
 	eng, err := engine.New(w.Program, scratch)
 	if err != nil {
 		return 0, nil, err

@@ -83,21 +83,18 @@ func estimatorMeasure(name string, alpha float64, in cm.Input) (EstimatorSummary
 		return cm.ExactCM(in, cm.Options{
 			Theta: im.ThetaSpec{Explicit: estimatorTheta},
 			Rand:  rand.New(rand.NewPCG(17, 19)),
-			Plan:  planMode(),
 		})
 	}
 	risRun := func() (*cm.Result, error) {
 		return cm.MagicCM(in, cm.Options{
 			Theta: im.ThetaSpec{Explicit: estimatorTheta},
 			Rand:  rand.New(rand.NewPCG(17, 19)),
-			Plan:  planMode(),
 		})
 	}
 	dnfRun := func() (*cm.Result, error) {
 		return cm.DNFCM(in, cm.Options{
 			Theta: im.ThetaSpec{Explicit: estimatorTheta},
 			Rand:  rand.New(rand.NewPCG(17, 19)),
-			Plan:  planMode(),
 		})
 	}
 	for _, warm := range []func() (*cm.Result, error){exactRun, risRun, dnfRun} {

@@ -30,10 +30,8 @@ func rngFor(parts ...uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(a, b))
 }
 
-// runAlgo dispatches by algorithm name, applying the package-level plan
-// mode (see NoPlan).
+// runAlgo dispatches by algorithm name.
 func runAlgo(name string, in cm.Input, opts cm.Options) (*cm.Result, error) {
-	opts.Plan = planMode()
 	switch name {
 	case "NaiveCM":
 		return cm.NaiveCM(in, opts)
@@ -207,7 +205,7 @@ func Figure7a(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := cm.MagicSampledCM(in, cm.Options{Theta: im.ThetaSpec{Explicit: 1500}, Rand: rng, Plan: planMode()})
+		res, err := cm.MagicSampledCM(in, cm.Options{Theta: im.ThetaSpec{Explicit: 1500}, Rand: rng})
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +274,7 @@ func Figure7b(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := cm.MagicSampledCM(in, cm.Options{Theta: im.ThetaSpec{Explicit: 1500}, Rand: rng, Plan: planMode()})
+		res, err := cm.MagicSampledCM(in, cm.Options{Theta: im.ThetaSpec{Explicit: 1500}, Rand: rng})
 		if err != nil {
 			return nil, err
 		}

@@ -30,11 +30,6 @@ type Report struct {
 	// PruningSummaries), so report diffs track when workload programs
 	// gain or lose prunable rules. Additive and optional like Journal.
 	Pruning []PruningSummary `json:"pruning,omitempty"`
-	// Planner, when present, records the join-planner A/B measurement per
-	// dataset (see PlannerSummaries): the same Magic^S solve timed with
-	// the planner on and off, plus the plan cache's hit accounting.
-	// Additive and optional like Journal and Pruning.
-	Planner []PlannerSummary `json:"planner,omitempty"`
 	// Cache, when present, records the solve-cache A/B per dataset (see
 	// CacheSummaries): the same Magic^S request resolved cold and warm,
 	// with the warm replay's hit accounting and speedup. Additive and
@@ -152,18 +147,6 @@ func ValidateReportJSON(data []byte) error {
 		if p.RulesTotal <= 0 || p.RulesPruned < 0 || p.RulesPruned > p.RulesTotal {
 			return fmt.Errorf("bench report: pruning entry %q has impossible counts %d/%d",
 				p.Dataset, p.RulesPruned, p.RulesTotal)
-		}
-	}
-	for pi, p := range r.Planner {
-		if p.Dataset == "" {
-			return fmt.Errorf("bench report: planner entry %d lacks a dataset", pi)
-		}
-		if p.PlanMillis < 0 || p.NoPlanMillis < 0 {
-			return fmt.Errorf("bench report: planner entry %q has negative timings", p.Dataset)
-		}
-		if p.PlansBuilt <= 0 || p.PlanCacheHits < 0 {
-			return fmt.Errorf("bench report: planner entry %q has impossible cache counts %d/%d",
-				p.Dataset, p.PlanCacheHits, p.PlansBuilt)
 		}
 	}
 	for ci, c := range r.Cache {

@@ -288,11 +288,10 @@ func NewRunID() string {
 
 // FingerprintInput is the typed, versioned input of a solve fingerprint.
 // Every field is hashed as a tagged, length-prefixed record, so two inputs
-// differing in which field holds a value can never collide — the failure
-// mode of the old variadic Fingerprint, where ("a", "bc") and ("ab", "c")
-// hashed the same formatted stream. The zero value of a field still
-// participates (tag plus empty/zero rendering), keeping the schema
-// positionless but fixed.
+// differing in which field holds a value can never collide: ("a", "bc")
+// and ("ab", "c") in adjacent fields hash differently. The zero value of a
+// field still participates (tag plus empty/zero rendering), keeping the
+// schema positionless but fixed.
 type FingerprintInput struct {
 	// Version names the hash schema; bump when fields are added or
 	// reinterpreted so old and new fingerprints cannot be confused.
@@ -322,12 +321,11 @@ type FingerprintInput struct {
 	MaxSeedsPerRelation int
 	LazyGreedy          bool
 	SIPS                string
-	Plan                bool
 	Prune               bool
 }
 
 // fingerprintVersion is the current FingerprintInput schema version.
-const fingerprintVersion = 2
+const fingerprintVersion = 3
 
 // Hash renders the input as tagged length-prefixed records and returns the
 // FNV-1a 64 fingerprint. The rendering is pinned by golden tests: it may
@@ -358,23 +356,7 @@ func (in FingerprintInput) Hash() string {
 	field("maxseeds", fmt.Sprintf("%d", in.MaxSeedsPerRelation))
 	field("lazy", fmt.Sprintf("%t", in.LazyGreedy))
 	field("sips", in.SIPS)
-	field("plan", fmt.Sprintf("%t", in.Plan))
 	field("prune", fmt.Sprintf("%t", in.Prune))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Fingerprint hashes an ad-hoc part list (FNV-1a over length-prefixed
-// renderings, so adjacent parts cannot blur into each other).
-//
-// Deprecated: solve fingerprints should use FingerprintInput.Hash, whose
-// typed fields also rule out collisions across part orderings. Fingerprint
-// remains for ad-hoc callers with genuinely positional data.
-func Fingerprint(parts ...any) string {
-	h := fnv.New64a()
-	for _, p := range parts {
-		s := fmt.Sprintf("%v", p)
-		fmt.Fprintf(h, "%d:%s\x1f", len(s), s)
-	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 

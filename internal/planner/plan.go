@@ -12,13 +12,13 @@
 // subtrees as soon as they are evaluable). Statistics would add per-delta
 // replanning cost to every fixpoint round for marginal gain.
 //
-// Plans never change results, only cost. Two properties make the planner
-// safe to enable by default (and are enforced by the engine's differential
-// battery, see docs/PERFORMANCE.md):
+// Plans never change results, only cost. Two properties guarantee it (both
+// enforced by the engine's tests, see docs/PERFORMANCE.md):
 //
-//   - the positive-atom order is the same greedy bound-first order the
-//     engine has always used, so the derivation replay stream — and with it
-//     every golden fingerprint — is byte-identical with planning on or off;
+//   - the positive-atom order is the greedy bound-first order the engine
+//     computed in-engine before this package became its only source of
+//     join orders (kept as a test-only reference), so the derivation replay
+//     stream — and with it every golden fingerprint — is unchanged;
 //   - filters are pure (built-ins) or stratification-stable (negated atoms
 //     read relations frozen by earlier strata), so evaluating one at join
 //     step s prunes exactly the partial bindings whose completions would

@@ -218,12 +218,7 @@ func (r *REPL) fixpoint() (*db.Database, error) {
 	if r.fix != nil {
 		return r.fix, nil
 	}
-	scratch := r.base.CloneSchema()
-	for _, name := range r.base.RelationNames() {
-		if rel, ok := r.base.Lookup(name); ok {
-			scratch.Attach(rel)
-		}
-	}
+	scratch := r.base.Scratch(r.base.RelationNames())
 	eng, err := engine.New(r.prog, scratch)
 	if err != nil {
 		return nil, err
@@ -282,12 +277,7 @@ func (r *REPL) explain(arg string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	scratch := r.base.CloneSchema()
-	for _, name := range r.base.RelationNames() {
-		if rel, ok := r.base.Lookup(name); ok {
-			scratch.Attach(rel)
-		}
-	}
+	scratch := r.base.Scratch(r.base.RelationNames())
 	eng, err := engine.New(tr.Program, scratch)
 	if err != nil {
 		return err

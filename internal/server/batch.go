@@ -47,8 +47,7 @@ type BatchSolveResponse struct {
 
 func (s *server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Solves) == 0 {

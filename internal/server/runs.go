@@ -146,8 +146,7 @@ type statusResponse struct {
 // the configured SolveTimeout.
 func (s *server) handleSolveStart(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if err := s.preflight(req); err != nil {

@@ -74,10 +74,6 @@ type SolveRequest struct {
 	// Prune drops rules provably outside the targets' dependency cone
 	// before solving; results are byte-identical (see docs/ANALYSIS.md).
 	Prune bool `json:"prune"`
-	// NoPlan disables the greedy join planner and its plan cache for this
-	// solve; results are byte-identical (see docs/PERFORMANCE.md). The
-	// server-wide Config.NoPlan disables it for every request.
-	NoPlan bool `json:"noplan"`
 	// Profile attaches a runtime profiler to the solve and returns the
 	// EXPLAIN ANALYZE artifact in SolveResponse.Profile (and, for
 	// asynchronous runs, at GET /api/solve/{id}/profile). Profiling never
@@ -153,10 +149,6 @@ type Config struct {
 	// WarnAsError makes warning-severity static-analysis findings reject
 	// requests, matching cmrun/cmlint's -W error.
 	WarnAsError bool
-	// NoPlan disables the greedy join planner for every solve the server
-	// runs, matching cmrun's -noplan escape hatch. Individual requests
-	// can also opt out via SolveRequest.NoPlan.
-	NoPlan bool
 	// CacheBytes bounds the fingerprint-keyed solve cache shared by every
 	// request (memoized WD graphs and finalized RR collections). 0 uses the
 	// solvecache default (256 MiB); a negative value disables caching.
@@ -352,6 +344,29 @@ func writeSolveError(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(body)
 }
 
+// maxRequestBytes bounds every JSON request body. Programs and facts travel
+// inline, so the bound sits far above any realistic instance; it exists so
+// an oversized or endless body is refused before the decoder buffers it.
+const maxRequestBytes = 8 << 20
+
+// decodeRequest decodes r's JSON body into v. A body beyond maxRequestBytes
+// is answered 413 and a malformed one 400; on false the response has been
+// written and the handler returns.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("request body exceeds the limit of %d bytes", tooLarge.Limit),
+			http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
+
 // failSeverity is the severity at which analysis findings reject requests.
 func (s *server) failSeverity() analysis.Severity {
 	if s.cfg.WarnAsError {
@@ -486,9 +501,6 @@ func (s *server) solveParsed(ctx context.Context, p *parsedRequest, req SolveReq
 			Rand:     "seed:" + strconv.FormatUint(req.Seed, 10),
 		},
 	}
-	if req.NoPlan || s.cfg.NoPlan {
-		opts.Plan = cm.PlanOff
-	}
 	if req.Profile {
 		opts.Profile = prof.New()
 	}
@@ -622,12 +634,7 @@ func expandTargets(ctx context.Context, prog *ast.Program, database *db.Database
 		}
 	}
 	if len(patterns) > 0 {
-		scratch := database.CloneSchema()
-		for _, pred := range prog.EDBs() {
-			if rel, ok := database.Lookup(pred); ok {
-				scratch.Attach(rel)
-			}
-		}
+		scratch := database.Scratch(prog.EDBs())
 		eng, err := engine.New(prog, scratch)
 		if err != nil {
 			return nil, err
@@ -672,13 +679,7 @@ func (s *server) explain(ctx context.Context, req ExplainRequest) (*ExplainRespo
 	if err != nil {
 		return nil, err
 	}
-	scratch := database.CloneSchema()
-	for _, pred := range prog.EDBs() {
-		if rel, ok := database.Lookup(pred); ok {
-			scratch.Attach(rel)
-		}
-	}
-	eng, err := engine.New(tr.Program, scratch)
+	eng, err := engine.New(tr.Program, database.Scratch(prog.EDBs()))
 	if err != nil {
 		return nil, err
 	}
@@ -707,8 +708,7 @@ func (s *server) explain(ctx context.Context, req ExplainRequest) (*ExplainRespo
 
 func (s *server) handleSolveAPI(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -730,8 +730,7 @@ func (s *server) handleSolveAPI(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleExplainAPI(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	ctx, cancel := s.requestCtx(r)

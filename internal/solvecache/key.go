@@ -68,11 +68,10 @@ func (k GraphKey) id() string {
 }
 
 // RRKey identifies one finalized RR collection. Everything the generated
-// multiset depends on participates; knobs proven byte-identical across
-// their settings (join planning, parallel worker count at a fixed
-// parallelism class) are deliberately absent, and K is absent in fixed-θ
-// mode (generation never reads it), which is what lets a k-sweep share one
-// collection.
+// multiset depends on participates; the parallel worker count at a fixed
+// parallelism class, proven byte-identical across its settings, is
+// deliberately absent, and K is absent in fixed-θ mode (generation never
+// reads it), which is what lets a k-sweep share one collection.
 type RRKey struct {
 	Algorithm  string
 	Database   string

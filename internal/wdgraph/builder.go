@@ -454,11 +454,9 @@ type BuildConfig struct {
 	// engine for its per-round engine.round events. Full-graph builds set
 	// it; the Magic variants' per-RR subgraph builds leave it nil.
 	Journal *journal.Journal
-	// Planner, when non-nil, routes rule compilation through
-	// engine.NewPlanned: identical join order (the derivation stream — and
-	// hence the constructed graph — is byte-for-byte unchanged), checks
-	// evaluated at their earliest bound join step, and plans shared across
-	// builds through the planner's shape-keyed cache.
+	// Planner, when non-nil, is the plan cache rule compilation shares
+	// with other builds (engine.NewPlanned); nil plans this build's rules
+	// without caching.
 	Planner *planner.Planner
 	// Prof, when non-nil, is forwarded to engine.Options.Prof so the
 	// fixpoint records per-rule runtime accounting into the solve's
@@ -495,13 +493,7 @@ func BuildWith(prog *ast.Program, database *db.Database, cfg BuildConfig) (*Grap
 	if cfg.PreloadEDB {
 		b.PreloadEDB(prog, database)
 	}
-	var eng *engine.Engine
-	var err error
-	if cfg.Planner != nil {
-		eng, err = engine.NewPlanned(prog, database, cfg.Planner)
-	} else {
-		eng, err = engine.New(prog, database)
-	}
+	eng, err := engine.NewPlanned(prog, database, cfg.Planner)
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
