@@ -19,7 +19,7 @@ test:
 
 # The packages that evaluate programs concurrently.
 race:
-	$(GO) test -race ./internal/cm ./internal/db ./internal/im ./internal/engine ./internal/engine/difftest ./internal/obs ./internal/obs/journal ./internal/planner ./internal/prof ./internal/server ./internal/solvecache ./internal/wdgraph
+	$(GO) test -race ./internal/cm ./internal/db ./internal/im ./internal/engine ./internal/engine/difftest ./internal/magic ./internal/obs ./internal/obs/journal ./internal/planner ./internal/prof ./internal/server ./internal/solvecache ./internal/wdgraph
 
 # Run every Go micro-benchmark once: a compile-and-run guard for the bench
 # code. Meaningful numbers need -benchtime left at its default; compare
@@ -44,12 +44,15 @@ journal-demo:
 # (asserting parallel evaluation stays byte-identical to sequential on
 # every input the pipeline accepts), then the exact-vs-RIS estimator
 # differential (random hierarchical instances; the sampled estimate must
-# stay within its error proxy of the exact lifted value). CI runs the same
-# smokes; longer local runs: make fuzz FUZZTIME=10m
+# stay within its error proxy of the exact lifted value), then Magic^S's
+# grounding differential (random positive programs; propagation over one
+# grounding must reproduce every engine-gated sampled run). CI runs the
+# same smokes; longer local runs: make fuzz FUZZTIME=10m
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzEvalProgram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cm -run=NONE -fuzz=FuzzExactVsRIS -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/magic -run=NONE -fuzz=FuzzGroundedVsGated -fuzztime=$(FUZZTIME)
 
 # perfbench is a module of its own, so go vet ./... and go test ./... skip
 # it; it imports the packages above, so vet and test it here as well.

@@ -129,6 +129,7 @@ func render(w io.Writer, evs []journal.Event, maxRound int) error {
 		cache  *journal.CacheInfo
 		est    *journal.EstInfo
 		prof   *journal.ProfileInfo
+		route  *journal.RouteInfo
 		run    string
 		endNs  int64
 	)
@@ -158,6 +159,8 @@ func render(w io.Writer, evs []journal.Event, maxRound int) error {
 			est = ev.Est
 		case journal.TypeProfileSummary:
 			prof = ev.Profile
+		case journal.TypeRRRoute:
+			route = ev.Route
 		}
 	}
 
@@ -243,6 +246,10 @@ func render(w io.Writer, evs []journal.Event, maxRound int) error {
 		fmt.Fprintf(w, "  total: %d sets, %.1f members/set\n", globalSets, avg)
 	}
 
+	if route != nil {
+		renderRoute(w, route)
+	}
+
 	if len(iters) > 0 {
 		fmt.Fprintln(w, "\nselection convergence (gain per iteration, coverage vs RR count):")
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -311,4 +318,15 @@ func render(w io.Writer, evs []journal.Event, maxRound int) error {
 		fmt.Fprintf(w, "\nno solve.finish event — journal ends at %s (solve interrupted?)\n", durStr(endNs))
 	}
 	return nil
+}
+
+// renderRoute prints Magic^S's per-target RR route counts.
+func renderRoute(w io.Writer, r *journal.RouteInfo) {
+	fmt.Fprintf(w, "\nRR route (Magic^S, c=%g): %d targets, %d slots; first slot of each target gated\n", r.C, r.Targets, r.Slots)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "route\ttargets\tslots\tdetail")
+	fmt.Fprintf(tw, "grounded, rest propagated\t%d\t%d\t\n", r.Grounded, r.GroundedSlots)
+	fmt.Fprintf(tw, "cap tripped, rest gated\t%d\t%d\tcap c*(n-1)*A1 with A1 total %d\n", r.CapTripped, r.CapSlots, r.CapA1)
+	fmt.Fprintf(tw, "too few slots, rest gated\t%d\t%d\tc*(n-1) <= 1\n", r.TooFew, r.TooFewSlots)
+	tw.Flush()
 }

@@ -269,6 +269,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "plans: built=%d cacheHits=%d reordered=%d\n",
 				st.PlansBuilt, st.PlanCacheHits, st.PlanAtomsReordered)
 		}
+		if st.Groundings > 0 {
+			fmt.Fprintf(stdout, "groundings: %d (%d aborted at the cap)\n", st.Groundings, st.GroundAborts)
+		}
 	}
 	if *estimate {
 		est, err := contribmax.NewEstimator(in)
@@ -299,6 +302,8 @@ func emitJSON(w io.Writer, res *contribmax.Result, targets []contribmax.Atom) er
 		RulesTotal      int      `json:"rulesTotal"`
 		RulesPruned     int      `json:"rulesPruned"`
 		ExactFallback   string   `json:"exactFallback,omitempty"`
+		Groundings      int      `json:"groundings,omitempty"`
+		GroundAborts    int      `json:"groundAborts,omitempty"`
 		TotalMillis     float64  `json:"totalMillis"`
 	}
 	o := out{
@@ -313,6 +318,8 @@ func emitJSON(w io.Writer, res *contribmax.Result, targets []contribmax.Atom) er
 		RulesTotal:      res.Stats.RulesTotal,
 		RulesPruned:     res.Stats.RulesPruned,
 		ExactFallback:   res.Stats.ExactFallback,
+		Groundings:      res.Stats.Groundings,
+		GroundAborts:    res.Stats.GroundAborts,
 		TotalMillis:     float64(res.Stats.TotalTime.Microseconds()) / 1000,
 	}
 	for _, s := range res.Seeds {

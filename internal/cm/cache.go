@@ -195,6 +195,8 @@ func rrEntryOf(r *Result) *solvecache.RREntry {
 			MaxNodes:           r.Stats.MaxNodes,
 			MaxEdges:           r.Stats.MaxEdges,
 			PeakResidentSize:   r.Stats.PeakResidentSize,
+			Groundings:         r.Stats.Groundings,
+			GroundAborts:       r.Stats.GroundAborts,
 			AdaptiveLowerBound: r.Stats.AdaptiveLowerBound,
 			AdaptiveCapped:     r.Stats.AdaptiveCapped,
 		},
@@ -231,6 +233,8 @@ func replayFromEntry(in Input, opts Options, name string, e *solvecache.RREntry)
 	res.Stats.MaxNodes = e.Gen.MaxNodes
 	res.Stats.MaxEdges = e.Gen.MaxEdges
 	res.Stats.PeakResidentSize = e.Gen.PeakResidentSize
+	res.Stats.Groundings = e.Gen.Groundings
+	res.Stats.GroundAborts = e.Gen.GroundAborts
 	res.Stats.AdaptiveLowerBound = e.Gen.AdaptiveLowerBound
 	res.Stats.AdaptiveCapped = e.Gen.AdaptiveCapped
 	res.Stats.CacheRRHits = 1
@@ -281,7 +285,8 @@ func cachedGroupedGraph(in Input, opts Options, inst *instance, res *Result, que
 		if err != nil {
 			return nil, err
 		}
-		return buildMagicGraph(in, tr, nil, false, opts.ctx(), opts.Obs, opts.Journal, opts.Parallelism, res.pl, opts.Profile)
+		g, _, err := buildMagicGraph(in, tr, 0, false, opts.ctx(), opts.Obs, opts.Journal, opts.Parallelism, res.pl, opts.Profile)
+		return g, err
 	}
 	config := fmt.Sprintf("magicg|sips=%d|roots=%s", opts.SIPS, solvecache.HashAtoms(queryAtoms))
 	return cachedGraph(opts, res, config, inst, build)

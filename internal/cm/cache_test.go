@@ -69,8 +69,13 @@ func TestCacheByteIdenticalResults(t *testing.T) {
 			if warm.Stats.GraphBuilds != cold.Stats.GraphBuilds ||
 				warm.Stats.TotalNodes != cold.Stats.TotalNodes ||
 				warm.Stats.TotalEdges != cold.Stats.TotalEdges ||
-				warm.Stats.PeakResidentSize != cold.Stats.PeakResidentSize {
+				warm.Stats.PeakResidentSize != cold.Stats.PeakResidentSize ||
+				warm.Stats.Groundings != cold.Stats.Groundings ||
+				warm.Stats.GroundAborts != cold.Stats.GroundAborts {
 				t.Errorf("warm stats shape diverged: cold=%+v warm=%+v", cold.Stats, warm.Stats)
+			}
+			if al.name == "MagicSCM" && cold.Stats.Groundings == 0 {
+				t.Error("Magic^S solve grounded no target: the replayed route counters are vacuous")
 			}
 		})
 	}

@@ -81,13 +81,19 @@ func dnfCM(in Input, opts Options) (*Result, error) {
 	}
 
 	rrSpan := sp.StartChild("rrgen")
-	oneRR := func(ti int, r *rand.Rand, _ *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, error) {
-		out, world := sampleDNFWorld(tls[ti], r, sc.world, arena)
-		sc.world = world
-		return out, nil
-	}
 	if opts.Parallelism >= 1 && !opts.Adaptive {
-		err = parallelRRPhase(ctx, inst, opts, res, rng, oneRR)
+		// One possible-world sample per pre-seeded slot.
+		start := time.Now()
+		p := newSlotPhase(ctx, opts, drawSeeded(rng, inst.theta(opts), len(inst.targets), nil), start)
+		p.walks = nil // DNFCM attributes no walks
+		p.run(len(p.slots), func(w *rrWorker, i int) error {
+			s := p.slots[i]
+			lo := len(w.arena)
+			w.arena, w.sc.world = sampleDNFWorld(tls[s.ti], w.seeded(s), w.sc.world, w.arena)
+			p.emit(w, i, lo, time.Time{})
+			return nil
+		})
+		err = p.finish(inst, res)
 	} else {
 		var members []im.CandidateID
 		var world []bool

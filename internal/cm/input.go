@@ -91,20 +91,24 @@ type Options struct {
 	// Stats.RulesTotal / Stats.RulesPruned report the effect.
 	Prune bool
 	// Parallelism is the solver's single concurrency knob. It fans RR-set
-	// generation out over this many goroutines — per-tuple subgraph
-	// constructions for MagicCM / Magic^S CM, reverse walks over the
-	// shared graph for NaiveCM / Magic^G CM — and, when >= 2, also runs
-	// the semi-naive fixpoint of *full-graph* builds (NaiveCM's WD graph,
-	// Magic^G CM's union graph) on that many engine workers
-	// (engine.Options.Parallelism; per-tuple subgraph builds stay
+	// generation out over this many goroutines — per-target subgraph
+	// constructions, groundings and propagations for MagicCM / Magic^S CM,
+	// reverse walks over the shared graph for NaiveCM / Magic^G CM — and,
+	// when >= 2, also runs the semi-naive fixpoint of *full-graph* builds
+	// (NaiveCM's WD graph, Magic^G CM's union graph) on that many engine
+	// workers (engine.Options.Parallelism; per-tuple subgraph builds stay
 	// sequential inside the already-parallel RR workers). The engine is
 	// byte-identical at every level, and any value >= 1 routes RR
 	// generation through the pre-seeded slot design, so for a fixed seed
 	// every Parallelism level — including 1 — produces byte-identical
-	// results regardless of scheduling or worker count. 0 (the zero
-	// value) keeps the legacy strictly-sequential draw order, which is
-	// statistically equivalent but draws from the rng differently; the
-	// adaptive mode is inherently sequential and ignores this.
+	// results regardless of scheduling or worker count. The Magic variants
+	// group those slots by target (each target's subgraph is built, or
+	// grounded, once per solve); Magic^S CM at 0 pre-draws its slots from
+	// the legacy sequential stream and groups them the same way, on one
+	// worker. 0 (the zero value) keeps the legacy strictly-sequential draw
+	// order, which is statistically equivalent but draws from the rng
+	// differently; the adaptive mode is inherently sequential and ignores
+	// this.
 	Parallelism int
 	// Obs, when non-nil, receives the pipeline metrics of the solve (cm.*,
 	// rr.*, wdgraph.*, engine.*, imm.* — see internal/obs and
@@ -225,18 +229,31 @@ type Result struct {
 
 // Stats carries the measurements plotted in the paper's Figures 2–5.
 type Stats struct {
-	NumRR       int   // RR sets generated (θ)
-	GraphBuilds int   // WD (sub)graph constructions
+	NumRR int // RR sets generated (θ)
+	// GraphBuilds counts WD (sub)graphs: the graph each RR set was drawn
+	// from for the per-target Magic variants (one per RR set, whether it
+	// was built or propagated over a grounding), the one shared graph for
+	// NaiveCM and Magic^G CM.
+	GraphBuilds int
 	CoveredRR   int   // RR sets covered by the selected seeds
-	TotalNodes  int64 // summed over all constructed graphs
+	TotalNodes  int64 // summed over those (sub)graphs
 	TotalEdges  int64
-	MaxNodes    int // largest single constructed graph
+	MaxNodes    int // largest single (sub)graph
 	MaxEdges    int
 	// PeakResidentSize is the largest graph size (nodes+edges) held in
 	// memory at any point: the full graph for NaiveCM and Magic^G CM, the
 	// largest per-RR subgraph for MagicCM / Magic^S CM (which discard each
-	// subgraph after one use, Section V-A).
+	// subgraph after use, Section V-A) — or, for Magic^S CM, the largest
+	// ground program a worker held (magic.GroundStats.Size) when that is
+	// larger.
 	PeakResidentSize int
+
+	// Groundings counts Magic^S CM's per-target groundings (unsampled
+	// Magic evaluations recorded for propagation), GroundAborts those that
+	// exceeded their cap and were dropped. Both depend only on the solve's
+	// slots, so they are identical at every Parallelism level.
+	Groundings   int
+	GroundAborts int
 
 	BuildTime  time.Duration // graph construction time (all builds)
 	RRGenTime  time.Duration // total RR generation incl. per-RR builds

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
-	"sync/atomic"
+	"slices"
+	"sort"
 	"time"
 
 	"contribmax/internal/ast"
@@ -25,7 +25,12 @@ import (
 // sampled target tuple t, the Magic-Sets-transformed program (P^m_t, w^m_t)
 // is evaluated over D, yielding (Proposition 4.4) exactly the subgraph of
 // the WD graph backward-reachable from t; the RR set is then sampled from
-// that subgraph and the subgraph is discarded.
+// that subgraph. The subgraph is deterministic, so at Parallelism >= 1 the
+// pre-seeded RR slots are grouped by target: each target's subgraph is
+// built once, walked once per slot with that slot's own stream, and
+// discarded before the worker takes the next target. At Parallelism 0 and
+// in adaptive mode the walks interleave with the master rng, and the
+// subgraph is rebuilt per RR set.
 func MagicCM(in Input, opts Options) (*Result, error) {
 	res, err := solveVia(in, opts, "MagicCM", func(in Input, opts Options) (*Result, error) {
 		return magicVariant(in, opts, "MagicCM", false)
@@ -40,6 +45,14 @@ func MagicCM(in Input, opts Options) (*Result, error) {
 // shared by all of its Magic-Sets modified rules — so only the fired part
 // of the subgraph is ever materialized, and the subsequent RR extraction is
 // a deterministic reverse reachability.
+//
+// The draw is a hash of (gate seed, origin rule, origin bindings)
+// (magic.HashGate), so a sampled run is a sub-run of the unsampled one. In
+// fixed-θ mode the RR sets are drawn per target: the target's first RR set
+// by a gated evaluation, the others by Horn propagation over one recorded
+// unsampled evaluation (magic.Grounding) when that pays — see
+// groundTarget — and by gated evaluations otherwise. Every RR set equals
+// the gated evaluation's as a set. Adaptive mode evaluates per RR set.
 func MagicSampledCM(in Input, opts Options) (*Result, error) {
 	res, err := solveVia(in, opts, "MagicSCM", func(in Input, opts Options) (*Result, error) {
 		return magicVariant(in, opts, "MagicSCM", true)
@@ -56,95 +69,30 @@ func magicVariant(in Input, opts Options, name string, sampled bool) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	ctx := opts.ctx()
 	rng := opts.rng()
 	start := time.Now()
 	res := &Result{Algorithm: name, pl: opts.solvePlanner()}
 	res.Stats.RulesTotal, res.Stats.RulesPruned = inst.rulesTotal, inst.rulesPruned
 	journalSolveStart(opts, inst, name)
 	opts.Profile.EnsureTargets(len(inst.targets))
-
-	// The transformed program for a target depends only on the target, so
-	// it is computed once per distinct target and reused across RR sets
-	// (the graph, of course, is rebuilt — and re-sampled — per RR set).
-	// The cache is lock-guarded for the parallel path.
-	var trMu sync.Mutex
-	transforms := make([]*magic.Transformed, len(inst.targets))
-	transformFor := func(ti int) (*magic.Transformed, error) {
-		trMu.Lock()
-		defer trMu.Unlock()
-		if transforms[ti] == nil {
-			tr, err := magic.TransformWith(inst.prog, []ast.Atom{inst.atomOf(inst.targets[ti])}, opts.SIPS)
-			if err != nil {
-				return nil, err
-			}
-			transforms[ti] = tr
-		}
-		return transforms[ti], nil
-	}
-
-	// oneRR builds the subgraph for target ti, draws the RR set with rng r
-	// (appending its members to arena), and records build stats into st. sc
-	// carries the caller's persistent walker and key buffer, so in steady
-	// state the only allocations are the subgraph build itself.
-	oneRR := func(ti int, r *rand.Rand, st *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, error) {
-		var t0 time.Time
-		if opts.Profile != nil {
-			t0 = time.Now()
-		}
-		tr, err := transformFor(ti)
-		if err != nil {
-			return nil, err
-		}
-		// Engine parallelism stays off for per-tuple subgraphs: the RR
-		// phase already runs one worker per Parallelism slot, and the
-		// subgraphs are small — nesting worker pools would oversubscribe.
-		g, err := buildMagicGraph(in, tr, r, sampled, ctx, opts.Obs, nil, 0, res.pl, opts.Profile)
-		if err != nil {
-			return nil, err
-		}
-		recordBuild(st, g)
-		// PeakResidentSize for the per-tuple variants is the largest single
-		// subgraph: each one is discarded after use (Section V-A).
-		out := collectRR(g, inst, inst.targets[ti], r, sampled, sc, arena)
-		if opts.Profile != nil {
-			// Per-target attribution covers the whole per-RR pipeline —
-			// subgraph build plus extraction — since both are target work
-			// for the per-tuple variants. RecordWalk is atomic, so the
-			// parallel RR workers share the counters race-free.
-			opts.Profile.RecordWalk(ti, len(out)-len(arena), int64(time.Since(t0)))
-		}
-		return out, nil
+	m := &magicRR{
+		in: in, inst: inst, opts: opts, ctx: opts.ctx(), res: res, sampled: sampled,
+		trs:    make([]*magic.Transformed, len(inst.targets)),
+		routes: make([]targetRoute, len(inst.targets)),
 	}
 
 	rrSpan := sp.StartChild("rrgen")
-	if opts.Parallelism >= 1 && !opts.Adaptive {
-		err = parallelRRPhase(ctx, inst, opts, res, rng, oneRR)
+	if opts.Adaptive || (!sampled && opts.Parallelism < 1) {
+		err = m.perRRPhase(rng)
 	} else {
-		sc := newRRScratch()
-		var members []im.CandidateID
-		var genErr error
-		gen := func() []im.CandidateID {
-			members = members[:0]
-			if genErr != nil {
-				return members
-			}
-			out, err := oneRR(drawTarget(rng, len(inst.targets)), rng, &res.Stats, sc, members)
-			if err != nil {
-				genErr = err
-				return members
-			}
-			members = out
-			return out
-		}
-		err = runRRPhase(ctx, inst, opts, res, gen)
-		if genErr != nil {
-			err = genErr
-		}
-		observeArena(opts.Obs, res.rrColl, sc.walker.Grows())
+		err = m.groupedPhase(rng)
 	}
 	rrSpan.SetAttr("rr", int64(res.Stats.NumRR))
 	rrSpan.SetAttr("builds", int64(res.Stats.GraphBuilds))
+	if res.Stats.Groundings > 0 {
+		rrSpan.SetAttr("groundings", int64(res.Stats.Groundings))
+		rrSpan.SetAttr("ground_aborts", int64(res.Stats.GroundAborts))
+	}
 	rrSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
@@ -155,147 +103,403 @@ func magicVariant(in Input, opts Options, name string, sampled bool) (*Result, e
 	return res, nil
 }
 
-// parallelRRPhase distributes θ independent RR constructions over
-// Options.Parallelism workers. Determinism: the target index and a
-// dedicated PCG seed are pre-drawn for every RR slot from the master rng,
-// so the resulting RR multiset does not depend on scheduling or worker
-// count; per-worker stats are merged afterwards, and the collection is
-// assembled from the per-worker member arenas in slot order. Workers
-// re-check ctx before every slot and the phase returns ctx's error on
-// cancellation.
-func parallelRRPhase(ctx context.Context, inst *instance, opts Options, res *Result, rng *rand.Rand,
-	oneRR func(ti int, r *rand.Rand, st *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, error)) error {
+// magicRR is the RR-generation state of one MagicCM / Magic^S CM solve.
+type magicRR struct {
+	in      Input
+	inst    *instance
+	opts    Options
+	ctx     context.Context
+	res     *Result
+	sampled bool
+	// trs caches each target's transformed program. The per-RR phase fills
+	// it from its one goroutine; in the grouped phase a target's owner
+	// fills it in pass 1 and pass 2 only reads it.
+	trs []*magic.Transformed
+	// routes records, per target, Magic^S's grouped-phase route and its
+	// first gated run's attempted instantiations (written by the owner).
+	routes []targetRoute
+}
 
-	rrStart := time.Now()
-	theta := inst.theta(opts)
-	type slot struct {
-		ti    int
-		seedA uint64
-		seedB uint64
-	}
-	slots := make([]slot, theta)
-	for i := range slots {
-		slots[i] = slot{
-			ti:    drawTarget(rng, len(inst.targets)),
-			seedA: rng.Uint64(),
-			seedB: rng.Uint64(),
-		}
-	}
-	segs := make([]rrSeg, theta)
-	ro := newRRObs(opts.Obs)
-	workers := opts.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	arenas := make([][]im.CandidateID, workers)
-	grows := make([]int64, workers)
-	errs := make([]error, workers)
-	stats := make([]Stats, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := newRRScratch()
-			rec := journal.NewBatchRecorder(opts.Journal, w)
-			defer rec.Flush()
-			var arena []im.CandidateID
-			defer func() {
-				arenas[w] = arena
-				grows[w] = sc.walker.Grows()
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= theta || ctx.Err() != nil {
-					return
-				}
-				r := rand.New(rand.NewPCG(slots[i].seedA, slots[i].seedB))
-				lo := len(arena)
-				out, err := oneRR(slots[i].ti, r, &stats[w], sc, arena)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				arena = out
-				segs[i] = rrSeg{worker: int32(w), lo: int64(lo), hi: int64(len(arena))}
-				ro.observe(len(arena) - lo)
-				rec.Observe(len(arena) - lo)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w := range stats {
-		mergeStats(&res.Stats, &stats[w])
-	}
-	for _, err := range errs {
+// targetRoute is one target's route decision (see groundTarget).
+type targetRoute struct {
+	route groundRoute
+	a1    int64
+}
+
+// transform returns target ti's transformed program, computing it once.
+func (m *magicRR) transform(ti int) (*magic.Transformed, error) {
+	if m.trs[ti] == nil {
+		tr, err := magic.TransformWith(m.inst.prog, []ast.Atom{m.inst.atomOf(m.inst.targets[ti])}, m.opts.SIPS)
 		if err != nil {
-			return err
+			return nil, err
+		}
+		m.trs[ti] = tr
+	}
+	return m.trs[ti], nil
+}
+
+// buildRR evaluates target ti's Magic program — gated by gateSeed for
+// Magic^S — records the (sub)graph in st and appends the RR set to arena,
+// drawing MagicCM's walk from r. It also returns the run's attempted
+// instantiations (fired plus gate-suppressed).
+func (m *magicRR) buildRR(ti int, gateSeed uint64, r *rand.Rand, st *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, int64, error) {
+	tr, err := m.transform(ti)
+	if err != nil {
+		return arena, 0, err
+	}
+	// Engine parallelism stays off for per-tuple subgraphs: the RR phase
+	// already runs one worker per Parallelism slot, and the subgraphs are
+	// small — nesting worker pools would oversubscribe.
+	g, est, err := buildMagicGraph(m.in, tr, gateSeed, m.sampled, m.ctx, m.opts.Obs, nil, 0, m.res.pl, m.opts.Profile)
+	if err != nil {
+		return arena, 0, err
+	}
+	recordBuild(st, g)
+	return collectRR(g, m.inst, m.inst.targets[ti], r, m.sampled, sc, arena), est.Instantiations + est.Suppressed, nil
+}
+
+// perRRPhase evaluates one Magic program per RR set, drawing targets, gate
+// seeds and MagicCM's walks from the master rng in sequence: MagicCM at
+// Parallelism 0, and both variants in adaptive mode.
+func (m *magicRR) perRRPhase(rng *rand.Rand) error {
+	sc := newRRScratch()
+	var members []im.CandidateID
+	var genErr error
+	gen := func() []im.CandidateID {
+		members = members[:0]
+		if genErr != nil {
+			return members
+		}
+		var t0 time.Time
+		if m.opts.Profile != nil {
+			t0 = time.Now()
+		}
+		ti := drawTarget(rng, len(m.inst.targets))
+		var gateSeed uint64
+		if m.sampled {
+			gateSeed = rng.Uint64()
+		}
+		var err error
+		members, _, err = m.buildRR(ti, gateSeed, rng, &m.res.Stats, sc, members)
+		if err != nil {
+			genErr = err
+			return members[:0]
+		}
+		if m.opts.Profile != nil {
+			// Per-target attribution covers the whole per-RR pipeline —
+			// subgraph build plus extraction — since both are target work
+			// for the per-tuple variants.
+			m.opts.Profile.RecordWalk(ti, len(members), int64(time.Since(t0)))
+		}
+		return members
+	}
+	err := runRRPhase(m.ctx, m.inst, m.opts, m.res, gen)
+	if genErr != nil {
+		err = genErr
+	}
+	observeArena(m.opts.Obs, m.res.rrColl, sc.walker.Grows())
+	return err
+}
+
+// drawSlots pre-draws the θ RR slots from the master rng. At Parallelism
+// >= 1 each slot draws its target and a PCG seed pair, and Magic^S's gate
+// seed is that stream's first Uint64 — what the per-RR evaluation drew.
+// Magic^S at Parallelism 0 (MagicCM never gets here at 0) draws the target
+// and then the gate seed from the master stream, exactly the per-RR
+// sequence (its walk draws nothing).
+func (m *magicRR) drawSlots(rng *rand.Rand) []rrSlot {
+	theta, n := m.inst.theta(m.opts), len(m.inst.targets)
+	if m.opts.Parallelism >= 1 {
+		slots := drawSeeded(rng, theta, n, nil)
+		if m.sampled {
+			for i, s := range slots {
+				slots[i].gate = rand.NewPCG(s.seedA, s.seedB).Uint64()
+			}
+		}
+		return slots
+	}
+	slots := make([]rrSlot, theta)
+	for i := range slots {
+		slots[i].ti = drawTarget(rng, n)
+		slots[i].gate = rng.Uint64()
+	}
+	return slots
+}
+
+// groundCapFactor is c in the grounding route (see groundTarget): a
+// target's grounding may fire at most c·(n−1)·A₁ instantiations, n the
+// target's slot count and A₁ the instantiations its first gated run
+// attempted. Per instantiation, a grounding and a gated run cost about the
+// same: 1.1–1.3 µs per instantiation for a grounding (compile, unsampled
+// fixpoint, recording listener, index build) against 1.1–1.2 µs per
+// attempted instantiation for a gated run (compile, gated fixpoint,
+// WD-graph builder), while a propagation costs about 0.05 µs per ground
+// instantiation (internal/magic BenchmarkGrounding, BenchmarkGatedRun and
+// BenchmarkPropagate on AMIE-8 targets, 2-vCPU linux/amd64 host). So with
+// c = 1 a grounding that completes costs at most about as much as the n−1
+// gated runs it replaces, and one that aborts wastes at most that much.
+const groundCapFactor = 1
+
+// groundRoute is how a target's slots after the first were drawn.
+type groundRoute uint8
+
+const (
+	// routeTooFew: c·(n−1) <= 1, so the cap would be at most A₁ and is
+	// certain to trip (every instantiation the first run attempted is one
+	// of the unsampled run); the slots are evaluated gated.
+	routeTooFew groundRoute = iota
+	// routeGrounded: one grounding, one propagation per slot.
+	routeGrounded
+	// routeCapTripped: the grounding exceeded its cap and was dropped; the
+	// slots are evaluated gated.
+	routeCapTripped
+)
+
+// groundTarget decides the route of a target with n slots whose first
+// gated run attempted a1 instantiations, and grounds tr (over a scratch
+// copy of database with the edb relations edbs attached, compiling with
+// pl) when the route allows. It returns the grounding only on
+// routeGrounded; the route depends on counts alone, so it is the same at
+// every Parallelism level.
+func groundTarget(tr *magic.Transformed, database *db.Database, edbs []string, pl *planner.Planner, n int, a1 int64, gopts magic.GroundOptions) (*magic.Grounding, magic.GroundStats, groundRoute, error) {
+	if groundCapFactor*(n-1) <= 1 {
+		return nil, magic.GroundStats{}, routeTooFew, nil
+	}
+	eng, err := engine.NewPlanned(tr.Program, database.Scratch(edbs), pl)
+	if err != nil {
+		return nil, magic.GroundStats{}, 0, err
+	}
+	gopts.Cap = int64(groundCapFactor*(n-1)) * a1
+	gopts.SizeHint = a1
+	g, st, err := magic.Ground(tr, eng, gopts)
+	if err != nil {
+		return nil, st, 0, err
+	}
+	if g == nil {
+		return nil, st, routeCapTripped, nil
+	}
+	return g, st, routeGrounded, nil
+}
+
+// groundingBuilt, when non-nil, is called with every grounding a Magic^S
+// solve completes, before any slot is propagated over it. Tests use it to
+// check that a worker holds one ground program at a time.
+var groundingBuilt func(*magic.Grounding)
+
+// groupedPhase draws the θ slots up front and generates them grouped by
+// target, in two passes of a slotPhase. Pass 1 hands out whole targets, so
+// a worker holds one target's subgraph or grounding at a time: MagicCM
+// builds the subgraph once and walks it per slot; Magic^S evaluates the
+// first slot gated and routes the rest (groundTarget). Pass 2 spreads the
+// slots Magic^S could not propagate over all workers, one gated
+// evaluation each, so a target whose grounding aborted is not serialized
+// onto one worker. Every slot's RR set depends only on its target and
+// seeds, so results are byte-identical at every worker count.
+func (m *magicRR) groupedPhase(rng *rand.Rand) error {
+	start := time.Now()
+	p := newSlotPhase(m.ctx, m.opts, m.drawSlots(rng), start)
+	byTarget := make([][]int, len(m.inst.targets))
+	for i, s := range p.slots {
+		byTarget[s.ti] = append(byTarget[s.ti], i)
+	}
+	var groups []int
+	for ti, idx := range byTarget {
+		if len(idx) > 0 {
+			groups = append(groups, ti)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		res.Stats.RRGenTime += time.Since(rrStart)
+	// Largest groups first, for balance; the order never affects results.
+	sort.SliceStable(groups, func(a, b int) bool { return len(byTarget[groups[a]]) > len(byTarget[groups[b]]) })
+
+	p.run(len(groups), func(w *rrWorker, k int) error {
+		ti := groups[k]
+		if m.sampled {
+			return m.sampledGroup(p, w, ti, byTarget[ti])
+		}
+		return m.unsampledGroup(p, w, ti, byTarget[ti])
+	})
+	var fallback []int
+	failed := false
+	for _, w := range p.workers {
+		fallback = append(fallback, w.fallback...)
+		failed = failed || w.err != nil
+	}
+	if !failed && len(fallback) > 0 {
+		p.run(len(fallback), func(w *rrWorker, k int) error {
+			i := fallback[k]
+			t0 := p.clock()
+			lo := len(w.arena)
+			var err error
+			w.arena, _, err = m.buildRR(p.slots[i].ti, p.slots[i].gate, nil, &w.stats, w.sc, w.arena)
+			if err != nil {
+				return err
+			}
+			p.emit(w, i, lo, t0)
+			return nil
+		})
+	}
+	if err := p.finish(m.inst, m.res); err != nil {
 		return err
 	}
-	coll := assembleCollection(len(inst.candidates), segs, arenas)
-	res.rrColl = coll
-	res.Stats.NumRR = theta
-	res.Stats.RRGenTime += time.Since(rrStart)
-	var totalGrows int64
-	for _, n := range grows {
-		totalGrows += n
+	if m.sampled {
+		info := journal.RouteInfo{C: groundCapFactor, Targets: len(groups), Slots: len(p.slots)}
+		for _, ti := range groups {
+			n := len(byTarget[ti])
+			switch r := m.routes[ti]; r.route {
+			case routeGrounded:
+				info.Grounded++
+				info.GroundedSlots += n
+			case routeCapTripped:
+				info.CapTripped++
+				info.CapSlots += n
+				info.CapA1 += r.a1
+			default:
+				info.TooFew++
+				info.TooFewSlots += n
+			}
+		}
+		m.res.Stats.Groundings = info.Grounded + info.CapTripped
+		m.res.Stats.GroundAborts = info.CapTripped
+		m.opts.Journal.RRRoute(info)
 	}
-	observeArena(opts.Obs, coll, totalGrows)
 	return nil
 }
 
-// mergeStats folds a worker's build accounting into dst.
-func mergeStats(dst, src *Stats) {
-	dst.GraphBuilds += src.GraphBuilds
-	dst.TotalNodes += src.TotalNodes
-	dst.TotalEdges += src.TotalEdges
-	if src.MaxNodes > dst.MaxNodes {
-		dst.MaxNodes = src.MaxNodes
+// unsampledGroup is MagicCM's pass-1 work for target ti: one subgraph
+// build, then one reverse sampled walk per slot with the slot's own PCG
+// stream. Stats record the subgraph once per slot — the graph each RR set
+// was drawn from.
+func (m *magicRR) unsampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) error {
+	t0 := p.clock()
+	tr, err := m.transform(ti)
+	if err != nil {
+		return err
 	}
-	if src.MaxEdges > dst.MaxEdges {
-		dst.MaxEdges = src.MaxEdges
+	g, _, err := buildMagicGraph(m.in, tr, 0, false, m.ctx, m.opts.Obs, nil, 0, m.res.pl, m.opts.Profile)
+	if err != nil {
+		return err
 	}
-	if src.PeakResidentSize > dst.PeakResidentSize {
-		dst.PeakResidentSize = src.PeakResidentSize
+	// The worker's walker keeps its marks for the next target, but not
+	// this subgraph.
+	defer w.sc.walker.Reset(nil)
+	for k, i := range idx {
+		if m.ctx.Err() != nil {
+			return nil
+		}
+		if k > 0 {
+			t0 = p.clock()
+		}
+		recordBuild(&w.stats, g)
+		lo := len(w.arena)
+		w.arena = collectRR(g, m.inst, m.inst.targets[ti], w.seeded(p.slots[i]), false, w.sc, w.arena)
+		p.emit(w, i, lo, t0)
 	}
+	return nil
+}
+
+// sampledGroup is Magic^S's pass-1 work for target ti: the first slot by
+// a gated evaluation, then either one propagation per remaining slot over
+// the target's grounding, or — when the route rejects grounding — the
+// remaining slots queued for pass 2.
+func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) error {
+	t0 := p.clock()
+	lo := len(w.arena)
+	var a1 int64
+	var err error
+	w.arena, a1, err = m.buildRR(ti, p.slots[idx[0]].gate, nil, &w.stats, w.sc, w.arena)
+	if err != nil {
+		return err
+	}
+	p.emit(w, idx[0], lo, t0)
+	rest := idx[1:]
+
+	g, gst, route, err := groundTarget(m.trs[ti], m.in.DB, m.in.Program.EDBs(), m.res.pl, len(idx), a1,
+		magic.GroundOptions{Context: m.ctx, Obs: m.opts.Obs, Prof: m.opts.Profile})
+	if err != nil {
+		return err
+	}
+	m.routes[ti] = targetRoute{route: route, a1: a1}
+	if route != routeTooFew {
+		// The worker held the ground program (or, aborted, its part up to
+		// the cap) while it existed.
+		w.stats.PeakResidentSize = max(w.stats.PeakResidentSize, gst.Size)
+	}
+	if g == nil {
+		w.fallback = append(w.fallback, rest...)
+		return nil
+	}
+	if groundingBuilt != nil {
+		groundingBuilt(g)
+	}
+	// The worker keeps its propagator's scratch for the next target, but
+	// not this ground program.
+	defer w.prop.Release()
+
+	// Resolve the target and the candidates once per grounding.
+	target := m.inst.targets[ti]
+	root, rootOK := g.ProjectedFact(target.Pred, target.Tuple)
+	w.cand = slices.Grow(w.cand[:0], g.NumProjected())[:g.NumProjected()]
+	for pf := range w.cand {
+		w.cand[pf] = -1
+	}
+	g.EDBFacts(func(pf int32, pred string, t db.Tuple) {
+		if c, ok := m.inst.candOf[string(w.sc.factKey(pred, t))]; ok {
+			w.cand[pf] = int32(c)
+		}
+	})
+	for _, i := range rest {
+		if m.ctx.Err() != nil {
+			return nil
+		}
+		t0 := p.clock()
+		lo := len(w.arena)
+		w.prop.Propagate(g, p.slots[i].gate)
+		nodes, edges := w.prop.GraphSize()
+		recordGraph(&w.stats, nodes, edges)
+		if rootOK {
+			w.reached, _ = w.prop.AppendReached(w.reached[:0], root)
+			for _, pf := range w.reached {
+				if c := w.cand[pf]; c >= 0 {
+					w.arena = append(w.arena, im.CandidateID(c))
+				}
+			}
+		}
+		p.emit(w, i, lo, t0)
+	}
+	return nil
 }
 
 // buildMagicGraph evaluates the transformed program over a scratch database
 // (sharing the original edb relations) and returns the projected WD
-// subgraph. With sampled=true a fresh HashGate (seeded from rng) vetoes
-// instantiations, so the returned graph is one random execution. ctx
-// cancels the evaluation
-// between fixpoint rounds; reg, when non-nil, receives per-subgraph
-// wdgraph.* metrics (the gate construction needs the engine, so this cannot
-// delegate to wdgraph.BuildWith). jr, when non-nil, receives graph.build
-// and per-round engine.round events — only the grouped variant's one
-// full union-graph build passes it (per-RR subgraph builds number in the
-// thousands and are summarized by rr.batch events instead). pl is the
-// solve's shared plan cache: the transformed program is recompiled here for
-// every RR set, and the cache turns each recompilation after the first into
-// pure plan lookups per adorned rule family. pf, when non-nil, receives
-// per-rule fixpoint accounting (keyed by source rule text, so the thousands
-// of per-target engines of one solve merge into one adorned-rule-family
-// ledger).
-func buildMagicGraph(in Input, tr *magic.Transformed, rng *rand.Rand, sampled bool,
-	ctx context.Context, reg *obs.Registry, jr *journal.Journal, par int, pl *planner.Planner, pf *prof.Profile) (*wdgraph.Graph, error) {
+// subgraph and the run's engine stats. With sampled=true a HashGate seeded
+// with gateSeed vetoes instantiations, so the returned graph is one random
+// execution. ctx cancels the evaluation between fixpoint rounds; reg, when
+// non-nil, receives per-subgraph wdgraph.* metrics (the gate construction
+// needs the engine, so this cannot delegate to wdgraph.BuildWith). jr, when
+// non-nil, receives graph.build and per-round engine.round events — only
+// the grouped variant's one full union-graph build passes it (per-RR
+// subgraph builds number in the thousands and are summarized by rr.batch
+// events instead). pl is the solve's shared plan cache: the Magic variants
+// compile one engine per target or per RR set, and the cache turns each
+// compilation after the first into pure plan lookups per adorned rule
+// family. pf, when non-nil, receives per-rule fixpoint accounting (keyed
+// by source rule text, so the many per-target engines of one solve merge
+// into one adorned-rule-family ledger).
+func buildMagicGraph(in Input, tr *magic.Transformed, gateSeed uint64, sampled bool,
+	ctx context.Context, reg *obs.Registry, jr *journal.Journal, par int, pl *planner.Planner, pf *prof.Profile) (*wdgraph.Graph, engine.Stats, error) {
 	start := time.Now()
 	eng, err := engine.NewPlanned(tr.Program, in.DB.Scratch(in.Program.EDBs()), pl)
 	if err != nil {
-		return nil, err
+		return nil, engine.Stats{}, err
 	}
 	b := wdgraph.NewBuilder(tr.Projection())
 	var gate engine.FireGate
 	if sampled {
-		gate = magic.NewHashGate(tr, eng, rng.Uint64())
+		gate = magic.NewHashGate(tr, eng, gateSeed)
 	}
-	if _, err := eng.Run(engine.Options{Listener: b.Listener(), Gate: gate, Context: ctx, Obs: reg, Parallelism: par, Journal: jr, Prof: pf}); err != nil {
-		return nil, err
+	est, err := eng.Run(engine.Options{Listener: b.Listener(), Gate: gate, Context: ctx, Obs: reg, Parallelism: par, Journal: jr, Prof: pf})
+	if err != nil {
+		return nil, est, err
 	}
 	g := b.Graph()
 	if reg != nil {
@@ -305,7 +509,7 @@ func buildMagicGraph(in Input, tr *magic.Transformed, rng *rand.Rand, sampled bo
 		reg.Histogram(obs.GraphBuildNs).ObserveSince(start)
 	}
 	jr.GraphBuild(g.NumNodes(), g.NumEdges(), time.Since(start))
-	return g, nil
+	return g, est, nil
 }
 
 // rrScratch is the per-worker reusable state of the per-tuple Magic

@@ -117,8 +117,11 @@ func candidateIndex(g *wdgraph.Graph, inst *instance) []int32 {
 }
 
 // recordBuild accumulates one constructed graph into the stats.
-func recordBuild(s *Stats, g *wdgraph.Graph) {
-	n, e := g.NumNodes(), g.NumEdges()
+func recordBuild(s *Stats, g *wdgraph.Graph) { recordGraph(s, g.NumNodes(), g.NumEdges()) }
+
+// recordGraph accumulates the size of the (sub)graph one build or one RR
+// set was drawn from into the stats.
+func recordGraph(s *Stats, n, e int) {
 	s.GraphBuilds++
 	s.TotalNodes += int64(n)
 	s.TotalEdges += int64(e)

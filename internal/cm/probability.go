@@ -17,13 +17,16 @@ import (
 // probabilistic datalog program assigns a probability to each idb fact,
 // capturing its likelihood to be derived in a random program execution").
 //
-// Each sample runs one gated evaluation of the Magic-Sets-transformed
+// Each sample is one random execution of the Magic-Sets-transformed
 // program for the target (so only the relevant portion of the program is
 // evaluated), drawing fire-or-not per origin-rule instantiation with
-// probability w(r), and checks whether the target was derived. This is the
-// conjunctive semantics: a fact needs some instantiation whose body facts
-// were all derived — stricter than the reachability that the contribution
-// measure (Definition 3.4) is built on.
+// probability w(r) from the gate seed rng.Uint64(), and checks whether the
+// target was derived. This is the conjunctive semantics: a fact needs some
+// instantiation whose body facts were all derived — stricter than the
+// reachability that the contribution measure (Definition 3.4) is built on.
+// The first sample runs gated; the others propagate their seeds through
+// one grounding of the program when Magic^S CM's route (groundTarget)
+// allows, and run gated otherwise — the same executions either way.
 //
 // The program must be positive (no negation); the standard error of the
 // estimate is at most 1/(2·sqrt(samples)).
@@ -42,30 +45,69 @@ func DerivationProbability(prog *ast.Program, database *db.Database, target ast.
 		return 0, err
 	}
 	adorned := tr.Queries[0]
-	hits := 0
-	// One plan cache for all samples: the transformed program is recompiled
-	// per sample, and every compilation after the first reuses the cached
-	// plan of each adorned rule.
+	seeds := make([]uint64, samples)
+	for s := range seeds {
+		seeds[s] = rng.Uint64()
+	}
+	// One plan cache for all compilations: every one after the first
+	// reuses the cached plan of each adorned rule.
 	pl := planner.New(nil)
-	for s := 0; s < samples; s++ {
-		scratch := database.Scratch(prog.EDBs())
+	edbs := prog.EDBs()
+	gated := func(seed uint64) (hit bool, attempted int64, err error) {
+		scratch := database.Scratch(edbs)
 		eng, err := engine.NewPlanned(tr.Program, scratch, pl)
 		if err != nil {
-			return 0, err
+			return false, 0, err
 		}
-		gate := magic.NewHashGate(tr, eng, rng.Uint64())
-		if _, err := eng.Run(engine.Options{Gate: gate}); err != nil {
-			return 0, err
+		st, err := eng.Run(engine.Options{Gate: magic.NewHashGate(tr, eng, seed)})
+		if err != nil {
+			return false, 0, err
 		}
+		attempted = st.Instantiations + st.Suppressed
 		rel, ok := scratch.Lookup(adorned.Predicate)
 		if !ok {
-			continue
+			return false, attempted, nil
 		}
 		tuple, err := scratch.InternAtom(adorned)
 		if err != nil {
+			return false, 0, err
+		}
+		_, hit = rel.Contains(tuple)
+		return hit, attempted, nil
+	}
+	hits := 0
+	hit, a1, err := gated(seeds[0])
+	if err != nil {
+		return 0, err
+	}
+	if hit {
+		hits++
+	}
+	g, _, _, err := groundTarget(tr, database, edbs, pl, samples, a1, magic.GroundOptions{})
+	if err != nil {
+		return 0, err
+	}
+	if g != nil {
+		tuple, err := database.InternAtom(adorned)
+		if err != nil {
 			return 0, err
 		}
-		if _, present := rel.Contains(tuple); present {
+		f, derivable := g.Fact(adorned.Predicate, tuple)
+		var p magic.Propagator
+		for _, seed := range seeds[1:] {
+			p.Propagate(g, seed)
+			if derivable && p.Derived(f) {
+				hits++
+			}
+		}
+		return float64(hits) / float64(samples), nil
+	}
+	for _, seed := range seeds[1:] {
+		hit, _, err := gated(seed)
+		if err != nil {
+			return 0, err
+		}
+		if hit {
 			hits++
 		}
 	}

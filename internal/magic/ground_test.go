@@ -1,0 +1,455 @@
+package magic_test
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"contribmax/internal/ast"
+	"contribmax/internal/db"
+	"contribmax/internal/engine"
+	"contribmax/internal/engine/difftest"
+	"contribmax/internal/magic"
+	"contribmax/internal/wdgraph"
+	"contribmax/internal/workload"
+)
+
+// sampledRun is what one sampled run of a target's Magic program yields
+// for Magic^S CM: the edb facts its RR set is drawn from, whether the
+// target is a node of the run's graph, the graph's size, and whether the
+// adorned query fact was derived (DerivationProbability's event).
+type sampledRun struct {
+	rr           []string
+	present      bool
+	nodes, edges int
+	derived      bool
+}
+
+func (r sampledRun) String() string {
+	return fmt.Sprintf("present=%v derived=%v nodes=%d edges=%d rr=%v", r.present, r.derived, r.nodes, r.edges, r.rr)
+}
+
+func renderFact(d *db.Database, pred string, t db.Tuple) string {
+	var sb strings.Builder
+	sb.WriteString(pred)
+	sb.WriteByte('(')
+	for i, s := range t {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(d.Symbols().Name(s))
+	}
+	sb.WriteByte(')')
+	return sb.String()
+}
+
+// gatedRun evaluates tr with the engine gated by NewHashGate(seed) and
+// reads the run off the projected WD graph, the way Magic^S CM's per-RR
+// path does.
+func gatedRun(t testing.TB, prog *ast.Program, d *db.Database, tr *magic.Transformed, target ast.Atom, seed uint64) sampledRun {
+	t.Helper()
+	scratch := d.Scratch(prog.EDBs())
+	eng, err := engine.New(tr.Program, scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := wdgraph.NewBuilder(tr.Projection())
+	if _, err := eng.Run(engine.Options{Listener: b.Listener(), Gate: magic.NewHashGate(tr, eng, seed)}); err != nil {
+		t.Fatal(err)
+	}
+	g := b.Graph()
+	tuple, err := d.InternAtom(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := sampledRun{nodes: g.NumNodes(), edges: g.NumEdges()}
+	if root, ok := g.FactID(target.Predicate, tuple); ok {
+		out.present = true
+		wdgraph.NewWalker(g).ReverseClosure(root, func(v wdgraph.NodeID) {
+			if n := g.Node(v); n.Kind == wdgraph.FactNode && n.EDB {
+				out.rr = append(out.rr, renderFact(d, n.Pred, n.Tuple))
+			}
+		})
+	}
+	if rel, ok := scratch.Lookup(tr.Queries[0].Predicate); ok {
+		_, out.derived = rel.Contains(tuple)
+	}
+	slices.Sort(out.rr)
+	return out
+}
+
+// grounded is a target's Grounding plus what reading a propagation back
+// needs.
+type grounded struct {
+	g       *magic.Grounding
+	edbName map[int32]string
+	root    int32
+	rootOK  bool
+	query   int32
+	queryOK bool
+}
+
+func groundTarget(t testing.TB, prog *ast.Program, d *db.Database, tr *magic.Transformed, target ast.Atom) *grounded {
+	t.Helper()
+	eng, err := engine.New(tr.Program, d.Scratch(prog.EDBs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, st, err := magic.Ground(tr, eng, magic.GroundOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Aborted || g == nil {
+		t.Fatal("uncapped grounding aborted")
+	}
+	if g.Instantiations() != int(st.Engine.Instantiations) {
+		t.Fatalf("grounding recorded %d instantiations, engine fired %d", g.Instantiations(), st.Engine.Instantiations)
+	}
+	tuple, err := d.InternAtom(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &grounded{g: g, edbName: map[int32]string{}}
+	g.EDBFacts(func(pf int32, pred string, tu db.Tuple) { out.edbName[pf] = renderFact(d, pred, tu) })
+	out.root, out.rootOK = g.ProjectedFact(target.Predicate, tuple)
+	out.query, out.queryOK = g.Fact(tr.Queries[0].Predicate, tuple)
+	return out
+}
+
+func (gr *grounded) run(p *magic.Propagator, seed uint64) sampledRun {
+	p.Propagate(gr.g, seed)
+	var out sampledRun
+	out.nodes, out.edges = p.GraphSize()
+	if gr.rootOK {
+		var reached []int32
+		reached, out.present = p.AppendReached(nil, gr.root)
+		for _, pf := range reached {
+			out.rr = append(out.rr, gr.edbName[pf])
+		}
+	}
+	out.derived = gr.queryOK && p.Derived(gr.query)
+	slices.Sort(out.rr)
+	return out
+}
+
+// checkGroundedVsGated compares, per gate seed, propagation over one
+// grounding with the engine-gated run; it returns the mismatch count.
+func checkGroundedVsGated(t testing.TB, prog *ast.Program, d *db.Database, target ast.Atom, seeds []uint64) int {
+	t.Helper()
+	tr, err := magic.Transform(prog, []ast.Atom{target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr := groundTarget(t, prog, d, tr, target)
+	p := &magic.Propagator{}
+	bad := 0
+	for _, seed := range seeds {
+		want := gatedRun(t, prog, d, tr, target, seed)
+		if got := gr.run(p, seed); got.String() != want.String() {
+			bad++
+			t.Errorf("target %s seed %#x:\n  grounded %s\n  gated    %s\nprogram:\n%s", target, seed, got, want, prog)
+		}
+	}
+	return bad
+}
+
+// derivedTargets evaluates prog over d and returns up to n derived idb
+// facts, chosen by rng.
+func derivedTargets(t testing.TB, prog *ast.Program, d *db.Database, n int, rng *rand.Rand) []ast.Atom {
+	t.Helper()
+	scratch := d.Scratch(prog.EDBs())
+	eng, err := engine.New(prog, scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var all []ast.Atom
+	for _, name := range scratch.RelationNames() {
+		if prog.IsIDB(name) {
+			all = append(all, scratch.Facts(name)...)
+		}
+	}
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	return all[:min(n, len(all))]
+}
+
+// randomProbabilities gives every rule a probability in [0.15, 0.95],
+// one rule in five keeping probability 1.
+func randomProbabilities(prog *ast.Program, rng *rand.Rand) {
+	for i := range prog.Rules {
+		if rng.IntN(5) == 0 {
+			prog.Rules[i].Prob = 1
+		} else {
+			prog.Rules[i].Prob = 0.15 + 0.8*rng.Float64()
+		}
+	}
+}
+
+// generatedCase draws a positive difftest program with random rule
+// probabilities, its database and up to nTargets derived targets; ok is
+// false when the draw has negation or derives nothing.
+func generatedCase(t testing.TB, rng *rand.Rand, nTargets int) (*ast.Program, *db.Database, []ast.Atom, bool) {
+	t.Helper()
+	spec := difftest.Generate(rng)
+	if spec.Prog.HasNegation() {
+		return nil, nil, nil, false
+	}
+	randomProbabilities(spec.Prog, rng)
+	d, err := spec.NewDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := derivedTargets(t, spec.Prog, d, nTargets, rng)
+	return spec.Prog, d, targets, len(targets) > 0
+}
+
+func gateSeeds(rng *rand.Rand, n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = rng.Uint64()
+	}
+	return out
+}
+
+// TestGroundedRRMatchesGated is the differential test of the per-target
+// grounding: for random positive programs and small instances of the
+// benchmark families, every propagation must reproduce the engine-gated
+// run's RR set (as a set), target verdict, adorned-query verdict, and
+// projected node and edge counts.
+func TestGroundedRRMatchesGated(t *testing.T) {
+	const seedsPerTarget = 25
+	rng := rand.New(rand.NewPCG(0x6A0, 0x0D))
+	programs, bad := 0, 0
+	for programs < 40 {
+		prog, d, targets, ok := generatedCase(t, rng, 3)
+		if !ok {
+			continue
+		}
+		programs++
+		for _, target := range targets {
+			bad += checkGroundedVsGated(t, prog, d, target, gateSeeds(rng, seedsPerTarget))
+		}
+	}
+	families := []struct {
+		name string
+		size int
+	}{{"TC", 12}, {"Explain", 40}, {"IRIS", 60}, {"AMIE", 4}}
+	for _, f := range families {
+		w, err := workload.ByName(f.name, f.size, rand.New(rand.NewPCG(uint64(f.size), 7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, target := range derivedTargets(t, w.Program, w.DB, 4, rng) {
+			bad += checkGroundedVsGated(t, w.Program, w.DB, target, gateSeeds(rng, seedsPerTarget))
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d mismatches", bad)
+	}
+}
+
+// TestGroundingCapAborts checks the cap: a grounding allowed fewer
+// instantiations than the unsampled run fires reports Aborted and no
+// program; one allowed exactly that many completes.
+func TestGroundingCapAborts(t *testing.T) {
+	prog := mustProgram(t, tcProgram)
+	d := mustDB(t, "e(a, b). e(b, c). e(c, d). e(d, a).")
+	tr, err := magic.Transform(prog, []ast.Atom{atom(t, "tc(a, c)")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ground := func(limit int64) (*magic.Grounding, magic.GroundStats) {
+		eng, err := engine.New(tr.Program, d.Scratch(prog.EDBs()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, st, err := magic.Ground(tr, eng, magic.GroundOptions{Cap: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, st
+	}
+	full, st := ground(0)
+	n := int64(full.Instantiations())
+	if g, st := ground(n); g == nil || st.Aborted {
+		t.Fatalf("cap %d = the run's own count aborted", n)
+	}
+	g, capped := ground(n - 1)
+	if g != nil || !capped.Aborted {
+		t.Fatalf("cap %d below the run's %d instantiations did not abort", n-1, n)
+	}
+	if capped.Engine.Instantiations != n-1 {
+		t.Errorf("aborted run fired %d instantiations, want the cap %d", capped.Engine.Instantiations, n-1)
+	}
+	if capped.Size <= 0 || capped.Size > st.Size {
+		t.Errorf("aborted size %d, want in (0, %d]", capped.Size, st.Size)
+	}
+}
+
+// TestPropagatorsShareGrounding reads one Grounding from several
+// goroutines, each with its own Propagator, and checks every result
+// against a sequential pass (run with -race).
+func TestPropagatorsShareGrounding(t *testing.T) {
+	w, err := workload.ByName("AMIE", 4, rand.New(rand.NewPCG(4, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(5, 5))
+	target := derivedTargets(t, w.Program, w.DB, 1, rng)[0]
+	tr, err := magic.Transform(w.Program, []ast.Atom{target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr := groundTarget(t, w.Program, w.DB, tr, target)
+	seeds := gateSeeds(rng, 64)
+	want := make([]string, len(seeds))
+	p := &magic.Propagator{}
+	for i, s := range seeds {
+		want[i] = gr.run(p, s).String()
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4*len(seeds))
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			p := &magic.Propagator{}
+			for k := range seeds {
+				i := (k + w*17) % len(seeds)
+				if got := gr.run(p, seeds[i]).String(); got != want[i] {
+					errs <- fmt.Sprintf("worker %d seed %d: %s, want %s", w, i, got, want[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// FuzzGroundedVsGated checks the differential property on programs drawn
+// from the difftest generator: the fuzz input seeds the generator, the
+// target choice and the gate seeds.
+func FuzzGroundedVsGated(f *testing.F) {
+	for _, s := range []uint64{1, 2, 3, 0x6A0, 0xBEEF, 1 << 40} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		rng := rand.New(rand.NewPCG(seed, 0xF0))
+		prog, d, targets, ok := generatedCase(t, rng, 2)
+		if !ok {
+			return
+		}
+		for _, target := range targets {
+			checkGroundedVsGated(t, prog, d, target, gateSeeds(rng, 8))
+		}
+	})
+}
+
+// Benchmark sinks keep the measured results live.
+var (
+	sinkGraph  *wdgraph.Graph
+	sinkGround *magic.Grounding
+	sinkNodes  int
+)
+
+// amie8Targets builds a magics-amie-shaped instance (AMIE-8) and returns
+// the transforms of a few of its derived targets.
+func amie8Targets(b *testing.B) (*ast.Program, *db.Database, []*magic.Transformed) {
+	b.Helper()
+	w, err := workload.ByName("AMIE", 8, rand.New(rand.NewPCG(8, 1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var trs []*magic.Transformed
+	for _, target := range derivedTargets(b, w.Program, w.DB, 8, rand.New(rand.NewPCG(8, 2))) {
+		tr, err := magic.Transform(w.Program, []ast.Atom{target})
+		if err != nil {
+			b.Fatal(err)
+		}
+		trs = append(trs, tr)
+	}
+	return w.Program, w.DB, trs
+}
+
+// BenchmarkGatedRun times Magic^S's per-RR evaluation on AMIE-8 targets
+// (compile, gated fixpoint, WD-graph builder), per attempted
+// instantiation. With BenchmarkGrounding it gives the per-instantiation
+// cost ratio behind the grounding cap factor in internal/cm.
+func BenchmarkGatedRun(b *testing.B) {
+	prog, d, trs := amie8Targets(b)
+	var attempted int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := trs[i%len(trs)]
+		eng, err := engine.New(tr.Program, d.Scratch(prog.EDBs()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bld := wdgraph.NewBuilder(tr.Projection())
+		st, err := eng.Run(engine.Options{Listener: bld.Listener(), Gate: magic.NewHashGate(tr, eng, uint64(i))})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkGraph = bld.Graph()
+		attempted += st.Instantiations + st.Suppressed
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempted), "ns/inst")
+}
+
+// BenchmarkGrounding times one grounding of an AMIE-8 target (compile,
+// unsampled fixpoint, recording listener, index build), per instantiation.
+func BenchmarkGrounding(b *testing.B) {
+	prog, d, trs := amie8Targets(b)
+	var fired int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := trs[i%len(trs)]
+		eng, err := engine.New(tr.Program, d.Scratch(prog.EDBs()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, st, err := magic.Ground(tr, eng, magic.GroundOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkGround = g
+		fired += st.Engine.Instantiations
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/inst")
+}
+
+// BenchmarkPropagate times one propagation plus graph-size count over an
+// AMIE-8 target's grounding, per ground instantiation.
+func BenchmarkPropagate(b *testing.B) {
+	prog, d, trs := amie8Targets(b)
+	var gs []*magic.Grounding
+	for _, tr := range trs {
+		eng, err := engine.New(tr.Program, d.Scratch(prog.EDBs()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, _, err := magic.Ground(tr, eng, magic.GroundOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gs = append(gs, g)
+	}
+	var p magic.Propagator
+	var insts int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := gs[i%len(gs)]
+		p.Propagate(g, uint64(i))
+		sinkNodes, _ = p.GraphSize()
+		insts += int64(g.Instantiations())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+}

@@ -67,6 +67,11 @@ const (
 	// selection phase; the full RuntimeProfile artifact is reported out of
 	// band (cmrun -profile-json, SolveResponse.Profile).
 	TypeProfileSummary EventType = "profile.summary"
+	// TypeRRRoute records how a Magic^S CM solve drew its RR sets per
+	// target: grounded once and propagated, or evaluated gated per RR set
+	// because the grounding cap tripped or the target had too few slots.
+	// At most one per solve, emitted at the end of RR generation.
+	TypeRRRoute EventType = "rr.route"
 )
 
 // Event is the envelope every journal entry shares. Exactly one payload
@@ -95,6 +100,7 @@ type Event struct {
 	Cache   *CacheInfo   `json:"cache,omitempty"`
 	Est     *EstInfo     `json:"est,omitempty"`
 	Profile *ProfileInfo `json:"profile,omitempty"`
+	Route   *RouteInfo   `json:"route,omitempty"`
 }
 
 // SolveInfo is the solve.start payload.
@@ -246,8 +252,9 @@ type EstInfo struct {
 type ProfileInfo struct {
 	Algorithm string `json:"algorithm"`
 	// EngineRuns counts fixpoint evaluations profiled (1 for full-graph
-	// algorithms, ~θ for the per-tuple Magic variants); Rules counts
-	// distinct rule families that participated.
+	// algorithms, up to about θ for the per-tuple Magic variants: one per
+	// gated RR set or grounding); Rules counts distinct rule families that
+	// participated.
 	EngineRuns int64 `json:"engine_runs"`
 	Rules      int   `json:"rules"`
 	// Attempted / Derived / NewFacts are the engine totals: fully matched
@@ -374,4 +381,30 @@ func ErrProxy(covered, theta int) float64 {
 		f = 1
 	}
 	return math.Sqrt((1 - f) / float64(covered))
+}
+
+// RouteInfo is the rr.route payload: Magic^S CM's per-target route
+// counts. A target with n slots and a first gated run that attempted A₁
+// instantiations is grounded only when C·(n−1) > 1, and the grounding is
+// dropped once it fires more than C·(n−1)·A₁ instantiations. Every
+// target's first slot is a gated evaluation; the other slots of grounded
+// targets are propagations, the rest gated evaluations.
+type RouteInfo struct {
+	// C is the cap factor.
+	C float64 `json:"c"`
+	// Targets counts distinct targets drawn, Slots the RR sets.
+	Targets int `json:"targets"`
+	Slots   int `json:"slots"`
+	// Grounded counts targets drawn by propagation, GroundedSlots their
+	// slots (first slots included).
+	Grounded      int `json:"grounded"`
+	GroundedSlots int `json:"grounded_slots"`
+	// CapTripped counts targets whose grounding exceeded the cap;
+	// CapSlots and CapA1 total their n and A₁.
+	CapTripped int   `json:"cap_tripped"`
+	CapSlots   int   `json:"cap_slots"`
+	CapA1      int64 `json:"cap_a1"`
+	// TooFew counts targets with C·(n−1) <= 1, TooFewSlots their slots.
+	TooFew      int `json:"too_few"`
+	TooFewSlots int `json:"too_few_slots"`
 }

@@ -300,6 +300,14 @@ func (j *Journal) ProfileSummary(info ProfileInfo) {
 	j.append(Event{Type: TypeProfileSummary, Profile: &info})
 }
 
+// RRRoute emits an rr.route event.
+func (j *Journal) RRRoute(info RouteInfo) {
+	if j == nil {
+		return
+	}
+	j.append(Event{Type: TypeRRRoute, Route: &info})
+}
+
 // SelectIter emits a select.iter event.
 func (j *Journal) SelectIter(info IterInfo) {
 	if j == nil {

@@ -16,8 +16,9 @@ const maxCacheEntries = 4096
 
 // Planner is a concurrency-safe plan cache keyed by canonical rule shape
 // (see Key). One Planner typically spans a whole solve: the Magic variants
-// compile a fresh engine per RR set and per Monte-Carlo sample, and every
-// compilation after the first hits the cache for each rule family.
+// compile a fresh engine per target grounding or gated RR set (and per
+// gated Monte-Carlo sample), and every compilation after the first hits
+// the cache for each rule family.
 //
 // All methods are nil-safe: a nil *Planner plans without caching, so callers
 // thread an optional planner with no conditionals.

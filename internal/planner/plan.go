@@ -27,7 +27,8 @@
 // Plans are cached in a Planner keyed by the rule's canonical shape — for
 // Magic-Sets-transformed programs the adorned predicate names carry the
 // binding pattern, so one cache entry covers a whole Magic^S rule family
-// across the thousands of per-RR-set engine compilations a solve performs.
+// across the per-target and per-RR-set engine compilations a solve
+// performs.
 package planner
 
 import (

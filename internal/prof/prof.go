@@ -46,8 +46,8 @@ const (
 )
 
 // Profile is the solve-scoped collector. One Profile spans one solve: the
-// full-graph fixpoint of NaiveCM or the thousands of per-RR subgraph
-// fixpoints of the Magic variants all merge into it. All methods are safe
+// full-graph fixpoint of NaiveCM or the many per-target and per-RR
+// subgraph fixpoints of the Magic variants all merge into it. All methods are safe
 // for concurrent use (the parallel RR workers report into it) and no-ops
 // on a nil receiver.
 type Profile struct {

@@ -31,3 +31,32 @@ func TestSolveAPIReportsPlannerCounters(t *testing.T) {
 			planned.PlansBuilt, planned.PlanCacheHits)
 	}
 }
+
+// TestSolveAPIReportsGroundings checks that a Magic^S solve reports its
+// per-target route counters, and that other algorithms omit them.
+func TestSolveAPIReportsGroundings(t *testing.T) {
+	ts := newServer(t)
+	for _, tc := range []struct {
+		algo string
+		want bool
+	}{{"magics", true}, {"magic", false}} {
+		resp := postSolve(t, ts.URL, server.SolveRequest{
+			Program:   tcProgram,
+			Facts:     tcFacts,
+			Targets:   []string{"tc(a, c)"},
+			K:         1,
+			RR:        200,
+			Algorithm: tc.algo,
+		})
+		var raw map[string]any
+		err := json.NewDecoder(resp.Body).Decode(&raw)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, ok := raw["groundings"].(float64)
+		if ok != tc.want || (tc.want && g != 1) {
+			t.Errorf("%s: groundings = %v (present %v), want one target grounded: %v", tc.algo, raw["groundings"], ok, raw)
+		}
+	}
+}

@@ -105,8 +105,13 @@ type SolveResponse struct {
 	// ExactFallback, for algorithm "exact" or "dnf", names why the request
 	// was answered by magic sampling instead (non-hierarchical cone,
 	// lineage budget). Empty when the tier answered or for the samplers.
-	ExactFallback string  `json:"exactFallback,omitempty"`
-	TotalMillis   float64 `json:"totalMillis"`
+	ExactFallback string `json:"exactFallback,omitempty"`
+	// Groundings counts the per-target groundings a Magic^S solve drew
+	// RR sets from, GroundAborts those dropped at their cap (see
+	// cm.Stats). Omitted when zero.
+	Groundings   int     `json:"groundings,omitempty"`
+	GroundAborts int     `json:"groundAborts,omitempty"`
+	TotalMillis  float64 `json:"totalMillis"`
 	// Diagnostics lists non-failing static-analysis findings for the
 	// submitted program ("line:col: warning[CMnnn]: ..."). Failing
 	// findings (errors, or warnings under Config.WarnAsError) reject the
@@ -546,6 +551,8 @@ func (s *server) solveParsed(ctx context.Context, p *parsedRequest, req SolveReq
 		CacheRRHits:      res.Stats.CacheRRHits,
 		CacheRRMisses:    res.Stats.CacheRRMisses,
 		ExactFallback:    res.Stats.ExactFallback,
+		Groundings:       res.Stats.Groundings,
+		GroundAborts:     res.Stats.GroundAborts,
 		TotalMillis:      float64(res.Stats.TotalTime) / float64(time.Millisecond),
 		RunID:            jr.Run(),
 		Profile:          opts.Profile.Report(),

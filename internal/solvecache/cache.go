@@ -71,6 +71,8 @@ type RRStats struct {
 	MaxNodes           int
 	MaxEdges           int
 	PeakResidentSize   int
+	Groundings         int
+	GroundAborts       int
 	AdaptiveLowerBound float64
 	AdaptiveCapped     bool
 }
