@@ -286,34 +286,6 @@ func BenchmarkJoinReorderAblation(b *testing.B) {
 	b.Run("leftToRight", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkSelectionAblation compares the plain greedy and CELF selection
-// phases on a skewed coverage instance.
-func BenchmarkSelectionAblation(b *testing.B) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	coll := im.NewRRCollection(5000)
-	for i := 0; i < 20000; i++ {
-		var set []im.CandidateID
-		// Skewed membership: low-id candidates appear often.
-		for j := 0; j < 10; j++ {
-			c := im.CandidateID(rng.ExpFloat64() * 400)
-			if int(c) < 5000 {
-				set = append(set, c)
-			}
-		}
-		coll.Add(set)
-	}
-	b.Run("greedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			im.Greedy(coll, 10)
-		}
-	})
-	b.Run("celf", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			im.GreedyCELF(coll, 10)
-		}
-	})
-}
-
 func BenchmarkGreedyCoverage(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	coll := im.NewRRCollection(2000)

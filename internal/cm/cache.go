@@ -29,9 +29,8 @@ import (
 //     every later draw — is identical whether the graph was built or
 //     reused.
 //
-// The parallel worker count within the Parallelism >= 1 class is proven
-// byte-identical across its settings and absent from the keys, so solves
-// differing only in it share entries.
+// Results are proven byte-identical at every Parallelism level, which is
+// absent from the keys, so solves differing only in it share entries.
 
 type solveFn func(Input, Options) (*Result, error)
 
@@ -161,8 +160,8 @@ func shapeOf(in Input) (nc, nt int, targets, cands string, ok bool) {
 // rrParams renders the generation parameters the RR multiset depends on.
 // In fixed-θ mode the resolved θ value is the only trace of the ThetaSpec
 // (and of K, which only ThetaSpec.Auto reads), so a k-sweep at a fixed θ
-// shares one collection. Adaptive generation reads K directly and is
-// inherently sequential, so its params carry K and no parallelism class.
+// shares one collection. Adaptive generation reads K directly, so its
+// params carry K.
 func rrParams(in Input, opts Options, name string, nc, nt int) string {
 	sips := ""
 	switch name {
@@ -174,11 +173,7 @@ func rrParams(in Input, opts Options, name string, nc, nt int) string {
 			opts.Theta.Epsilon, opts.Theta.Delta, opts.Theta.MaxAuto, in.K, sips, opts.Prune)
 	}
 	theta := opts.Theta.Theta(nc, nt, in.K)
-	par := 0
-	if opts.Parallelism >= 1 {
-		par = 1
-	}
-	return fmt.Sprintf("theta=%d|par=%d|sips=%s|prune=%t", theta, par, sips, opts.Prune)
+	return fmt.Sprintf("theta=%d|sips=%s|prune=%t", theta, sips, opts.Prune)
 }
 
 // rrEntryOf freezes a finished solve into a cache entry: a read-only

@@ -120,6 +120,36 @@ func TestCacheKSweepSharesRRCollection(t *testing.T) {
 	}
 }
 
+// TestCacheSharedAcrossParallelism: Parallelism 0 means one slot worker, so
+// a P=0 and a P=4 solve of one identity draw the same RR collection and
+// share one cache entry — the second solve is a hit, byte-identical to the
+// first — for every algorithm.
+func TestCacheSharedAcrossParallelism(t *testing.T) {
+	in := goldenInstance(t)
+	for _, al := range algos {
+		t.Run(al.name, func(t *testing.T) {
+			c := solvecache.New(0)
+			cold, err := al.run(in, cachedOpts(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := cachedOpts(c)
+			opts.Parallelism = 4
+			warm, err := al.run(in, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Stats.CacheRRMisses != 1 || warm.Stats.CacheRRHits != 1 || warm.Stats.CacheRRMisses != 0 {
+				t.Fatalf("rr misses/hits: P=0 %d/%d, P=4 %d/%d; want 1/0 then 0/1",
+					cold.Stats.CacheRRMisses, cold.Stats.CacheRRHits, warm.Stats.CacheRRMisses, warm.Stats.CacheRRHits)
+			}
+			if got, want := resultFingerprint(warm), resultFingerprint(cold); got != want {
+				t.Errorf("P=4 cache hit diverged from the P=0 solve:\n  got  %s\n  want %s", got, want)
+			}
+		})
+	}
+}
+
 // TestCacheGraphReusedAcrossTheta exercises the graph store alone: two
 // NaiveCM solves with different θ share the full WD graph (same database,
 // program, config) while generating distinct RR collections.

@@ -50,30 +50,38 @@ func TestPreCanceledContext(t *testing.T) {
 }
 
 // TestMidFlightCancellation: a deadline expiring during RR generation must
-// surface promptly as context.DeadlineExceeded — the RR loops re-check the
-// context per set, so a heavy solve cannot overshoot by more than one
-// subgraph construction.
+// surface promptly as context.DeadlineExceeded — the RR workers re-check
+// the context per slot, so a heavy solve cannot overshoot by more than one
+// subgraph construction, and an adaptive solve stops at the first batch
+// that sees it instead of running further IMM rounds.
 func TestMidFlightCancellation(t *testing.T) {
 	in := cancelInstance(t)
-	for _, par := range []int{0, 4} {
+	check := func(t *testing.T, name string, par int, run func(cm.Input, cm.Options) (*cm.Result, error), opts cm.Options) {
+		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		opts.Rand = rand.New(rand.NewPCG(5, 5))
+		opts.Parallelism = par
+		opts.Context = ctx
 		start := time.Now()
-		// MagicCM with a large θ: thousands of per-tuple subgraph builds,
-		// far beyond the deadline.
-		_, err := cm.MagicCM(in, cm.Options{
-			Theta:       im.ThetaSpec{Explicit: 500_000},
-			Rand:        rand.New(rand.NewPCG(5, 5)),
-			Parallelism: par,
-			Context:     ctx,
-		})
+		_, err := run(in, opts)
 		elapsed := time.Since(start)
-		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("parallelism=%d: err = %v, want context.DeadlineExceeded", par, err)
+			t.Fatalf("%s parallelism=%d: err = %v, want context.DeadlineExceeded", name, par, err)
 		}
 		if elapsed > 5*time.Second {
-			t.Errorf("parallelism=%d: cancellation took %v, want prompt return", par, elapsed)
+			t.Errorf("%s parallelism=%d: cancellation took %v, want prompt return", name, par, elapsed)
 		}
+	}
+	for _, par := range []int{0, 4} {
+		// MagicCM with a large θ: thousands of per-tuple subgraph builds,
+		// far beyond the deadline.
+		check(t, "MagicCM", par, cm.MagicCM, cm.Options{Theta: im.ThetaSpec{Explicit: 500_000}})
+		// Adaptive solves whose IMM rounds ask for hundreds of thousands of
+		// RR sets.
+		adaptive := cm.Options{Adaptive: true, Theta: im.ThetaSpec{Epsilon: 0.01, MaxAuto: 500_000}}
+		check(t, "adaptive NaiveCM", par, cm.NaiveCM, adaptive)
+		check(t, "adaptive MagicSCM", par, cm.MagicSampledCM, adaptive)
 	}
 }
 

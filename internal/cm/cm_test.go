@@ -39,16 +39,22 @@ func seedsOf(r *cm.Result) []string {
 	return out
 }
 
-// algos enumerates the four CM algorithms under one signature.
-var algos = []struct {
+// algo is one CM algorithm under the common signature.
+type algo struct {
 	name string
 	run  func(cm.Input, cm.Options) (*cm.Result, error)
-}{
+}
+
+// algos enumerates the four CM algorithms of the paper.
+var algos = []algo{
 	{"NaiveCM", cm.NaiveCM},
 	{"MagicCM", cm.MagicCM},
 	{"MagicSCM", cm.MagicSampledCM},
 	{"MagicGCM", cm.MagicGroupedCM},
 }
+
+// risAlgos adds DNFCM to algos: every solver that draws RR sets.
+var risAlgos = append(algos[:len(algos):len(algos)], algo{"DNFCM", cm.DNFCM})
 
 // TestAllAlgorithmsAgreeOnClearCutInstance uses an instance with an
 // unambiguous answer: two disjoint derivation chains, targets at the end of

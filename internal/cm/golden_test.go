@@ -15,9 +15,9 @@ import (
 )
 
 // updateGolden regenerates testdata/golden_results.json from the current
-// implementation. It was last run at the commit preceding the CSR/arena
-// memory-layout refactor, so the committed file pins the pre-refactor
-// byte-identical Result stream.
+// implementation. The */p1 to */p8 lines pin the Result stream captured
+// before the CSR/arena memory-layout refactor and must not change; each
+// */p0 line must equal its */p1 line, since Parallelism 0 means one worker.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_results.json")
 
 const goldenPath = "testdata/golden_results.json"
@@ -43,10 +43,11 @@ func goldenInstance(t *testing.T) cm.Input {
 // TestGoldenResultStream asserts that the walker and RR-storage layers
 // reproduce, byte for byte, the Result stream captured before the CSR
 // adjacency / arena-backed RR collection refactor, for every algorithm and
-// for Parallelism 0 (legacy sequential draw order), 1, 2, 4, and 8 — the
-// levels above 1 also exercise the parallel fixpoint engine. Any layout
-// change that reorders edge iteration, RNG consumption, or greedy
-// tie-breaking shows up here as a diff against the committed golden file.
+// for Parallelism 0, 1, 2, 4, and 8 — the levels above 1 also exercise the
+// parallel fixpoint engine. Parallelism 0 means one worker, so its result
+// must equal Parallelism 1's. Any layout change that reorders edge
+// iteration, RNG consumption, or greedy tie-breaking shows up here as a
+// diff against the committed golden file.
 func TestGoldenResultStream(t *testing.T) {
 	in := goldenInstance(t)
 	got := map[string]string{}
@@ -64,6 +65,9 @@ func TestGoldenResultStream(t *testing.T) {
 				t.Fatalf("%s parallelism %d: %v", al.name, par, err)
 			}
 			got[fmt.Sprintf("%s/p%d", al.name, par)] = resultFingerprint(res)
+		}
+		if p0, p1 := got[al.name+"/p0"], got[al.name+"/p1"]; p0 != p1 {
+			t.Errorf("%s: parallelism 0 diverged from 1:\n  p0 %s\n  p1 %s", al.name, p0, p1)
 		}
 	}
 
@@ -96,7 +100,7 @@ func TestGoldenResultStream(t *testing.T) {
 			continue // skipped under -short
 		}
 		if g != w {
-			t.Errorf("%s diverged from pre-refactor golden:\n  got  %s\n  want %s", key, g, w)
+			t.Errorf("%s diverged from golden:\n  got  %s\n  want %s", key, g, w)
 		}
 	}
 	for key := range got {

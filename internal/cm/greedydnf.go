@@ -44,8 +44,6 @@ func dnfCM(in Input, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := opts.ctx()
-	rng := opts.rng()
 	start := time.Now()
 	res := &Result{Algorithm: "DNFCM", pl: opts.solvePlanner()}
 	res.Stats.RulesTotal, res.Stats.RulesPruned = inst.rulesTotal, inst.rulesPruned
@@ -80,11 +78,9 @@ func dnfCM(in Input, opts Options) (*Result, error) {
 		return nil, err
 	}
 
+	// One possible-world sample per slot.
 	rrSpan := sp.StartChild("rrgen")
-	if opts.Parallelism >= 1 && !opts.Adaptive {
-		// One possible-world sample per pre-seeded slot.
-		start := time.Now()
-		p := newSlotPhase(ctx, opts, drawSeeded(rng, inst.theta(opts), len(inst.targets), nil), start)
+	err = generateRR(inst, opts, res, opts.rng(), nil, func(p *slotPhase) {
 		p.walks = nil // DNFCM attributes no walks
 		p.run(len(p.slots), func(w *rrWorker, i int) error {
 			s := p.slots[i]
@@ -93,17 +89,7 @@ func dnfCM(in Input, opts Options) (*Result, error) {
 			p.emit(w, i, lo, time.Time{})
 			return nil
 		})
-		err = p.finish(inst, res)
-	} else {
-		var members []im.CandidateID
-		var world []bool
-		gen := func() []im.CandidateID {
-			members = members[:0]
-			members, world = sampleDNFWorld(tls[drawTarget(rng, len(inst.targets))], rng, world, members)
-			return members
-		}
-		err = runRRPhase(ctx, inst, opts, res, gen)
-	}
+	})
 	rrSpan.SetAttr("rr", int64(res.Stats.NumRR))
 	rrSpan.End()
 	if err != nil {

@@ -81,7 +81,8 @@ func TestDNFCMRecursiveCone(t *testing.T) {
 }
 
 // TestDNFCMDeterministicAcrossParallelism: with the pre-seeded slot design
-// every Parallelism >= 1 level must produce byte-identical results.
+// every Parallelism level, 0 (one worker) included, must produce
+// byte-identical results.
 func TestDNFCMDeterministicAcrossParallelism(t *testing.T) {
 	in := exactCase(t, `
 		0.5 p1: p(X) :- e(X).
@@ -89,7 +90,7 @@ func TestDNFCMDeterministicAcrossParallelism(t *testing.T) {
 		0.7 t2: t(X) :- f(X).
 	`, `e(n1). e(n2). f(n2). f(n3).`, []string{"t(n1)", "t(n2)", "t(n3)"}, 2)
 	var ref *cm.Result
-	for _, par := range []int{1, 4, 8} {
+	for _, par := range []int{0, 1, 4, 8} {
 		res, err := cm.DNFCM(in, dnfOpts(9, par))
 		if err != nil {
 			t.Fatal(err)

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"contribmax/internal/ast"
-	"contribmax/internal/im"
-	"contribmax/internal/wdgraph"
 )
 
 // MagicGroupedCM is the Magic^G CM variant of Remark 1: instead of building
@@ -35,7 +33,6 @@ func magicGroupedCM(in Input, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := opts.ctx()
 	rng := opts.rng()
 	start := time.Now()
 	res := &Result{Algorithm: "MagicGCM", pl: opts.solvePlanner()}
@@ -46,7 +43,7 @@ func magicGroupedCM(in Input, opts Options) (*Result, error) {
 	// In fixed-θ mode the grouped transformation covers exactly the
 	// distinct sampled root tuples (Remark 1); in adaptive mode the number
 	// of roots is unknown in advance, so the transformation covers all of
-	// T2 and roots are drawn lazily.
+	// T2 and each IMM batch draws its own roots.
 	var roots []int
 	distinct := map[int]bool{}
 	if opts.Adaptive {
@@ -57,7 +54,7 @@ func magicGroupedCM(in Input, opts Options) (*Result, error) {
 		theta := inst.theta(opts)
 		roots = make([]int, theta)
 		for i := range roots {
-			roots[i] = drawTarget(rng, len(inst.targets))
+			roots[i] = rng.IntN(len(inst.targets))
 			distinct[roots[i]] = true
 		}
 	}
@@ -88,46 +85,7 @@ func magicGroupedCM(in Input, opts Options) (*Result, error) {
 	buildSpan.End()
 
 	rrSpan := sp.StartChild("rrgen")
-	candOfNode := candidateIndex(g, inst)
-	targetIDs := make([]wdgraph.NodeID, len(inst.targets))
-	targetOK := make([]bool, len(inst.targets))
-	for i, t := range inst.targets {
-		targetIDs[i], targetOK[i] = g.FactID(t.Pred, t.Tuple)
-	}
-	if opts.Parallelism >= 1 && !opts.Adaptive {
-		err = parallelWalkPhase(ctx, inst, opts, res, rng, g, targetIDs, targetOK, candOfNode, roots)
-	} else {
-		walker := wdgraph.NewWalker(g)
-		var members []im.CandidateID
-		next := 0
-		gen := func() []im.CandidateID {
-			var ti int
-			if opts.Adaptive || next >= len(roots) {
-				ti = drawTarget(rng, len(inst.targets))
-			} else {
-				ti = roots[next]
-				next++
-			}
-			members = members[:0]
-			var t0 time.Time
-			if opts.Profile != nil {
-				t0 = time.Now()
-			}
-			if targetOK[ti] {
-				walker.ReverseReachable(targetIDs[ti], rng, false, func(v wdgraph.NodeID) {
-					if c := candOfNode[v]; c >= 0 {
-						members = append(members, im.CandidateID(c))
-					}
-				})
-			}
-			if opts.Profile != nil {
-				opts.Profile.RecordWalk(ti, len(members), int64(time.Since(t0)))
-			}
-			return members
-		}
-		err = runRRPhase(ctx, inst, opts, res, gen)
-		observeArena(opts.Obs, res.rrColl, walker.Grows())
-	}
+	err = generateRR(inst, opts, res, rng, roots, newGraphWalk(g, inst).phase)
 	rrSpan.SetAttr("rr", int64(res.Stats.NumRR))
 	rrSpan.End()
 	if err != nil {

@@ -45,15 +45,13 @@ type Options struct {
 	// Adaptive switches to IMM-style adaptive sampling (Remark 2 of the
 	// paper): the RR-set count is derived online from a certified lower
 	// bound on OPT instead of Theta. Theta.Epsilon / Theta.Delta /
-	// Theta.MaxAuto parameterize it.
+	// Theta.MaxAuto parameterize it. Each IMM round draws its RR sets as
+	// one batch of pre-seeded slots, so adaptive results are deterministic
+	// at every Parallelism level too.
 	Adaptive bool
 	// Rand drives all sampling. nil means a fixed-seed PCG source, making
 	// runs reproducible by default.
 	Rand *rand.Rand
-	// LazyGreedy switches the selection phase to the CELF lazy-evaluation
-	// greedy. The selection is bit-identical to the default greedy; CELF
-	// is faster when candidates are many and coverage is skewed.
-	LazyGreedy bool
 	// SIPS selects the Magic-Sets sideways-information-passing strategy
 	// for the Magic variants (see magic.SIPS); the default LeftToRight is
 	// the textbook strategy.
@@ -68,8 +66,7 @@ type Options struct {
 	// come from any one database relation — the diversification constraint
 	// proposed in the paper's conclusions (set to 1 to force every seed
 	// from a different table). Selection becomes greedy under a partition
-	// matroid (1/2-approximation of the constrained optimum). Incompatible
-	// with LazyGreedy (the constraint wins).
+	// matroid (1/2-approximation of the constrained optimum).
 	MaxSeedsPerRelation int
 	// SkipAnalysis disables the static-analysis gate that prepare runs in
 	// front of every algorithm (the zero value keeps it on). The gate
@@ -90,25 +87,20 @@ type Options struct {
 	// and graph-size stats on programs with dead rules) shrinks.
 	// Stats.RulesTotal / Stats.RulesPruned report the effect.
 	Prune bool
-	// Parallelism is the solver's single concurrency knob. It fans RR-set
-	// generation out over this many goroutines — per-target subgraph
-	// constructions, groundings and propagations for MagicCM / Magic^S CM,
-	// reverse walks over the shared graph for NaiveCM / Magic^G CM — and,
-	// when >= 2, also runs the semi-naive fixpoint of *full-graph* builds
-	// (NaiveCM's WD graph, Magic^G CM's union graph) on that many engine
-	// workers (engine.Options.Parallelism; per-tuple subgraph builds stay
-	// sequential inside the already-parallel RR workers). The engine is
-	// byte-identical at every level, and any value >= 1 routes RR
-	// generation through the pre-seeded slot design, so for a fixed seed
-	// every Parallelism level — including 1 — produces byte-identical
-	// results regardless of scheduling or worker count. The Magic variants
-	// group those slots by target (each target's subgraph is built, or
-	// grounded, once per solve); Magic^S CM at 0 pre-draws its slots from
-	// the legacy sequential stream and groups them the same way, on one
-	// worker. 0 (the zero value) keeps the legacy strictly-sequential draw
-	// order, which is statistically equivalent but draws from the rng
-	// differently; the adaptive mode is inherently sequential and ignores
-	// this.
+	// Parallelism is the solver's single concurrency knob: the number of
+	// RR-generation workers, 0 meaning one. Every RR set is a pre-seeded
+	// slot — the master rng draws its target and the seeds of its own PCG
+	// stream — so for a fixed seed every Parallelism level produces
+	// byte-identical results regardless of scheduling or worker count. The
+	// workers run per-target subgraph constructions, groundings and
+	// propagations for MagicCM / Magic^S CM (each target's subgraph is
+	// built, or grounded, once per batch of slots), reverse walks over the
+	// shared graph for NaiveCM / Magic^G CM, and possible-world samples for
+	// DNFCM. When >= 2 it also runs the semi-naive fixpoint of *full-graph*
+	// builds (NaiveCM's WD graph, Magic^G CM's union graph) on that many
+	// engine workers (engine.Options.Parallelism; per-tuple subgraph builds
+	// stay sequential inside the already-parallel RR workers); the engine
+	// is byte-identical at every level.
 	Parallelism int
 	// Obs, when non-nil, receives the pipeline metrics of the solve (cm.*,
 	// rr.*, wdgraph.*, engine.*, imm.* — see internal/obs and

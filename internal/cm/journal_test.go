@@ -223,20 +223,26 @@ func TestJournalPhaseEvents(t *testing.T) {
 }
 
 // TestJournalAdaptiveIMMRounds checks that adaptive solves journal their
-// phase-1 convergence: imm.round events with strictly increasing θ.
+// phase-1 convergence: imm.round events with strictly increasing θ, and
+// per-worker rr.batch running totals that cover every IMM batch.
 func TestJournalAdaptiveIMMRounds(t *testing.T) {
 	j := journal.New("imm", journal.Options{})
-	_, err := cm.NaiveCM(journalInstance(t, 2), cm.Options{
-		Adaptive: true,
-		Theta:    im.ThetaSpec{Epsilon: 0.3, MaxAuto: 3000},
-		Rand:     rand.New(rand.NewPCG(2, 4)),
-		Journal:  j,
+	res, err := cm.NaiveCM(journalInstance(t, 2), cm.Options{
+		Adaptive:    true,
+		Theta:       im.ThetaSpec{Epsilon: 0.3, MaxAuto: 3000},
+		Rand:        rand.New(rand.NewPCG(2, 4)),
+		Parallelism: 2,
+		Journal:     j,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lastTheta, rounds := 0, 0
+	workerTotal := map[int]int{}
 	for _, ev := range j.Snapshot() {
+		if ev.Type == journal.TypeRRBatch {
+			workerTotal[ev.RR.Worker] = ev.RR.TotalSets
+		}
 		if ev.Type != journal.TypeIMMRound {
 			continue
 		}
@@ -254,6 +260,13 @@ func TestJournalAdaptiveIMMRounds(t *testing.T) {
 	}
 	if rounds == 0 {
 		t.Fatal("no imm.round events from an adaptive solve")
+	}
+	total := 0
+	for _, n := range workerTotal {
+		total += n
+	}
+	if total != res.Stats.NumRR {
+		t.Errorf("rr.batch totals %d != NumRR %d", total, res.Stats.NumRR)
 	}
 }
 

@@ -25,12 +25,10 @@ import (
 // sampled target tuple t, the Magic-Sets-transformed program (P^m_t, w^m_t)
 // is evaluated over D, yielding (Proposition 4.4) exactly the subgraph of
 // the WD graph backward-reachable from t; the RR set is then sampled from
-// that subgraph. The subgraph is deterministic, so at Parallelism >= 1 the
-// pre-seeded RR slots are grouped by target: each target's subgraph is
+// that subgraph. The subgraph is deterministic, so each batch of
+// pre-seeded RR slots is grouped by target: each target's subgraph is
 // built once, walked once per slot with that slot's own stream, and
-// discarded before the worker takes the next target. At Parallelism 0 and
-// in adaptive mode the walks interleave with the master rng, and the
-// subgraph is rebuilt per RR set.
+// discarded before the worker takes the next target.
 func MagicCM(in Input, opts Options) (*Result, error) {
 	res, err := solveVia(in, opts, "MagicCM", func(in Input, opts Options) (*Result, error) {
 		return magicVariant(in, opts, "MagicCM", false)
@@ -47,12 +45,12 @@ func MagicCM(in Input, opts Options) (*Result, error) {
 // a deterministic reverse reachability.
 //
 // The draw is a hash of (gate seed, origin rule, origin bindings)
-// (magic.HashGate), so a sampled run is a sub-run of the unsampled one. In
-// fixed-θ mode the RR sets are drawn per target: the target's first RR set
-// by a gated evaluation, the others by Horn propagation over one recorded
+// (magic.HashGate), so a sampled run is a sub-run of the unsampled one.
+// Each batch of RR slots is drawn per target: the target's first RR set by
+// a gated evaluation, the others by Horn propagation over one recorded
 // unsampled evaluation (magic.Grounding) when that pays — see
 // groundTarget — and by gated evaluations otherwise. Every RR set equals
-// the gated evaluation's as a set. Adaptive mode evaluates per RR set.
+// the gated evaluation's as a set.
 func MagicSampledCM(in Input, opts Options) (*Result, error) {
 	res, err := solveVia(in, opts, "MagicSCM", func(in Input, opts Options) (*Result, error) {
 		return magicVariant(in, opts, "MagicSCM", true)
@@ -69,7 +67,6 @@ func magicVariant(in Input, opts Options, name string, sampled bool) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	rng := opts.rng()
 	start := time.Now()
 	res := &Result{Algorithm: name, pl: opts.solvePlanner()}
 	res.Stats.RulesTotal, res.Stats.RulesPruned = inst.rulesTotal, inst.rulesPruned
@@ -79,13 +76,15 @@ func magicVariant(in Input, opts Options, name string, sampled bool) (*Result, e
 		in: in, inst: inst, opts: opts, ctx: opts.ctx(), res: res, sampled: sampled,
 		trs:    make([]*magic.Transformed, len(inst.targets)),
 		routes: make([]targetRoute, len(inst.targets)),
+		route:  journal.RouteInfo{C: groundCapFactor},
 	}
 
 	rrSpan := sp.StartChild("rrgen")
-	if opts.Adaptive || (!sampled && opts.Parallelism < 1) {
-		err = m.perRRPhase(rng)
-	} else {
-		err = m.groupedPhase(rng)
+	err = generateRR(inst, opts, res, opts.rng(), nil, m.groupedPhase)
+	if err == nil && sampled {
+		res.Stats.Groundings = m.route.Grounded + m.route.CapTripped
+		res.Stats.GroundAborts = m.route.CapTripped
+		opts.Journal.RRRoute(m.route)
 	}
 	rrSpan.SetAttr("rr", int64(res.Stats.NumRR))
 	rrSpan.SetAttr("builds", int64(res.Stats.GraphBuilds))
@@ -111,13 +110,16 @@ type magicRR struct {
 	ctx     context.Context
 	res     *Result
 	sampled bool
-	// trs caches each target's transformed program. The per-RR phase fills
-	// it from its one goroutine; in the grouped phase a target's owner
-	// fills it in pass 1 and pass 2 only reads it.
+	// trs caches each target's transformed program: a batch's owner of the
+	// target fills it in pass 1 (unless an earlier batch did), pass 2 and
+	// later batches only read it.
 	trs []*magic.Transformed
-	// routes records, per target, Magic^S's grouped-phase route and its
-	// first gated run's attempted instantiations (written by the owner).
+	// routes records, per target, Magic^S's route in the current batch and
+	// its first gated run's attempted instantiations (written by the owner).
 	routes []targetRoute
+	// route sums Magic^S's routes over every batch of the solve: the one
+	// rr.route event.
+	route journal.RouteInfo
 }
 
 // targetRoute is one target's route decision (see groundTarget).
@@ -138,11 +140,11 @@ func (m *magicRR) transform(ti int) (*magic.Transformed, error) {
 	return m.trs[ti], nil
 }
 
-// buildRR evaluates target ti's Magic program — gated by gateSeed for
-// Magic^S — records the (sub)graph in st and appends the RR set to arena,
-// drawing MagicCM's walk from r. It also returns the run's attempted
-// instantiations (fired plus gate-suppressed).
-func (m *magicRR) buildRR(ti int, gateSeed uint64, r *rand.Rand, st *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, int64, error) {
+// gatedRR evaluates target ti's Magic program gated by gateSeed (one
+// Magic^S sampled run), records the subgraph in st and appends the RR set
+// to arena. It also returns the run's attempted instantiations (fired plus
+// gate-suppressed).
+func (m *magicRR) gatedRR(ti int, gateSeed uint64, st *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, int64, error) {
 	tr, err := m.transform(ti)
 	if err != nil {
 		return arena, 0, err
@@ -150,80 +152,12 @@ func (m *magicRR) buildRR(ti int, gateSeed uint64, r *rand.Rand, st *Stats, sc *
 	// Engine parallelism stays off for per-tuple subgraphs: the RR phase
 	// already runs one worker per Parallelism slot, and the subgraphs are
 	// small — nesting worker pools would oversubscribe.
-	g, est, err := buildMagicGraph(m.in, tr, gateSeed, m.sampled, m.ctx, m.opts.Obs, nil, 0, m.res.pl, m.opts.Profile)
+	g, est, err := buildMagicGraph(m.in, tr, gateSeed, true, m.ctx, m.opts.Obs, nil, 0, m.res.pl, m.opts.Profile)
 	if err != nil {
 		return arena, 0, err
 	}
 	recordBuild(st, g)
-	return collectRR(g, m.inst, m.inst.targets[ti], r, m.sampled, sc, arena), est.Instantiations + est.Suppressed, nil
-}
-
-// perRRPhase evaluates one Magic program per RR set, drawing targets, gate
-// seeds and MagicCM's walks from the master rng in sequence: MagicCM at
-// Parallelism 0, and both variants in adaptive mode.
-func (m *magicRR) perRRPhase(rng *rand.Rand) error {
-	sc := newRRScratch()
-	var members []im.CandidateID
-	var genErr error
-	gen := func() []im.CandidateID {
-		members = members[:0]
-		if genErr != nil {
-			return members
-		}
-		var t0 time.Time
-		if m.opts.Profile != nil {
-			t0 = time.Now()
-		}
-		ti := drawTarget(rng, len(m.inst.targets))
-		var gateSeed uint64
-		if m.sampled {
-			gateSeed = rng.Uint64()
-		}
-		var err error
-		members, _, err = m.buildRR(ti, gateSeed, rng, &m.res.Stats, sc, members)
-		if err != nil {
-			genErr = err
-			return members[:0]
-		}
-		if m.opts.Profile != nil {
-			// Per-target attribution covers the whole per-RR pipeline —
-			// subgraph build plus extraction — since both are target work
-			// for the per-tuple variants.
-			m.opts.Profile.RecordWalk(ti, len(members), int64(time.Since(t0)))
-		}
-		return members
-	}
-	err := runRRPhase(m.ctx, m.inst, m.opts, m.res, gen)
-	if genErr != nil {
-		err = genErr
-	}
-	observeArena(m.opts.Obs, m.res.rrColl, sc.walker.Grows())
-	return err
-}
-
-// drawSlots pre-draws the θ RR slots from the master rng. At Parallelism
-// >= 1 each slot draws its target and a PCG seed pair, and Magic^S's gate
-// seed is that stream's first Uint64 — what the per-RR evaluation drew.
-// Magic^S at Parallelism 0 (MagicCM never gets here at 0) draws the target
-// and then the gate seed from the master stream, exactly the per-RR
-// sequence (its walk draws nothing).
-func (m *magicRR) drawSlots(rng *rand.Rand) []rrSlot {
-	theta, n := m.inst.theta(m.opts), len(m.inst.targets)
-	if m.opts.Parallelism >= 1 {
-		slots := drawSeeded(rng, theta, n, nil)
-		if m.sampled {
-			for i, s := range slots {
-				slots[i].gate = rand.NewPCG(s.seedA, s.seedB).Uint64()
-			}
-		}
-		return slots
-	}
-	slots := make([]rrSlot, theta)
-	for i := range slots {
-		slots[i].ti = drawTarget(rng, n)
-		slots[i].gate = rng.Uint64()
-	}
-	return slots
+	return collectRR(g, m.inst, m.inst.targets[ti], nil, true, sc, arena), est.Instantiations + est.Suppressed, nil
 }
 
 // groundCapFactor is c in the grounding route (see groundTarget): a
@@ -286,18 +220,16 @@ func groundTarget(tr *magic.Transformed, database *db.Database, edbs []string, p
 // check that a worker holds one ground program at a time.
 var groundingBuilt func(*magic.Grounding)
 
-// groupedPhase draws the θ slots up front and generates them grouped by
-// target, in two passes of a slotPhase. Pass 1 hands out whole targets, so
-// a worker holds one target's subgraph or grounding at a time: MagicCM
-// builds the subgraph once and walks it per slot; Magic^S evaluates the
-// first slot gated and routes the rest (groundTarget). Pass 2 spreads the
-// slots Magic^S could not propagate over all workers, one gated
-// evaluation each, so a target whose grounding aborted is not serialized
-// onto one worker. Every slot's RR set depends only on its target and
-// seeds, so results are byte-identical at every worker count.
-func (m *magicRR) groupedPhase(rng *rand.Rand) error {
-	start := time.Now()
-	p := newSlotPhase(m.ctx, m.opts, m.drawSlots(rng), start)
+// groupedPhase generates one batch of slots grouped by target, in two
+// passes of p. Pass 1 hands out whole targets, so a worker holds one
+// target's subgraph or grounding at a time: MagicCM builds the subgraph
+// once and walks it per slot; Magic^S evaluates the first slot gated and
+// routes the rest (groundTarget). Pass 2 spreads the slots Magic^S could
+// not propagate over all workers, one gated evaluation each, so a target
+// whose grounding aborted is not serialized onto one worker. Every slot's
+// RR set depends only on its target and seeds, so results are
+// byte-identical at every worker count.
+func (m *magicRR) groupedPhase(p *slotPhase) {
 	byTarget := make([][]int, len(m.inst.targets))
 	for i, s := range p.slots {
 		byTarget[s.ti] = append(byTarget[s.ti], i)
@@ -330,7 +262,7 @@ func (m *magicRR) groupedPhase(rng *rand.Rand) error {
 			t0 := p.clock()
 			lo := len(w.arena)
 			var err error
-			w.arena, _, err = m.buildRR(p.slots[i].ti, p.slots[i].gate, nil, &w.stats, w.sc, w.arena)
+			w.arena, _, err = m.gatedRR(p.slots[i].ti, p.slots[i].gate(), &w.stats, w.sc, w.arena)
 			if err != nil {
 				return err
 			}
@@ -338,31 +270,27 @@ func (m *magicRR) groupedPhase(rng *rand.Rand) error {
 			return nil
 		})
 	}
-	if err := p.finish(m.inst, m.res); err != nil {
-		return err
+	if !m.sampled {
+		return
 	}
-	if m.sampled {
-		info := journal.RouteInfo{C: groundCapFactor, Targets: len(groups), Slots: len(p.slots)}
-		for _, ti := range groups {
-			n := len(byTarget[ti])
-			switch r := m.routes[ti]; r.route {
-			case routeGrounded:
-				info.Grounded++
-				info.GroundedSlots += n
-			case routeCapTripped:
-				info.CapTripped++
-				info.CapSlots += n
-				info.CapA1 += r.a1
-			default:
-				info.TooFew++
-				info.TooFewSlots += n
-			}
+	info := &m.route
+	info.Targets += len(groups)
+	info.Slots += len(p.slots)
+	for _, ti := range groups {
+		n := len(byTarget[ti])
+		switch r := m.routes[ti]; r.route {
+		case routeGrounded:
+			info.Grounded++
+			info.GroundedSlots += n
+		case routeCapTripped:
+			info.CapTripped++
+			info.CapSlots += n
+			info.CapA1 += r.a1
+		default:
+			info.TooFew++
+			info.TooFewSlots += n
 		}
-		m.res.Stats.Groundings = info.Grounded + info.CapTripped
-		m.res.Stats.GroundAborts = info.CapTripped
-		m.opts.Journal.RRRoute(info)
 	}
-	return nil
 }
 
 // unsampledGroup is MagicCM's pass-1 work for target ti: one subgraph
@@ -406,7 +334,7 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) err
 	lo := len(w.arena)
 	var a1 int64
 	var err error
-	w.arena, a1, err = m.buildRR(ti, p.slots[idx[0]].gate, nil, &w.stats, w.sc, w.arena)
+	w.arena, a1, err = m.gatedRR(ti, p.slots[idx[0]].gate(), &w.stats, w.sc, w.arena)
 	if err != nil {
 		return err
 	}
@@ -453,7 +381,7 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) err
 		}
 		t0 := p.clock()
 		lo := len(w.arena)
-		w.prop.Propagate(g, p.slots[i].gate)
+		w.prop.Propagate(g, p.slots[i].gate())
 		nodes, edges := w.prop.GraphSize()
 		recordGraph(&w.stats, nodes, edges)
 		if rootOK {

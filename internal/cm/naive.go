@@ -1,7 +1,6 @@
 package cm
 
 import (
-	"math/rand/v2"
 	"sort"
 	"time"
 
@@ -31,8 +30,6 @@ func naiveCM(in Input, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := opts.ctx()
-	rng := opts.rng()
 	start := time.Now()
 	res := &Result{Algorithm: "NaiveCM", pl: opts.solvePlanner()}
 	res.Stats.RulesTotal, res.Stats.RulesPruned = inst.rulesTotal, inst.rulesPruned
@@ -55,42 +52,8 @@ func naiveCM(in Input, opts Options) (*Result, error) {
 	buildSpan.End()
 
 	// Phase 2: RR sets via reverse sampled walks from random T2 roots.
-	// Precompute per-node candidate ids so walks avoid per-visit key
-	// construction.
 	rrSpan := sp.StartChild("rrgen")
-	candOfNode := candidateIndex(g, inst)
-	targetIDs := make([]wdgraph.NodeID, len(inst.targets))
-	targetOK := make([]bool, len(inst.targets))
-	for i, t := range inst.targets {
-		targetIDs[i], targetOK[i] = g.FactID(t.Pred, t.Tuple)
-	}
-	if opts.Parallelism >= 1 && !opts.Adaptive {
-		err = parallelWalkPhase(ctx, inst, opts, res, rng, g, targetIDs, targetOK, candOfNode, nil)
-	} else {
-		walker := wdgraph.NewWalker(g)
-		var members []im.CandidateID
-		gen := func() []im.CandidateID {
-			members = members[:0]
-			ti := rng.IntN(len(inst.targets))
-			var t0 time.Time
-			if opts.Profile != nil {
-				t0 = time.Now()
-			}
-			if targetOK[ti] {
-				walker.ReverseReachable(targetIDs[ti], rng, false, func(v wdgraph.NodeID) {
-					if c := candOfNode[v]; c >= 0 {
-						members = append(members, im.CandidateID(c))
-					}
-				})
-			}
-			if opts.Profile != nil {
-				opts.Profile.RecordWalk(ti, len(members), int64(time.Since(t0)))
-			}
-			return members
-		}
-		err = runRRPhase(ctx, inst, opts, res, gen)
-		observeArena(opts.Obs, res.rrColl, walker.Grows())
-	}
+	err = generateRR(inst, opts, res, opts.rng(), nil, newGraphWalk(g, inst).phase)
 	rrSpan.SetAttr("rr", int64(res.Stats.NumRR))
 	rrSpan.End()
 	if err != nil {
@@ -143,12 +106,9 @@ func finishSelection(inst *instance, opts Options, res *Result, sp *obs.Span) {
 	sel := sp.StartChild("select")
 	selStart := time.Now()
 	var gr im.GreedyResult
-	switch {
-	case opts.MaxSeedsPerRelation > 0:
+	if opts.MaxSeedsPerRelation > 0 {
 		gr = im.GreedyPartition(res.rrColl, inst.in.K, inst.relationGroups(), opts.MaxSeedsPerRelation)
-	case opts.LazyGreedy:
-		gr = im.GreedyCELF(res.rrColl, inst.in.K)
-	default:
+	} else {
 		gr = im.Greedy(res.rrColl, inst.in.K)
 	}
 	res.Stats.SelectTime = time.Since(selStart)
@@ -198,6 +158,3 @@ func rankCandidates(inst *instance, coll *im.RRCollection) []CandidateScore {
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Coverage > out[j].Coverage })
 	return out
 }
-
-// drawTarget picks a uniform random target index.
-func drawTarget(rng *rand.Rand, n int) int { return rng.IntN(n) }

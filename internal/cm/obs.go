@@ -99,7 +99,6 @@ func journalSolveStart(opts Options, inst *instance, name string) {
 			Adaptive:            opts.Adaptive,
 			Parallelism:         opts.Parallelism,
 			MaxSeedsPerRelation: opts.MaxSeedsPerRelation,
-			LazyGreedy:          opts.LazyGreedy,
 			SIPS:                fmt.Sprintf("%d", opts.SIPS),
 			Prune:               opts.Prune,
 		}.Hash(),
@@ -125,8 +124,8 @@ func targetsHash(inst *instance) string {
 // journalSelection replays the greedy selection into the journal as one
 // select.iter event per chosen seed. The per-iteration state is
 // reconstructed from the greedy result's gain sequence (cumulative
-// coverage is the prefix sum — exactly how CoveredRR is defined for all
-// three selection variants), so the selection algorithms themselves stay
+// coverage is the prefix sum — exactly how CoveredRR is defined for both
+// selection variants), so the selection algorithms themselves stay
 // untouched and byte-deterministic.
 func journalSelection(opts Options, inst *instance, res *Result) {
 	j := opts.Journal

@@ -52,42 +52,21 @@ func BruteForceOPT(in Input, rrSets int, rng *rand.Rand) (*OPTResult, error) {
 		return nil, fmt.Errorf("cm: BruteForceOPT search space C(%d,%d) too large", n, k)
 	}
 
-	// Build the full graph once; generate the shared RR pool.
+	// Build the full graph once; draw the shared RR pool as NaiveCM does.
 	g, _, err := wdgraph.Build(in.Program, in.DB.Scratch(in.Program.EDBs()), nil, true, nil)
 	if err != nil {
 		return nil, err
 	}
-	candOfNode := candidateIndex(g, inst)
-	targetIDs := make([]wdgraph.NodeID, len(inst.targets))
-	targetOK := make([]bool, len(inst.targets))
-	for i, t := range inst.targets {
-		targetIDs[i], targetOK[i] = g.FactID(t.Pred, t.Tuple)
+	var pool Result
+	if err := generateRR(inst, Options{Theta: im.ThetaSpec{Explicit: rrSets}}, &pool, rng, nil, newGraphWalk(g, inst).phase); err != nil {
+		return nil, err
 	}
-	walker := wdgraph.NewWalker(g)
-
-	// memberOf[cand] = RR set indexes containing cand.
-	memberOf := make([][]int32, n)
-	var members []im.CandidateID
-	for i := 0; i < rrSets; i++ {
-		ti := rng.IntN(len(inst.targets))
-		if !targetOK[ti] {
-			continue
-		}
-		members = members[:0]
-		walker.ReverseReachable(targetIDs[ti], rng, false, func(v wdgraph.NodeID) {
-			if c := candOfNode[v]; c >= 0 {
-				members = append(members, im.CandidateID(c))
-			}
-		})
-		for _, m := range members {
-			memberOf[m] = append(memberOf[m], int32(i))
-		}
-	}
+	coll := pool.rrColl
 
 	// Exhaustively evaluate all k-subsets. coveredBy counts, per RR set,
 	// how many chosen candidates cover it; the recursion maintains the
 	// running number of covered sets incrementally.
-	coveredBy := make([]int32, rrSets)
+	coveredBy := make([]int32, coll.Len())
 	covered := 0
 	best := -1
 	bestSubset := make([]int, k)
@@ -97,7 +76,7 @@ func BruteForceOPT(in Input, rrSets int, rng *rand.Rand) (*OPTResult, error) {
 	var add func(c int)
 	var remove func(c int)
 	add = func(c int) {
-		for _, si := range memberOf[c] {
+		for _, si := range coll.MemberOf(im.CandidateID(c)) {
 			if coveredBy[si] == 0 {
 				covered++
 			}
@@ -105,7 +84,7 @@ func BruteForceOPT(in Input, rrSets int, rng *rand.Rand) (*OPTResult, error) {
 		}
 	}
 	remove = func(c int) {
-		for _, si := range memberOf[c] {
+		for _, si := range coll.MemberOf(im.CandidateID(c)) {
 			coveredBy[si]--
 			if coveredBy[si] == 0 {
 				covered--
@@ -142,7 +121,7 @@ func BruteForceOPT(in Input, rrSets int, rng *rand.Rand) (*OPTResult, error) {
 			seeds[i] = im.CandidateID(c)
 		}
 		res.Seeds = inst.seedsToAtoms(seeds)
-		res.Contribution = float64(len(inst.targets)) * float64(best) / float64(rrSets)
+		res.Contribution = float64(len(inst.targets)) * float64(best) / float64(coll.Len())
 	}
 	return res, nil
 }

@@ -17,26 +17,24 @@ import (
 
 // rrSeg locates one RR set inside a worker's member arena: slot i was
 // produced by worker `worker` and occupies arena[lo:hi]. The per-slot table
-// lets the phases assemble the collection in slot order after the join,
-// which is what keeps P=1 and P=N byte-identical.
+// lets a batch be appended to the collection in slot order after the join,
+// which is what keeps every Parallelism level byte-identical.
 type rrSeg struct {
 	worker int32
 	lo, hi int64
 }
 
-// assembleCollection builds the RR collection from the per-worker arenas in
-// slot order, pre-sized so the copies are the only work.
-func assembleCollection(numCandidates int, segs []rrSeg, arenas [][]im.CandidateID) *im.RRCollection {
+// appendSlots appends the slots' RR sets from the per-worker arenas to coll
+// in slot order, reserving first so the copies are the only work.
+func appendSlots(coll *im.RRCollection, segs []rrSeg, arenas [][]im.CandidateID) {
 	var total int64
 	for _, s := range segs {
 		total += s.hi - s.lo
 	}
-	coll := im.NewRRCollection(numCandidates)
 	coll.Reserve(len(segs), total)
 	for _, s := range segs {
 		coll.Add(arenas[s.worker][s.lo:s.hi])
 	}
-	return coll
 }
 
 // observeArena records the post-phase memory figures: the resident size of
@@ -50,24 +48,31 @@ func observeArena(reg *obs.Registry, coll *im.RRCollection, scratchGrows int64) 
 	reg.Counter(obs.RRScratchGrows).Add(scratchGrows)
 }
 
-// rrSlot is one pre-drawn RR set: its target, its PCG stream seeds
-// (Parallelism >= 1), and for Magic^S the gate seed of its sampled run.
+// rrSlot is one pre-drawn RR set: its target and the seeds of its own PCG
+// stream.
 type rrSlot struct {
 	ti           int
-	gate         uint64
 	seedA, seedB uint64
 }
 
-// drawSeeded pre-draws theta slots from the master rng, each a target and
-// a PCG seed pair. roots, when non-nil, fixes slot i's target to
-// roots[i%len(roots)] instead of drawing it.
-func drawSeeded(rng *rand.Rand, theta, nTargets int, roots []int) []rrSlot {
-	slots := make([]rrSlot, theta)
+// gate returns the gate seed of Magic^S's sampled run for s: the first
+// Uint64 of the slot's stream.
+func (s rrSlot) gate() uint64 {
+	var pcg rand.PCG
+	pcg.Seed(s.seedA, s.seedB)
+	return pcg.Uint64()
+}
+
+// drawSlots pre-draws n slots from the master rng, each a target and a PCG
+// seed pair. roots, when non-nil, fixes slot i's target to roots[i]
+// instead of drawing it.
+func drawSlots(rng *rand.Rand, n, nTargets int, roots []int) []rrSlot {
+	slots := make([]rrSlot, n)
 	for i := range slots {
 		if roots != nil {
-			slots[i].ti = roots[i%len(roots)]
+			slots[i].ti = roots[i]
 		} else {
-			slots[i].ti = drawTarget(rng, nTargets)
+			slots[i].ti = rng.IntN(nTargets)
 		}
 		slots[i].seedA, slots[i].seedB = rng.Uint64(), rng.Uint64()
 	}
@@ -102,20 +107,19 @@ func (w *rrWorker) seeded(s rrSlot) *rand.Rand {
 	return w.rng
 }
 
-// slotPhase generates one RR phase's pre-drawn slots over
+// slotPhase generates one batch of pre-drawn slots over
 // Options.Parallelism workers (one at Parallelism 0). Each worker appends
 // RR members to a private growing arena and records each slot's segment;
-// the collection is assembled in slot order after the join. Every slot's
-// RR set depends only on its own target and seeds, so the result does not
-// depend on scheduling or worker count — Parallelism 1 and N produce
-// byte-identical collections — and a steady-state slot allocates nothing
-// (arena growth is amortized, walker marks are epoch-reused). Workers
-// re-check ctx before every work item, and finish returns ctx's error on
-// cancellation without assembling a collection.
+// the batch is appended to the collection in slot order after the join.
+// Every slot's RR set depends only on its own target and seeds, so the
+// result does not depend on scheduling or worker count — every
+// Parallelism level produces byte-identical collections — and a
+// steady-state slot allocates nothing (arena growth is amortized, walker
+// marks are epoch-reused). Workers re-check ctx before every work item,
+// and finish returns ctx's error on cancellation without appending.
 type slotPhase struct {
 	ctx     context.Context
 	opts    Options
-	start   time.Time
 	slots   []rrSlot
 	segs    []rrSeg
 	ro      rrObs
@@ -124,18 +128,19 @@ type slotPhase struct {
 	walks *prof.Profile
 }
 
-// newSlotPhase prepares the workers for slots; start is when the phase's
-// RR generation began (before the slots were drawn).
-func newSlotPhase(ctx context.Context, opts Options, slots []rrSlot, start time.Time) *slotPhase {
+// newSlotPhase prepares one worker per recorder in recs for slots. The
+// recorders outlive the batch, so their rr.batch running totals cover the
+// whole solve.
+func newSlotPhase(opts Options, slots []rrSlot, recs []*journal.BatchRecorder) *slotPhase {
 	p := &slotPhase{
-		ctx: ctx, opts: opts, start: start, slots: slots,
+		ctx: opts.ctx(), opts: opts, slots: slots,
 		segs:    make([]rrSeg, len(slots)),
 		ro:      newRRObs(opts.Obs),
-		workers: make([]*rrWorker, max(opts.Parallelism, 1)),
+		workers: make([]*rrWorker, len(recs)),
 		walks:   opts.Profile,
 	}
 	for i := range p.workers {
-		w := &rrWorker{id: i, sc: newRRScratch(), rec: journal.NewBatchRecorder(opts.Journal, i)}
+		w := &rrWorker{id: i, sc: newRRScratch(), rec: recs[i]}
 		w.rng = rand.New(&w.pcg)
 		p.workers[i] = w
 	}
@@ -187,16 +192,17 @@ func (p *slotPhase) emit(w *rrWorker, i, lo int, t0 time.Time) {
 	}
 }
 
-// finish joins the workers' output into res — batch events, build
-// accounting and, unless a worker failed or ctx is done, the RR collection
-// in slot order — and returns the first worker error or ctx's error.
-func (p *slotPhase) finish(inst *instance, res *Result) error {
+// finish joins the workers' output — batch events, build accounting into
+// st and, unless a worker failed or ctx is done, the batch's RR sets
+// appended to coll in slot order — and returns the first worker error or
+// ctx's error.
+func (p *slotPhase) finish(st *Stats, coll *im.RRCollection) error {
 	arenas := make([][]im.CandidateID, len(p.workers))
 	var grows int64
 	var err error
 	for _, w := range p.workers {
 		w.rec.Flush()
-		mergeStats(&res.Stats, &w.stats)
+		mergeStats(st, &w.stats)
 		arenas[w.id] = w.arena
 		grows += w.sc.walker.Grows()
 		if err == nil {
@@ -211,13 +217,9 @@ func (p *slotPhase) finish(inst *instance, res *Result) error {
 		return err
 	}
 	if err := p.ctx.Err(); err != nil {
-		res.Stats.RRGenTime += time.Since(p.start)
 		return err
 	}
-	coll := assembleCollection(len(inst.candidates), p.segs, arenas)
-	res.rrColl = coll
-	res.Stats.NumRR = len(p.slots)
-	res.Stats.RRGenTime += time.Since(p.start)
+	appendSlots(coll, p.segs, arenas)
 	observeArena(p.opts.Obs, coll, grows)
 	return nil
 }
@@ -238,27 +240,42 @@ func mergeStats(dst, src *Stats) {
 	}
 }
 
-// parallelWalkPhase draws the RR sets of NaiveCM and Magic^G CM: θ
-// independent reverse sampled walks over one immutable graph (safe for
-// concurrent reads once built), each worker walking with its own Walker
-// and each slot on its own pre-seeded PCG stream. roots, when non-nil,
-// fixes the walk roots (Magic^G CM pre-draws them so the grouped
-// transformation covers exactly the sampled tuples); nil draws them here.
-func parallelWalkPhase(ctx context.Context, inst *instance, opts Options, res *Result, rng *rand.Rand,
-	g *wdgraph.Graph, targetIDs []wdgraph.NodeID, targetOK []bool, candOfNode []int32, roots []int) error {
+// graphWalk draws RR sets as reverse sampled walks over one immutable
+// graph (safe for concurrent reads once built): NaiveCM's and Magic^G CM's
+// RR sets and BruteForceOPT's pool. Node ids are resolved once per graph.
+type graphWalk struct {
+	g          *wdgraph.Graph
+	candOfNode []int32
+	targetIDs  []wdgraph.NodeID
+	targetOK   []bool
+}
 
-	start := time.Now()
-	p := newSlotPhase(ctx, opts, drawSeeded(rng, inst.theta(opts), len(inst.targets), roots), start)
+func newGraphWalk(g *wdgraph.Graph, inst *instance) *graphWalk {
+	gw := &graphWalk{
+		g:          g,
+		candOfNode: candidateIndex(g, inst),
+		targetIDs:  make([]wdgraph.NodeID, len(inst.targets)),
+		targetOK:   make([]bool, len(inst.targets)),
+	}
+	for i, t := range inst.targets {
+		gw.targetIDs[i], gw.targetOK[i] = g.FactID(t.Pred, t.Tuple)
+	}
+	return gw
+}
+
+// phase walks one RR set per slot of p, each worker with its own Walker
+// and each slot on its own PCG stream.
+func (gw *graphWalk) phase(p *slotPhase) {
 	for _, w := range p.workers {
-		w.sc.walker.Reset(g)
+		w.sc.walker.Reset(gw.g)
 	}
 	p.run(len(p.slots), func(w *rrWorker, i int) error {
 		s := p.slots[i]
 		t0 := p.clock()
 		lo := len(w.arena)
-		if targetOK[s.ti] {
-			w.sc.walker.ReverseReachable(targetIDs[s.ti], w.seeded(s), false, func(v wdgraph.NodeID) {
-				if c := candOfNode[v]; c >= 0 {
+		if gw.targetOK[s.ti] {
+			w.sc.walker.ReverseReachable(gw.targetIDs[s.ti], w.seeded(s), false, func(v wdgraph.NodeID) {
+				if c := gw.candOfNode[v]; c >= 0 {
 					w.arena = append(w.arena, im.CandidateID(c))
 				}
 			})
@@ -266,5 +283,4 @@ func parallelWalkPhase(ctx context.Context, inst *instance, opts Options, res *R
 		p.emit(w, i, lo, t0)
 		return nil
 	})
-	return p.finish(inst, res)
 }

@@ -80,7 +80,7 @@ func TestProfileCountsDeterministicAcrossParallelism(t *testing.T) {
 		}
 		t.Run(al.name, func(t *testing.T) {
 			var want []byte
-			for _, par := range []int{1, 4, 8} {
+			for _, par := range []int{0, 1, 4, 8} {
 				p := prof.New()
 				_, err := al.run(in, cm.Options{
 					Theta:       im.ThetaSpec{Explicit: 150},

@@ -1,42 +1,42 @@
 package cm
 
 import (
-	"context"
+	"math/rand/v2"
 	"time"
 
 	"contribmax/internal/im"
 	"contribmax/internal/obs/journal"
 )
 
-// runRRPhase generates the RR collection for an instance: fixed-count per
-// Options.Theta, or IMM-adaptive (Options.Adaptive) where the count is
-// derived online from a certified lower bound on OPT (Remark 2). gen
-// produces one RR set per call; it may reuse its output buffer (the
-// collection copies). The loop checks ctx before every set and returns its
-// error on cancellation, leaving the partial collection on res.
-func runRRPhase(ctx context.Context, inst *instance, opts Options, res *Result, gen im.RRGenerator) error {
+// generateRR fills res.rrColl with the solve's RR sets. Every RR set is a
+// pre-seeded slot: the master rng draws its target and the seeds of its
+// own PCG stream, and phase draws the sets of one batch of slots on the
+// batch's workers from those alone, so the collection is the same at every
+// Parallelism level. Fixed-θ solves draw one batch of θ slots, whose
+// targets roots fixes when non-nil (Magic^G CM draws them before its graph
+// build). Adaptive solves (Options.Adaptive, Remark 2) run IMM, which
+// derives the count online from a certified lower bound on OPT and draws
+// each top-up as one batch. Batches are appended in slot order. It returns
+// the first worker error or the context's error.
+func generateRR(inst *instance, opts Options, res *Result, rng *rand.Rand, roots []int, phase func(p *slotPhase)) error {
 	start := time.Now()
 	defer func() {
 		res.Stats.RRGenTime += time.Since(start)
 		res.Stats.NumRR = res.rrColl.Len()
 	}()
-	ro := newRRObs(opts.Obs)
-	rec := journal.NewBatchRecorder(opts.Journal, 0)
-	defer rec.Flush()
+	recs := make([]*journal.BatchRecorder, max(opts.Parallelism, 1))
+	for i := range recs {
+		recs[i] = journal.NewBatchRecorder(opts.Journal, i)
+	}
+	batch := func(coll *im.RRCollection, slots []rrSlot) error {
+		p := newSlotPhase(opts, slots, recs)
+		phase(p)
+		return p.finish(&res.Stats, coll)
+	}
 	if opts.Adaptive {
-		// IMM drives generation itself; a canceled context turns further
-		// sets into cheap empties so the adaptive loop unwinds promptly,
-		// and the phase reports the cancellation afterwards.
-		wrapped := func() []im.CandidateID {
-			if ctx.Err() != nil {
-				return nil
-			}
-			set := gen()
-			ro.observe(len(set))
-			rec.Observe(len(set))
-			return set
-		}
-		coll, _, immStats := im.IMM(wrapped, im.IMMParams{
+		coll, st, err := im.IMM(func(coll *im.RRCollection, n int) error {
+			return batch(coll, drawSlots(rng, n, len(inst.targets), nil))
+		}, im.IMMParams{
 			Epsilon:       opts.Theta.Epsilon,
 			Delta:         opts.Theta.Delta,
 			NumTargets:    len(inst.targets),
@@ -46,22 +46,11 @@ func runRRPhase(ctx context.Context, inst *instance, opts Options, res *Result, 
 			Obs:           opts.Obs,
 			Journal:       opts.Journal,
 		})
-		res.Stats.AdaptiveLowerBound = immStats.LowerBound
-		res.Stats.AdaptiveCapped = immStats.Capped
 		res.rrColl = coll
-		return ctx.Err()
+		res.Stats.AdaptiveLowerBound = st.LowerBound
+		res.Stats.AdaptiveCapped = st.Capped
+		return err
 	}
-	theta := inst.theta(opts)
-	coll := im.NewRRCollection(len(inst.candidates))
-	res.rrColl = coll
-	for i := 0; i < theta; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		set := gen()
-		ro.observe(len(set))
-		rec.Observe(len(set))
-		coll.Add(set)
-	}
-	return nil
+	res.rrColl = im.NewRRCollection(len(inst.candidates))
+	return batch(res.rrColl, drawSlots(rng, inst.theta(opts), len(inst.targets), roots))
 }

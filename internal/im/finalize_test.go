@@ -57,7 +57,6 @@ func TestSelectionUnchangedByFinalize(t *testing.T) {
 	}
 	algos := map[string]func(*im.RRCollection) im.GreedyResult{
 		"greedy":    func(c *im.RRCollection) im.GreedyResult { return im.Greedy(c, k) },
-		"celf":      func(c *im.RRCollection) im.GreedyResult { return im.GreedyCELF(c, k) },
 		"partition": func(c *im.RRCollection) im.GreedyResult { return im.GreedyPartition(c, k, group, 2) },
 	}
 	for name, algo := range algos {

@@ -25,60 +25,13 @@ type GreedyResult struct {
 // Candidates from saturated groups are skipped; when every remaining
 // positive-gain candidate is blocked, remaining seats are filled with
 // zero-gain candidates from unsaturated groups (fewer than k seeds are
-// returned if the matroid itself cannot supply k).
+// returned if the matroid itself cannot supply k). maxPerGroup <= 0 is
+// plain Greedy.
 func GreedyPartition(c *RRCollection, k int, group []int32, maxPerGroup int) GreedyResult {
 	if maxPerGroup <= 0 {
 		return Greedy(c, k)
 	}
-	c.Finalize()
-	n := c.numCandidates
-	if k > n {
-		k = n
-	}
-	deg := make([]int, n)
-	for cand := 0; cand < n; cand++ {
-		deg[cand] = c.Degree(CandidateID(cand))
-	}
-	coveredSet := make([]bool, c.Len())
-	selected := make([]bool, n)
-	groupCount := map[int32]int{}
-	groupOf := func(cand int) int32 {
-		if cand < len(group) {
-			return group[cand]
-		}
-		return -1
-	}
-
-	res := GreedyResult{}
-	for len(res.Seeds) < k {
-		best, bestDeg := -1, -1
-		for cand := 0; cand < n; cand++ {
-			if selected[cand] || groupCount[groupOf(cand)] >= maxPerGroup {
-				continue
-			}
-			if deg[cand] > bestDeg {
-				best, bestDeg = cand, deg[cand]
-			}
-		}
-		if best < 0 {
-			break // matroid exhausted
-		}
-		selected[best] = true
-		groupCount[groupOf(best)]++
-		res.Seeds = append(res.Seeds, CandidateID(best))
-		res.Gains = append(res.Gains, bestDeg)
-		res.Covered += bestDeg
-		for _, si := range c.MemberOf(CandidateID(best)) {
-			if coveredSet[si] {
-				continue
-			}
-			coveredSet[si] = true
-			for _, m := range c.Set(int(si)) {
-				deg[m]--
-			}
-		}
-	}
-	return res
+	return greedy(c, k, &partition{group: group, max: maxPerGroup, count: map[int32]int{}})
 }
 
 // Greedy runs the classic greedy algorithm for maximum coverage over the RR
@@ -92,7 +45,28 @@ func GreedyPartition(c *RRCollection, k int, group []int32, maxPerGroup int) Gre
 // When fewer than k candidates have positive marginal gain, the remaining
 // seats are filled with arbitrary unselected candidates (zero gain), since
 // a k-set is what the CM problem asks for; Gains records the zeros.
-func Greedy(c *RRCollection, k int) GreedyResult {
+func Greedy(c *RRCollection, k int) GreedyResult { return greedy(c, k, nil) }
+
+// partition is GreedyPartition's matroid: each candidate's group and the
+// seeds taken from each group so far.
+type partition struct {
+	group []int32
+	max   int
+	count map[int32]int
+}
+
+// of returns cand's group; candidates past the group table share group -1.
+func (p *partition) of(cand int) int32 {
+	if cand < len(p.group) {
+		return p.group[cand]
+	}
+	return -1
+}
+
+// greedy is the selection loop of Greedy and GreedyPartition. part, when
+// non-nil, makes candidates of saturated groups ineligible; the loop ends
+// early only when no eligible candidate is left.
+func greedy(c *RRCollection, k int, part *partition) GreedyResult {
 	c.Finalize()
 	n := c.numCandidates
 	if k > n {
@@ -109,17 +83,21 @@ func Greedy(c *RRCollection, k int) GreedyResult {
 	for len(res.Seeds) < k {
 		best, bestDeg := -1, -1
 		for cand := 0; cand < n; cand++ {
-			if selected[cand] {
+			if selected[cand] || deg[cand] <= bestDeg {
 				continue
 			}
-			if deg[cand] > bestDeg {
-				best, bestDeg = cand, deg[cand]
+			if part != nil && part.count[part.of(cand)] >= part.max {
+				continue
 			}
+			best, bestDeg = cand, deg[cand]
 		}
 		if best < 0 {
 			break
 		}
 		selected[best] = true
+		if part != nil {
+			part.count[part.of(best)]++
+		}
 		res.Seeds = append(res.Seeds, CandidateID(best))
 		res.Gains = append(res.Gains, bestDeg)
 		res.Covered += bestDeg

@@ -1,6 +1,7 @@
 package im_test
 
 import (
+	"errors"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"testing"
@@ -213,54 +214,28 @@ func TestThetaAuto(t *testing.T) {
 	}
 }
 
-// TestCELFMatchesGreedyExactly is a property test: GreedyCELF must return
-// the identical selection (same seeds, same order, same gains) as Greedy
-// on random instances, including ties and zero-gain padding.
-func TestCELFMatchesGreedyExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 400; trial++ {
-		n := rng.Intn(20) + 1
-		c := im.NewRRCollection(n)
-		nSets := rng.Intn(40)
-		for i := 0; i < nSets; i++ {
-			var set []im.CandidateID
-			for j := 0; j < n; j++ {
-				if rng.Float64() < 0.2 {
-					set = append(set, im.CandidateID(j))
-				}
-			}
-			c.Add(set)
-		}
-		k := rng.Intn(n) + 1
-		g := im.Greedy(c, k)
-		l := im.GreedyCELF(c, k)
-		if len(g.Seeds) != len(l.Seeds) || g.Covered != l.Covered {
-			t.Fatalf("trial %d: greedy %v/%d vs celf %v/%d", trial, g.Seeds, g.Covered, l.Seeds, l.Covered)
-		}
-		for i := range g.Seeds {
-			if g.Seeds[i] != l.Seeds[i] || g.Gains[i] != l.Gains[i] {
-				t.Fatalf("trial %d pick %d: greedy (%d, %d) vs celf (%d, %d)",
-					trial, i, g.Seeds[i], g.Gains[i], l.Seeds[i], l.Gains[i])
-			}
-		}
-	}
-}
-
-// TestIMMDriverDirect exerces im.IMM with a synthetic generator whose
+// TestIMMDriverDirect exerces im.IMM with a synthetic extender whose
 // ground truth is known: every RR set contains candidate 0, so OPT = |T2|
 // and the lower bound must approach it.
 func TestIMMDriverDirect(t *testing.T) {
 	rng := randv2.New(randv2.NewPCG(8, 8))
-	gen := func() []im.CandidateID {
-		set := []im.CandidateID{0}
-		if rng.Float64() < 0.5 {
-			set = append(set, im.CandidateID(1+rng.IntN(9)))
+	extend := func(coll *im.RRCollection, n int) error {
+		for range n {
+			set := []im.CandidateID{0}
+			if rng.Float64() < 0.5 {
+				set = append(set, im.CandidateID(1+rng.IntN(9)))
+			}
+			coll.Add(set)
 		}
-		return set
+		return nil
 	}
-	coll, res, stats := im.IMM(gen, im.IMMParams{
+	coll, stats, err := im.IMM(extend, im.IMMParams{
 		Epsilon: 0.2, Delta: 0.05, NumTargets: 50, NumCandidates: 10, K: 1, MaxRR: 20000,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := im.Greedy(coll, 1)
 	if coll.Len() != stats.TotalRR || stats.TotalRR <= 0 {
 		t.Fatalf("stats = %+v len=%d", stats, coll.Len())
 	}
@@ -279,15 +254,43 @@ func TestIMMDriverDirect(t *testing.T) {
 
 // TestIMMCap verifies MaxRR bounds generation.
 func TestIMMCap(t *testing.T) {
-	gen := func() []im.CandidateID { return nil } // nothing ever covered
-	coll, _, stats := im.IMM(gen, im.IMMParams{
+	extend := func(coll *im.RRCollection, n int) error { // nothing ever covered
+		for range n {
+			coll.Add(nil)
+		}
+		return nil
+	}
+	coll, stats, err := im.IMM(extend, im.IMMParams{
 		Epsilon: 0.05, NumTargets: 1000, NumCandidates: 100, K: 5, MaxRR: 500,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if coll.Len() > 500 {
 		t.Errorf("generated %d > cap 500", coll.Len())
 	}
 	if !stats.Capped {
 		t.Error("cap should be reported")
+	}
+}
+
+// TestIMMStopsOnExtendError checks that IMM returns the extender's first
+// error at once instead of running further rounds.
+func TestIMMStopsOnExtendError(t *testing.T) {
+	boom := errors.New("boom")
+	calls := 0
+	extend := func(coll *im.RRCollection, n int) error {
+		calls++
+		return boom
+	}
+	coll, _, err := im.IMM(extend, im.IMMParams{
+		Epsilon: 0.2, NumTargets: 1000, NumCandidates: 100, K: 5, MaxRR: 5000,
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if calls != 1 || coll.Len() != 0 {
+		t.Errorf("%d extend calls, %d sets after the first error; want 1 and 0", calls, coll.Len())
 	}
 }
 

@@ -7,12 +7,6 @@ import (
 	"contribmax/internal/obs/journal"
 )
 
-// RRGenerator produces one random RR set (candidate ids, possibly empty).
-// The CM algorithms supply generators that hide how the set is produced —
-// a reverse walk over the materialized WD graph for NaiveCM, a per-tuple
-// Magic-Sets construction for the Magic variants.
-type RRGenerator func() []CandidateID
-
 // IMMParams parameterizes the adaptive sampling of IMM (Tang, Shi, Xiao:
 // "Influence Maximization in Near-Linear Time", adapted to the targeted CM
 // setting): the number of RR sets is derived from a statistically tested
@@ -81,21 +75,27 @@ type IMMStats struct {
 // IMM runs the two-phase adaptive RIS scheme: phase 1 halves a guess x of
 // OPT until a greedy solution over the sets generated so far certifies
 // OPT ≥ x (yielding lower bound LB); phase 2 tops up to θ = λ*/LB sets.
-// It returns the collection, the final greedy result over it, and stats.
-func IMM(gen RRGenerator, p IMMParams) (*RRCollection, GreedyResult, IMMStats) {
+//
+// extend grows the collection: it appends exactly n more RR sets to coll
+// or returns an error, on which IMM stops and returns it with the partial
+// collection. The CM algorithms extend by one batch of pre-seeded slots
+// per call, so the generated sets do not depend on how a batch is
+// scheduled. The caller selects seeds over the returned collection.
+func IMM(extend func(coll *RRCollection, n int) error, p IMMParams) (*RRCollection, IMMStats, error) {
 	p.fill()
 	var stats IMMStats
 	coll := NewRRCollection(p.NumCandidates)
 	nT := float64(p.NumTargets)
 
-	generateTo := func(target int) {
+	generateTo := func(target int) error {
 		if target > p.MaxRR {
 			target = p.MaxRR
 			stats.Capped = true
 		}
-		for coll.Len() < target {
-			coll.Add(gen())
+		if n := target - coll.Len(); n > 0 {
+			return extend(coll, n)
 		}
+		return nil
 	}
 
 	lnDeltaInv := math.Log(1 / p.Delta)
@@ -114,7 +114,9 @@ func IMM(gen RRGenerator, p IMMParams) (*RRCollection, GreedyResult, IMMStats) {
 		p.Obs.Counter(obs.IMMRounds).Inc()
 		x := nT / math.Pow(2, float64(i))
 		thetaI := int(math.Ceil(lambdaPrime / x))
-		generateTo(thetaI)
+		if err := generateTo(thetaI); err != nil {
+			return coll, stats, err
+		}
 		res := Greedy(coll, p.K)
 		est := nT * float64(res.Covered) / float64(coll.Len())
 		certified := est >= (1+epsPrime)*x
@@ -139,13 +141,14 @@ func IMM(gen RRGenerator, p IMMParams) (*RRCollection, GreedyResult, IMMStats) {
 	alpha := math.Sqrt(lnDeltaInv + math.Ln2)
 	beta := math.Sqrt((1 - 1/math.E) * (lnChoose(p.NumCandidates, p.K) + lnDeltaInv + math.Ln2))
 	lambdaStar := 2 * nT * math.Pow((1-1/math.E)*alpha+beta, 2) / (p.Epsilon * p.Epsilon)
-	generateTo(int(math.Ceil(lambdaStar / lb)))
+	if err := generateTo(int(math.Ceil(lambdaStar / lb))); err != nil {
+		return coll, stats, err
+	}
 	stats.TotalRR = coll.Len()
 	if reg := p.Obs; reg != nil {
 		reg.Counter(obs.IMMRuns).Inc()
 		reg.Counter(obs.IMMPhase1).Add(int64(stats.Phase1RR))
 		reg.Counter(obs.IMMTotalRR).Add(int64(stats.TotalRR))
 	}
-
-	return coll, Greedy(coll, p.K), stats
+	return coll, stats, nil
 }

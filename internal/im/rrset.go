@@ -19,10 +19,10 @@ type CandidateID int32
 // each set is an offset range into it, so Add is an append (no per-set
 // allocation) and Set is a subslice. Finalize lays out the memberOf
 // inverted index (candidate -> containing sets) in the same CSR form; the
-// index is built once and shared by Greedy, GreedyCELF, GreedyPartition,
-// and CoverageOf. Adding sets after Finalize is legal (the adaptive IMM
-// loop interleaves generation and selection) — the index is rebuilt lazily
-// on next use.
+// index is built once and shared by Greedy, GreedyPartition and
+// CoverageOf. Adding sets after Finalize is legal (IMM appends a batch of
+// RR sets after each round's greedy) — the index is rebuilt lazily on next
+// use.
 //
 // A collection is not safe for concurrent use; the CM pipeline fills it
 // from one goroutine after the parallel generation phase joins.

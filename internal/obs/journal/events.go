@@ -326,13 +326,12 @@ type FingerprintInput struct {
 	Adaptive            bool
 	Parallelism         int
 	MaxSeedsPerRelation int
-	LazyGreedy          bool
 	SIPS                string
 	Prune               bool
 }
 
 // fingerprintVersion is the current FingerprintInput schema version.
-const fingerprintVersion = 3
+const fingerprintVersion = 4
 
 // Hash renders the input as tagged length-prefixed records and returns the
 // FNV-1a 64 fingerprint. The rendering is pinned by golden tests: it may
@@ -361,7 +360,6 @@ func (in FingerprintInput) Hash() string {
 	field("adaptive", fmt.Sprintf("%t", in.Adaptive))
 	field("par", fmt.Sprintf("%d", in.Parallelism))
 	field("maxseeds", fmt.Sprintf("%d", in.MaxSeedsPerRelation))
-	field("lazy", fmt.Sprintf("%t", in.LazyGreedy))
 	field("sips", in.SIPS)
 	field("prune", fmt.Sprintf("%t", in.Prune))
 	return hex.EncodeToString(h.Sum(nil))

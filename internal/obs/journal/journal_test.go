@@ -377,7 +377,7 @@ func TestFingerprintInputGolden(t *testing.T) {
 	// together with a schema Version bump. If this test fails because the
 	// rendering changed, bump fingerprintVersion and re-pin.
 	zero := FingerprintInput{}
-	if got, want := zero.Hash(), "1cb950862490bce0"; got != want {
+	if got, want := zero.Hash(), "70fd587cb88ee0d1"; got != want {
 		t.Fatalf("zero-value hash = %s, want %s", got, want)
 	}
 	full := FingerprintInput{
@@ -385,10 +385,10 @@ func TestFingerprintInputGolden(t *testing.T) {
 		Target: "target-hash", K: 5, Candidates: 100, Targets: 40,
 		ThetaExplicit: 400, ThetaFraction: 0.3, ThetaEpsilon: 0.1,
 		ThetaDelta: 0.01, ThetaMaxAuto: 100000, Adaptive: false,
-		Parallelism: 4, MaxSeedsPerRelation: 2, LazyGreedy: true,
+		Parallelism: 4, MaxSeedsPerRelation: 2,
 		SIPS: "left-to-right", Prune: true,
 	}
-	if got, want := full.Hash(), "16fb9eccd8d64af1"; got != want {
+	if got, want := full.Hash(), "b6d9cd1b0e99d13e"; got != want {
 		t.Fatalf("full hash = %s, want %s", got, want)
 	}
 }

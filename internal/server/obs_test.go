@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -109,10 +110,28 @@ func TestSolveTimeoutReturns503(t *testing.T) {
 	ts := httptest.NewServer(server.NewWith(server.Config{SolveTimeout: time.Second}))
 	defer ts.Close()
 
+	// MagicCM builds a target's subgraph once and walks it per RR set. On a
+	// 40-edge path the subgraph of tc(n0, n40) holds every tc fact of the
+	// path and about 11k rule instantiations, so each walk takes a fraction
+	// of a millisecond and 200k of them take minutes, far beyond the
+	// one-second deadline.
+	var chain strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&chain, "edge(n%d, n%d). ", i, i+1)
+	}
+	heavy, err := json.Marshal(server.SolveRequest{
+		Program:   tcProgram,
+		Facts:     chain.String(),
+		Targets:   []string{"tc(n0, n40)"},
+		K:         1,
+		RR:        200_000,
+		Algorithm: "magic",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	// Per-tuple Magic-Sets with a huge θ: millions of subgraph builds,
-	// minutes of work, far beyond the one-second deadline.
-	resp, err := http.Post(ts.URL+"/api/solve", "application/json", solveBody(t, []string{"tc(a, c)"}, 2_000_000, "magic"))
+	resp, err := http.Post(ts.URL+"/api/solve", "application/json", bytes.NewReader(heavy))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,14 @@ import (
 
 // TestSolveAPIReportsPlannerCounters checks that a Magic solve reports the
 // join planner's counters over the HTTP surface: plans built for each
-// adorned rule family and cache hits from the per-RR recompilations.
+// adorned rule family and cache hits from compiling the same families for
+// the other targets.
 func TestSolveAPIReportsPlannerCounters(t *testing.T) {
 	ts := newServer(t)
 	req := server.SolveRequest{
 		Program:   tcProgram,
 		Facts:     tcFacts,
-		Targets:   []string{"tc(a, c)"},
+		Targets:   []string{"tc(a, b)", "tc(a, c)", "tc(b, c)", "tc(x, y)"},
 		K:         1,
 		RR:        200,
 		Algorithm: "magic",
