@@ -19,7 +19,7 @@ test:
 
 # The packages that evaluate programs concurrently.
 race:
-	$(GO) test -race ./internal/cm ./internal/db ./internal/im ./internal/engine ./internal/engine/difftest ./internal/magic ./internal/obs ./internal/obs/journal ./internal/planner ./internal/prof ./internal/server ./internal/solvecache ./internal/wdgraph
+	$(GO) test -race ./internal/cm ./internal/db ./internal/im ./internal/engine ./internal/engine/difftest ./internal/magic ./internal/obs ./internal/obs/instr ./internal/obs/journal ./internal/planner ./internal/prof ./internal/server ./internal/solvecache ./internal/wdgraph
 
 # Run every Go micro-benchmark once: a compile-and-run guard for the bench
 # code. Meaningful numbers need -benchtime left at its default; compare

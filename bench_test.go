@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
-	"time"
 
 	"contribmax"
 	"contribmax/internal/cm"
@@ -22,6 +21,8 @@ import (
 	"contribmax/internal/experiments"
 	"contribmax/internal/im"
 	"contribmax/internal/magic"
+	"contribmax/internal/obs"
+	"contribmax/internal/obs/instr"
 	"contribmax/internal/obs/journal"
 	"contribmax/internal/prof"
 	"contribmax/internal/wdgraph"
@@ -395,197 +396,136 @@ func BenchmarkSIPSAblation(b *testing.B) {
 	b.Run("boundFirst", func(b *testing.B) { run(b, magic.BoundFirst) })
 }
 
+// rrGenWorkload is the RIS hot path the RRGenSelect benchmarks isolate: a
+// prebuilt WD graph whose edb fact nodes are the candidates (dense ids in
+// node order) and whose derived fact nodes are the roots.
+type rrGenWorkload struct {
+	walker     *wdgraph.Walker
+	candOfNode []int32
+	roots      []wdgraph.NodeID
+	numCands   int
+	buf        []im.CandidateID
+}
+
+// rrGenTheta and rrGenK are the RR sets drawn and the seeds selected per
+// benchmark iteration.
+const rrGenTheta, rrGenK = 2000, 5
+
+func newRRGenWorkload(b *testing.B) *rrGenWorkload {
+	rng := rand.New(rand.NewPCG(1, 2))
+	d := workload.RandomGraphM(40, 70, rng)
+	prog := workload.TCProgram(0.7, 0.45)
+	g, _, err := wdgraph.Build(prog, d, nil, true, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := &rrGenWorkload{walker: wdgraph.NewWalker(g), candOfNode: make([]int32, g.NumNodes())}
+	for i := range w.candOfNode {
+		w.candOfNode[i] = -1
+	}
+	g.FactNodes(func(id wdgraph.NodeID, n wdgraph.Node) {
+		if n.EDB {
+			w.candOfNode[id] = int32(w.numCands)
+			w.numCands++
+		} else {
+			w.roots = append(w.roots, id)
+		}
+	})
+	if len(w.roots) == 0 || w.numCands == 0 {
+		b.Fatal("degenerate instance")
+	}
+	return w
+}
+
+// selectSeeds draws rrGenTheta RR sets by reverse sampled walks on the
+// stream of iteration i, recording each through rec as a slot worker does
+// (nil records nothing), and selects rrGenK seeds by greedy coverage.
+func (w *rrGenWorkload) selectSeeds(b *testing.B, i int, rec *instr.RR) {
+	wrng := rand.New(rand.NewPCG(uint64(i), 7))
+	coll := im.NewRRCollection(w.numCands)
+	for j := 0; j < rrGenTheta; j++ {
+		t0 := rec.Start()
+		w.buf = w.buf[:0]
+		root := w.roots[wrng.IntN(len(w.roots))]
+		w.walker.ReverseReachable(root, wrng, false, func(v wdgraph.NodeID) {
+			if c := w.candOfNode[v]; c >= 0 {
+				w.buf = append(w.buf, im.CandidateID(c))
+			}
+		})
+		coll.Add(w.buf)
+		rec.Set(0, len(w.buf), t0)
+	}
+	if res := im.Greedy(coll, rrGenK); res.Covered == 0 {
+		b.Fatal("no coverage")
+	}
+}
+
 // BenchmarkRRGenSelect isolates the RIS hot path — reverse sampled walks
 // feeding the RR collection, then greedy maximum-coverage selection — on a
 // prebuilt WD graph, excluding evaluation and graph construction. This is
 // the throughput the CSR adjacency + arena collection layout targets;
 // compare against the pre-refactor number recorded in docs/PERFORMANCE.md.
 func BenchmarkRRGenSelect(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	d := workload.RandomGraphM(40, 70, rng)
-	prog := workload.TCProgram(0.7, 0.45)
-	g, _, err := wdgraph.Build(prog, d, nil, true, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Candidates: every edb fact node, dense ids in node order. Roots:
-	// every derived fact node.
-	candOfNode := make([]int32, g.NumNodes())
-	for i := range candOfNode {
-		candOfNode[i] = -1
-	}
-	numCands := int32(0)
-	var roots []wdgraph.NodeID
-	g.FactNodes(func(id wdgraph.NodeID, n wdgraph.Node) {
-		if n.EDB {
-			candOfNode[id] = numCands
-			numCands++
-		} else {
-			roots = append(roots, id)
-		}
-	})
-	if len(roots) == 0 || numCands == 0 {
-		b.Fatal("degenerate instance")
-	}
-	const theta, k = 2000, 5
-	walker := wdgraph.NewWalker(g)
-	var buf []im.CandidateID
+	w := newRRGenWorkload(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wrng := rand.New(rand.NewPCG(uint64(i), 7))
-		coll := im.NewRRCollection(int(numCands))
-		for j := 0; j < theta; j++ {
-			buf = buf[:0]
-			root := roots[wrng.IntN(len(roots))]
-			walker.ReverseReachable(root, wrng, false, func(v wdgraph.NodeID) {
-				if c := candOfNode[v]; c >= 0 {
-					buf = append(buf, im.CandidateID(c))
-				}
-			})
-			coll.Add(buf)
-		}
-		res := im.Greedy(coll, k)
-		if res.Covered == 0 {
-			b.Fatal("no coverage")
-		}
+		w.selectSeeds(b, i, nil)
 	}
 }
 
-// BenchmarkRRGenSelectJournaled is BenchmarkRRGenSelect with journaling in
-// both states the overhead contract names: "disabled" observes through a
-// nil-journal BatchRecorder (must be indistinguishable from the plain
-// benchmark — one pointer check per set), "enabled" streams batches into a
-// live in-memory journal (must stay within a few percent; the acceptance
-// bound is 5%).
-func BenchmarkRRGenSelectJournaled(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	d := workload.RandomGraphM(40, 70, rng)
-	prog := workload.TCProgram(0.7, 0.45)
-	g, _, err := wdgraph.Build(prog, d, nil, true, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	candOfNode := make([]int32, g.NumNodes())
-	for i := range candOfNode {
-		candOfNode[i] = -1
-	}
-	numCands := int32(0)
-	var roots []wdgraph.NodeID
-	g.FactNodes(func(id wdgraph.NodeID, n wdgraph.Node) {
-		if n.EDB {
-			candOfNode[id] = numCands
-			numCands++
-		} else {
-			roots = append(roots, id)
-		}
-	})
-	if len(roots) == 0 || numCands == 0 {
-		b.Fatal("degenerate instance")
-	}
-	const theta, k = 2000, 5
-	walker := wdgraph.NewWalker(g)
-	var buf []im.CandidateID
-	run := func(b *testing.B, j *journal.Journal) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			wrng := rand.New(rand.NewPCG(uint64(i), 7))
-			coll := im.NewRRCollection(int(numCands))
-			rec := journal.NewBatchRecorder(j, 0)
-			for jj := 0; jj < theta; jj++ {
-				buf = buf[:0]
-				root := roots[wrng.IntN(len(roots))]
-				walker.ReverseReachable(root, wrng, false, func(v wdgraph.NodeID) {
-					if c := candOfNode[v]; c >= 0 {
-						buf = append(buf, im.CandidateID(c))
-					}
-				})
-				coll.Add(buf)
-				rec.Observe(len(buf))
+// BenchmarkRRGenSelectInstrumented is BenchmarkRRGenSelect under the
+// solve instrument's overhead contract, through the per-RR-set calls a
+// slot worker makes (instr.RR: Start before the walk, Set after it, Flush
+// at the end of the batch). "disabled" is an unobserved solve's nil
+// instrument: one pointer check per call, allocation-free, so it must be
+// indistinguishable from the plain benchmark. "registry", "journal" and
+// "profile" attach one sink each — rr.* metrics, rr.batch events into a
+// live in-memory journal, per-target walk attribution plus a Report
+// render per iteration — and "all" attaches all four. The acceptance
+// bound for every enabled leg is 5%.
+func BenchmarkRRGenSelectInstrumented(b *testing.B) {
+	w := newRRGenWorkload(b)
+	for _, leg := range []struct {
+		name            string
+		reg, jr, pf, sp bool
+	}{
+		{"disabled", false, false, false, false},
+		{"registry", true, false, false, false},
+		{"journal", false, true, false, false},
+		{"profile", false, false, true, false},
+		{"all", true, true, true, true},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			var reg *obs.Registry
+			var jr *journal.Journal
+			var trace *obs.Span
+			if leg.reg {
+				reg = obs.NewRegistry()
 			}
-			rec.Flush()
-			res := im.Greedy(coll, k)
-			if res.Covered == 0 {
-				b.Fatal("no coverage")
+			if leg.jr {
+				jr = journal.New("bench", journal.Options{})
 			}
-		}
-	}
-	b.Run("disabled", func(b *testing.B) { run(b, nil) })
-	b.Run("enabled", func(b *testing.B) { run(b, journal.New("bench", journal.Options{})) })
-}
-
-// BenchmarkRRGenSelectProfiled is BenchmarkRRGenSelect under the runtime
-// profiler's overhead contract: "disabled" drives the exact production
-// instrumentation shape with a nil profiler (the time.Now calls are gated
-// behind the nil check, so the walk loop must be indistinguishable from
-// the plain benchmark and allocation-free), "enabled" attributes every
-// walk through RecordWalk's atomic adds plus a Report render per
-// iteration. The acceptance bound for enabled is 5%.
-func BenchmarkRRGenSelectProfiled(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	d := workload.RandomGraphM(40, 70, rng)
-	prog := workload.TCProgram(0.7, 0.45)
-	g, _, err := wdgraph.Build(prog, d, nil, true, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	candOfNode := make([]int32, g.NumNodes())
-	for i := range candOfNode {
-		candOfNode[i] = -1
-	}
-	numCands := int32(0)
-	var roots []wdgraph.NodeID
-	g.FactNodes(func(id wdgraph.NodeID, n wdgraph.Node) {
-		if n.EDB {
-			candOfNode[id] = numCands
-			numCands++
-		} else {
-			roots = append(roots, id)
-		}
-	})
-	if len(roots) == 0 || numCands == 0 {
-		b.Fatal("degenerate instance")
-	}
-	const theta, k = 2000, 5
-	walker := wdgraph.NewWalker(g)
-	var buf []im.CandidateID
-	run := func(b *testing.B, newProf func() *prof.Profile) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			wrng := rand.New(rand.NewPCG(uint64(i), 7))
-			coll := im.NewRRCollection(int(numCands))
-			p := newProf()
-			p.EnsureTargets(1)
-			for jj := 0; jj < theta; jj++ {
-				buf = buf[:0]
-				var t0 time.Time
+			if leg.sp {
+				trace = obs.StartSpan("bench")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var p *prof.Profile
+				if leg.pf {
+					p = prof.New()
+					p.EnsureTargets(1)
+				}
+				rec := instr.New(reg, trace, jr, p).NewRR(0)
+				w.selectSeeds(b, i, rec)
+				rec.Flush()
 				if p != nil {
-					t0 = time.Now()
-				}
-				root := roots[wrng.IntN(len(roots))]
-				walker.ReverseReachable(root, wrng, false, func(v wdgraph.NodeID) {
-					if c := candOfNode[v]; c >= 0 {
-						buf = append(buf, im.CandidateID(c))
+					if rep := p.Report(); rep.RR == nil || rep.RR.Walks != rrGenTheta {
+						b.Fatalf("profile lost walks: %+v", rep.RR)
 					}
-				})
-				coll.Add(buf)
-				if p != nil {
-					p.RecordWalk(0, len(buf), int64(time.Since(t0)))
 				}
 			}
-			res := im.Greedy(coll, k)
-			if res.Covered == 0 {
-				b.Fatal("no coverage")
-			}
-			if p != nil {
-				if rep := p.Report(); rep.RR == nil || rep.RR.Walks != theta {
-					b.Fatalf("profile lost walks: %+v", rep.RR)
-				}
-			}
-		}
+		})
 	}
-	b.Run("disabled", func(b *testing.B) { run(b, func() *prof.Profile { return nil }) })
-	b.Run("enabled", func(b *testing.B) { run(b, prof.New) })
 }

@@ -1,7 +1,6 @@
 package cm
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -11,150 +10,100 @@ import (
 	"contribmax/internal/wdgraph"
 )
 
-// This file routes every solver entry point through Options.Cache. Two
-// levels are memoized, matching the two expensive phases:
+// This file holds the Options.Cache hooks of a solve. Two levels are
+// memoized, matching the two expensive phases:
 //
-//   - Finalized RR collections (solveVia): a hit skips preparation of
-//     nothing — prepare still runs for candidate/target resolution — but
-//     skips graph construction AND RR generation entirely, replaying the
-//     selection phase over a snapshot of the cached collection. Safe
-//     because RR generation is a deterministic function of the key's
-//     inputs, so the replayed collection is byte-identical to what the
-//     solve would have generated.
-//   - Built WD graphs (cachedFullGraph / cachedGroupedGraph): when the RR
-//     key misses (different θ, targets, or random stream) but the graph
-//     key hits, NaiveCM and Magic^G CM skip the fixpoint construction and
-//     walk the cached immutable graph. Magic^G CM draws its θ roots from
-//     the rng BEFORE the graph lookup, so the rng state — and therefore
-//     every later draw — is identical whether the graph was built or
-//     reused.
+//   - Finalized RR collections (cached, in solve.go): a hit skips graph
+//     construction AND RR generation entirely — prepare still runs for
+//     candidate/target resolution — and the close selects over a snapshot
+//     of the cached collection. Safe because RR generation is a
+//     deterministic function of the key's inputs, so the replayed
+//     collection is byte-identical to what the solve would have generated.
+//   - Built WD graphs (fullGraph / groupedGraph): when the RR key misses
+//     (different θ, targets, or random stream) but the graph key hits,
+//     NaiveCM and Magic^G CM skip the fixpoint construction and walk the
+//     cached immutable graph. Magic^G CM draws its θ roots from the rng
+//     BEFORE the graph lookup, so the rng state — and therefore every
+//     later draw — is identical whether the graph was built or reused.
 //
 // Results are proven byte-identical at every Parallelism level, which is
 // absent from the keys, so solves differing only in it share entries.
 
-type solveFn func(Input, Options) (*Result, error)
-
-// errCacheMismatch reports a cached collection that does not fit the
-// prepared instance (an identity that lied, or a key collision). solveVia
-// falls back to an uncached solve.
-var errCacheMismatch = errors.New("cm: cached RR collection does not match instance")
-
-// solveVia is the cache-aware wrapper every public entry point goes
-// through. Without a cache it is fn. With one, it resolves the solve's
-// content identity, consults the RR store under single-flight, and either
-// runs fn (miss; the finalized collection is admitted on success) or
-// replays selection from the cached collection (hit).
-func solveVia(in Input, opts Options, name string, fn solveFn) (*Result, error) {
-	c := opts.Cache
-	if c == nil {
-		return fn(in, opts)
-	}
-	id, randKnown := opts.CacheID.Resolve(in.DB, in.Program, opts.Rand == nil)
-	opts.cacheIdentity = id
-	opts.cacheIDValid = id.Database != "" && id.Program != ""
-	if !randKnown || !opts.cacheIDValid {
-		// Unidentified random stream: the RR multiset cannot be keyed, but
-		// the graph hooks (keyed on content only) still apply via the
-		// resolved identity stashed in opts.
-		return fn(in, opts)
-	}
-	key, ok := rrKeyFor(in, opts, name, id)
-	if !ok {
-		return fn(in, opts)
-	}
-	var leader *Result
-	entry, src, err := c.RR(opts.ctx(), key, func() (*solvecache.RREntry, error) {
-		r, err := fn(in, opts)
-		if err != nil {
-			return nil, err
+// cached routes body through Options.Cache's RR store under the answering
+// algorithm's name: a miss runs body under single-flight and admits the
+// finalized collection, a hit replays the cached one. Without a cache, or
+// when the solve's random stream is unidentified, it is body.
+func cached(body route) route {
+	return func(s *solve) error {
+		if !s.rrCacheable {
+			return body(s)
 		}
-		leader = r
-		return rrEntryOf(r), nil
-	})
-	if err != nil {
-		return nil, err
+		entry, src, err := s.opts.Cache.RR(s.opts.ctx(), s.rrKey(), func() (*solvecache.RREntry, error) {
+			if err := body(s); err != nil {
+				return nil, err
+			}
+			return rrEntryOf(s.res), nil
+		})
+		if err != nil {
+			return err
+		}
+		if src == solvecache.Miss {
+			s.res.Stats.CacheRRMisses = 1
+			return nil
+		}
+		if !s.replay(entry) {
+			// The entry does not fit the instance (an identity that lied,
+			// or a key collision): solve uncached.
+			return body(s)
+		}
+		return nil
 	}
-	if src == solvecache.Miss {
-		leader.Stats.CacheRRMisses = 1
-		return leader, nil
-	}
-	res, err := replayFromEntry(in, opts, name, entry)
-	if errors.Is(err, errCacheMismatch) {
-		return fn(in, opts)
-	}
-	return res, err
 }
 
-// rrKeyFor derives the RR-collection key for a solve, or reports the
-// inputs too malformed to key (fn will produce the real error).
-func rrKeyFor(in Input, opts Options, name string, id solvecache.Identity) (solvecache.RRKey, bool) {
-	nc, nt, targets, cands, ok := shapeOf(in)
-	if !ok {
-		return solvecache.RRKey{}, false
+// replay fills the result from a cached RR collection and the original
+// run's generation-cost stats, reporting false when the collection does
+// not fit the prepared instance.
+func (s *solve) replay(e *solvecache.RREntry) bool {
+	if e.Coll.NumCandidates() != len(s.inst.candidates) {
+		return false
+	}
+	st := &s.res.Stats
+	s.res.rrColl = e.Coll.Snapshot()
+	st.NumRR = s.res.rrColl.Len()
+	st.GraphBuilds = e.Gen.GraphBuilds
+	st.TotalNodes = e.Gen.TotalNodes
+	st.TotalEdges = e.Gen.TotalEdges
+	st.MaxNodes = e.Gen.MaxNodes
+	st.MaxEdges = e.Gen.MaxEdges
+	st.PeakResidentSize = e.Gen.PeakResidentSize
+	st.Groundings = e.Gen.Groundings
+	st.GroundAborts = e.Gen.GroundAborts
+	st.AdaptiveLowerBound = e.Gen.AdaptiveLowerBound
+	st.AdaptiveCapped = e.Gen.AdaptiveCapped
+	st.CacheRRHits = 1
+	st.CacheBytesReused = e.Coll.MemoryBytes()
+	return true
+}
+
+// rrKey derives the key of the solve's RR collection under the answering
+// algorithm's name from the prepared instance: the content identities, the
+// resolved targets and candidates ("edb" for the T1 default of every edb
+// fact, which the database identity covers) and the generation parameters.
+func (s *solve) rrKey() solvecache.RRKey {
+	inst, name := s.inst, s.res.Algorithm
+	cands := "edb"
+	if inst.in.T1 != nil {
+		cands = hashHandles(inst, inst.candidates)
 	}
 	return solvecache.RRKey{
 		Algorithm:  name,
-		Database:   id.Database,
-		Program:    id.Program,
-		Rand:       id.Rand,
-		Targets:    targets,
+		Database:   s.id.Database,
+		Program:    s.id.Program,
+		Rand:       s.id.Rand,
+		Targets:    hashHandles(inst, inst.targets),
 		Candidates: cands,
-		Params:     rrParams(in, opts, name, nc, nt),
-	}, true
-}
-
-// shapeOf computes the instance shape prepare would resolve — distinct
-// candidate and target counts plus order-sensitive content hashes —
-// without running analysis or touching the symbol table. Ground atoms are
-// equal iff their renderings are, so dedup by String matches prepare's
-// dedup by interned handle.
-func shapeOf(in Input) (nc, nt int, targets, cands string, ok bool) {
-	if in.Program == nil || in.DB == nil {
-		return 0, 0, "", "", false
+		Params:     rrParams(inst, s.opts, name),
 	}
-	seenT := map[string]bool{}
-	t2 := make([]ast.Atom, 0, len(in.T2))
-	for _, a := range in.T2 {
-		s := a.String()
-		if seenT[s] {
-			continue
-		}
-		seenT[s] = true
-		t2 = append(t2, a)
-	}
-	nt = len(t2)
-	targets = solvecache.HashAtoms(t2)
-	if in.T1 == nil {
-		// prepare enumerates every edb fact; tuples are unique within a
-		// relation and relations are disjoint, so the count is the sum.
-		edb := map[string]bool{}
-		for _, p := range in.Program.EDBs() {
-			edb[p] = true
-		}
-		for _, rn := range in.DB.RelationNames() {
-			if !edb[rn] {
-				continue
-			}
-			if rel, found := in.DB.Lookup(rn); found {
-				nc += rel.Len()
-			}
-		}
-		cands = "edb"
-	} else {
-		seenC := map[string]bool{}
-		t1 := make([]ast.Atom, 0, len(in.T1))
-		for _, a := range in.T1 {
-			s := a.String()
-			if seenC[s] {
-				continue
-			}
-			seenC[s] = true
-			t1 = append(t1, a)
-		}
-		nc = len(t1)
-		cands = solvecache.HashAtoms(t1)
-	}
-	return nc, nt, targets, cands, true
 }
 
 // rrParams renders the generation parameters the RR multiset depends on.
@@ -162,7 +111,7 @@ func shapeOf(in Input) (nc, nt int, targets, cands string, ok bool) {
 // (and of K, which only ThetaSpec.Auto reads), so a k-sweep at a fixed θ
 // shares one collection. Adaptive generation reads K directly, so its
 // params carry K.
-func rrParams(in Input, opts Options, name string, nc, nt int) string {
+func rrParams(inst *instance, opts Options, name string) string {
 	sips := ""
 	switch name {
 	case "MagicCM", "MagicSCM", "MagicGCM":
@@ -170,10 +119,9 @@ func rrParams(in Input, opts Options, name string, nc, nt int) string {
 	}
 	if opts.Adaptive {
 		return fmt.Sprintf("adaptive|eps=%g|delta=%g|max=%d|k=%d|sips=%s|prune=%t",
-			opts.Theta.Epsilon, opts.Theta.Delta, opts.Theta.MaxAuto, in.K, sips, opts.Prune)
+			opts.Theta.Epsilon, opts.Theta.Delta, opts.Theta.MaxAuto, inst.in.K, sips, opts.Prune)
 	}
-	theta := opts.Theta.Theta(nc, nt, in.K)
-	return fmt.Sprintf("theta=%d|sips=%s|prune=%t", theta, sips, opts.Prune)
+	return fmt.Sprintf("theta=%d|sips=%s|prune=%t", inst.theta(opts), sips, opts.Prune)
 }
 
 // rrEntryOf freezes a finished solve into a cache entry: a read-only
@@ -198,48 +146,6 @@ func rrEntryOf(r *Result) *solvecache.RREntry {
 	}
 }
 
-// replayFromEntry serves a solve from a cached RR collection: prepare
-// resolves the instance (and validates the inputs exactly as a cold solve
-// would), then the selection phase runs over a snapshot of the collection.
-// Seeds, gains, and estimates are byte-identical to a cold solve because
-// the collection is.
-func replayFromEntry(in Input, opts Options, name string, e *solvecache.RREntry) (*Result, error) {
-	sp := opts.Trace.StartChild(name)
-	defer sp.End()
-	prep := sp.StartChild("prepare")
-	inst, err := prepare(in, opts)
-	prep.End()
-	if err != nil {
-		return nil, err
-	}
-	if e.Coll.NumCandidates() != len(inst.candidates) {
-		return nil, errCacheMismatch
-	}
-	start := time.Now()
-	res := &Result{Algorithm: name, pl: opts.solvePlanner()}
-	res.Stats.RulesTotal, res.Stats.RulesPruned = inst.rulesTotal, inst.rulesPruned
-	journalSolveStart(opts, inst, name)
-
-	res.rrColl = e.Coll.Snapshot()
-	res.Stats.NumRR = res.rrColl.Len()
-	res.Stats.GraphBuilds = e.Gen.GraphBuilds
-	res.Stats.TotalNodes = e.Gen.TotalNodes
-	res.Stats.TotalEdges = e.Gen.TotalEdges
-	res.Stats.MaxNodes = e.Gen.MaxNodes
-	res.Stats.MaxEdges = e.Gen.MaxEdges
-	res.Stats.PeakResidentSize = e.Gen.PeakResidentSize
-	res.Stats.Groundings = e.Gen.Groundings
-	res.Stats.GroundAborts = e.Gen.GroundAborts
-	res.Stats.AdaptiveLowerBound = e.Gen.AdaptiveLowerBound
-	res.Stats.AdaptiveCapped = e.Gen.AdaptiveCapped
-	res.Stats.CacheRRHits = 1
-	res.Stats.CacheBytesReused = e.Coll.MemoryBytes()
-
-	finishSelection(inst, opts, res, sp)
-	res.Stats.TotalTime = time.Since(start)
-	return res, nil
-}
-
 // effectiveProgramID identifies the program a build actually evaluates:
 // the input program, or its pruned form under Options.Prune (pruning
 // changes the constructed graph's size stats, so pruned and unpruned
@@ -251,53 +157,66 @@ func effectiveProgramID(inst *instance, id solvecache.Identity) string {
 	return id.Program
 }
 
-// cachedFullGraph builds (or reuses) the full preloaded WD graph of
-// NaiveCM. On a hit the build stats are recorded as if built — cold and
-// warm runs report the same graph shape — and CacheGraphHits marks the
-// reuse.
-func cachedFullGraph(in Input, opts Options, inst *instance, res *Result) (*wdgraph.Graph, error) {
-	build := func() (*wdgraph.Graph, error) {
-		g, _, err := wdgraph.BuildWith(inst.prog, in.DB.Scratch(in.Program.EDBs()), wdgraph.BuildConfig{
+// fullGraph builds (or reuses) the full preloaded WD graph of NaiveCM,
+// DNFCM and ExactCM.
+func (s *solve) fullGraph() (*wdgraph.Graph, error) {
+	return s.cachedGraph("full", func() (*wdgraph.Graph, error) {
+		in := s.inst.in
+		g, _, err := wdgraph.BuildWith(s.inst.prog, in.DB.Scratch(in.Program.EDBs()), wdgraph.BuildConfig{
 			PreloadEDB:  true,
-			Ctx:         opts.ctx(),
-			Obs:         opts.Obs,
-			Parallelism: opts.Parallelism,
-			Journal:     opts.Journal,
-			Planner:     res.pl,
-			Prof:        opts.Profile,
+			Ctx:         s.opts.ctx(),
+			Parallelism: s.opts.Parallelism,
+			Planner:     s.res.pl,
+			Instr:       s.h,
 		})
 		return g, err
-	}
-	return cachedGraph(opts, res, "full", inst, build)
+	})
 }
 
-// cachedGroupedGraph builds (or reuses) Magic^G CM's union subgraph over
-// the given query atoms, including the Magic-Sets transformation (a hit
-// skips the transform too).
-func cachedGroupedGraph(in Input, opts Options, inst *instance, res *Result, queryAtoms []ast.Atom) (*wdgraph.Graph, error) {
-	build := func() (*wdgraph.Graph, error) {
-		tr, err := magic.TransformWith(inst.prog, queryAtoms, opts.SIPS)
+// groupedGraph builds (or reuses) Magic^G CM's union subgraph over the
+// given query atoms, including the Magic-Sets transformation (a hit skips
+// the transform too).
+func (s *solve) groupedGraph(queryAtoms []ast.Atom) (*wdgraph.Graph, error) {
+	config := fmt.Sprintf("magicg|sips=%d|roots=%s", s.opts.SIPS, solvecache.HashAtoms(queryAtoms))
+	return s.cachedGraph(config, func() (*wdgraph.Graph, error) {
+		tr, err := magic.TransformWith(s.inst.prog, queryAtoms, s.opts.SIPS)
 		if err != nil {
 			return nil, err
 		}
-		g, _, err := buildMagicGraph(in, tr, 0, false, opts.ctx(), opts.Obs, opts.Journal, opts.Parallelism, res.pl, opts.Profile)
+		g, _, err := buildMagicGraph(s.inst.in, tr, 0, false, s.opts.ctx(), s.h, s.opts.Parallelism, s.res.pl)
 		return g, err
-	}
-	config := fmt.Sprintf("magicg|sips=%d|roots=%s", opts.SIPS, solvecache.HashAtoms(queryAtoms))
-	return cachedGraph(opts, res, config, inst, build)
+	})
 }
 
-// cachedGraph is the shared graph-store lookup for the two hooks above.
-func cachedGraph(opts Options, res *Result, config string, inst *instance, build func() (*wdgraph.Graph, error)) (*wdgraph.Graph, error) {
-	if opts.Cache == nil || !opts.cacheIDValid {
-		return build()
+// cachedGraph is the solve's graph-building phase, shared by the two hooks
+// above: it builds the graph, or serves it from the graph store when that
+// applies, times the phase into Stats.BuildTime and records the graph's
+// size. On a hit the size is recorded as if built — cold and warm runs
+// report the same graph shape — and CacheGraphHits marks the reuse.
+func (s *solve) cachedGraph(config string, build func() (*wdgraph.Graph, error)) (*wdgraph.Graph, error) {
+	start := time.Now()
+	get := build
+	if s.graphCacheable {
+		get = func() (*wdgraph.Graph, error) { return s.storedGraph(config, build) }
 	}
+	g, err := get()
+	if err != nil {
+		return nil, err
+	}
+	s.res.Stats.BuildTime = time.Since(start)
+	recordBuild(&s.res.Stats, g)
+	return g, nil
+}
+
+// storedGraph looks the graph up in the graph store under single-flight,
+// building it on a miss.
+func (s *solve) storedGraph(config string, build func() (*wdgraph.Graph, error)) (*wdgraph.Graph, error) {
 	key := solvecache.GraphKey{
-		Database: opts.cacheIdentity.Database,
-		Program:  effectiveProgramID(inst, opts.cacheIdentity),
+		Database: s.id.Database,
+		Program:  effectiveProgramID(s.inst, s.id),
 		Config:   config,
 	}
-	e, src, err := opts.Cache.Graph(opts.ctx(), key, func() (*solvecache.GraphEntry, error) {
+	e, src, err := s.opts.Cache.Graph(s.opts.ctx(), key, func() (*solvecache.GraphEntry, error) {
 		g, err := build()
 		if err != nil {
 			return nil, err
@@ -308,10 +227,10 @@ func cachedGraph(opts Options, res *Result, config string, inst *instance, build
 		return nil, err
 	}
 	if src == solvecache.Miss {
-		res.Stats.CacheGraphMisses++
+		s.res.Stats.CacheGraphMisses++
 	} else {
-		res.Stats.CacheGraphHits++
-		res.Stats.CacheBytesReused += e.Graph.MemoryBytes()
+		s.res.Stats.CacheGraphHits++
+		s.res.Stats.CacheBytesReused += e.Graph.MemoryBytes()
 	}
 	return e.Graph, nil
 }

@@ -26,91 +26,57 @@ import (
 //
 // When the cone is not hierarchical, or a lineage/evaluation budget trips
 // (lineages are worst-case exponential), the solve transparently falls back
-// to Magic^S CM sampling: the returned result carries that algorithm's
-// name and Stats.ExactFallback records the reason. Greedy selection over
-// the exact objective keeps the classic (1 − 1/e) guarantee — with no
-// sampling error term, since coverage is computed exactly.
+// to MagicCM sampling (see solve.fallback): the returned result carries
+// that algorithm's name and Stats.ExactFallback records the reason. Greedy
+// selection over the exact objective keeps the classic (1 − 1/e)
+// guarantee — with no sampling error term, since coverage is computed
+// exactly.
 func ExactCM(in Input, opts Options) (*Result, error) {
-	res, err := exactCM(in, opts)
-	return observeSolve(opts, res, err)
+	return run(in, opts, "ExactCM", exactCM)
 }
 
-func exactCM(in Input, opts Options) (*Result, error) {
-	sp := opts.Trace.StartChild("ExactCM")
-	defer sp.End()
-	prep := sp.StartChild("prepare")
-	inst, err := prepare(in, opts)
-	prep.End()
-	if err != nil {
-		return nil, err
+// exactCM is the exact tier's route. It has no RR collection for
+// Options.Cache to memoize, so it runs uncached; its full-graph build still
+// hits the graph store.
+func exactCM(s *solve) error {
+	if reason := exactEligibility(s.inst); reason != "" {
+		return s.fallback(reason)
 	}
-	if reason := exactEligibility(inst); reason != "" {
-		return exactFallback(in, opts, reason)
+	g, err := s.fullGraph()
+	if err != nil {
+		return err
 	}
 
-	// Mirror solveVia's identity resolution so the full-graph build can hit
-	// Options.Cache. The exact tier bypasses solveVia itself: it has no RR
-	// collection to memoize.
-	if opts.Cache != nil {
-		id, _ := opts.CacheID.Resolve(in.DB, in.Program, opts.Rand == nil)
-		opts.cacheIdentity = id
-		opts.cacheIDValid = id.Database != "" && id.Program != ""
-	}
-	start := time.Now()
-	res := &Result{Algorithm: "ExactCM", pl: opts.solvePlanner()}
-	res.Stats.RulesTotal, res.Stats.RulesPruned = inst.rulesTotal, inst.rulesPruned
-	journalSolveStart(opts, inst, "ExactCM")
-
-	buildSpan := sp.StartChild("build")
-	buildStart := time.Now()
-	g, err := cachedFullGraph(in, opts, inst, res)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.BuildTime = time.Since(buildStart)
-	recordBuild(&res.Stats, g)
-	res.Stats.PeakResidentSize = g.Size()
-	buildSpan.SetAttr("nodes", int64(g.NumNodes()))
-	buildSpan.SetAttr("edges", int64(g.NumEdges()))
-	buildSpan.End()
-
-	linSpan := sp.StartChild("lineage")
-	linStart := time.Now()
-	tls, err := exactLineages(g, inst, opts, &res.Stats)
-	res.Stats.LineageTime = time.Since(linStart)
-	linSpan.SetAttr("targets", int64(res.Stats.ExactTargets))
-	linSpan.SetAttr("clauses", int64(res.Stats.LineageClauses))
-	linSpan.End()
-	if err != nil {
-		if errors.Is(err, provenance.ErrLineageBudget) {
-			return exactFallback(in, opts, "lineage budget exceeded")
+	// One lineage per derivable target, its sources indexed by candidate.
+	// Targets absent from the graph contribute 0 to every seed set.
+	var tls []*exactTarget
+	err = s.lineages(g, func(_ int, lin *provenance.ReachLineage, candOfNode []int32) {
+		et := &exactTarget{l: newLifted(lin.Vars.Probs), byCand: map[im.CandidateID][][]int32{}}
+		for i, src := range lin.Sources {
+			if c := candOfNode[src]; c >= 0 {
+				et.byCand[im.CandidateID(c)] = lin.Clauses[i]
+			}
 		}
-		return nil, err
+		tls = append(tls, et)
+	})
+	if errors.Is(err, provenance.ErrLineageBudget) {
+		return s.fallback("lineage budget exceeded")
+	}
+	if err != nil {
+		return err
 	}
 
-	selSpan := sp.StartChild("select")
 	selStart := time.Now()
-	err = exactGreedy(inst, opts, res, tls)
-	res.Stats.SelectTime = time.Since(selStart)
-	selSpan.SetAttr("seeds", int64(len(res.Seeds)))
-	selSpan.End()
+	err = exactGreedy(s.inst, s.opts, s.res, tls)
+	s.res.Stats.SelectTime = time.Since(selStart)
+	if errors.Is(err, errLiftedBudget) {
+		return s.fallback("lifted evaluation budget exceeded")
+	}
 	if err != nil {
-		if errors.Is(err, errLiftedBudget) {
-			return exactFallback(in, opts, "lifted evaluation budget exceeded")
-		}
-		return nil, err
+		return err
 	}
-	if reg := opts.Obs; reg != nil {
-		reg.Counter(obs.ExactSolves).Inc()
-	}
-	if st := res.pl.Stats(); st.Built > 0 {
-		res.Stats.PlansBuilt = st.Built
-		res.Stats.PlanCacheHits = st.Hits
-		res.Stats.PlanAtomsReordered = st.Reordered
-	}
-	journalSelection(opts, inst, res)
-	res.Stats.TotalTime = time.Since(start)
-	return res, nil
+	s.h.Registry().Counter(obs.ExactSolves).Inc()
+	return nil
 }
 
 // exactEligibility checks every target predicate's cone against the
@@ -134,26 +100,6 @@ func exactEligibility(inst *instance) string {
 	return ""
 }
 
-// exactFallback reroutes an ineligible solve to MagicCM sampling, stamping
-// the reason. MagicCM (not Magic^S) keeps the fallback on the same
-// edge-percolation distribution the exact tier evaluates in closed form:
-// Magic^S's in-evaluation draws condition RR membership on derivability,
-// which diverges from percolation on joins over derived atoms. The
-// fallback goes through solveVia under that algorithm's own name, so
-// fallback solves share cache entries with direct MagicCM calls.
-func exactFallback(in Input, opts Options, reason string) (*Result, error) {
-	if reg := opts.Obs; reg != nil {
-		reg.Counter(obs.ExactFallbacks).Inc()
-	}
-	res, err := solveVia(in, opts, "MagicCM", func(in Input, opts Options) (*Result, error) {
-		return magicVariant(in, opts, "MagicCM", false)
-	})
-	if res != nil {
-		res.Stats.ExactFallback = reason
-	}
-	return res, err
-}
-
 // exactTarget is one derivable target's lineage, prepared for the greedy
 // loop: per-candidate clause sets plus the running selected-set union.
 type exactTarget struct {
@@ -163,17 +109,19 @@ type exactTarget struct {
 	curP   float64   // Pr[cur] — Pr[target reachable from the selection]
 }
 
-// exactLineages extracts one reachability lineage per derivable target and
-// indexes its sources by candidate id. Targets absent from the graph are
-// skipped: they contribute 0 to every seed set.
-func exactLineages(g *wdgraph.Graph, inst *instance, opts Options, st *Stats) ([]*exactTarget, error) {
-	ctx := opts.ctx()
-	candOfNode := candidateIndex(g, inst)
-	clausesH := opts.Obs.Histogram(obs.LineageClauses)
-	var out []*exactTarget
-	for _, t := range inst.targets {
+// lineages is the timed lineage phase of DNFCM and ExactCM: it hands the
+// reachability lineage of every target derivable in g, in target order, to
+// add with the target's index and g's candidate index, and counts it into
+// the lineage stats.
+func (s *solve) lineages(g *wdgraph.Graph, add func(ti int, lin *provenance.ReachLineage, candOfNode []int32)) error {
+	start := time.Now()
+	st, ctx := &s.res.Stats, s.opts.ctx()
+	defer func() { st.LineageTime = time.Since(start) }()
+	candOfNode := candidateIndex(g, s.inst)
+	clausesH := s.h.Registry().Histogram(obs.LineageClauses)
+	for ti, t := range s.inst.targets {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		id, ok := g.FactID(t.Pred, t.Tuple)
 		if !ok {
@@ -181,21 +129,15 @@ func exactLineages(g *wdgraph.Graph, inst *instance, opts Options, st *Stats) ([
 		}
 		lin, err := provenance.ReachabilityLineage(g, id, provenance.DNFBudget{})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		et := &exactTarget{l: newLifted(lin.Vars.Probs), byCand: map[im.CandidateID][][]int32{}}
-		for i, s := range lin.Sources {
-			if c := candOfNode[s]; c >= 0 {
-				et.byCand[im.CandidateID(c)] = lin.Clauses[i]
-			}
-		}
+		add(ti, lin, candOfNode)
 		st.ExactTargets++
 		st.LineageClauses += lin.NumClauses
 		st.LineageVars += lin.Vars.Len()
 		clausesH.Observe(int64(lin.NumClauses))
-		out = append(out, et)
 	}
-	return out, nil
+	return nil
 }
 
 // exactGreedy runs greedy contribution maximization with exact marginal

@@ -8,7 +8,6 @@ import (
 	"contribmax/internal/im"
 	"contribmax/internal/obs"
 	"contribmax/internal/provenance"
-	"contribmax/internal/wdgraph"
 )
 
 // DNFCM is the ProbLog-style DNF/Monte-Carlo estimator: instead of sampling
@@ -27,127 +26,66 @@ import (
 // real differential test. Selection, estimates, Stats, and journal events
 // all flow through the shared RIS machinery.
 //
-// Like ExactCM, a lineage-budget trip falls back to Magic^S sampling with
-// Stats.ExactFallback recording the reason; unlike ExactCM, DNFCM does not
-// require a hierarchical cone (recursive cones have finite path DNFs).
+// Like ExactCM, a lineage-budget trip falls back to MagicCM sampling
+// within the same solve, with Stats.ExactFallback recording the reason;
+// unlike ExactCM, DNFCM does not require a hierarchical cone (recursive
+// cones have finite path DNFs).
 func DNFCM(in Input, opts Options) (*Result, error) {
-	res, err := solveVia(in, opts, "DNFCM", dnfCM)
-	return observeSolve(opts, res, err)
+	return run(in, opts, "DNFCM", cached(dnfCM))
 }
 
-func dnfCM(in Input, opts Options) (*Result, error) {
-	sp := opts.Trace.StartChild("DNFCM")
-	defer sp.End()
-	prep := sp.StartChild("prepare")
-	inst, err := prepare(in, opts)
-	prep.End()
+func dnfCM(s *solve) error {
+	g, err := s.fullGraph()
 	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := &Result{Algorithm: "DNFCM", pl: opts.solvePlanner()}
-	res.Stats.RulesTotal, res.Stats.RulesPruned = inst.rulesTotal, inst.rulesPruned
-	journalSolveStart(opts, inst, "DNFCM")
-
-	buildSpan := sp.StartChild("build")
-	buildStart := time.Now()
-	g, err := cachedFullGraph(in, opts, inst, res)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.BuildTime = time.Since(buildStart)
-	recordBuild(&res.Stats, g)
-	res.Stats.PeakResidentSize = g.Size()
-	buildSpan.SetAttr("nodes", int64(g.NumNodes()))
-	buildSpan.SetAttr("edges", int64(g.NumEdges()))
-	buildSpan.End()
-
-	// Lineage extraction, once per target, indexed by target position so
-	// sampled target draws map directly.
-	linSpan := sp.StartChild("lineage")
-	linStart := time.Now()
-	tls, err := dnfLineages(g, inst, opts, &res.Stats)
-	res.Stats.LineageTime = time.Since(linStart)
-	linSpan.SetAttr("targets", int64(res.Stats.ExactTargets))
-	linSpan.SetAttr("clauses", int64(res.Stats.LineageClauses))
-	linSpan.End()
-	if err != nil {
-		if errors.Is(err, provenance.ErrLineageBudget) {
-			return exactFallback(in, opts, "lineage budget exceeded")
-		}
-		return nil, err
+		return err
 	}
 
-	// One possible-world sample per slot.
-	rrSpan := sp.StartChild("rrgen")
-	err = generateRR(inst, opts, res, opts.rng(), nil, func(p *slotPhase) {
-		p.walks = nil // DNFCM attributes no walks
-		p.run(len(p.slots), func(w *rrWorker, i int) error {
-			s := p.slots[i]
-			lo := len(w.arena)
-			w.arena, w.sc.world = sampleDNFWorld(tls[s.ti], w.seeded(s), w.sc.world, w.arena)
-			p.emit(w, i, lo, time.Time{})
-			return nil
-		})
-	})
-	rrSpan.SetAttr("rr", int64(res.Stats.NumRR))
-	rrSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.DNFSamples = res.Stats.NumRR
-	if reg := opts.Obs; reg != nil {
-		reg.Counter(obs.DNFSamples).Add(int64(res.Stats.DNFSamples))
-	}
-
-	finishSelection(inst, opts, res, sp)
-	res.Stats.TotalTime = time.Since(start)
-	return res, nil
-}
-
-// dnfTarget is one target's lineage flattened for world sampling. A nil
-// entry (underivable target) samples the empty set.
-type dnfTarget struct {
-	probs   []float64
-	cands   []im.CandidateID // candidates with a lineage, ascending
-	clauses [][][]int32      // clauses[i] is cands[i]'s path DNF
-}
-
-// dnfLineages extracts each target's reachability lineage and flattens it
-// by candidate, preserving target order (index i maps to inst.targets[i]).
-// Stats reuse the exact-tier lineage fields: the extraction is the same.
-func dnfLineages(g *wdgraph.Graph, inst *instance, opts Options, st *Stats) ([]*dnfTarget, error) {
-	ctx := opts.ctx()
-	candOfNode := candidateIndex(g, inst)
-	clausesH := opts.Obs.Histogram(obs.LineageClauses)
-	out := make([]*dnfTarget, len(inst.targets))
-	for ti, t := range inst.targets {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		id, ok := g.FactID(t.Pred, t.Tuple)
-		if !ok {
-			continue
-		}
-		lin, err := provenance.ReachabilityLineage(g, id, provenance.DNFBudget{})
-		if err != nil {
-			return nil, err
-		}
+	// Lineage extraction, once per target, flattened by candidate and
+	// indexed by target position so sampled target draws map directly. A
+	// nil entry (underivable target) samples the empty set.
+	tls := make([]*dnfTarget, len(s.inst.targets))
+	err = s.lineages(g, func(ti int, lin *provenance.ReachLineage, candOfNode []int32) {
 		dt := &dnfTarget{probs: lin.Vars.Probs}
-		for i, s := range lin.Sources {
-			if c := candOfNode[s]; c >= 0 {
+		for i, src := range lin.Sources {
+			if c := candOfNode[src]; c >= 0 {
 				dt.cands = append(dt.cands, im.CandidateID(c))
 				dt.clauses = append(dt.clauses, lin.Clauses[i])
 			}
 		}
 		sortByCand(dt)
-		out[ti] = dt
-		st.ExactTargets++
-		st.LineageClauses += lin.NumClauses
-		st.LineageVars += lin.Vars.Len()
-		clausesH.Observe(int64(lin.NumClauses))
+		tls[ti] = dt
+	})
+	if errors.Is(err, provenance.ErrLineageBudget) {
+		return s.fallback("lineage budget exceeded")
 	}
-	return out, nil
+	if err != nil {
+		return err
+	}
+
+	// One possible-world sample per slot. The zero start time attributes
+	// no walk: a world sample is not one.
+	err = s.generateRR(s.opts.rng(), nil, func(p *slotPhase) {
+		p.run(len(p.slots), func(w *rrWorker, i int) error {
+			sl := p.slots[i]
+			lo := len(w.arena)
+			w.arena, w.sc.world = sampleDNFWorld(tls[sl.ti], w.seeded(sl), w.sc.world, w.arena)
+			p.emit(w, i, lo, time.Time{})
+			return nil
+		})
+	})
+	if err != nil {
+		return err
+	}
+	s.res.Stats.DNFSamples = s.res.Stats.NumRR
+	s.h.Registry().Counter(obs.DNFSamples).Add(int64(s.res.Stats.DNFSamples))
+	return nil
+}
+
+// dnfTarget is one target's lineage flattened for world sampling.
+type dnfTarget struct {
+	probs   []float64
+	cands   []im.CandidateID // candidates with a lineage, ascending
+	clauses [][][]int32      // clauses[i] is cands[i]'s path DNF
 }
 
 // sortByCand orders the flattened lineage by ascending candidate id so the

@@ -3,7 +3,6 @@ package cm
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"contribmax/internal/ast"
 )
@@ -20,25 +19,12 @@ import (
 // which is why, as the paper's experiments show, Magic^G CM's memory
 // footprint grows with the number of RR sets while Magic^S CM's does not.
 func MagicGroupedCM(in Input, opts Options) (*Result, error) {
-	res, err := solveVia(in, opts, "MagicGCM", magicGroupedCM)
-	return observeSolve(opts, res, err)
+	return run(in, opts, "MagicGCM", cached(magicGroupedCM))
 }
 
-func magicGroupedCM(in Input, opts Options) (*Result, error) {
-	sp := opts.Trace.StartChild("MagicGCM")
-	defer sp.End()
-	prep := sp.StartChild("prepare")
-	inst, err := prepare(in, opts)
-	prep.End()
-	if err != nil {
-		return nil, err
-	}
-	rng := opts.rng()
-	start := time.Now()
-	res := &Result{Algorithm: "MagicGCM", pl: opts.solvePlanner()}
-	res.Stats.RulesTotal, res.Stats.RulesPruned = inst.rulesTotal, inst.rulesPruned
-	journalSolveStart(opts, inst, "MagicGCM")
-	opts.Profile.EnsureTargets(len(inst.targets))
+func magicGroupedCM(s *solve) error {
+	inst := s.inst
+	rng := s.opts.rng()
 
 	// In fixed-θ mode the grouped transformation covers exactly the
 	// distinct sampled root tuples (Remark 1); in adaptive mode the number
@@ -46,12 +32,12 @@ func magicGroupedCM(in Input, opts Options) (*Result, error) {
 	// T2 and each IMM batch draws its own roots.
 	var roots []int
 	distinct := map[int]bool{}
-	if opts.Adaptive {
+	if s.opts.Adaptive {
 		for ti := range inst.targets {
 			distinct[ti] = true
 		}
 	} else {
-		theta := inst.theta(opts)
+		theta := inst.theta(s.opts)
 		roots = make([]int, theta)
 		for i := range roots {
 			roots[i] = rng.IntN(len(inst.targets))
@@ -71,28 +57,12 @@ func magicGroupedCM(in Input, opts Options) (*Result, error) {
 	// The θ roots above are drawn from the rng BEFORE this lookup, so the
 	// rng state — and every later draw — is identical whether the graph is
 	// built or served from the cache.
-	buildSpan := sp.StartChild("build")
-	buildStart := time.Now()
-	g, err := cachedGroupedGraph(in, opts, inst, res, queryAtoms)
+	g, err := s.groupedGraph(queryAtoms)
 	if err != nil {
-		return nil, fmt.Errorf("MagicGCM: %w", err)
+		return fmt.Errorf("MagicGCM: %w", err)
 	}
-	res.Stats.BuildTime = time.Since(buildStart)
-	recordBuild(&res.Stats, g)
-	buildSpan.SetAttr("nodes", int64(g.NumNodes()))
-	buildSpan.SetAttr("edges", int64(g.NumEdges()))
-	buildSpan.SetAttr("roots", int64(len(distinctSorted)))
-	buildSpan.End()
-
-	rrSpan := sp.StartChild("rrgen")
-	err = generateRR(inst, opts, res, rng, roots, newGraphWalk(g, inst).phase)
-	rrSpan.SetAttr("rr", int64(res.Stats.NumRR))
-	rrSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("MagicGCM: %w", err)
+	if err := s.generateRR(rng, roots, newGraphWalk(g, inst).phase); err != nil {
+		return fmt.Errorf("MagicGCM: %w", err)
 	}
-
-	finishSelection(inst, opts, res, sp)
-	res.Stats.TotalTime = time.Since(start)
-	return res, nil
+	return nil
 }

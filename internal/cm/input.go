@@ -105,19 +105,25 @@ type Options struct {
 	// Obs, when non-nil, receives the pipeline metrics of the solve (cm.*,
 	// rr.*, wdgraph.*, engine.*, imm.* — see internal/obs and
 	// docs/OBSERVABILITY.md). nil disables all metric collection at the
-	// cost of one pointer check per site.
+	// cost of one pointer check per site. Obs, Trace, Journal and Profile
+	// make up the solve's one instrument (internal/obs/instr), which the
+	// layers below cm record through.
 	Obs *obs.Registry
-	// Trace, when non-nil, receives a child span per solve with nested
-	// phase spans (prepare → build → rrgen → select) carrying duration and
-	// count attributes — the tree cmrun -stats prints. The span tree is
-	// mutated only from the calling goroutine.
+	// Trace, when non-nil, receives a child span per solve, named after
+	// the requested algorithm, with nested phase spans (prepare → build →
+	// lineage → rrgen → select, each phase the algorithm runs) carrying
+	// duration and count attributes — the tree cmrun -stats prints. A
+	// fallback to MagicCM nests its phases in a MagicCM span under the
+	// requested algorithm's. The span tree is mutated only from the
+	// calling goroutine.
 	Trace *obs.Span
 	// Journal, when non-nil, receives the solve's structured event stream
 	// (see internal/obs/journal): solve.start/finish with a config
-	// fingerprint, per-fixpoint-round deltas and graph.build events for
-	// full-graph builds, batched rr.batch generation stats, imm.round
-	// convergence records in adaptive mode, and one select.iter per chosen
-	// seed. Events carry the journal's run ID, correlating them with the
+	// fingerprint (one of each per call, a fallback included),
+	// per-fixpoint-round deltas and graph.build events for full-graph
+	// builds, batched rr.batch generation stats, imm.round convergence
+	// records in adaptive mode, and one select.iter per chosen seed.
+	// Events carry the journal's run ID, correlating them with the
 	// spans and metrics of the same solve. Journaling never perturbs the
 	// solver: the same seed yields byte-identical results with or without
 	// it. nil disables the stream at one pointer check per site.
@@ -147,20 +153,14 @@ type Options struct {
 	// Profile, when non-nil, collects an EXPLAIN ANALYZE-style runtime
 	// profile of the solve (see internal/prof): per-rule fixpoint
 	// accounting, per-stratum delta curves, RR walk time and arena bytes
-	// per target, hot WD-graph nodes, and planner/phase attribution. Same
-	// contract as Obs/Journal: profiling never perturbs the solver (a
-	// profiled solve is byte-identical to an unprofiled one, and the
-	// profile's counts are identical at every Parallelism level), and nil
-	// disables collection at one pointer check per site. One Profile
+	// per target, hot WD-graph nodes, and planner/phase attribution. Like
+	// every sink of the solve's instrument, profiling never perturbs the
+	// solver (a profiled solve is byte-identical to an unprofiled one, and
+	// the profile's counts are identical at every Parallelism level), and
+	// nil disables collection at one pointer check per site. One Profile
 	// should observe one solve; Report() renders it after the solve
 	// returns.
 	Profile *prof.Profile
-
-	// cacheIdentity is the resolved identity solveVia computed for this
-	// solve, handed down to the per-algorithm graph hooks.
-	cacheIdentity solvecache.Identity
-	// cacheIDValid reports cacheIdentity's Database/Program are filled.
-	cacheIDValid bool
 }
 
 // ctx returns the solve context, never nil.
@@ -169,13 +169,6 @@ func (o Options) ctx() context.Context {
 		return o.Context
 	}
 	return context.Background()
-}
-
-// solvePlanner returns a fresh solve-wide plan cache. One cache spans every
-// engine compilation of the solve — full-graph builds and per-RR subgraph
-// builds alike — so hit counts measure real cross-engine plan reuse.
-func (o Options) solvePlanner() *planner.Planner {
-	return planner.New(o.Obs)
 }
 
 func (o Options) rng() *rand.Rand {
@@ -214,7 +207,7 @@ type Result struct {
 
 	// rrColl retains the RR collection for the selection phase.
 	rrColl *im.RRCollection
-	// pl is the solve's plan cache; finishSelection folds its counters
+	// pl is the solve's plan cache; the solve's close folds its counters
 	// into Stats.
 	pl *planner.Planner
 }
@@ -280,8 +273,9 @@ type Stats struct {
 	LineageClauses int
 	LineageVars    int
 	LineageTime    time.Duration
-	// ExactFallback names the reason an ExactCM solve fell back to MagicCM
-	// sampling ("" when the exact tier answered, or for other algorithms).
+	// ExactFallback names the reason an ExactCM or DNFCM solve fell back to
+	// MagicCM sampling ("" when the requested tier answered, or for other
+	// algorithms).
 	ExactFallback string
 
 	// DNFSamples counts the possible worlds DNFCM sampled (0 elsewhere).

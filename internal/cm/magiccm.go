@@ -13,10 +13,9 @@ import (
 	"contribmax/internal/engine"
 	"contribmax/internal/im"
 	"contribmax/internal/magic"
-	"contribmax/internal/obs"
+	"contribmax/internal/obs/instr"
 	"contribmax/internal/obs/journal"
 	"contribmax/internal/planner"
-	"contribmax/internal/prof"
 	"contribmax/internal/wdgraph"
 )
 
@@ -30,11 +29,10 @@ import (
 // built once, walked once per slot with that slot's own stream, and
 // discarded before the worker takes the next target.
 func MagicCM(in Input, opts Options) (*Result, error) {
-	res, err := solveVia(in, opts, "MagicCM", func(in Input, opts Options) (*Result, error) {
-		return magicVariant(in, opts, "MagicCM", false)
-	})
-	return observeSolve(opts, res, err)
+	return run(in, opts, "MagicCM", cached(magicCM))
 }
+
+func magicCM(s *solve) error { return magicVariant(s, false) }
 
 // MagicSampledCM is the paper's Magic^S CM (written Magic³CM in places):
 // MagicCM with the RR sampling folded into the subgraph construction
@@ -52,63 +50,39 @@ func MagicCM(in Input, opts Options) (*Result, error) {
 // groundTarget — and by gated evaluations otherwise. Every RR set equals
 // the gated evaluation's as a set.
 func MagicSampledCM(in Input, opts Options) (*Result, error) {
-	res, err := solveVia(in, opts, "MagicSCM", func(in Input, opts Options) (*Result, error) {
-		return magicVariant(in, opts, "MagicSCM", true)
-	})
-	return observeSolve(opts, res, err)
+	return run(in, opts, "MagicSCM", cached(magicSampledCM))
 }
 
-func magicVariant(in Input, opts Options, name string, sampled bool) (*Result, error) {
-	sp := opts.Trace.StartChild(name)
-	defer sp.End()
-	prep := sp.StartChild("prepare")
-	inst, err := prepare(in, opts)
-	prep.End()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := &Result{Algorithm: name, pl: opts.solvePlanner()}
-	res.Stats.RulesTotal, res.Stats.RulesPruned = inst.rulesTotal, inst.rulesPruned
-	journalSolveStart(opts, inst, name)
-	opts.Profile.EnsureTargets(len(inst.targets))
+func magicSampledCM(s *solve) error { return magicVariant(s, true) }
+
+func magicVariant(s *solve, sampled bool) error {
 	m := &magicRR{
-		in: in, inst: inst, opts: opts, ctx: opts.ctx(), res: res, sampled: sampled,
-		trs:    make([]*magic.Transformed, len(inst.targets)),
-		routes: make([]targetRoute, len(inst.targets)),
+		in: s.inst.in, inst: s.inst, sips: s.opts.SIPS, ctx: s.opts.ctx(), pl: s.res.pl, h: s.h.Quiet(), sampled: sampled,
+		trs:    make([]*magic.Transformed, len(s.inst.targets)),
+		routes: make([]targetRoute, len(s.inst.targets)),
 		route:  journal.RouteInfo{C: groundCapFactor},
 	}
-
-	rrSpan := sp.StartChild("rrgen")
-	err = generateRR(inst, opts, res, opts.rng(), nil, m.groupedPhase)
-	if err == nil && sampled {
-		res.Stats.Groundings = m.route.Grounded + m.route.CapTripped
-		res.Stats.GroundAborts = m.route.CapTripped
-		opts.Journal.RRRoute(m.route)
+	if err := s.generateRR(s.opts.rng(), nil, m.groupedPhase); err != nil {
+		return fmt.Errorf("%s: %w", s.res.Algorithm, err)
 	}
-	rrSpan.SetAttr("rr", int64(res.Stats.NumRR))
-	rrSpan.SetAttr("builds", int64(res.Stats.GraphBuilds))
-	if res.Stats.Groundings > 0 {
-		rrSpan.SetAttr("groundings", int64(res.Stats.Groundings))
-		rrSpan.SetAttr("ground_aborts", int64(res.Stats.GroundAborts))
+	if sampled {
+		s.res.Stats.Groundings = m.route.Grounded + m.route.CapTripped
+		s.res.Stats.GroundAborts = m.route.CapTripped
+		s.h.Journal().RRRoute(m.route)
 	}
-	rrSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-
-	finishSelection(inst, opts, res, sp)
-	res.Stats.TotalTime = time.Since(start)
-	return res, nil
+	return nil
 }
 
 // magicRR is the RR-generation state of one MagicCM / Magic^S CM solve.
 type magicRR struct {
-	in      Input
-	inst    *instance
-	opts    Options
-	ctx     context.Context
-	res     *Result
+	in   Input
+	inst *instance
+	sips magic.SIPS
+	ctx  context.Context
+	// pl is the solve's plan cache; h records the per-target builds and
+	// groundings without journal events (instr.Instr.Quiet).
+	pl      *planner.Planner
+	h       *instr.Instr
 	sampled bool
 	// trs caches each target's transformed program: a batch's owner of the
 	// target fills it in pass 1 (unless an earlier batch did), pass 2 and
@@ -131,7 +105,7 @@ type targetRoute struct {
 // transform returns target ti's transformed program, computing it once.
 func (m *magicRR) transform(ti int) (*magic.Transformed, error) {
 	if m.trs[ti] == nil {
-		tr, err := magic.TransformWith(m.inst.prog, []ast.Atom{m.inst.atomOf(m.inst.targets[ti])}, m.opts.SIPS)
+		tr, err := magic.TransformWith(m.inst.prog, []ast.Atom{m.inst.atomOf(m.inst.targets[ti])}, m.sips)
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +126,7 @@ func (m *magicRR) gatedRR(ti int, gateSeed uint64, st *Stats, sc *rrScratch, are
 	// Engine parallelism stays off for per-tuple subgraphs: the RR phase
 	// already runs one worker per Parallelism slot, and the subgraphs are
 	// small — nesting worker pools would oversubscribe.
-	g, est, err := buildMagicGraph(m.in, tr, gateSeed, true, m.ctx, m.opts.Obs, nil, 0, m.res.pl, m.opts.Profile)
+	g, est, err := buildMagicGraph(m.in, tr, gateSeed, true, m.ctx, m.h, 0, m.pl)
 	if err != nil {
 		return arena, 0, err
 	}
@@ -259,7 +233,7 @@ func (m *magicRR) groupedPhase(p *slotPhase) {
 	if !failed && len(fallback) > 0 {
 		p.run(len(fallback), func(w *rrWorker, k int) error {
 			i := fallback[k]
-			t0 := p.clock()
+			t0 := w.rec.Start()
 			lo := len(w.arena)
 			var err error
 			w.arena, _, err = m.gatedRR(p.slots[i].ti, p.slots[i].gate(), &w.stats, w.sc, w.arena)
@@ -298,12 +272,12 @@ func (m *magicRR) groupedPhase(p *slotPhase) {
 // stream. Stats record the subgraph once per slot — the graph each RR set
 // was drawn from.
 func (m *magicRR) unsampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) error {
-	t0 := p.clock()
+	t0 := w.rec.Start()
 	tr, err := m.transform(ti)
 	if err != nil {
 		return err
 	}
-	g, _, err := buildMagicGraph(m.in, tr, 0, false, m.ctx, m.opts.Obs, nil, 0, m.res.pl, m.opts.Profile)
+	g, _, err := buildMagicGraph(m.in, tr, 0, false, m.ctx, m.h, 0, m.pl)
 	if err != nil {
 		return err
 	}
@@ -315,7 +289,7 @@ func (m *magicRR) unsampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) e
 			return nil
 		}
 		if k > 0 {
-			t0 = p.clock()
+			t0 = w.rec.Start()
 		}
 		recordBuild(&w.stats, g)
 		lo := len(w.arena)
@@ -330,7 +304,7 @@ func (m *magicRR) unsampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) e
 // the target's grounding, or — when the route rejects grounding — the
 // remaining slots queued for pass 2.
 func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) error {
-	t0 := p.clock()
+	t0 := w.rec.Start()
 	lo := len(w.arena)
 	var a1 int64
 	var err error
@@ -341,8 +315,8 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) err
 	p.emit(w, idx[0], lo, t0)
 	rest := idx[1:]
 
-	g, gst, route, err := groundTarget(m.trs[ti], m.in.DB, m.in.Program.EDBs(), m.res.pl, len(idx), a1,
-		magic.GroundOptions{Context: m.ctx, Obs: m.opts.Obs, Prof: m.opts.Profile})
+	g, gst, route, err := groundTarget(m.trs[ti], m.in.DB, m.in.Program.EDBs(), m.pl, len(idx), a1,
+		magic.GroundOptions{Context: m.ctx, Instr: m.h})
 	if err != nil {
 		return err
 	}
@@ -379,7 +353,7 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) err
 		if m.ctx.Err() != nil {
 			return nil
 		}
-		t0 := p.clock()
+		t0 := w.rec.Start()
 		lo := len(w.arena)
 		w.prop.Propagate(g, p.slots[i].gate())
 		nodes, edges := w.prop.GraphSize()
@@ -401,20 +375,17 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) err
 // (sharing the original edb relations) and returns the projected WD
 // subgraph and the run's engine stats. With sampled=true a HashGate seeded
 // with gateSeed vetoes instantiations, so the returned graph is one random
-// execution. ctx cancels the evaluation between fixpoint rounds; reg, when
-// non-nil, receives per-subgraph wdgraph.* metrics (the gate construction
-// needs the engine, so this cannot delegate to wdgraph.BuildWith). jr, when
-// non-nil, receives graph.build and per-round engine.round events — only
-// the grouped variant's one full union-graph build passes it (per-RR
-// subgraph builds number in the thousands and are summarized by rr.batch
-// events instead). pl is the solve's shared plan cache: the Magic variants
-// compile one engine per target or per RR set, and the cache turns each
-// compilation after the first into pure plan lookups per adorned rule
-// family. pf, when non-nil, receives per-rule fixpoint accounting (keyed
-// by source rule text, so the many per-target engines of one solve merge
-// into one adorned-rule-family ledger).
+// execution. ctx cancels the evaluation between fixpoint rounds. h records
+// the evaluation and the build (instr.GraphBuilt; the gate construction
+// needs the engine, so this cannot delegate to wdgraph.BuildWith): the
+// grouped variant's one full union-graph build passes the solve's
+// instrument, the per-target builds its Quiet form, which keeps their
+// thousands of graph.build and engine.round events out of the journal. pl
+// is the solve's shared plan cache: the Magic variants compile one engine
+// per target, and the cache turns each compilation after the first into
+// pure plan lookups per adorned rule family.
 func buildMagicGraph(in Input, tr *magic.Transformed, gateSeed uint64, sampled bool,
-	ctx context.Context, reg *obs.Registry, jr *journal.Journal, par int, pl *planner.Planner, pf *prof.Profile) (*wdgraph.Graph, engine.Stats, error) {
+	ctx context.Context, h *instr.Instr, par int, pl *planner.Planner) (*wdgraph.Graph, engine.Stats, error) {
 	start := time.Now()
 	eng, err := engine.NewPlanned(tr.Program, in.DB.Scratch(in.Program.EDBs()), pl)
 	if err != nil {
@@ -425,18 +396,12 @@ func buildMagicGraph(in Input, tr *magic.Transformed, gateSeed uint64, sampled b
 	if sampled {
 		gate = magic.NewHashGate(tr, eng, gateSeed)
 	}
-	est, err := eng.Run(engine.Options{Listener: b.Listener(), Gate: gate, Context: ctx, Obs: reg, Parallelism: par, Journal: jr, Prof: pf})
+	est, err := eng.Run(engine.Options{Listener: b.Listener(), Gate: gate, Context: ctx, Parallelism: par, Instr: h})
 	if err != nil {
 		return nil, est, err
 	}
 	g := b.Graph()
-	if reg != nil {
-		reg.Counter(obs.GraphBuilds).Inc()
-		reg.Counter(obs.GraphNodes).Add(int64(g.NumNodes()))
-		reg.Counter(obs.GraphEdges).Add(int64(g.NumEdges()))
-		reg.Histogram(obs.GraphBuildNs).ObserveSince(start)
-	}
-	jr.GraphBuild(g.NumNodes(), g.NumEdges(), time.Since(start))
+	h.GraphBuilt(g.NumNodes(), g.NumEdges(), start)
 	return g, est, nil
 }
 

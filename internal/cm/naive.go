@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"contribmax/internal/im"
-	"contribmax/internal/obs"
-	"contribmax/internal/obs/journal"
 	"contribmax/internal/wdgraph"
 )
 
@@ -17,52 +15,18 @@ import (
 // ≥ 1 − δ (Proposition 4.1) but materializes a graph polynomial in |D|,
 // which is what the optimized variants avoid.
 func NaiveCM(in Input, opts Options) (*Result, error) {
-	res, err := solveVia(in, opts, "NaiveCM", naiveCM)
-	return observeSolve(opts, res, err)
+	return run(in, opts, "NaiveCM", cached(naiveCM))
 }
 
-func naiveCM(in Input, opts Options) (*Result, error) {
-	sp := opts.Trace.StartChild("NaiveCM")
-	defer sp.End()
-	prep := sp.StartChild("prepare")
-	inst, err := prepare(in, opts)
-	prep.End()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := &Result{Algorithm: "NaiveCM", pl: opts.solvePlanner()}
-	res.Stats.RulesTotal, res.Stats.RulesPruned = inst.rulesTotal, inst.rulesPruned
-	journalSolveStart(opts, inst, "NaiveCM")
-	opts.Profile.EnsureTargets(len(inst.targets))
-
+func naiveCM(s *solve) error {
 	// Phase 1: full WD graph (Algorithm 1). Definition 3.1 includes a node
 	// for every edb fact in D, hence the preload.
-	buildSpan := sp.StartChild("build")
-	buildStart := time.Now()
-	g, err := cachedFullGraph(in, opts, inst, res)
+	g, err := s.fullGraph()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res.Stats.BuildTime = time.Since(buildStart)
-	recordBuild(&res.Stats, g)
-	res.Stats.PeakResidentSize = g.Size()
-	buildSpan.SetAttr("nodes", int64(g.NumNodes()))
-	buildSpan.SetAttr("edges", int64(g.NumEdges()))
-	buildSpan.End()
-
 	// Phase 2: RR sets via reverse sampled walks from random T2 roots.
-	rrSpan := sp.StartChild("rrgen")
-	err = generateRR(inst, opts, res, opts.rng(), nil, newGraphWalk(g, inst).phase)
-	rrSpan.SetAttr("rr", int64(res.Stats.NumRR))
-	rrSpan.End()
-	if err != nil {
-		return nil, err
-	}
-
-	finishSelection(inst, opts, res, sp)
-	res.Stats.TotalTime = time.Since(start)
-	return res, nil
+	return s.generateRR(s.opts.rng(), nil, newGraphWalk(g, s.inst).phase)
 }
 
 // candidateIndex maps every node of g to its T1 candidate id, or -1.
@@ -99,11 +63,10 @@ func recordGraph(s *Stats, n, e int) {
 	}
 }
 
-// finishSelection runs the greedy coverage phase shared by all algorithms
-// and fills the result from res.rrColl. sp is the algorithm's phase span
-// (nil when tracing is off); the selection is recorded as its child.
-func finishSelection(inst *instance, opts Options, res *Result, sp *obs.Span) {
-	sel := sp.StartChild("select")
+// finishSelection runs the greedy coverage phase over the RR collection
+// and fills the result from it. The solve's close is its one caller.
+func (s *solve) finishSelection() {
+	inst, opts, res := s.inst, s.opts, s.res
 	selStart := time.Now()
 	var gr im.GreedyResult
 	if opts.MaxSeedsPerRelation > 0 {
@@ -121,17 +84,6 @@ func finishSelection(inst *instance, opts Options, res *Result, sp *obs.Span) {
 	if opts.RankCandidates {
 		res.Ranking = rankCandidates(inst, res.rrColl)
 	}
-	sel.SetAttr("covered", int64(gr.Covered))
-	sel.SetAttr("seeds", int64(len(gr.Seeds)))
-	sel.End()
-	if st := res.pl.Stats(); st.Built > 0 {
-		res.Stats.PlansBuilt = st.Built
-		res.Stats.PlanCacheHits = st.Hits
-		res.Stats.PlanAtomsReordered = st.Reordered
-		opts.Journal.PlanSummary(journal.PlanInfo{Built: st.Built, Hits: st.Hits, Reordered: st.Reordered})
-	}
-	journalSelection(opts, inst, res)
-	finishProfile(inst, opts, res)
 }
 
 // rankCandidates computes every candidate's individual coverage over the

@@ -9,11 +9,13 @@ import (
 	"contribmax/internal/solvecache"
 )
 
-// observeSolve folds one finished solve into the metrics registry and
-// closes the journal record with a solve.finish event. It is the common
-// tail of every algorithm's public entry point.
-func observeSolve(opts Options, res *Result, err error) (*Result, error) {
-	if reg := opts.Obs; reg != nil {
+// observeSolve folds the finished solve — res, or nil and err — into the
+// metrics registry, summarizes its cache use (when the solve had a cache)
+// and its estimator, and closes the journal record with a solve.finish
+// event. The solve's close is its one caller.
+func (s *solve) observeSolve(res *Result, err error) {
+	reg, j := s.h.Registry(), s.h.Journal()
+	if reg != nil {
 		if err != nil {
 			reg.Counter(obs.CMErrors).Inc()
 		} else {
@@ -21,15 +23,15 @@ func observeSolve(opts Options, res *Result, err error) (*Result, error) {
 			reg.Histogram(obs.CMSolveNs).Observe(int64(res.Stats.TotalTime))
 		}
 	}
-	if opts.Cache != nil && res != nil && err == nil {
+	if s.opts.Cache != nil && res != nil {
 		st := res.Stats
-		if reg := opts.Obs; reg != nil {
+		if reg != nil {
 			reg.Counter(obs.CacheGraphHits).Add(st.CacheGraphHits)
 			reg.Counter(obs.CacheGraphMisses).Add(st.CacheGraphMisses)
 			reg.Counter(obs.CacheRRHits).Add(st.CacheRRHits)
 			reg.Counter(obs.CacheRRMisses).Add(st.CacheRRMisses)
 		}
-		opts.Journal.CacheSummary(journal.CacheInfo{
+		j.CacheSummary(journal.CacheInfo{
 			GraphHits:   st.CacheGraphHits,
 			GraphMisses: st.CacheGraphMisses,
 			RRHits:      st.CacheRRHits,
@@ -37,9 +39,8 @@ func observeSolve(opts Options, res *Result, err error) (*Result, error) {
 			BytesReused: st.CacheBytesReused,
 		})
 	}
-	if res != nil && err == nil &&
-		(res.Stats.ExactTargets > 0 || res.Stats.DNFSamples > 0 || res.Stats.ExactFallback != "") {
-		opts.Journal.EstimatorSummary(journal.EstInfo{
+	if res != nil && (res.Stats.ExactTargets > 0 || res.Stats.DNFSamples > 0 || res.Stats.ExactFallback != "") {
+		j.EstimatorSummary(journal.EstInfo{
 			Algorithm: res.Algorithm,
 			Targets:   res.Stats.ExactTargets,
 			Clauses:   res.Stats.LineageClauses,
@@ -49,7 +50,7 @@ func observeSolve(opts Options, res *Result, err error) (*Result, error) {
 			Fallback:  res.Stats.ExactFallback,
 		})
 	}
-	if j := opts.Journal; j != nil {
+	if j != nil {
 		var fin journal.FinishInfo
 		if err != nil {
 			fin.Err = err.Error()
@@ -57,8 +58,8 @@ func observeSolve(opts Options, res *Result, err error) (*Result, error) {
 		if res != nil {
 			fin.Algorithm = res.Algorithm
 			fin.Seeds = make([]string, len(res.Seeds))
-			for i, s := range res.Seeds {
-				fin.Seeds[i] = s.String()
+			for i, seed := range res.Seeds {
+				fin.Seeds[i] = seed.String()
 			}
 			fin.CoveredRR = res.Stats.CoveredRR
 			fin.NumRR = res.Stats.NumRR
@@ -67,13 +68,13 @@ func observeSolve(opts Options, res *Result, err error) (*Result, error) {
 		}
 		j.SolveFinish(fin)
 	}
-	return res, err
 }
 
-// journalSolveStart opens the journal record of one solve: algorithm,
-// config fingerprint, and instance shape. No-op without a journal.
-func journalSolveStart(opts Options, inst *instance, name string) {
-	j := opts.Journal
+// journalSolveStart opens the journal record of the solve: algorithm,
+// config fingerprint, and instance shape. No-op without a journal. The
+// solve's open is its one caller.
+func (s *solve) journalSolveStart(name string) {
+	j, opts, inst := s.h.Journal(), s.opts, s.inst
 	if j == nil {
 		return
 	}
@@ -85,9 +86,9 @@ func journalSolveStart(opts Options, inst *instance, name string) {
 		Algorithm: name,
 		Fingerprint: journal.FingerprintInput{
 			Algorithm:           name,
-			Database:            opts.cacheIdentity.Database,
-			Program:             opts.cacheIdentity.Program,
-			Target:              targetsHash(inst),
+			Database:            s.id.Database,
+			Program:             s.id.Program,
+			Target:              hashHandles(inst, inst.targets),
 			K:                   inst.in.K,
 			Candidates:          len(inst.candidates),
 			Targets:             len(inst.targets),
@@ -111,12 +112,13 @@ func journalSolveStart(opts Options, inst *instance, name string) {
 	})
 }
 
-// targetsHash fingerprints the resolved target list, order-sensitively —
-// the Target field of the solve fingerprint.
-func targetsHash(inst *instance) string {
-	atoms := make([]ast.Atom, len(inst.targets))
-	for i, t := range inst.targets {
-		atoms[i] = inst.atomOf(t)
+// hashHandles fingerprints a resolved fact list, order-sensitively: the
+// resolved targets are the Target field of the solve fingerprint, and they
+// and the resolved candidates key the RR store.
+func hashHandles(inst *instance, hs []FactHandle) string {
+	atoms := make([]ast.Atom, len(hs))
+	for i, h := range hs {
+		atoms[i] = inst.atomOf(h)
 	}
 	return solvecache.HashAtoms(atoms)
 }
@@ -127,8 +129,7 @@ func targetsHash(inst *instance) string {
 // coverage is the prefix sum — exactly how CoveredRR is defined for both
 // selection variants), so the selection algorithms themselves stay
 // untouched and byte-deterministic.
-func journalSelection(opts Options, inst *instance, res *Result) {
-	j := opts.Journal
+func journalSelection(j *journal.Journal, res *Result) {
 	if j == nil {
 		return
 	}
@@ -156,22 +157,4 @@ func journalSelection(opts Options, inst *instance, res *Result) {
 			ErrProxy: journal.ErrProxy(covered, theta),
 		})
 	}
-}
-
-// rrObs bundles the pre-resolved RR-generation metric handles so the hot
-// loops pay handle lookup once, not per set. The zero value (from a nil
-// registry) is a no-op; observe is safe for concurrent use by the parallel
-// RR workers.
-type rrObs struct {
-	sets    *obs.Counter
-	members *obs.Histogram
-}
-
-func newRRObs(reg *obs.Registry) rrObs {
-	return rrObs{sets: reg.Counter(obs.RRSets), members: reg.Histogram(obs.RRMembers)}
-}
-
-func (r rrObs) observe(members int) {
-	r.sets.Inc()
-	r.members.Observe(int64(members))
 }

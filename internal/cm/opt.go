@@ -57,11 +57,11 @@ func BruteForceOPT(in Input, rrSets int, rng *rand.Rand) (*OPTResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pool Result
-	if err := generateRR(inst, Options{Theta: im.ThetaSpec{Explicit: rrSets}}, &pool, rng, nil, newGraphWalk(g, inst).phase); err != nil {
+	pool := &solve{inst: inst, opts: Options{Theta: im.ThetaSpec{Explicit: rrSets}}, res: &Result{}}
+	if err := pool.generateRR(rng, nil, newGraphWalk(g, inst).phase); err != nil {
 		return nil, err
 	}
-	coll := pool.rrColl
+	coll := pool.res.rrColl
 
 	// Exhaustively evaluate all k-subsets. coveredBy counts, per RR set,
 	// how many chosen candidates cover it; the recursion maintains the

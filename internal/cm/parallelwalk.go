@@ -9,9 +9,7 @@ import (
 
 	"contribmax/internal/im"
 	"contribmax/internal/magic"
-	"contribmax/internal/obs"
-	"contribmax/internal/obs/journal"
-	"contribmax/internal/prof"
+	"contribmax/internal/obs/instr"
 	"contribmax/internal/wdgraph"
 )
 
@@ -35,17 +33,6 @@ func appendSlots(coll *im.RRCollection, segs []rrSeg, arenas [][]im.CandidateID)
 	for _, s := range segs {
 		coll.Add(arenas[s.worker][s.lo:s.hi])
 	}
-}
-
-// observeArena records the post-phase memory figures: the resident size of
-// the assembled RR arena and how often worker scratch (walker marks) had to
-// regrow — zero in steady state.
-func observeArena(reg *obs.Registry, coll *im.RRCollection, scratchGrows int64) {
-	if reg == nil || coll == nil {
-		return
-	}
-	reg.Gauge(obs.RRBytesArena).Set(coll.ArenaBytes())
-	reg.Counter(obs.RRScratchGrows).Add(scratchGrows)
 }
 
 // rrSlot is one pre-drawn RR set: its target and the seeds of its own PCG
@@ -96,7 +83,7 @@ type rrWorker struct {
 	reached  []int32
 	cand     []int32
 	stats    Stats
-	rec      *journal.BatchRecorder
+	rec      *instr.RR
 	fallback []int
 	err      error
 }
@@ -119,25 +106,20 @@ func (w *rrWorker) seeded(s rrSlot) *rand.Rand {
 // and finish returns ctx's error on cancellation without appending.
 type slotPhase struct {
 	ctx     context.Context
-	opts    Options
+	h       *instr.Instr
 	slots   []rrSlot
 	segs    []rrSeg
-	ro      rrObs
 	workers []*rrWorker
-	// walks, when non-nil, receives per-target walk attribution.
-	walks *prof.Profile
 }
 
 // newSlotPhase prepares one worker per recorder in recs for slots. The
 // recorders outlive the batch, so their rr.batch running totals cover the
 // whole solve.
-func newSlotPhase(opts Options, slots []rrSlot, recs []*journal.BatchRecorder) *slotPhase {
+func newSlotPhase(ctx context.Context, h *instr.Instr, slots []rrSlot, recs []*instr.RR) *slotPhase {
 	p := &slotPhase{
-		ctx: opts.ctx(), opts: opts, slots: slots,
+		ctx: ctx, h: h, slots: slots,
 		segs:    make([]rrSeg, len(slots)),
-		ro:      newRRObs(opts.Obs),
 		workers: make([]*rrWorker, len(recs)),
-		walks:   opts.Profile,
 	}
 	for i := range p.workers {
 		w := &rrWorker{id: i, sc: newRRScratch(), rec: recs[i]}
@@ -169,27 +151,11 @@ func (p *slotPhase) run(n int, do func(w *rrWorker, k int) error) {
 	wg.Wait()
 }
 
-// clock returns the time for a slot's walk attribution: now when a
-// profile records walks, the zero time otherwise.
-func (p *slotPhase) clock() time.Time {
-	if p.walks == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
 // emit records that w produced slot i's RR set as w.arena[lo:], t0 (from
-// clock) being when the slot started.
+// w.rec.Start) being when the slot started.
 func (p *slotPhase) emit(w *rrWorker, i, lo int, t0 time.Time) {
-	n := len(w.arena) - lo
 	p.segs[i] = rrSeg{worker: int32(w.id), lo: int64(lo), hi: int64(len(w.arena))}
-	p.ro.observe(n)
-	w.rec.Observe(n)
-	if p.walks != nil {
-		// Atomic per-target adds: members are a fixed function of the
-		// slots; only the times vary with scheduling.
-		p.walks.RecordWalk(p.slots[i].ti, n, int64(time.Since(t0)))
-	}
+	w.rec.Set(p.slots[i].ti, len(w.arena)-lo, t0)
 }
 
 // finish joins the workers' output — batch events, build accounting into
@@ -220,7 +186,7 @@ func (p *slotPhase) finish(st *Stats, coll *im.RRCollection) error {
 		return err
 	}
 	appendSlots(coll, p.segs, arenas)
-	observeArena(p.opts.Obs, coll, grows)
+	p.h.RRArena(coll.ArenaBytes(), grows)
 	return nil
 }
 
@@ -271,7 +237,7 @@ func (gw *graphWalk) phase(p *slotPhase) {
 	}
 	p.run(len(p.slots), func(w *rrWorker, i int) error {
 		s := p.slots[i]
-		t0 := p.clock()
+		t0 := w.rec.Start()
 		lo := len(w.arena)
 		if gw.targetOK[s.ti] {
 			w.sc.walker.ReverseReachable(gw.targetIDs[s.ti], w.seeded(s), false, func(v wdgraph.NodeID) {

@@ -18,15 +18,16 @@ const profileTopRules = 5
 // section of the profile.
 const profileHotNodes = 10
 
-// finishProfile finalizes Options.Profile at the end of a solve: it stamps
+// finishProfile finalizes the solve's profile in its close: it stamps
 // the algorithm and target names, attributes the phase times and RR arena,
 // ranks the hottest WD-graph candidate nodes by RR-set membership (the
 // memberOf CSR degree), reconciles the planner counters, and surfaces the
 // aggregate as a profile.summary journal event plus rank-keyed hot-rule
 // gauges on the metrics registry. No-op without a profile; runs after
 // journalSelection so the event ordering within a run is stable.
-func finishProfile(inst *instance, opts Options, res *Result) {
-	p := opts.Profile
+func (s *solve) finishProfile() {
+	h, inst, res := s.h, s.inst, s.res
+	p := h.Profile()
 	if p == nil {
 		return
 	}
@@ -77,8 +78,8 @@ func finishProfile(inst *instance, opts Options, res *Result) {
 		}
 		info.TopRules = append(info.TopRules, journal.TopRule{Rule: r.Rule, Derived: r.Derived, SelfNs: r.SelfNs})
 	}
-	opts.Journal.ProfileSummary(info)
-	if reg := opts.Obs; reg != nil {
+	h.Journal().ProfileSummary(info)
+	if reg := h.Registry(); reg != nil {
 		for i, r := range rep.Rules {
 			if i >= profileTopRules {
 				break

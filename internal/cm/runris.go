@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"contribmax/internal/im"
-	"contribmax/internal/obs/journal"
+	"contribmax/internal/obs/instr"
 )
 
-// generateRR fills res.rrColl with the solve's RR sets. Every RR set is a
-// pre-seeded slot: the master rng draws its target and the seeds of its
+// generateRR fills s.res.rrColl with the solve's RR sets. Every RR set is
+// a pre-seeded slot: the master rng draws its target and the seeds of its
 // own PCG stream, and phase draws the sets of one batch of slots on the
 // batch's workers from those alone, so the collection is the same at every
 // Parallelism level. Fixed-θ solves draw one batch of θ slots, whose
@@ -18,18 +18,19 @@ import (
 // derives the count online from a certified lower bound on OPT and draws
 // each top-up as one batch. Batches are appended in slot order. It returns
 // the first worker error or the context's error.
-func generateRR(inst *instance, opts Options, res *Result, rng *rand.Rand, roots []int, phase func(p *slotPhase)) error {
+func (s *solve) generateRR(rng *rand.Rand, roots []int, phase func(p *slotPhase)) error {
+	inst, opts, res := s.inst, s.opts, s.res
 	start := time.Now()
 	defer func() {
 		res.Stats.RRGenTime += time.Since(start)
 		res.Stats.NumRR = res.rrColl.Len()
 	}()
-	recs := make([]*journal.BatchRecorder, max(opts.Parallelism, 1))
+	recs := make([]*instr.RR, max(opts.Parallelism, 1))
 	for i := range recs {
-		recs[i] = journal.NewBatchRecorder(opts.Journal, i)
+		recs[i] = s.h.NewRR(i)
 	}
 	batch := func(coll *im.RRCollection, slots []rrSlot) error {
-		p := newSlotPhase(opts, slots, recs)
+		p := newSlotPhase(opts.ctx(), s.h, slots, recs)
 		phase(p)
 		return p.finish(&res.Stats, coll)
 	}
@@ -43,8 +44,7 @@ func generateRR(inst *instance, opts Options, res *Result, rng *rand.Rand, roots
 			NumCandidates: len(inst.candidates),
 			K:             inst.in.K,
 			MaxRR:         opts.Theta.MaxAuto,
-			Obs:           opts.Obs,
-			Journal:       opts.Journal,
+			Instr:         s.h,
 		})
 		res.rrColl = coll
 		res.Stats.AdaptiveLowerBound = st.LowerBound

@@ -8,8 +8,7 @@ import (
 
 	"contribmax/internal/ast"
 	"contribmax/internal/db"
-	"contribmax/internal/obs"
-	"contribmax/internal/obs/journal"
+	"contribmax/internal/obs/instr"
 	"contribmax/internal/planner"
 	"contribmax/internal/prof"
 )
@@ -105,26 +104,16 @@ type Options struct {
 	// cancellation aborts the run with the context's error. Checks are
 	// per-round, so cancellation latency is one round of rule firing.
 	Context context.Context
-	// Obs, when non-nil, receives the engine metrics (see obs names
-	// engine.*): run/round/instantiation counters, the per-round delta
-	// size histogram, and — under Parallelism >= 2 — the parallel-round
-	// task counter and worker-busy/merge-wait histograms. A nil registry
-	// costs one pointer check per run.
-	Obs *obs.Registry
-	// Journal, when non-nil, receives one engine.round event per
-	// semi-naive round (round ordinal and delta size), emitted from the
-	// coordinator goroutine. Full-graph builds journal their fixpoint this
-	// way; the per-RR subgraph builds of the Magic variants leave it nil
-	// (thousands of tiny fixpoints would drown the stream).
-	Journal *journal.Journal
-	// Prof, when non-nil, collects the run's rule-level runtime profile:
+	// Instr, when non-nil, records the run (see internal/obs/instr): the
+	// engine.* metrics, one engine.round event per semi-naive round from
+	// the coordinator goroutine, and the rule-level runtime profile —
 	// per-rule instantiation/dedup counts, per-plan-step join fan-out and
 	// hoisted-check vetoes, wall time per rule per round, and per-stratum
-	// delta curves, merged into the solve-scoped profile at run end. All
-	// counts are recorded on deterministic paths, so they are identical at
-	// every Parallelism level; times live in separate fields. Nil costs
-	// one pointer check per run.
-	Prof *prof.Profile
+	// delta curves, merged into the solve-scoped profile at run end.
+	// Profile counts are recorded on deterministic paths, so they are
+	// identical at every Parallelism level; times live in separate fields.
+	// Nil costs one pointer check per site.
+	Instr *instr.Instr
 }
 
 // Stats summarizes an evaluation run.
@@ -207,16 +196,15 @@ func (e *Engine) Run(opts Options) (Stats, error) {
 			par = 1
 		}
 	}
-	ev := &evaluator{engine: e, opts: opts, par: par, stats: &stats,
-		deltaHist: opts.Obs.Histogram(obs.EngineDeltaSize)}
-	if opts.Prof != nil {
+	ev := &evaluator{engine: e, opts: opts, par: par, stats: &stats}
+	if pf := opts.Instr.Profile(); pf != nil {
 		names := make([]string, len(e.rules))
 		lens := make([]int, len(e.rules))
 		for i, cr := range e.rules {
 			names[i] = cr.src.String()
 			lens[i] = len(cr.body)
 		}
-		ev.prof = opts.Prof.StartEngine(names)
+		ev.prof = pf.StartEngine(names)
 		ev.profLens = lens
 	}
 	ev.seq.init(e, opts, ev.emitSequential)
@@ -229,14 +217,7 @@ func (e *Engine) Run(opts Options) (Stats, error) {
 	}
 
 	stats.Elapsed = time.Since(start)
-	if reg := opts.Obs; reg != nil {
-		reg.Counter(obs.EngineRuns).Inc()
-		reg.Counter(obs.EngineRounds).Add(int64(stats.Rounds))
-		reg.Counter(obs.EngineInstantiations).Add(stats.Instantiations)
-		reg.Counter(obs.EngineSuppressed).Add(stats.Suppressed)
-		reg.Counter(obs.EngineNewFacts).Add(stats.NewFacts)
-		reg.Histogram(obs.EngineEvalNs).Observe(int64(stats.Elapsed))
-	}
+	opts.Instr.EngineRun(stats.Rounds, stats.Instantiations, stats.Suppressed, stats.NewFacts, stats.Elapsed)
 	if runErr != nil {
 		return stats, runErr
 	}
@@ -250,11 +231,10 @@ func (e *Engine) Run(opts Options) (Stats, error) {
 // machinery itself lives in joinRun so that the sequential path and every
 // parallel worker share one implementation.
 type evaluator struct {
-	engine    *Engine
-	opts      Options
-	par       int // effective parallelism (gate-safe), <2 means sequential
-	stats     *Stats
-	deltaHist *obs.Histogram // per-round delta sizes; nil when disabled
+	engine *Engine
+	opts   Options
+	par    int // effective parallelism (gate-safe), <2 means sequential
+	stats  *Stats
 
 	// prof records this run for the solve-scoped profiler (nil when
 	// disabled); profLens caches per-rule body lengths for sizing worker
@@ -282,8 +262,10 @@ type evaluator struct {
 	headBuf db.Tuple
 
 	// workers and tasks are the parallel execution state; see parallel.go.
+	// busy[i] is worker i's busy time in the current parallel round.
 	// mergeBody is the merge phase's reusable Derivation.Body scratch.
 	workers   []*parWorker
+	busy      []time.Duration
 	tasks     []evalTask
 	mergeBody []FactRef
 }
@@ -376,9 +358,8 @@ func (ev *evaluator) runStratum(ruleIdxs []int, relList []*db.Relation) error {
 		if !hasDelta {
 			return nil
 		}
-		ev.deltaHist.Observe(delta)
 		ev.stats.Rounds++
-		ev.opts.Journal.EngineRound(ev.stats.Rounds, int(delta))
+		ev.opts.Instr.EngineRound(ev.stats.Rounds, int(delta))
 		ev.prof.BeginRound(ev.stratum, int(delta))
 		if ev.par >= 2 {
 			ev.runRoundParallel(ruleIdxs)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"contribmax/internal/db"
-	"contribmax/internal/obs"
 )
 
 // Parallel round execution.
@@ -59,7 +58,6 @@ type parWorker struct {
 	heads    []db.Sym
 	bodies   []db.TupleID
 	resolved []db.TupleID
-	busy     time.Duration
 }
 
 // emitBuffered is the worker-side emit path: buffer the instantiation
@@ -91,6 +89,7 @@ func (ev *evaluator) ensureWorkers() {
 		return
 	}
 	ev.workers = make([]*parWorker, ev.par)
+	ev.busy = make([]time.Duration, ev.par)
 	for i := range ev.workers {
 		w := &parWorker{}
 		w.jr.init(ev.engine, ev.opts, w.emitBuffered)
@@ -193,7 +192,7 @@ func (ev *evaluator) runRoundParallel(ruleIdxs []int) {
 		w.heads = w.heads[:0]
 		w.bodies = w.bodies[:0]
 		w.resolved = w.resolved[:0]
-		w.busy = 0
+		ev.busy[wi] = 0
 		wg.Add(1)
 		go func(wi int, w *parWorker) {
 			defer wg.Done()
@@ -218,7 +217,7 @@ func (ev *evaluator) runRoundParallel(ruleIdxs []int) {
 				t.n = len(w.resolved) - t.resLo
 				t.suppressed = w.jr.takeSuppressed()
 			}
-			w.busy = time.Since(start)
+			ev.busy[wi] = time.Since(start)
 		}(wi, w)
 	}
 	waitStart := time.Now()
@@ -235,14 +234,7 @@ func (ev *evaluator) runRoundParallel(ruleIdxs []int) {
 		}
 	}
 
-	if reg := ev.opts.Obs; reg != nil {
-		reg.Counter(obs.EngineBatches).Add(int64(len(tasks)))
-		reg.Histogram(obs.EngineMergeWait).Observe(int64(mergeWait))
-		busyHist := reg.Histogram(obs.EngineWorkerBusy)
-		for _, w := range ev.workers {
-			busyHist.Observe(int64(w.busy))
-		}
-	}
+	ev.opts.Instr.ParallelRound(len(tasks), mergeWait, ev.busy)
 }
 
 // mergeTasks replays the buffered worker results in task order, which is

@@ -9,6 +9,7 @@ import (
 	"contribmax/internal/db"
 	"contribmax/internal/engine"
 	"contribmax/internal/obs"
+	"contribmax/internal/obs/instr"
 )
 
 // tcFixture builds a transitive-closure workload large enough to cross the
@@ -158,7 +159,7 @@ func TestParallelSafeGateRunsParallel(t *testing.T) {
 	prog, freshDB := tcFixture(t, 60)
 	want, wantStats := evalSnapshot(t, prog, freshDB(), engine.Options{Gate: hashEveryOther{}})
 	reg := obs.NewRegistry()
-	got, gotStats := evalSnapshot(t, prog, freshDB(), engine.Options{Gate: hashEveryOther{}, Parallelism: 4, Obs: reg})
+	got, gotStats := evalSnapshot(t, prog, freshDB(), engine.Options{Gate: hashEveryOther{}, Parallelism: 4, Instr: instr.New(reg, nil, nil, nil)})
 	if got != want {
 		t.Error("safe gate at Parallelism=4 diverges from sequential")
 	}
@@ -175,7 +176,7 @@ func TestParallelSafeGateRunsParallel(t *testing.T) {
 func TestParallelObsMetrics(t *testing.T) {
 	prog, freshDB := tcFixture(t, 60)
 	reg := obs.NewRegistry()
-	if _, _ = evalSnapshot(t, prog, freshDB(), engine.Options{Parallelism: 4, Obs: reg}); reg.Counter(obs.EngineBatches).Value() == 0 {
+	if _, _ = evalSnapshot(t, prog, freshDB(), engine.Options{Parallelism: 4, Instr: instr.New(reg, nil, nil, nil)}); reg.Counter(obs.EngineBatches).Value() == 0 {
 		t.Fatal("engine.batches not incremented under Parallelism=4")
 	}
 	if reg.Histogram(obs.EngineWorkerBusy).Snapshot().Count == 0 {
@@ -185,7 +186,7 @@ func TestParallelObsMetrics(t *testing.T) {
 		t.Error("engine.merge_wait not observed")
 	}
 	seqReg := obs.NewRegistry()
-	_, _ = evalSnapshot(t, prog, freshDB(), engine.Options{Obs: seqReg})
+	_, _ = evalSnapshot(t, prog, freshDB(), engine.Options{Instr: instr.New(seqReg, nil, nil, nil)})
 	if seqReg.Counter(obs.EngineBatches).Value() != 0 {
 		t.Error("engine.batches incremented on a sequential run")
 	}

@@ -8,6 +8,7 @@ import (
 	"contribmax/internal/ast"
 	"contribmax/internal/db"
 	"contribmax/internal/engine"
+	"contribmax/internal/obs/instr"
 	"contribmax/internal/parser"
 	"contribmax/internal/prof"
 )
@@ -66,7 +67,8 @@ func TestGuardedFixpointEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Prof = prof.New()
+		pf := prof.New()
+		opts.Instr = instr.New(nil, nil, nil, pf)
 		if _, err := eng.Run(opts); err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +76,7 @@ func TestGuardedFixpointEquivalent(t *testing.T) {
 		for _, a := range d.Facts("q") {
 			out = append(out, a.String())
 		}
-		return out, opts.Prof.Report().EarlyVetoes
+		return out, pf.Report().EarlyVetoes
 	}
 	planned, plannedVetoes := derive(engine.Options{})
 	written, writtenVetoes := derive(engine.Options{DisableJoinReorder: true})

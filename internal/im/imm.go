@@ -3,7 +3,7 @@ package im
 import (
 	"math"
 
-	"contribmax/internal/obs"
+	"contribmax/internal/obs/instr"
 	"contribmax/internal/obs/journal"
 )
 
@@ -26,14 +26,12 @@ type IMMParams struct {
 	// MaxRR caps the total number of generated RR sets (0 = 100·|T2|,
 	// a pragmatic bound since the theoretical constants are conservative).
 	MaxRR int
-	// Obs, when non-nil, receives the adaptive-phase metrics (imm.*
-	// counters: runs, phase-1 halving rounds, RR sets per phase).
-	Obs *obs.Registry
-	// Journal, when non-nil, receives one imm.round event per phase-1
+	// Instr, when non-nil, records one imm.round event per phase-1
 	// halving round (threshold tested, cumulative θ, estimate, and the
 	// lower bound once certified) — the convergence trace of Remark 2's
-	// adaptive sampling.
-	Journal *journal.Journal
+	// adaptive sampling — and the adaptive-phase metrics (imm.* counters:
+	// runs, phase-1 halving rounds, RR sets per phase).
+	Instr *instr.Instr
 }
 
 func (p *IMMParams) fill() {
@@ -81,11 +79,12 @@ type IMMStats struct {
 // collection. The CM algorithms extend by one batch of pre-seeded slots
 // per call, so the generated sets do not depend on how a batch is
 // scheduled. The caller selects seeds over the returned collection.
-func IMM(extend func(coll *RRCollection, n int) error, p IMMParams) (*RRCollection, IMMStats, error) {
+func IMM(extend func(coll *RRCollection, n int) error, p IMMParams) (coll *RRCollection, stats IMMStats, err error) {
 	p.fill()
-	var stats IMMStats
-	coll := NewRRCollection(p.NumCandidates)
+	coll = NewRRCollection(p.NumCandidates)
 	nT := float64(p.NumTargets)
+	rounds := 0
+	defer func() { p.Instr.IMMRun(rounds, stats.Phase1RR, stats.TotalRR, err == nil) }()
 
 	generateTo := func(target int) error {
 		if target > p.MaxRR {
@@ -111,7 +110,7 @@ func IMM(extend func(coll *RRCollection, n int) error, p IMMParams) (*RRCollecti
 	// Phase 1: find a lower bound on OPT.
 	lb := 1.0
 	for i := 1; float64(i) <= logN-1; i++ {
-		p.Obs.Counter(obs.IMMRounds).Inc()
+		rounds++
 		x := nT / math.Pow(2, float64(i))
 		thetaI := int(math.Ceil(lambdaPrime / x))
 		if err := generateTo(thetaI); err != nil {
@@ -123,13 +122,11 @@ func IMM(extend func(coll *RRCollection, n int) error, p IMMParams) (*RRCollecti
 		if certified {
 			lb = est / (1 + epsPrime)
 		}
-		if p.Journal != nil {
-			ev := journal.IMMInfo{Round: i, X: x, Theta: coll.Len(), Est: est}
-			if certified {
-				ev.LB = lb
-			}
-			p.Journal.IMMRound(ev)
+		ev := journal.IMMInfo{Round: i, X: x, Theta: coll.Len(), Est: est}
+		if certified {
+			ev.LB = lb
 		}
+		p.Instr.IMMRound(ev)
 		if certified || stats.Capped {
 			break
 		}
@@ -145,10 +142,5 @@ func IMM(extend func(coll *RRCollection, n int) error, p IMMParams) (*RRCollecti
 		return coll, stats, err
 	}
 	stats.TotalRR = coll.Len()
-	if reg := p.Obs; reg != nil {
-		reg.Counter(obs.IMMRuns).Inc()
-		reg.Counter(obs.IMMPhase1).Add(int64(stats.Phase1RR))
-		reg.Counter(obs.IMMTotalRR).Add(int64(stats.TotalRR))
-	}
 	return coll, stats, nil
 }

@@ -7,8 +7,7 @@ import (
 	"contribmax/internal/ast"
 	"contribmax/internal/db"
 	"contribmax/internal/engine"
-	"contribmax/internal/obs"
-	"contribmax/internal/prof"
+	"contribmax/internal/obs/instr"
 )
 
 // Grounding is the ground program of one unsampled evaluation of a
@@ -95,9 +94,8 @@ type GroundOptions struct {
 	SizeHint int64
 	// Context, when non-nil, cancels the run between rounds.
 	Context context.Context
-	// Obs and Prof are forwarded to the engine run (engine.Options).
-	Obs  *obs.Registry
-	Prof *prof.Profile
+	// Instr is forwarded to the engine run (engine.Options.Instr).
+	Instr *instr.Instr
 }
 
 // GroundStats describes one grounding run.
@@ -129,7 +127,7 @@ func Ground(t *Transformed, eng *engine.Engine, opts GroundOptions) (*Grounding,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	eopts := engine.Options{Listener: rec.observe, Context: ctx, Obs: opts.Obs, Prof: opts.Prof}
+	eopts := engine.Options{Listener: rec.observe, Context: ctx, Instr: opts.Instr}
 	var cg *capGate
 	if opts.Cap > 0 {
 		runCtx, cancel := context.WithCancel(ctx)

@@ -1,12 +1,13 @@
 // Package prof is the solve-scoped runtime profiler of the CM pipeline:
-// an EXPLAIN ANALYZE for probabilistic Datalog solves. A *Profile threaded
-// through cm.Options.Profile collects per-rule accounting from every
-// semi-naive fixpoint the solve evaluates (instantiations attempted, tuples
-// derived, dedup rate, wall time per rule per round, per-plan-step join
-// fan-out and hoisted-check savings), per-stratum round/delta curves, and
-// RR-phase attribution (walks, members, and wall time per target), then
-// renders the aggregate as a RuntimeProfile JSON artifact or a text tree
-// ranked by self-time.
+// an EXPLAIN ANALYZE for probabilistic Datalog solves. A *Profile handed
+// to cm.Options.Profile, and from there to every layer as part of the
+// solve's instrument (internal/obs/instr), collects per-rule accounting
+// from every semi-naive fixpoint the solve evaluates (instantiations
+// attempted, tuples derived, dedup rate, wall time per rule per round,
+// per-plan-step join fan-out and hoisted-check savings), per-stratum
+// round/delta curves, and RR-phase attribution (walks, members, and wall
+// time per target), then renders the aggregate as a RuntimeProfile JSON
+// artifact or a text tree ranked by self-time.
 //
 // Contract (the same one obs and journal follow): a nil *Profile is a
 // no-op — every method returns immediately after one pointer check and

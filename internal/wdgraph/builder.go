@@ -10,10 +10,8 @@ import (
 	"contribmax/internal/ast"
 	"contribmax/internal/db"
 	"contribmax/internal/engine"
-	"contribmax/internal/obs"
-	"contribmax/internal/obs/journal"
+	"contribmax/internal/obs/instr"
 	"contribmax/internal/planner"
-	"contribmax/internal/prof"
 )
 
 // Projection controls how fired rule instantiations map into WD-graph nodes
@@ -436,10 +434,6 @@ type BuildConfig struct {
 	// Ctx, when non-nil, cancels the underlying fixpoint evaluation
 	// between rounds.
 	Ctx context.Context
-	// Obs, when non-nil, receives the construction metrics (wdgraph.*
-	// counters and the build-time histogram) and is forwarded to the
-	// engine for its engine.* metrics.
-	Obs *obs.Registry
 	// Parallelism is forwarded to engine.Options.Parallelism: >= 2 runs
 	// the fixpoint on that many workers. The builder needs no changes to
 	// support this — the engine guarantees the derivation stream reaching
@@ -449,19 +443,14 @@ type BuildConfig struct {
 	// Gate is set it must implement engine.ParallelSafeGate for the
 	// parallel path to engage (magic.HashGate does).
 	Parallelism int
-	// Journal, when non-nil, receives one graph.build event per
-	// construction (node/edge counts, wall time) and is forwarded to the
-	// engine for its per-round engine.round events. Full-graph builds set
-	// it; the Magic variants' per-RR subgraph builds leave it nil.
-	Journal *journal.Journal
 	// Planner, when non-nil, is the plan cache rule compilation shares
 	// with other builds (engine.NewPlanned); nil plans this build's rules
 	// without caching.
 	Planner *planner.Planner
-	// Prof, when non-nil, is forwarded to engine.Options.Prof so the
-	// fixpoint records per-rule runtime accounting into the solve's
-	// profile. Like Obs/Journal it never changes the constructed graph.
-	Prof *prof.Profile
+	// Instr, when non-nil, records the construction (wdgraph.* metrics and
+	// one graph.build event, see instr.GraphBuilt) and is forwarded to the
+	// engine for its fixpoint. It never changes the constructed graph.
+	Instr *instr.Instr
 }
 
 // Build evaluates prog over database and returns the projected WD graph.
@@ -473,8 +462,7 @@ func Build(prog *ast.Program, database *db.Database, proj *Projection, preloadED
 }
 
 // BuildWith is Build with cancellation and observability: one constructed
-// graph records one wdgraph.builds increment, its node/edge counts, and
-// its wall-clock construction time.
+// graph is recorded once through cfg.Instr (instr.GraphBuilt).
 func BuildWith(prog *ast.Program, database *db.Database, cfg BuildConfig) (*Graph, engine.Stats, error) {
 	start := time.Now()
 	proj := cfg.Proj
@@ -497,18 +485,12 @@ func BuildWith(prog *ast.Program, database *db.Database, cfg BuildConfig) (*Grap
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
-	stats, err := eng.Run(engine.Options{Listener: b.Listener(), Gate: cfg.Gate, Context: cfg.Ctx, Obs: cfg.Obs, Parallelism: cfg.Parallelism, Journal: cfg.Journal, Prof: cfg.Prof})
+	stats, err := eng.Run(engine.Options{Listener: b.Listener(), Gate: cfg.Gate, Context: cfg.Ctx, Parallelism: cfg.Parallelism, Instr: cfg.Instr})
 	if err != nil {
 		return nil, stats, err
 	}
 	g := b.Graph()
-	if reg := cfg.Obs; reg != nil {
-		reg.Counter(obs.GraphBuilds).Inc()
-		reg.Counter(obs.GraphNodes).Add(int64(g.NumNodes()))
-		reg.Counter(obs.GraphEdges).Add(int64(g.NumEdges()))
-		reg.Histogram(obs.GraphBuildNs).ObserveSince(start)
-	}
-	cfg.Journal.GraphBuild(g.NumNodes(), g.NumEdges(), time.Since(start))
+	cfg.Instr.GraphBuilt(g.NumNodes(), g.NumEdges(), start)
 	return g, stats, nil
 }
 
