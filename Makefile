@@ -17,9 +17,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The packages that evaluate programs concurrently.
+# The packages that evaluate programs concurrently, then ten repetitions
+# of the engine's pipelined-delivery tests (lifetime, panics, cancel,
+# byte-identity), whose goroutine interleavings vary run to run.
 race:
 	$(GO) test -race ./internal/cm ./internal/db ./internal/im ./internal/engine ./internal/engine/difftest ./internal/magic ./internal/obs ./internal/obs/instr ./internal/obs/journal ./internal/planner ./internal/prof ./internal/server ./internal/solvecache ./internal/wdgraph
+	$(GO) test -race -count=10 -run 'Parallel|Pipeline' ./internal/engine ./internal/engine/difftest
 
 # Run every Go micro-benchmark once: a compile-and-run guard for the bench
 # code. Meaningful numbers need -benchtime left at its default; compare
@@ -41,8 +44,9 @@ journal-demo:
 	$(GO) run ./cmd/cmjournal /tmp/contribmax-journal.jsonl
 
 # Short fuzz runs: the parse -> analyze -> stratify -> evaluate pipeline
-# (asserting parallel evaluation stays byte-identical to sequential on
-# every input the pipeline accepts), then the exact-vs-RIS estimator
+# (asserting pipelined delivery to the listener, Parallelism >= 2, stays
+# byte-identical to sequential evaluation on every input the pipeline
+# accepts), then the exact-vs-RIS estimator
 # differential (random hierarchical instances; the sampled estimate must
 # stay within its error proxy of the exact lifted value), then Magic^S's
 # grounding differential (random positive programs; propagation over one

@@ -16,7 +16,6 @@ import (
 
 	"contribmax"
 	"contribmax/internal/cm"
-	"contribmax/internal/db"
 	"contribmax/internal/engine"
 	"contribmax/internal/experiments"
 	"contribmax/internal/im"
@@ -144,54 +143,40 @@ func BenchmarkSemiNaiveEvalTC(b *testing.B) {
 	}
 }
 
-// BenchmarkFixpointParallel measures the deterministic parallel semi-naive
-// engine across Parallelism levels on the two rule-heavy workloads where
-// evaluation dominates end-to-end CM latency: TC (dense recursive closure,
-// few rules) and the AMIE trade KB (23 rules, wide joins). p0 is the
-// sequential baseline; every level produces byte-identical output, so the
-// ratio p0/p8 is pure speedup, not a different computation (the
-// methodology recorded with BENCH_baseline.json).
-func BenchmarkFixpointParallel(b *testing.B) {
+// BenchmarkFullGraphBuild times the build phase of NaiveCM: one
+// wdgraph.BuildWith (edb preload, identity projection) over a scratch
+// database, at Parallelism 1 (sequential) and 2 (the fixpoint on a helper
+// goroutine, pipelined beside the graph builder). It runs on an
+// Explain-160 instance, the shape of perfbench's naive-explain, and on the
+// AMIE trade KB (23 rules, wide joins). Both levels build the same graph:
+// the benchmark asserts equal node and edge counts, so the p1/p2 ratio
+// compares equal work.
+func BenchmarkFullGraphBuild(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	tcDB := workload.RingChordGraph(120, 60, rng)
-	tcProg := workload.TCProgram(1.0, 0.8)
-	trade := workload.AMIE(workload.AMIEDBParams{Countries: 26, People: 130}, rng)
-
-	run := func(b *testing.B, prog *contribmax.Program, d *db.Database, par int) {
-		var newFacts int64
-		for i := 0; i < b.N; i++ {
-			scratch := d.CloneSchema()
-			for _, p := range prog.EDBs() {
-				if rel, ok := d.Lookup(p); ok {
-					scratch.Attach(rel)
-				}
-			}
-			eng, err := engine.New(prog, scratch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			stats, err := eng.Run(engine.Options{Parallelism: par})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				newFacts = stats.NewFacts
-			} else if stats.NewFacts != newFacts {
-				b.Fatalf("nondeterministic: %d vs %d new facts", stats.NewFacts, newFacts)
-			}
-		}
-		b.ReportMetric(float64(newFacts), "facts")
-	}
 	for _, w := range []struct {
 		name string
-		prog *contribmax.Program
-		d    *db.Database
+		w    workload.Workload
 	}{
-		{"tc", tcProg, tcDB},
-		{"trade", trade.Program, trade.DB},
+		{"explain160", workload.Explain(160, 3, rng)},
+		{"trade", workload.AMIE(workload.AMIEDBParams{Countries: 26, People: 130}, rng)},
 	} {
-		for _, par := range []int{0, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/p%d", w.name, par), func(b *testing.B) { run(b, w.prog, w.d, par) })
+		nodes, edges := -1, -1
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/p%d", w.name, par), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					g, _, err := wdgraph.BuildWith(w.w.Program, w.w.DB.Scratch(w.w.Program.EDBs()), wdgraph.BuildConfig{PreloadEDB: true, Parallelism: par})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if nodes < 0 {
+						nodes, edges = g.NumNodes(), g.NumEdges()
+					} else if g.NumNodes() != nodes || g.NumEdges() != edges {
+						b.Fatalf("Parallelism=%d built %d nodes, %d edges; want %d, %d", par, g.NumNodes(), g.NumEdges(), nodes, edges)
+					}
+				}
+				b.ReportMetric(float64(nodes), "nodes")
+				b.ReportMetric(float64(edges), "edges")
+			})
 		}
 	}
 }

@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		algo        = fs.String("algo", "magics", "algorithm: naive | magic | magics | magicg | exact | dnf")
 		rr          = fs.Int("rr", 0, "number of RR sets (0 = 30% of #targets, floored at 1000)")
 		seed        = fs.Uint64("seed", 1, "random seed")
-		parallel    = fs.Int("parallel", 1, "worker goroutines: RR generation (every sampling algorithm; 0 means 1) and, when >= 2, the fixpoint engine for full-graph builds (naive/magicg); results are identical at every level")
+		parallel    = fs.Int("parallel", 1, "worker goroutines: RR generation (every sampling algorithm; 0 means 1) and, when >= 2, a full-graph build (naive/magicg/dnf/exact) runs its fixpoint beside the graph builder on a second goroutine; results are identical at every level")
 		adaptive    = fs.Bool("adaptive", false, "derive the RR-set count adaptively (IMM) instead of -rr")
 		verbose     = fs.Bool("verbose", false, "print run statistics")
 		stats       = fs.Bool("stats", false, "print the per-phase timing tree and collected metrics on stderr")

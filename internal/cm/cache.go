@@ -29,20 +29,27 @@ import (
 // Results are proven byte-identical at every Parallelism level, which is
 // absent from the keys, so solves differing only in it share entries.
 
-// cached routes body through Options.Cache's RR store under the answering
+// cached routes body through Options.Cache's RR store under the
 // algorithm's name: a miss runs body under single-flight and admits the
-// finalized collection, a hit replays the cached one. Without a cache, or
+// finalized collection, a hit replays the cached one. When body fell back
+// to another algorithm, the entry keeps the answering algorithm and the
+// reason, so a replay reports what the cold solve did. Without a cache, or
 // when the solve's random stream is unidentified, it is body.
 func cached(body route) route {
 	return func(s *solve) error {
 		if !s.rrCacheable {
 			return body(s)
 		}
-		entry, src, err := s.opts.Cache.RR(s.opts.ctx(), s.rrKey(), func() (*solvecache.RREntry, error) {
+		key := s.rrKey()
+		entry, src, err := s.opts.Cache.RR(s.opts.ctx(), key, func() (*solvecache.RREntry, error) {
 			if err := body(s); err != nil {
 				return nil, err
 			}
-			return rrEntryOf(s.res), nil
+			e := rrEntryOf(s.res)
+			if s.res.Algorithm != key.Algorithm {
+				e.Gen.Algorithm, e.Gen.Fallback = s.res.Algorithm, s.res.Stats.ExactFallback
+			}
+			return e, nil
 		})
 		if err != nil {
 			return err
@@ -80,6 +87,9 @@ func (s *solve) replay(e *solvecache.RREntry) bool {
 	st.GroundAborts = e.Gen.GroundAborts
 	st.AdaptiveLowerBound = e.Gen.AdaptiveLowerBound
 	st.AdaptiveCapped = e.Gen.AdaptiveCapped
+	if e.Gen.Algorithm != "" {
+		s.res.Algorithm, st.ExactFallback = e.Gen.Algorithm, e.Gen.Fallback
+	}
 	st.CacheRRHits = 1
 	st.CacheBytesReused = e.Coll.MemoryBytes()
 	return true

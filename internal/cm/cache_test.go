@@ -7,6 +7,7 @@ import (
 
 	"contribmax/internal/cm"
 	"contribmax/internal/im"
+	"contribmax/internal/obs/journal"
 	"contribmax/internal/solvecache"
 )
 
@@ -251,5 +252,56 @@ func TestCacheConcurrentSolvesSingleFlight(t *testing.T) {
 	}
 	if st := c.Stats(); st.RRMisses != 1 {
 		t.Fatalf("concurrent identical solves ran %d generations, want 1 (%+v)", st.RRMisses, st)
+	}
+}
+
+// TestCacheFallbackReplaysAsAnswered: a DNFCM solve whose lineage budget
+// trips is answered by MagicCM, and a warm repeat served from the cache
+// reports the same: MagicCM, the fallback reason, the same seeds, and a
+// solve.finish naming MagicCM. A direct MagicCM solve that reuses the
+// fallback's collection reports no fallback.
+func TestCacheFallbackReplaysAsAnswered(t *testing.T) {
+	in := profileInstance(t)
+	c := solvecache.New(0)
+	opts := func() cm.Options {
+		o := cachedOpts(c)
+		o.Theta = im.ThetaSpec{Explicit: 150}
+		return o
+	}
+	cold, err := cm.DNFCM(in, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Algorithm != "MagicCM" || cold.Stats.ExactFallback != "lineage budget exceeded" {
+		t.Fatalf("cold solve answered by %q with fallback %q; the instance no longer trips the lineage budget",
+			cold.Algorithm, cold.Stats.ExactFallback)
+	}
+	o := opts()
+	o.Journal = journal.New("", journal.Options{})
+	warm, err := cm.DNFCM(in, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Stats.CacheRRHits != 1 {
+		t.Fatalf("warm solve: rr hits=%d, want 1", warm.Stats.CacheRRHits)
+	}
+	if warm.Algorithm != cold.Algorithm || warm.Stats.ExactFallback != cold.Stats.ExactFallback {
+		t.Errorf("warm solve reports %q with fallback %q, want %q with %q",
+			warm.Algorithm, warm.Stats.ExactFallback, cold.Algorithm, cold.Stats.ExactFallback)
+	}
+	if got, want := resultFingerprint(warm), resultFingerprint(cold); got != want {
+		t.Errorf("warm solve diverged:\n  got  %s\n  want %s", got, want)
+	}
+	evs := o.Journal.Snapshot()
+	if last := evs[len(evs)-1]; last.Type != journal.TypeSolveFinish || last.Finish.Algorithm != "MagicCM" {
+		t.Errorf("warm solve's last event %s names %+v, want solve.finish naming MagicCM", last.Type, last.Finish)
+	}
+	direct, err := cm.MagicCM(in, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Stats.CacheRRHits != 1 || direct.Algorithm != "MagicCM" || direct.Stats.ExactFallback != "" {
+		t.Errorf("direct MagicCM: hits=%d algorithm %q fallback %q; want a hit by MagicCM with no fallback",
+			direct.Stats.CacheRRHits, direct.Algorithm, direct.Stats.ExactFallback)
 	}
 }

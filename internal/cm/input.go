@@ -96,11 +96,13 @@ type Options struct {
 	// propagations for MagicCM / Magic^S CM (each target's subgraph is
 	// built, or grounded, once per batch of slots), reverse walks over the
 	// shared graph for NaiveCM / Magic^G CM, and possible-world samples for
-	// DNFCM. When >= 2 it also runs the semi-naive fixpoint of *full-graph*
-	// builds (NaiveCM's WD graph, Magic^G CM's union graph) on that many
-	// engine workers (engine.Options.Parallelism; per-tuple subgraph builds
-	// stay sequential inside the already-parallel RR workers); the engine
-	// is byte-identical at every level.
+	// DNFCM. When >= 2 it also pipelines *full-graph* builds (NaiveCM's,
+	// DNFCM's and ExactCM's WD graph, Magic^G CM's union graph): the
+	// fixpoint runs on a helper goroutine while the graph builder consumes
+	// its derivations on the solve's (engine.Options.Parallelism; a build
+	// uses two goroutines at every level >= 2, and per-tuple subgraph
+	// builds stay sequential inside the already-parallel RR workers); the
+	// graph is byte-identical at every level.
 	Parallelism int
 	// Obs, when non-nil, receives the pipeline metrics of the solve (cm.*,
 	// rr.*, wdgraph.*, engine.*, imm.* — see internal/obs and

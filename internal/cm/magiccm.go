@@ -123,9 +123,9 @@ func (m *magicRR) gatedRR(ti int, gateSeed uint64, st *Stats, sc *rrScratch, are
 	if err != nil {
 		return arena, 0, err
 	}
-	// Engine parallelism stays off for per-tuple subgraphs: the RR phase
+	// Per-tuple subgraphs build without the engine pipeline: the RR phase
 	// already runs one worker per Parallelism slot, and the subgraphs are
-	// small — nesting worker pools would oversubscribe.
+	// small — a second goroutine per build would oversubscribe.
 	g, est, err := buildMagicGraph(m.in, tr, gateSeed, true, m.ctx, m.h, 0, m.pl)
 	if err != nil {
 		return arena, 0, err

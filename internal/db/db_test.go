@@ -144,7 +144,7 @@ func TestLookupPatternMaintainedAcrossInserts(t *testing.T) {
 // are filled by Insert's index maintenance.
 func TestRelationProbesAllocFree(t *testing.T) {
 	r := db.NewRelation("r", 3)
-	r.EnsureIndex(0b101)
+	r.LookupPattern(0b101, db.Tuple{0, 0, 0}) // builds the index
 	for i := 0; i < 50; i++ {
 		r.Insert(db.Tuple{db.Sym(i % 7), db.Sym(i), db.Sym(i % 3)})
 	}

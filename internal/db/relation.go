@@ -11,16 +11,11 @@ type TupleID int32
 // created hash indexes over binding patterns.
 //
 // Concurrency: a relation that is not currently being inserted into may be
-// read — including index-building LookupPattern and EnsureIndex calls —
-// from multiple goroutines (the parallel Magic variants share edb
-// relations across workers this way, and the parallel semi-naive engine
-// has its workers scan relations concurrently; idxMu guards lazy index
-// creation). Insert is single-writer and must not run concurrently with
-// any reader or another Insert: the engine alternates read-only scan
-// phases with a single-goroutine merge phase, with a happens-before edge
-// between them. Callers that scan in parallel should EnsureIndex the
-// binding patterns they will use up front, so the scan phase never takes
-// the index-creation write lock.
+// read — including index-building LookupPattern calls — from multiple
+// goroutines (the parallel Magic variants share edb relations across RR
+// workers this way; idxMu guards lazy index creation). Insert is
+// single-writer and must not run concurrently with any reader or another
+// Insert.
 type Relation struct {
 	name   string
 	arity  int
@@ -97,10 +92,8 @@ func (r *Relation) Insert(t Tuple) (TupleID, bool) {
 	id := TupleID(len(r.tuples))
 	r.tuples = append(r.tuples, t.Clone())
 	r.byKey[string(key)] = id
-	// The write lock (not RLock: bucket appends mutate the index maps, and
-	// the single-writer contract still allows a concurrent EnsureIndex from
-	// a stale reader to be in flight) keeps index maintenance consistent
-	// with lazy index creation.
+	// The write lock (not RLock: bucket appends mutate the index maps)
+	// keeps index maintenance consistent with lazy index creation.
 	r.idxMu.Lock()
 	for _, idx := range r.indexes {
 		idx.add(r.tuples[id], id)
@@ -128,18 +121,6 @@ func (r *Relation) LookupPattern(mask uint32, bound Tuple) (ids []TupleID, ok bo
 		return idx.buckets[s], true
 	}
 	return nil, true
-}
-
-// EnsureIndex pre-builds the hash index for the given binding-pattern
-// mask (a no-op for mask 0 or an existing index). The parallel engine
-// calls this for every pattern a stratum's join plans will probe before
-// fanning scans out over workers, so the read phase is lock-free: no
-// worker ever takes the index-creation write lock mid-scan.
-func (r *Relation) EnsureIndex(mask uint32) {
-	if mask == 0 {
-		return
-	}
-	r.index(mask)
 }
 
 func (r *Relation) index(mask uint32) *patternIndex {

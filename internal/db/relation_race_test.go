@@ -30,7 +30,7 @@ func raceRelation(t *testing.T) *db.Relation {
 }
 
 // TestRelationConcurrentReaders pins the concurrent-reader contract the
-// parallel engine relies on: many goroutines may call LookupPattern —
+// parallel Magic variants rely on: many goroutines may call LookupPattern —
 // including first-touch calls on the same fresh mask, which trigger the
 // lazy index build — plus Tuple/Contains/Len, with no external locking.
 // Run under -race (make race covers internal/db).
@@ -74,11 +74,11 @@ func TestRelationConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRelationEnsureIndexThenPhasedInserts mirrors the parallel engine's
-// round structure: indexes are pre-built, then rounds alternate a
-// read-only parallel scan phase with a single-goroutine insert phase
-// (WaitGroup joins provide the happens-before edges). Readers must observe
-// a consistent prefix in every round.
+// TestRelationEnsureIndexThenPhasedInserts pins the single-writer
+// contract across phases: indexes are built up front by LookupPattern,
+// then rounds alternate a single-goroutine insert phase with a read-only
+// parallel scan phase (WaitGroup joins provide the happens-before edges).
+// Readers must observe a consistent prefix in every round.
 func TestRelationEnsureIndexThenPhasedInserts(t *testing.T) {
 	d := db.NewDatabase()
 	rel, err := d.EnsureRelation("s", 2)
@@ -86,7 +86,7 @@ func TestRelationEnsureIndexThenPhasedInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for mask := uint32(1); mask < 1<<2; mask++ {
-		rel.EnsureIndex(mask)
+		rel.LookupPattern(mask, db.Tuple{0, 0}) // builds the index
 	}
 	key := d.Symbols().Intern("k")
 	tuple := make(db.Tuple, 2)

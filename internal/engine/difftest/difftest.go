@@ -1,8 +1,9 @@
 // Package difftest is the engine's differential test harness: it evaluates
-// one program twice — sequentially and under parallel evaluation — and
-// asserts the observable outputs are byte-identical, which is the
-// determinism contract engine.Options.Parallelism promises (relations with
-// tuple ids, Stats, and the derivation stream; see docs/PERFORMANCE.md).
+// one program twice — sequentially and with pipelined delivery to the
+// listener — and asserts the observable outputs are byte-identical, which
+// is the determinism contract engine.Options.Parallelism promises
+// (relations with tuple ids, Stats, and the derivation stream; see
+// docs/PERFORMANCE.md).
 //
 // The package is used three ways: property-based tests over randomly
 // generated stratified programs (Generate), corpus tests over the
@@ -44,7 +45,7 @@ func (s *Spec) NewDB() (*db.Database, error) {
 
 // Snapshot evaluates prog over d and renders everything the determinism
 // contract covers into one comparable string: the exact derivation stream
-// (rule index, head relation/id/novelty, body fact refs, in listener
+// (rule index, head relation/id/novelty/tuple, body fact refs, in listener
 // order), every touched relation's full tuple sequence in id order, and
 // the Stats with the wall-clock field zeroed. opts.Listener is replaced by
 // the recording listener. A run error is folded into the snapshot (after
@@ -52,10 +53,10 @@ func (s *Spec) NewDB() (*db.Database, error) {
 // compare equal — and a divergence in *when* they fail is caught.
 //
 // maxDerivations > 0 bounds the run: once the stream reaches the budget
-// the run is canceled at the next round boundary. Both the sequential and
-// the parallel engine check cancellation at the same boundaries and
-// deliver identical streams, so a budgeted run still snapshots
-// identically at every Parallelism level.
+// the run is canceled at the next round boundary. A pipelined run checks
+// cancellation only after its listener has consumed the round, so it
+// stops at the same boundary as a sequential run, and a budgeted run
+// still snapshots identically at every Parallelism level.
 func Snapshot(prog *ast.Program, d *db.Database, opts engine.Options, maxDerivations int) string {
 	var sb strings.Builder
 	var ctx context.Context
@@ -67,7 +68,7 @@ func Snapshot(prog *ast.Program, d *db.Database, opts engine.Options, maxDerivat
 	}
 	derivations := 0
 	opts.Listener = func(dv engine.Derivation) {
-		fmt.Fprintf(&sb, "d %d %s/%d new=%t [", dv.RuleIndex, dv.Head.Rel.Name(), dv.Head.ID, dv.HeadNew)
+		fmt.Fprintf(&sb, "d %d %s/%d new=%t %v [", dv.RuleIndex, dv.Head.Rel.Name(), dv.Head.ID, dv.HeadNew, dv.HeadTuple)
 		for _, b := range dv.Body {
 			fmt.Fprintf(&sb, " %s/%d", b.Rel.Name(), b.ID)
 		}
@@ -103,7 +104,7 @@ func Snapshot(prog *ast.Program, d *db.Database, opts engine.Options, maxDerivat
 
 // CompareParallel evaluates the spec sequentially and at each given
 // Parallelism level and returns a descriptive error on the first
-// divergence (nil when all levels agree). base supplies the non-parallel
+// divergence (nil when all levels agree). base supplies the other
 // options (gate, round budget, ...); its Listener and Context are managed
 // by Snapshot. maxDerivations is forwarded to Snapshot.
 func CompareParallel(s *Spec, base engine.Options, maxDerivations int, levels []int) error {
@@ -140,7 +141,7 @@ func firstDiff(want, got string) string {
 			gl = g[i]
 		}
 		if wl != gl {
-			return fmt.Sprintf("line %d:\n  sequential: %q\n  parallel:   %q", i+1, wl, gl)
+			return fmt.Sprintf("line %d:\n  sequential: %q\n  pipelined:  %q", i+1, wl, gl)
 		}
 	}
 	return "snapshots differ only in length"

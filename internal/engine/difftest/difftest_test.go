@@ -85,7 +85,7 @@ func TestGeneratedProgramsPlanEquivalent(t *testing.T) {
 // TestMagicProgramsPlanEquivalent runs the same battery over Magic-Sets
 // output — the adorned, guard-heavy rule shape the CM variants actually
 // evaluate and the one the plan cache is keyed for — and checks that
-// parallel evaluation of it stays byte-identical to sequential.
+// pipelined evaluation of it stays byte-identical to sequential.
 func TestMagicProgramsPlanEquivalent(t *testing.T) {
 	seeds := 25
 	if testing.Short() {
@@ -140,8 +140,8 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestGeneratorProducesInterestingPrograms guards against the generator
 // silently degenerating: across a window of seeds it must produce
-// recursion, negation, built-ins, and programs whose evaluation crosses
-// the parallel engine's small-round threshold.
+// recursion, negation, built-ins, and programs that derive hundreds of
+// facts, so pipelined delivery carries more than a handful of derivations.
 func TestGeneratorProducesInterestingPrograms(t *testing.T) {
 	var recursive, negated, builtin, nontrivial int
 	for seed := 0; seed < 40; seed++ {
@@ -180,6 +180,6 @@ func TestGeneratorProducesInterestingPrograms(t *testing.T) {
 		t.Errorf("generator coverage degenerated: recursive=%d negated=%d builtin=%d", recursive, negated, builtin)
 	}
 	if nontrivial == 0 {
-		t.Error("no generated program derived > 300 facts; parallel path may never engage")
+		t.Error("no generated program derived > 300 facts; the pipeline would carry only trivial streams")
 	}
 }

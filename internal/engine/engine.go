@@ -19,9 +19,9 @@ type FactRef struct {
 	ID  db.TupleID
 }
 
-// Derivation describes one fired rule instantiation. Body aliases an
-// engine-internal buffer: listeners must copy it if they retain it past the
-// callback.
+// Derivation describes one fired rule instantiation. Body and HeadTuple
+// alias engine-internal buffers: listeners must copy them if they retain
+// them past the callback.
 type Derivation struct {
 	// RuleIndex is the index of the rule in the program passed to New.
 	RuleIndex int
@@ -32,6 +32,10 @@ type Derivation struct {
 	// HeadNew reports whether the head fact was first derived by this
 	// instantiation (false when the fact already existed).
 	HeadNew bool
+	// HeadTuple holds the head fact's symbols when HeadNew is set and is
+	// nil otherwise. A pipelined run's listener must read a new head here,
+	// not through Head.Rel (see DerivationListener).
+	HeadTuple db.Tuple
 	// Body holds the instantiated positive body facts, in body order.
 	// Built-in and negated literals are filters, not facts, and do not
 	// appear here.
@@ -42,9 +46,15 @@ type Derivation struct {
 //
 // The listener is always invoked from the goroutine that called Run —
 // never concurrently — and the derivation stream is identical at every
-// Options.Parallelism level: parallel evaluation buffers worker results
-// and replays them in the sequential order. Listeners therefore need no
-// synchronization of their own (wdgraph.Builder relies on this).
+// Options.Parallelism level, so listeners need no synchronization of their
+// own (wdgraph.Builder relies on this).
+//
+// A pipelined run (see Options.Parallelism) calls the listener while the
+// fixpoint, on another goroutine, keeps appending to the relations the
+// program derives into, so the listener must not read those relations'
+// tuples or lengths: a new head's symbols arrive in HeadTuple, and every
+// derived body fact is a head delivered earlier in the stream. Relation
+// names and the relations the run only reads are safe to use.
 type DerivationListener func(d Derivation)
 
 // FireGate decides whether a candidate rule instantiation fires. vars holds
@@ -56,28 +66,13 @@ type FireGate interface {
 	ShouldFire(ruleIndex int, vars []db.Sym) bool
 }
 
-// ParallelSafeGate marks gates that parallel evaluation may consult from
-// worker goroutines: ShouldFire must be safe for concurrent use and
-// order-independent — its verdict a pure function of (ruleIndex, bindings),
-// never of how many or in which order other instantiations were seen
-// (magic.HashGate is the canonical implementation). When Options sets
-// Parallelism >= 2 with a gate that does not implement this interface, the
-// engine falls back to sequential evaluation rather than risk corrupting
-// the gate's state; results are identical either way for conforming gates.
-type ParallelSafeGate interface {
-	FireGate
-	// ParallelSafeFireGate is a marker; implementations do nothing.
-	ParallelSafeFireGate()
-}
-
 // Options configures one evaluation run.
 type Options struct {
 	// Listener, if non-nil, observes every fired instantiation.
 	Listener DerivationListener
-	// Gate, if non-nil, can veto instantiations before they fire. With
-	// Parallelism >= 2 the gate is consulted from worker goroutines and
-	// must implement ParallelSafeGate (otherwise the run is evaluated
-	// sequentially).
+	// Gate, if non-nil, can veto instantiations before they fire. It is
+	// consulted from one goroutine, the fixpoint's, at every Parallelism
+	// level; a pipelined run's fixpoint goroutine is not the caller's.
 	Gate FireGate
 	// MaxRounds bounds the number of semi-naive rounds as a safety net
 	// against runaway programs; 0 means unbounded (datalog always
@@ -89,30 +84,31 @@ type Options struct {
 	// changes results; written order is the reference the differential
 	// tests and the early-check benchmark compare the planner against.
 	DisableJoinReorder bool
-	// Parallelism, when >= 2, evaluates each semi-naive round on that many
-	// worker goroutines: every rule's delta-tuple range is partitioned
-	// into contiguous chunks, workers evaluate chunks into private
-	// buffers, and the results are merged on the calling goroutine in
-	// fixed (rule, partition) order. Relations (tuple ids included),
-	// Stats, and the derivation stream are byte-identical to sequential
-	// evaluation at every level; see docs/PERFORMANCE.md for the
-	// determinism contract. 0 and 1 evaluate sequentially. Small rounds
-	// below an internal work threshold run sequentially even when
-	// parallelism is on — the output is identical by construction.
+	// Parallelism, when >= 2, pipelines a run that has a Listener: the
+	// fixpoint evaluates sequentially on a helper goroutine and hands every
+	// fired instantiation, in batches, to the listener, which runs beside
+	// it on the calling goroutine. Every level above 1 runs this same
+	// two-stage pipeline. A run without a listener, or over a database in
+	// which a relation the program derives into already holds tuples,
+	// evaluates sequentially at every level, as 0 and 1 always do.
+	// Relations (tuple ids included), Stats, and the derivation stream are
+	// byte-identical at every level; see docs/PERFORMANCE.md.
 	Parallelism int
 	// Context, when non-nil, is checked between semi-naive rounds;
 	// cancellation aborts the run with the context's error. Checks are
-	// per-round, so cancellation latency is one round of rule firing.
+	// per-round, so cancellation latency is one round of rule firing. A
+	// pipelined run checks only after the listener has consumed the round,
+	// so a listener that cancels stops the run at the same boundary as a
+	// sequential run.
 	Context context.Context
 	// Instr, when non-nil, records the run (see internal/obs/instr): the
-	// engine.* metrics, one engine.round event per semi-naive round from
-	// the coordinator goroutine, and the rule-level runtime profile —
-	// per-rule instantiation/dedup counts, per-plan-step join fan-out and
-	// hoisted-check vetoes, wall time per rule per round, and per-stratum
-	// delta curves, merged into the solve-scoped profile at run end.
-	// Profile counts are recorded on deterministic paths, so they are
-	// identical at every Parallelism level; times live in separate fields.
-	// Nil costs one pointer check per site.
+	// engine.* metrics, one engine.round event per semi-naive round, one
+	// pipeline record per pipelined run, and the rule-level runtime
+	// profile — per-rule instantiation/dedup counts, per-plan-step join
+	// fan-out and hoisted-check vetoes, wall time per rule per round, and
+	// per-stratum delta curves, merged into the solve-scoped profile at run
+	// end. Counts are identical at every Parallelism level; times live in
+	// separate fields. Nil costs one pointer check per site.
 	Instr *instr.Instr
 }
 
@@ -187,16 +183,8 @@ func (e *Engine) Run(opts Options) (Stats, error) {
 	}
 	e.ran = true
 	start := time.Now()
-	var stats Stats
-
-	stats.FiredByRule = make([]int64, len(e.rules))
-	par := opts.Parallelism
-	if par >= 2 && opts.Gate != nil {
-		if _, ok := opts.Gate.(ParallelSafeGate); !ok {
-			par = 1
-		}
-	}
-	ev := &evaluator{engine: e, opts: opts, par: par, stats: &stats}
+	stats := Stats{FiredByRule: make([]int64, len(e.rules))}
+	ev := &evaluator{engine: e, opts: opts, stats: &stats}
 	if pf := opts.Instr.Profile(); pf != nil {
 		names := make([]string, len(e.rules))
 		lens := make([]int, len(e.rules))
@@ -205,16 +193,15 @@ func (e *Engine) Run(opts Options) (Stats, error) {
 			lens[i] = len(cr.body)
 		}
 		ev.prof = pf.StartEngine(names)
-		ev.profLens = lens
+		ev.counts = ev.prof.NewCounters(lens)
 	}
-	ev.seq.init(e, opts, ev.emitSequential)
-	ev.seq.prof = ev.prof.NewCounters(ev.profLens)
-	runErr := ev.run()
-	stats.Suppressed += ev.seq.takeSuppressed()
-	if ev.prof != nil {
-		ev.prof.FlushRoundNs(ev.seq.prof)
-		ev.prof.Finish()
+	var runErr error
+	if opts.Parallelism >= 2 && opts.Listener != nil && e.derivedEmpty() {
+		runErr = ev.runPipelined()
+	} else {
+		runErr = ev.run()
 	}
+	ev.prof.Finish()
 
 	stats.Elapsed = time.Since(start)
 	opts.Instr.EngineRun(stats.Rounds, stats.Instantiations, stats.Suppressed, stats.NewFacts, stats.Elapsed)
@@ -227,47 +214,52 @@ func (e *Engine) Run(opts Options) (Stats, error) {
 	return stats, nil
 }
 
-// evaluator holds the mutable state of one Run: the coordinator. The join
-// machinery itself lives in joinRun so that the sequential path and every
-// parallel worker share one implementation.
+// derivedEmpty reports whether every relation the program derives into is
+// empty. Then every derived tuple of the run reaches the listener as a new
+// head before any derivation uses it as a body fact, which is what lets a
+// pipelined listener work from the stream alone.
+func (e *Engine) derivedEmpty() bool {
+	for _, cr := range e.rules {
+		if cr.head.rel.Len() > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// evaluator holds the mutable state of one Run: the semi-naive watermarks,
+// the join scratch, and the emit path to the listener.
 type evaluator struct {
 	engine *Engine
 	opts   Options
-	par    int // effective parallelism (gate-safe), <2 means sequential
 	stats  *Stats
 
-	// prof records this run for the solve-scoped profiler (nil when
-	// disabled); profLens caches per-rule body lengths for sizing worker
-	// counter blocks, and stratum is the ordinal of the stratum currently
-	// evaluating (set by run's stratum loop).
-	prof     *prof.EngineRun
-	profLens []int
-	stratum  int
+	// prof records this run for the solve-scoped profiler and counts holds
+	// its join-level counters (both nil when disabled); stratum is the
+	// ordinal of the stratum currently evaluating.
+	prof    *prof.EngineRun
+	counts  *prof.JoinCounters
+	stratum int
 
 	// watermarks: processedLen[rel] is the tuple count of rel that has been
 	// fully processed by previous rounds; roundLen[rel] is the count
 	// snapshot at the start of the current round. Tuples with id in
-	// [processedLen, roundLen) form the current delta. Workers read both
-	// maps concurrently during a round; the coordinator writes them only
-	// between rounds.
+	// [processedLen, roundLen) form the current delta.
 	processedLen map[*db.Relation]int
 	roundLen     map[*db.Relation]int
 
-	// seq is the coordinator's own join runner (sequential strata, fact
-	// rules, and sub-threshold rounds of parallel strata).
-	seq joinRun
+	// pipe carries derivations to the listener of a pipelined run (nil when
+	// the listener, if any, is called in-line); see pipeline.go.
+	pipe *pipe
 
-	// headBuf is the sequential emit path's reusable head-tuple scratch
-	// (Relation.Insert clones, so the buffer never escapes).
-	headBuf db.Tuple
-
-	// workers and tasks are the parallel execution state; see parallel.go.
-	// busy[i] is worker i's busy time in the current parallel round.
-	// mergeBody is the merge phase's reusable Derivation.Body scratch.
-	workers   []*parWorker
-	busy      []time.Duration
-	tasks     []evalTask
-	mergeBody []FactRef
+	// scratch buffers reused across instantiations. headBuf never escapes:
+	// Relation.Insert clones, and HeadTuple is valid only for the call.
+	vars     []db.Sym
+	bound    []bool
+	bodyRefs []FactRef
+	boundBuf db.Tuple
+	checkBuf db.Tuple
+	headBuf  db.Tuple
 }
 
 func (ev *evaluator) run() error {
@@ -278,7 +270,6 @@ func (ev *evaluator) run() error {
 	}
 	ev.processedLen = make(map[*db.Relation]int)
 	ev.roundLen = make(map[*db.Relation]int)
-	ev.seq.attach(ev)
 	rels := map[*db.Relation]bool{}
 	for _, r := range e.rules {
 		rels[r.head.rel] = true
@@ -326,18 +317,20 @@ func (ev *evaluator) runStratum(ruleIdxs []int, relList []*db.Relation) error {
 	for _, rel := range relList {
 		ev.processedLen[rel] = 0
 	}
-	if ev.par >= 2 {
-		ev.prebuildIndexes(ruleIdxs)
-	}
 
 	// Fact rules of this stratum fire once, before the first round.
 	for _, ri := range ruleIdxs {
 		if cr := e.rules[ri]; len(cr.body) == 0 {
-			ev.seq.fireFact(cr)
+			ev.fireFact(cr)
 		}
 	}
 
 	for {
+		// A pipelined run's listener consumes everything fired so far
+		// before the round-boundary checks, as a sequential run's has.
+		if ev.pipe != nil && !ev.pipe.drain() {
+			return errListenerStopped
+		}
 		if ev.opts.MaxRounds > 0 && ev.stats.Rounds >= ev.opts.MaxRounds {
 			return nil
 		}
@@ -361,14 +354,8 @@ func (ev *evaluator) runStratum(ruleIdxs []int, relList []*db.Relation) error {
 		ev.stats.Rounds++
 		ev.opts.Instr.EngineRound(ev.stats.Rounds, int(delta))
 		ev.prof.BeginRound(ev.stratum, int(delta))
-		if ev.par >= 2 {
-			ev.runRoundParallel(ruleIdxs)
-		} else {
-			for _, ri := range ruleIdxs {
-				cr := e.rules[ri]
-				if len(cr.body) == 0 {
-					continue
-				}
+		for _, ri := range ruleIdxs {
+			if cr := e.rules[ri]; len(cr.body) > 0 {
 				ev.applyRule(cr)
 			}
 		}
@@ -378,10 +365,10 @@ func (ev *evaluator) runStratum(ruleIdxs []int, relList []*db.Relation) error {
 	}
 }
 
-// applyRule runs the semi-naive decomposition of one rule sequentially:
-// one pass per body position i, where atom i ranges over the current delta
-// of its relation, atoms before i range over strictly-old tuples, and atoms
-// after i range over old-plus-delta tuples. This fires every instantiation
+// applyRule runs the semi-naive decomposition of one rule: one pass per
+// body position i, where atom i ranges over the current delta of its
+// relation, atoms before i range over strictly-old tuples, and atoms after
+// i range over old-plus-delta tuples. This fires every instantiation
 // exactly once across the whole run.
 func (ev *evaluator) applyRule(cr *compiledRule) {
 	for i := range cr.body {
@@ -394,16 +381,16 @@ func (ev *evaluator) applyRule(cr *compiledRule) {
 	}
 }
 
-// timedPass runs one sequential pass on the coordinator's runner,
-// attributing its wall time to the rule when profiling is on (timing wraps
-// the pass; it never reorders or perturbs it).
+// timedPass runs one pass, attributing its wall time to the rule when
+// profiling is on (timing wraps the pass; it never reorders or perturbs
+// it).
 func (ev *evaluator) timedPass(cr *compiledRule, deltaPos, lo, hi int) {
 	if ev.prof == nil {
-		ev.seq.pass(cr, deltaPos, lo, hi)
+		ev.pass(cr, deltaPos, lo, hi)
 		return
 	}
 	t0 := time.Now()
-	ev.seq.pass(cr, deltaPos, lo, hi)
+	ev.pass(cr, deltaPos, lo, hi)
 	ev.prof.RuleTime(cr.index, int64(time.Since(t0)))
 }
 
@@ -429,11 +416,10 @@ func (ev *evaluator) passViable(cr *compiledRule, deltaPos int) bool {
 	return true
 }
 
-// emitSequential is the coordinator's emit path: insert the head, update
-// stats, notify the listener. Parallel merges replay buffered worker
-// results through an equivalent sequence (see mergeTasks), so the two
-// paths produce identical observable effects.
-func (ev *evaluator) emitSequential(cr *compiledRule, vars []db.Sym, body []FactRef) {
+// emit fires one completed, gate-approved instantiation: insert the head,
+// update stats, and notify the listener — in-line, or through the pipe on
+// a pipelined run.
+func (ev *evaluator) emit(cr *compiledRule) {
 	headRel := cr.head.rel
 	if cap(ev.headBuf) < cr.head.arity {
 		ev.headBuf = make(db.Tuple, cr.head.arity)
@@ -441,7 +427,7 @@ func (ev *evaluator) emitSequential(cr *compiledRule, vars []db.Sym, body []Fact
 	ht := ev.headBuf[:cr.head.arity]
 	for j, t := range cr.head.terms {
 		if t.isVar {
-			ht[j] = vars[t.slot]
+			ht[j] = ev.vars[t.slot]
 		} else {
 			ht[j] = t.sym
 		}
@@ -453,107 +439,49 @@ func (ev *evaluator) emitSequential(cr *compiledRule, vars []db.Sym, body []Fact
 		ev.stats.NewFacts++
 	}
 	ev.prof.RuleFired(cr.index, added)
-	if ev.opts.Listener != nil {
-		ev.opts.Listener(Derivation{
-			RuleIndex: cr.index,
-			Rule:      &cr.src,
-			Head:      FactRef{Rel: headRel, ID: id},
-			HeadNew:   added,
-			Body:      body,
-		})
+	body := ev.bodyRefs[:len(cr.body)]
+	switch {
+	case ev.pipe != nil:
+		ev.pipe.add(cr, id, added, ht, body)
+	case ev.opts.Listener != nil:
+		d := Derivation{RuleIndex: cr.index, Rule: &cr.src, Head: FactRef{Rel: headRel, ID: id}, HeadNew: added, Body: body}
+		if added {
+			d.HeadTuple = ht
+		}
+		ev.opts.Listener(d)
 	}
-}
-
-// joinRun executes rule passes for one goroutine: it owns the binding
-// scratch and streams completed instantiations to emit. The watermark maps
-// are shared with the coordinator and read-only for the duration of a
-// pass.
-type joinRun struct {
-	engine *Engine
-	// disableReorder selects written-order evaluation, which also evaluates
-	// checks at instantiation completion instead of on the planner's step
-	// schedule: that schedule is computed against plan order and need not
-	// be bound-safe in written order.
-	disableReorder bool
-	gate           FireGate
-
-	// processedLen/roundLen alias the evaluator's watermark maps.
-	processedLen map[*db.Relation]int
-	roundLen     map[*db.Relation]int
-
-	// deltaLo/deltaHi bound the delta atom's id range for the current
-	// pass (a sub-range of [processedLen, roundLen) under partitioning).
-	deltaLo, deltaHi int
-
-	// emit receives each completed, gate-approved instantiation. vars and
-	// body alias this runner's scratch and are valid only for the call.
-	emit func(cr *compiledRule, vars []db.Sym, body []FactRef)
-
-	suppressed int64 // gate-vetoed instantiations since the last take
-
-	// prof is this goroutine's private profiler counter block (nil when
-	// profiling is off); the coordinator folds blocks at run end.
-	prof *prof.JoinCounters
-
-	// scratch buffers reused across instantiations.
-	vars     []db.Sym
-	bound    []bool
-	bodyRefs []FactRef
-	boundBuf db.Tuple
-	checkBuf db.Tuple
-}
-
-func (jr *joinRun) init(e *Engine, opts Options, emit func(cr *compiledRule, vars []db.Sym, body []FactRef)) {
-	jr.engine = e
-	jr.disableReorder = opts.DisableJoinReorder
-	jr.gate = opts.Gate
-	jr.emit = emit
-}
-
-// attach points the runner at the evaluator's watermark maps.
-func (jr *joinRun) attach(ev *evaluator) {
-	jr.processedLen = ev.processedLen
-	jr.roundLen = ev.roundLen
-}
-
-// takeSuppressed returns and resets the runner's suppressed count.
-func (jr *joinRun) takeSuppressed() int64 {
-	n := jr.suppressed
-	jr.suppressed = 0
-	return n
 }
 
 // fireFact handles a rule with no positive body atoms: a single
 // instantiation with no variables (possibly guarded by ground checks, e.g.
 // `p(a) :- lt(1, 2).`).
-func (jr *joinRun) fireFact(cr *compiledRule) {
-	jr.resetScratch(cr)
-	if !jr.preChecksOK(cr) {
+func (ev *evaluator) fireFact(cr *compiledRule) {
+	ev.resetScratch(cr)
+	if !ev.preChecksOK(cr) {
 		return
 	}
-	jr.completeInstantiation(cr)
+	ev.completeInstantiation(cr)
 }
 
 // pass evaluates one semi-naive pass of cr with the delta at body position
-// deltaPos, restricted to delta ids in [lo, hi).
-func (jr *joinRun) pass(cr *compiledRule, deltaPos, lo, hi int) {
-	jr.deltaLo, jr.deltaHi = lo, hi
-	jr.resetScratch(cr)
-	if !jr.preChecksOK(cr) {
+// deltaPos, over delta ids in [lo, hi).
+func (ev *evaluator) pass(cr *compiledRule, deltaPos, lo, hi int) {
+	ev.resetScratch(cr)
+	if !ev.preChecksOK(cr) {
 		return
 	}
-	jr.joinFrom(cr, deltaPos, 0)
+	ev.joinFrom(cr, deltaPos, 0, lo, hi)
 }
 
 // preChecksOK evaluates cr's ground (variable-free) checks, which hold for
 // every instantiation of the pass or for none: a single failed comparison
 // vetoes the whole pass before any scan.
-func (jr *joinRun) preChecksOK(cr *compiledRule) bool {
-	if jr.disableReorder {
+func (ev *evaluator) preChecksOK(cr *compiledRule) bool {
+	if ev.opts.DisableJoinReorder {
 		return true
 	}
 	for _, ci := range cr.preChecks {
-		if !jr.evalCheck(&cr.checks[ci]) {
+		if !ev.evalCheck(&cr.checks[ci]) {
 			return false
 		}
 	}
@@ -561,36 +489,39 @@ func (jr *joinRun) preChecksOK(cr *compiledRule) bool {
 }
 
 // resetScratch prepares the per-instantiation scratch buffers for cr.
-func (jr *joinRun) resetScratch(cr *compiledRule) {
+func (ev *evaluator) resetScratch(cr *compiledRule) {
 	n := len(cr.varNames)
-	if cap(jr.vars) < n {
-		jr.vars = make([]db.Sym, n)
-		jr.bound = make([]bool, n)
+	if cap(ev.vars) < n {
+		ev.vars = make([]db.Sym, n)
+		ev.bound = make([]bool, n)
 	}
-	jr.vars = jr.vars[:n]
-	jr.bound = jr.bound[:n]
-	for j := range jr.bound {
-		jr.bound[j] = false
+	ev.vars = ev.vars[:n]
+	ev.bound = ev.bound[:n]
+	for j := range ev.bound {
+		ev.bound[j] = false
 	}
-	if cap(jr.bodyRefs) < len(cr.body) {
-		jr.bodyRefs = make([]FactRef, len(cr.body))
+	if cap(ev.bodyRefs) < len(cr.body) {
+		ev.bodyRefs = make([]FactRef, len(cr.body))
 	}
-	jr.bodyRefs = jr.bodyRefs[:len(cr.body)]
+	ev.bodyRefs = ev.bodyRefs[:len(cr.body)]
 }
 
-// joinFrom matches body atoms in plan order: deltaPos first, then the
-// remaining atoms bound-first (or left to right under
+// joinFrom matches body atoms in plan order: deltaPos first, over delta ids
+// in [lo, hi), then the remaining atoms bound-first (or left to right under
 // DisableJoinReorder). step counts how many atoms have been matched.
-func (jr *joinRun) joinFrom(cr *compiledRule, deltaPos, step int) {
+// Written order also evaluates checks only at instantiation completion: the
+// planner's check schedule is computed against plan order and need not be
+// bound-safe in written order.
+func (ev *evaluator) joinFrom(cr *compiledRule, deltaPos, step, lo, hi int) {
 	if step == len(cr.body) {
-		jr.completeInstantiation(cr)
+		ev.completeInstantiation(cr)
 		return
 	}
 	// Determine which atom this step matches, and which checks it makes
 	// evaluable (none early in written order).
 	var pos int
 	var sched []int
-	if jr.disableReorder {
+	if ev.opts.DisableJoinReorder {
 		pos = stepAtom(deltaPos, step)
 	} else {
 		pos = cr.plans[deltaPos][step]
@@ -601,40 +532,40 @@ func (jr *joinRun) joinFrom(cr *compiledRule, deltaPos, step int) {
 	var minID, maxID int
 	switch {
 	case pos == deltaPos:
-		minID, maxID = jr.deltaLo, jr.deltaHi
+		minID, maxID = lo, hi
 	case pos < deltaPos:
-		minID, maxID = 0, jr.processedLen[rel]
+		minID, maxID = 0, ev.processedLen[rel]
 	default:
-		minID, maxID = 0, jr.roundLen[rel]
+		minID, maxID = 0, ev.roundLen[rel]
 	}
 	if minID >= maxID {
 		return
 	}
 	if len(sched) > 0 {
-		jr.scanAtom(cr, atom, pos, minID, maxID, func() {
-			if jr.prof != nil {
-				jr.prof.StepMatches[cr.index][step]++
+		ev.scanAtom(atom, pos, minID, maxID, func() {
+			if ev.counts != nil {
+				ev.counts.StepMatches[cr.index][step]++
 			}
 			// All variables of these checks were just bound by this step;
 			// failing one prunes the partial binding and every join
 			// extension under it.
 			for _, ci := range sched {
-				if !jr.evalCheck(&cr.checks[ci]) {
-					if jr.prof != nil {
-						jr.prof.StepVetoes[cr.index][step]++
+				if !ev.evalCheck(&cr.checks[ci]) {
+					if ev.counts != nil {
+						ev.counts.StepVetoes[cr.index][step]++
 					}
 					return
 				}
 			}
-			jr.joinFrom(cr, deltaPos, step+1)
+			ev.joinFrom(cr, deltaPos, step+1, lo, hi)
 		})
 		return
 	}
-	jr.scanAtom(cr, atom, pos, minID, maxID, func() {
-		if jr.prof != nil {
-			jr.prof.StepMatches[cr.index][step]++
+	ev.scanAtom(atom, pos, minID, maxID, func() {
+		if ev.counts != nil {
+			ev.counts.StepMatches[cr.index][step]++
 		}
-		jr.joinFrom(cr, deltaPos, step+1)
+		ev.joinFrom(cr, deltaPos, step+1, lo, hi)
 	})
 }
 
@@ -654,22 +585,22 @@ func stepAtom(deltaPos, step int) int {
 // [minID, maxID) that are consistent with the current bindings, extends the
 // bindings, records the body fact, and calls next for each match. Bindings
 // made here are rolled back before returning.
-func (jr *joinRun) scanAtom(cr *compiledRule, atom *compiledAtom, pos, minID, maxID int, next func()) {
+func (ev *evaluator) scanAtom(atom *compiledAtom, pos, minID, maxID int, next func()) {
 	rel := atom.rel
 	// Build the bound-position mask and lookup tuple.
-	if cap(jr.boundBuf) < atom.arity {
-		jr.boundBuf = make(db.Tuple, atom.arity)
+	if cap(ev.boundBuf) < atom.arity {
+		ev.boundBuf = make(db.Tuple, atom.arity)
 	}
-	lookup := jr.boundBuf[:atom.arity]
+	lookup := ev.boundBuf[:atom.arity]
 	var mask uint32
 	for j, t := range atom.terms {
 		switch {
 		case !t.isVar:
 			mask |= 1 << uint(j)
 			lookup[j] = t.sym
-		case jr.bound[t.slot]:
+		case ev.bound[t.slot]:
 			mask |= 1 << uint(j)
-			lookup[j] = jr.vars[t.slot]
+			lookup[j] = ev.vars[t.slot]
 		}
 	}
 
@@ -686,24 +617,24 @@ func (jr *joinRun) scanAtom(cr *compiledRule, atom *compiledAtom, pos, minID, ma
 				// occurs for constant-free atoms.
 				continue
 			}
-			if jr.bound[term.slot] {
-				if jr.vars[term.slot] != t[j] {
+			if ev.bound[term.slot] {
+				if ev.vars[term.slot] != t[j] {
 					ok = false
 					break
 				}
 				continue
 			}
-			jr.vars[term.slot] = t[j]
-			jr.bound[term.slot] = true
+			ev.vars[term.slot] = t[j]
+			ev.bound[term.slot] = true
 			newlyBound[nNew] = term.slot
 			nNew++
 		}
 		if ok {
-			jr.bodyRefs[pos] = FactRef{Rel: rel, ID: id}
+			ev.bodyRefs[pos] = FactRef{Rel: rel, ID: id}
 			next()
 		}
 		for k := 0; k < nNew; k++ {
-			jr.bound[newlyBound[k]] = false
+			ev.bound[newlyBound[k]] = false
 		}
 	}
 
@@ -727,52 +658,52 @@ func (jr *joinRun) scanAtom(cr *compiledRule, atom *compiledAtom, pos, minID, ma
 
 // completeInstantiation is called with all positive body atoms matched: it
 // evaluates the rule's checks (an instantiation failing a check does not
-// exist), consults the gate, and hands the instantiation to emit. Outside
-// written order every check already ran — at pass level (ground) or at its
-// earliest bound join step — with the same verdicts: built-ins are pure and
-// negated relations are frozen by stratification, so evaluation time never
-// changes a check's outcome.
-func (jr *joinRun) completeInstantiation(cr *compiledRule) {
-	if jr.disableReorder {
+// exist), consults the gate, and emits the instantiation. Outside written
+// order every check already ran — at pass level (ground) or at its earliest
+// bound join step — with the same verdicts: built-ins are pure and negated
+// relations are frozen by stratification, so evaluation time never changes
+// a check's outcome.
+func (ev *evaluator) completeInstantiation(cr *compiledRule) {
+	if ev.opts.DisableJoinReorder {
 		for i := range cr.checks {
-			if !jr.evalCheck(&cr.checks[i]) {
+			if !ev.evalCheck(&cr.checks[i]) {
 				return
 			}
 		}
 	}
-	if jr.prof != nil {
-		jr.prof.Attempted[cr.index]++
+	if ev.counts != nil {
+		ev.counts.Attempted[cr.index]++
 	}
-	if jr.gate != nil && !jr.gate.ShouldFire(cr.index, jr.vars) {
-		jr.suppressed++
-		if jr.prof != nil {
-			jr.prof.Suppressed[cr.index]++
+	if ev.opts.Gate != nil && !ev.opts.Gate.ShouldFire(cr.index, ev.vars) {
+		ev.stats.Suppressed++
+		if ev.counts != nil {
+			ev.counts.Suppressed[cr.index]++
 		}
 		return
 	}
-	jr.emit(cr, jr.vars, jr.bodyRefs[:len(cr.body)])
+	ev.emit(cr)
 }
 
 // evalCheck evaluates one built-in or negated literal under the current
 // (fully bound, by safety) variable bindings.
-func (jr *joinRun) evalCheck(c *compiledCheck) bool {
+func (ev *evaluator) evalCheck(c *compiledCheck) bool {
 	symOf := func(t atomTerm) db.Sym {
 		if t.isVar {
-			return jr.vars[t.slot]
+			return ev.vars[t.slot]
 		}
 		return t.sym
 	}
 	if c.builtin {
-		symbols := jr.engine.db.Symbols()
+		symbols := ev.engine.db.Symbols()
 		return ast.EvalBuiltin(c.pred, symbols.Name(symOf(c.terms[0])), symbols.Name(symOf(c.terms[1])))
 	}
 	// Negated atom: succeed iff the tuple is absent. The relation was
 	// fully computed by an earlier stratum (or is extensional), so the
 	// check is stable.
-	if cap(jr.checkBuf) < len(c.terms) {
-		jr.checkBuf = make(db.Tuple, len(c.terms))
+	if cap(ev.checkBuf) < len(c.terms) {
+		ev.checkBuf = make(db.Tuple, len(c.terms))
 	}
-	t := jr.checkBuf[:len(c.terms)]
+	t := ev.checkBuf[:len(c.terms)]
 	for i, term := range c.terms {
 		t[i] = symOf(term)
 	}

@@ -31,7 +31,7 @@ const (
 
 // FuzzEvalProgram drives the full front half of the pipeline — parse,
 // analyze, stratify, evaluate — on arbitrary program/fact sources,
-// asserting crash-freedom, that parallel evaluation agrees byte-for-byte
+// asserting crash-freedom, that pipelined evaluation agrees byte-for-byte
 // with sequential evaluation (including mid-run aborts from the round and
 // derivation budgets), and that every rule's planner order equals the
 // test-only reference order. Inputs the pipeline itself rejects

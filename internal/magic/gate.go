@@ -16,10 +16,8 @@ import (
 // (seed, origin rule, origin-variable bindings): a seeded hash of the
 // instantiation key is mapped to a uniform [0, 1) value and compared to
 // w(origin). That makes the gate order-independent and safe for
-// concurrent use, so Magic^S sampling composes with the engine's parallel
-// evaluation (HashGate implements engine.ParallelSafeGate) — and no
-// memoization table is needed: re-deriving the same instantiation
-// recomputes the same verdict. Propagator draws the same verdicts over a
+// concurrent use — and no memoization table is needed: re-deriving the
+// same instantiation recomputes the same verdict. Propagator draws the same verdicts over a
 // Grounding through the same hash (gateRule).
 //
 // A HashGate represents one random execution; use a fresh seed per RR set
@@ -84,10 +82,6 @@ func (g *HashGate) ShouldFire(ruleIndex int, vars []db.Sym) bool {
 	}
 	return gateFires(h, r.prob)
 }
-
-// ParallelSafeFireGate marks the gate as order-independent and
-// concurrency-safe (see engine.ParallelSafeGate).
-func (g *HashGate) ParallelSafeFireGate() {}
 
 // gateRule is the seed-independent part of one rule's fire-or-not draw,
 // shared by HashGate (which reads origin-variable values from the engine's

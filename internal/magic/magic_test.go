@@ -324,14 +324,13 @@ func mustTuple(t *testing.T, d *db.Database, a ast.Atom) db.Tuple {
 	return tp
 }
 
-// TestHashGateOrderIndependent pins the property that lets the gate run
-// under parallel evaluation: the verdict for an instantiation is a pure
-// function of (seed, rule, bindings) — repeated queries, reversed query
-// order, and a gate built from an identically compiled engine all agree.
-// The compile-time interface check also keeps the engine's sequential
-// fallback from silently re-engaging for Magic^S sampling.
+// TestHashGateOrderIndependent pins the property that lets a Grounding's
+// propagation draw the gate's verdicts: the verdict for an instantiation is
+// a pure function of (seed, rule, bindings) — repeated queries, reversed
+// query order, and a gate built from an identically compiled engine all
+// agree.
 func TestHashGateOrderIndependent(t *testing.T) {
-	var _ engine.ParallelSafeGate = (*magic.HashGate)(nil)
+	var _ engine.FireGate = (*magic.HashGate)(nil)
 
 	prog := mustProgram(t, tcProgram)
 	d := mustDB(t, `e(a, b). e(b, c). e(c, d).`)

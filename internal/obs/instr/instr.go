@@ -115,19 +115,19 @@ func (h *Instr) EngineRun(rounds int, instantiations, suppressed, newFacts int64
 	h.reg.Histogram(obs.EngineEvalNs).Observe(int64(elapsed))
 }
 
-// ParallelRound records one round evaluated on worker goroutines: the
-// tasks executed, how long the coordinator waited for the workers, and
-// each worker's busy time.
-func (h *Instr) ParallelRound(tasks int, mergeWait time.Duration, busy []time.Duration) {
+// EnginePipeline records one pipelined evaluation (Parallelism >= 2 with a
+// listener, see engine.Options): the derivation batches the fixpoint
+// handed to the listener, round-boundary drains included, how long the
+// listener waited for the fixpoint, and how long the fixpoint waited for
+// the listener (to return a batch, or to consume a round). The larger wait
+// belongs to the faster stage; the other stage bounds the run.
+func (h *Instr) EnginePipeline(batches int, listenerWait, fixpointWait time.Duration) {
 	if h == nil || h.reg == nil {
 		return
 	}
-	h.reg.Counter(obs.EngineBatches).Add(int64(tasks))
-	h.reg.Histogram(obs.EngineMergeWait).Observe(int64(mergeWait))
-	busyHist := h.reg.Histogram(obs.EngineWorkerBusy)
-	for _, d := range busy {
-		busyHist.Observe(int64(d))
-	}
+	h.reg.Counter(obs.EnginePipeBatches).Add(int64(batches))
+	h.reg.Histogram(obs.EngineListenerWait).Observe(int64(listenerWait))
+	h.reg.Histogram(obs.EngineFixpointWait).Observe(int64(fixpointWait))
 }
 
 // GraphBuilt records one constructed WD (sub)graph that started at start:

@@ -19,7 +19,6 @@ func TestNilInstrIsFree(t *testing.T) {
 	if h != nil {
 		t.Fatal("New with no sinks returned a non-nil instrument")
 	}
-	busy := []time.Duration{time.Millisecond}
 	start := time.Now()
 	allocs := testing.AllocsPerRun(100, func() {
 		if h.Quiet() != nil || h.Registry() != nil || h.Trace() != nil || h.Journal() != nil || h.Profile() != nil {
@@ -27,7 +26,7 @@ func TestNilInstrIsFree(t *testing.T) {
 		}
 		h.EngineRound(1, 10)
 		h.EngineRun(3, 100, 5, 40, time.Millisecond)
-		h.ParallelRound(8, time.Microsecond, busy)
+		h.EnginePipeline(8, time.Microsecond, time.Millisecond)
 		h.GraphBuilt(12, 30, start)
 		h.RRArena(4096, 0)
 		h.IMMRound(journal.IMMInfo{Round: 1})
@@ -56,6 +55,7 @@ func TestInstrRecordsEachEventOnce(t *testing.T) {
 	h.EngineRound(1, 10)
 	h.Quiet().EngineRound(1, 3)
 	h.EngineRun(1, 100, 5, 40, time.Millisecond)
+	h.EnginePipeline(7, time.Microsecond, time.Millisecond)
 	h.IMMRound(journal.IMMInfo{Round: 1, Theta: 64})
 	h.IMMRun(2, 64, 128, true)
 	h.IMMRun(1, 0, 0, false)
@@ -67,7 +67,7 @@ func TestInstrRecordsEachEventOnce(t *testing.T) {
 
 	for name, want := range map[string]int64{
 		obs.GraphBuilds: 2, obs.GraphNodes: 17, obs.GraphEdges: 37,
-		obs.EngineRuns: 1, obs.EngineInstantiations: 100,
+		obs.EngineRuns: 1, obs.EngineInstantiations: 100, obs.EnginePipeBatches: 7,
 		obs.IMMRuns: 1, obs.IMMRounds: 3, obs.IMMTotalRR: 128,
 		obs.RRSets: 2,
 	} {
@@ -77,6 +77,11 @@ func TestInstrRecordsEachEventOnce(t *testing.T) {
 	}
 	if got := reg.Histogram(obs.EngineDeltaSize).Snapshot().Count; got != 2 {
 		t.Errorf("engine.delta_size count = %d, want 2", got)
+	}
+	for _, name := range []string{obs.EngineListenerWait, obs.EngineFixpointWait} {
+		if got := reg.Histogram(name).Snapshot().Count; got != 1 {
+			t.Errorf("%s count = %d, want 1", name, got)
+		}
 	}
 	counts := map[journal.EventType]int{}
 	for _, ev := range j.Snapshot() {

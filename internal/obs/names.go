@@ -13,9 +13,9 @@ const (
 	EngineNewFacts       = "engine.new_facts"      // counter: idb tuples first derived
 	EngineDeltaSize      = "engine.delta_size"     // histogram: delta tuples per round
 	EngineEvalNs         = "engine.eval_ns"        // histogram: ns per evaluation
-	EngineBatches        = "engine.batches"        // counter: parallel evaluation tasks executed
-	EngineWorkerBusy     = "engine.worker_busy"    // histogram: per-worker busy ns per parallel round
-	EngineMergeWait      = "engine.merge_wait"     // histogram: ns the coordinator waits for workers per round
+	EnginePipeBatches    = "engine.pipe_batches"   // counter: derivation batches a pipelined run handed to its listener
+	EngineListenerWait   = "engine.listener_wait"  // histogram: ns per pipelined run the listener waited for the fixpoint
+	EngineFixpointWait   = "engine.fixpoint_wait"  // histogram: ns per pipelined run the fixpoint waited for the listener
 
 	// Join planner (internal/planner).
 	PlanBuilt     = "plan.built"      // counter: plans computed (cache misses)

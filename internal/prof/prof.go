@@ -18,10 +18,10 @@
 //
 // Determinism: all counts (attempted, derived, new facts, suppressed,
 // vetoes, step matches, walks, members, per-stratum deltas) are collected
-// on deterministic paths — the engine's sequential emit path, its ordered
-// parallel merge replay, or per-chunk sums over a fixed partition of the
-// same work — and merged by commutative addition, so they are identical at
-// every Parallelism level. Wall times are inherently scheduling-dependent
+// on deterministic paths — the engine's emit path, the same sequential
+// fixpoint at every level, and per-slot sums of the RR workers — and
+// merged by commutative addition, so they are identical at every
+// Parallelism level. Wall times are inherently scheduling-dependent
 // and are accumulated in separate fields that never influence the counts.
 package prof
 
@@ -213,11 +213,11 @@ func grow(s []int64, i int) []int64 {
 	return s
 }
 
-// EngineRun records one fixpoint evaluation. The engine's coordinator
-// goroutine owns it: all mutating methods are called from the goroutine
-// that called engine.Run (worker-side counts arrive via JoinCounters,
-// which are per-goroutine and folded in by the coordinator). A nil
-// *EngineRun (from a nil Profile) is a no-op.
+// EngineRun records one fixpoint evaluation. The goroutine evaluating the
+// fixpoint owns it — the one that called engine.Run, or a pipelined run's
+// helper — and calls every mutating method but Finish, which the caller
+// runs after the fixpoint has stopped. A nil *EngineRun (from a nil
+// Profile) is a no-op.
 type EngineRun struct {
 	p     *Profile
 	names []string // rule index -> source text
@@ -253,8 +253,7 @@ func (p *Profile) StartEngine(ruleNames []string) *EngineRun {
 }
 
 // NewCounters allocates one goroutine-private counter block for the run
-// (the engine gives one to its sequential runner and one to every parallel
-// worker). bodyLens[i] is rule i's positive-body length, sizing the
+// (the engine uses one per run; Finish sums every block). bodyLens[i] is rule i's positive-body length, sizing the
 // per-step arrays. Nil on a nil run.
 func (r *EngineRun) NewCounters(bodyLens []int) *JoinCounters {
 	if r == nil {
@@ -264,7 +263,6 @@ func (r *EngineRun) NewCounters(bodyLens []int) *JoinCounters {
 	c := &JoinCounters{
 		Attempted:   make([]int64, n),
 		Suppressed:  make([]int64, n),
-		RoundNs:     make([]int64, n),
 		StepMatches: make([][]int64, n),
 		StepVetoes:  make([][]int64, n),
 	}
@@ -301,9 +299,9 @@ func (r *EngineRun) BeginRound(si, delta int) {
 	r.strataRuns[si][slot]++
 }
 
-// RuleFired records one fired instantiation of rule ri on the
-// coordinator's deterministic emit/merge path; added reports the head
-// fact was first derived (the dedup signal).
+// RuleFired records one fired instantiation of rule ri on the engine's
+// deterministic emit path; added reports the head fact was first derived
+// (the dedup signal).
 func (r *EngineRun) RuleFired(ri int, added bool) {
 	if r == nil {
 		return
@@ -318,8 +316,7 @@ func (r *EngineRun) RuleFired(ri int, added bool) {
 }
 
 // RuleTime attributes ns of pass wall time to rule ri in the current
-// round (sequential evaluation; the parallel path accumulates into worker
-// JoinCounters and flushes per round).
+// round.
 func (r *EngineRun) RuleTime(ri int, ns int64) {
 	if r == nil || ns == 0 {
 		return
@@ -329,23 +326,8 @@ func (r *EngineRun) RuleTime(ri int, ns int64) {
 	r.roundNs[ri][slot] += ns
 }
 
-// FlushRoundNs folds one worker's per-rule pass times into the current
-// round and zeroes them, so the per-(rule, round) attribution survives
-// worker reuse across rounds.
-func (r *EngineRun) FlushRoundNs(c *JoinCounters) {
-	if r == nil || c == nil {
-		return
-	}
-	for ri, ns := range c.RoundNs {
-		if ns != 0 {
-			r.RuleTime(ri, ns)
-			c.RoundNs[ri] = 0
-		}
-	}
-}
-
 // Finish merges the completed run into the profile. Must be called after
-// all workers joined; safe to call concurrently with other runs' Finish
+// the fixpoint has stopped; safe to call concurrently with other runs' Finish
 // (the Magic variants profile per-RR subgraph fixpoints from parallel RR
 // workers).
 func (r *EngineRun) Finish() {
@@ -413,18 +395,14 @@ func (r *EngineRun) Finish() {
 
 // JoinCounters is one goroutine's private per-rule counter block inside
 // one engine run. The join hot loops increment plain int64s (no atomics —
-// the block is goroutine-private); the coordinator folds blocks together
-// at round boundaries (RoundNs) and at run end (the rest). Count totals
-// are sums over a fixed partition of the same work, so they are identical
-// at every Parallelism level.
+// the block is goroutine-private); Finish folds the blocks together at run
+// end. Count totals are sums over a fixed partition of the same work, so
+// they are identical at every Parallelism level.
 type JoinCounters struct {
 	// Attempted counts fully matched instantiations (pre-gate) per rule.
 	Attempted []int64
 	// Suppressed counts gate-vetoed instantiations per rule.
 	Suppressed []int64
-	// RoundNs accumulates the goroutine's pass wall time per rule within
-	// the current round (parallel workers; flushed by the coordinator).
-	RoundNs []int64
 	// StepMatches[r][s] counts bindings surviving join step s of rule r —
 	// the per-plan-step fan-out, aggregated over delta positions.
 	StepMatches [][]int64

@@ -32,7 +32,6 @@ func TestNilNoOp(t *testing.T) {
 	r.BeginRound(0, 10)
 	r.RuleFired(0, true)
 	r.RuleTime(0, 5)
-	r.FlushRoundNs(c)
 	r.Finish()
 	if rep := p.Report(); rep != nil {
 		t.Fatalf("Report on nil Profile = %v, want nil", rep)
@@ -45,7 +44,6 @@ func TestNilNoOp(t *testing.T) {
 func TestNilAllocFree(t *testing.T) {
 	var p *Profile
 	var r *EngineRun
-	var c *JoinCounters
 	allocs := testing.AllocsPerRun(100, func() {
 		p.RecordWalk(0, 3, 5)
 		r2 := p.StartEngine(nil)
@@ -53,7 +51,6 @@ func TestNilAllocFree(t *testing.T) {
 		r.BeginRound(0, 1)
 		r.RuleFired(0, true)
 		r.RuleTime(0, 5)
-		r.FlushRoundNs(c)
 		r.Finish()
 	})
 	if allocs != 0 {
@@ -61,10 +58,9 @@ func TestNilAllocFree(t *testing.T) {
 	}
 }
 
-// TestEngineRunMerge drives one engine run through two counter blocks —
-// the shape of a 2-worker parallel evaluation — and checks the report
-// folds worker-side counts, coordinator-side firings, and flushed pass
-// times into one rule ledger.
+// TestEngineRunMerge drives one engine run through two counter blocks and
+// checks the report folds the blocks' counts, the run's firings, and its
+// pass times into one rule ledger.
 func TestEngineRunMerge(t *testing.T) {
 	p := New()
 	p.SetAlgorithm("TestCM")
@@ -80,21 +76,18 @@ func TestEngineRunMerge(t *testing.T) {
 	w1.StepMatches[0][0], w2.StepMatches[0][0] = 20, 10
 	w1.StepMatches[0][1], w2.StepMatches[0][1] = 5, 3
 	w1.StepVetoes[0][1], w2.StepVetoes[0][1] = 2, 4
-	w1.RoundNs[0], w2.RoundNs[0] = 100, 50
-	// Coordinator-side: 6 fired, 4 first-derived.
+	run.RuleTime(0, 100)
+	run.RuleTime(0, 50)
+	// Emit path: 6 fired, 4 first-derived.
 	for i := 0; i < 6; i++ {
 		run.RuleFired(0, i < 4)
 	}
-	run.FlushRoundNs(w1)
-	run.FlushRoundNs(w2)
 
 	run.BeginRound(0, 4)
 	w1.Attempted[1] = 2
-	w1.RoundNs[1] = 30
+	run.RuleTime(1, 30)
 	run.RuleFired(1, true)
 	run.RuleFired(1, false)
-	run.FlushRoundNs(w1)
-	run.FlushRoundNs(w2)
 	run.Finish()
 
 	rep := p.Report()
@@ -281,13 +274,10 @@ func buildProfile(workers int, timeScale int64) *Profile {
 		cs[i%workers].Attempted[0]++
 		cs[i%workers].StepMatches[0][0] += 3
 		cs[i%workers].StepMatches[0][1]++
-		cs[i%workers].RoundNs[0] += timeScale // scheduling-dependent
+		run.RuleTime(0, timeScale) // scheduling-dependent
 	}
 	for i := 0; i < 12; i++ {
 		run.RuleFired(0, i%3 == 0)
-	}
-	for _, c := range cs {
-		run.FlushRoundNs(c)
 	}
 	run.Finish()
 	p.RecordWalk(0, 4, 17*timeScale)

@@ -75,6 +75,12 @@ type RRStats struct {
 	GroundAborts       int
 	AdaptiveLowerBound float64
 	AdaptiveCapped     bool
+	// Algorithm and Fallback are set when the solve fell back to another
+	// algorithm than the one the entry is keyed under (DNFCM's lineage
+	// budget answers with MagicCM): the answering algorithm and the
+	// reason, both replayed with the collection.
+	Algorithm string
+	Fallback  string
 }
 
 // RREntry is one cached, finalized RR collection plus the stats of the

@@ -212,8 +212,10 @@ func (b *Builder) memo(rel *db.Relation) *relMemo {
 }
 
 // fact returns the node of the fact ref, adding it if absent; ok=false
-// means the projection drops the fact's predicate.
-func (b *Builder) fact(ref engine.FactRef) (NodeID, bool) {
+// means the projection drops the fact's predicate. t, when non-nil, is the
+// fact's tuple; a nil t is read from ref.Rel, which a pipelined run may be
+// appending to, so callers pass the tuple for a new head.
+func (b *Builder) fact(ref engine.FactRef, t db.Tuple) (NodeID, bool) {
 	m := b.memo(ref.Rel)
 	if m.drop {
 		return 0, false
@@ -226,7 +228,10 @@ func (b *Builder) fact(ref engine.FactRef) (NodeID, bool) {
 	} else if i < len(m.ids) && m.ids[i] != 0 {
 		return m.ids[i] - 1, true
 	}
-	id := b.factNode(m.pred, m.name, m.edb, ref.Rel.Tuple(ref.ID))
+	if t == nil {
+		t = ref.Rel.Tuple(ref.ID)
+	}
+	id := b.factNode(m.pred, m.name, m.edb, t)
 	if m.sparse != nil {
 		m.sparse[ref.ID] = id
 	} else {
@@ -255,7 +260,7 @@ func (b *Builder) PreloadEDB(prog *ast.Program, database *db.Database) {
 			m.sparse = nil // the walk below touches every tuple id
 		}
 		for i := 0; i < rel.Len(); i++ {
-			b.fact(engine.FactRef{Rel: rel, ID: db.TupleID(i)})
+			b.fact(engine.FactRef{Rel: rel, ID: db.TupleID(i)}, nil)
 		}
 	}
 }
@@ -265,7 +270,11 @@ func (b *Builder) PreloadEDB(prog *ast.Program, database *db.Database) {
 // listener contract: derivations arrive on the goroutine that called
 // engine.Run, in an order that is byte-identical at every
 // engine.Options.Parallelism level, so node and edge ids are reproducible
-// regardless of how the fixpoint was evaluated.
+// regardless of how the fixpoint was evaluated. It also keeps the
+// contract's rule for pipelined runs: a new head's node is made from
+// Derivation.HeadTuple, and a derived body fact is always a head it has
+// already seen, so the builder reads tuples only of relations the run
+// never writes (the edb) while the fixpoint runs beside it.
 func (b *Builder) Listener() engine.DerivationListener {
 	return func(d engine.Derivation) { b.observe(d) }
 }
@@ -287,20 +296,20 @@ func (b *Builder) observe(d engine.Derivation) {
 	if !b.proj.IncludeRule(d.RuleIndex) {
 		return
 	}
-	headID, ok := b.fact(d.Head)
+	headID, ok := b.fact(d.Head, d.HeadTuple)
 	if !ok {
 		return
 	}
 	body := b.body[:0]
 	if keep := b.proj.KeepBody(d.RuleIndex); keep == nil {
 		for _, ref := range d.Body {
-			if id, ok := b.fact(ref); ok {
+			if id, ok := b.fact(ref, nil); ok {
 				body = append(body, id)
 			}
 		}
 	} else {
 		for _, pos := range keep {
-			if id, ok := b.fact(d.Body[pos]); ok {
+			if id, ok := b.fact(d.Body[pos], nil); ok {
 				body = append(body, id)
 			}
 		}
@@ -435,13 +444,11 @@ type BuildConfig struct {
 	// between rounds.
 	Ctx context.Context
 	// Parallelism is forwarded to engine.Options.Parallelism: >= 2 runs
-	// the fixpoint on that many workers. The builder needs no changes to
-	// support this — the engine guarantees the derivation stream reaching
-	// the listener is byte-identical to sequential evaluation and is
-	// always delivered from the calling goroutine, so the constructed
-	// graph (node and edge ids included) is the same at every level. When
-	// Gate is set it must implement engine.ParallelSafeGate for the
-	// parallel path to engage (magic.HashGate does).
+	// the fixpoint on a helper goroutine while the builder consumes its
+	// derivations on the calling one, so graph construction overlaps the
+	// joins and inserts. The stream reaching the builder is byte-identical
+	// to sequential evaluation, so the constructed graph (node and edge ids
+	// included) is the same at every level.
 	Parallelism int
 	// Planner, when non-nil, is the plan cache rule compilation shares
 	// with other builds (engine.NewPlanned); nil plans this build's rules

@@ -59,7 +59,7 @@ func TestFactMemoFollowsTouchedFacts(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		for _, ref := range refs {
-			b.fact(ref)
+			b.fact(ref, nil)
 		}
 	}); n != 0 {
 		t.Errorf("resolving seen facts allocates %.1f objects per run, want 0", n)
