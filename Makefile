@@ -19,10 +19,13 @@ test:
 
 # The packages that evaluate programs concurrently, then ten repetitions
 # of the engine's pipelined-delivery tests (lifetime, panics, cancel,
-# byte-identity), whose goroutine interleavings vary run to run.
+# byte-identity), whose goroutine interleavings vary run to run, then ten
+# of the compiled-program binding tests and the solver determinism
+# battery, whose RR workers bind one compiled Magic program at once.
 race:
 	$(GO) test -race ./internal/cm ./internal/db ./internal/im ./internal/engine ./internal/engine/difftest ./internal/magic ./internal/obs ./internal/obs/instr ./internal/obs/journal ./internal/planner ./internal/prof ./internal/server ./internal/solvecache ./internal/wdgraph
 	$(GO) test -race -count=10 -run 'Parallel|Pipeline' ./internal/engine ./internal/engine/difftest
+	$(GO) test -race -count=10 -run 'TestShapeBind|TestDeterminismAcrossParallelism' ./internal/engine ./internal/magic ./internal/cm
 
 # Run every Go micro-benchmark once: a compile-and-run guard for the bench
 # code. Meaningful numbers need -benchtime left at its default; compare

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"contribmax/internal/ast"
+	"contribmax/internal/engine"
 	"contribmax/internal/magic"
 	"contribmax/internal/solvecache"
 	"contribmax/internal/wdgraph"
@@ -189,11 +190,16 @@ func (s *solve) fullGraph() (*wdgraph.Graph, error) {
 func (s *solve) groupedGraph(queryAtoms []ast.Atom) (*wdgraph.Graph, error) {
 	config := fmt.Sprintf("magicg|sips=%d|roots=%s", s.opts.SIPS, solvecache.HashAtoms(queryAtoms))
 	return s.cachedGraph(config, func() (*wdgraph.Graph, error) {
+		in := s.inst.in
 		tr, err := magic.TransformWith(s.inst.prog, queryAtoms, s.opts.SIPS)
 		if err != nil {
 			return nil, err
 		}
-		g, _, err := buildMagicGraph(s.inst.in, tr, 0, false, s.opts.ctx(), s.h, s.opts.Parallelism, s.res.pl)
+		c, err := engine.Compile(tr.Program, in.DB.Symbols(), s.res.pl)
+		if err != nil {
+			return nil, err
+		}
+		g, _, err := buildMagicGraph(tr, c, in.DB.Scratch(in.Program.EDBs()), 0, false, s.opts.ctx(), s.h, s.opts.Parallelism)
 		return g, err
 	})
 }

@@ -17,7 +17,7 @@ func newDB() *db.Database { return db.NewDatabase() }
 // evalFacts evaluates prog over a scratch database sharing d's edb
 // relations and returns pred's derived atoms sorted by rendering. d itself
 // is left untouched.
-func evalFacts(t *testing.T, prog *ast.Program, d *db.Database, pred string) []ast.Atom {
+func evalFacts(t testing.TB, prog *ast.Program, d *db.Database, pred string) []ast.Atom {
 	t.Helper()
 	scratch := d.CloneSchema()
 	for _, p := range prog.EDBs() {

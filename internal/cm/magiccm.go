@@ -56,8 +56,16 @@ func MagicSampledCM(in Input, opts Options) (*Result, error) {
 func magicSampledCM(s *solve) error { return magicVariant(s, true) }
 
 func magicVariant(s *solve, sampled bool) error {
+	start := time.Now()
+	shapes, err := newMagicShapes(s.inst, s.opts.SIPS, s.res.pl)
+	s.res.Stats.RRGenTime += time.Since(start)
+	if err != nil {
+		return fmt.Errorf("%s: %w", s.res.Algorithm, err)
+	}
 	m := &magicRR{
-		in: s.inst.in, inst: s.inst, sips: s.opts.SIPS, ctx: s.opts.ctx(), pl: s.res.pl, h: s.h.Quiet(), sampled: sampled,
+		in: s.inst.in, inst: s.inst, ctx: s.opts.ctx(), h: s.h.Quiet(), sampled: sampled,
+		edbs:   s.inst.in.Program.EDBs(),
+		shapes: shapes,
 		trs:    make([]*magic.Transformed, len(s.inst.targets)),
 		routes: make([]targetRoute, len(s.inst.targets)),
 		route:  journal.RouteInfo{C: groundCapFactor},
@@ -73,21 +81,60 @@ func magicVariant(s *solve, sampled bool) error {
 	return nil
 }
 
+// magicShape is one target predicate's Magic program under the solve's
+// SIPS, transformed and compiled once per solve. A ground, all-bound
+// query enters its program only through the seed fact, so every engine
+// run for a target of the predicate binds this one compilation, with the
+// target's own seed, over a fresh scratch database.
+type magicShape struct {
+	tr       *magic.Transformed // the program of the predicate's first target
+	compiled *engine.Compiled
+}
+
+// newMagicShapes transforms and compiles one shape per distinct target
+// predicate, in target order, planning through pl, and returns each
+// target's shape. Compilations and plan requests thus depend on the
+// targets alone, not on the RR slots, Parallelism or scheduling.
+func newMagicShapes(inst *instance, sips magic.SIPS, pl *planner.Planner) ([]*magicShape, error) {
+	byPred := map[string]*magicShape{}
+	shapes := make([]*magicShape, len(inst.targets))
+	for ti, target := range inst.targets {
+		sh := byPred[target.Pred]
+		if sh == nil {
+			tr, err := magic.TransformWith(inst.prog, []ast.Atom{inst.atomOf(target)}, sips)
+			if err != nil {
+				return nil, err
+			}
+			c, err := engine.Compile(tr.Program, inst.in.DB.Symbols(), pl)
+			if err != nil {
+				return nil, err
+			}
+			sh = &magicShape{tr: tr, compiled: c}
+			byPred[target.Pred] = sh
+		}
+		shapes[ti] = sh
+	}
+	return shapes, nil
+}
+
 // magicRR is the RR-generation state of one MagicCM / Magic^S CM solve.
 type magicRR struct {
 	in   Input
 	inst *instance
-	sips magic.SIPS
 	ctx  context.Context
-	// pl is the solve's plan cache; h records the per-target builds and
-	// groundings without journal events (instr.Instr.Quiet).
-	pl      *planner.Planner
+	// h records the per-target builds and groundings without journal
+	// events (instr.Instr.Quiet).
 	h       *instr.Instr
 	sampled bool
-	// trs caches each target's transformed program: a batch's owner of the
+	// edbs names the input program's edb relations, which every scratch
+	// database attaches.
+	edbs []string
+	// shapes holds each target's compiled shape (read-only); trs caches
+	// each target's program, bound from its shape: a batch's owner of the
 	// target fills it in pass 1 (unless an earlier batch did), pass 2 and
 	// later batches only read it.
-	trs []*magic.Transformed
+	shapes []*magicShape
+	trs    []*magic.Transformed
 	// routes records, per target, Magic^S's route in the current batch and
 	// its first gated run's attempted instantiations (written by the owner).
 	routes []targetRoute
@@ -102,10 +149,11 @@ type targetRoute struct {
 	a1    int64
 }
 
-// transform returns target ti's transformed program, computing it once.
+// transform returns target ti's Magic program, rebound from its shape's
+// on first use.
 func (m *magicRR) transform(ti int) (*magic.Transformed, error) {
 	if m.trs[ti] == nil {
-		tr, err := magic.TransformWith(m.inst.prog, []ast.Atom{m.inst.atomOf(m.inst.targets[ti])}, m.sips)
+		tr, err := m.shapes[ti].tr.Rebind(m.inst.atomOf(m.inst.targets[ti]))
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +174,7 @@ func (m *magicRR) gatedRR(ti int, gateSeed uint64, st *Stats, sc *rrScratch, are
 	// Per-tuple subgraphs build without the engine pipeline: the RR phase
 	// already runs one worker per Parallelism slot, and the subgraphs are
 	// small — a second goroutine per build would oversubscribe.
-	g, est, err := buildMagicGraph(m.in, tr, gateSeed, true, m.ctx, m.h, 0, m.pl)
+	g, est, err := buildMagicGraph(tr, m.shapes[ti].compiled, m.in.DB.Scratch(m.edbs), gateSeed, true, m.ctx, m.h, 0)
 	if err != nil {
 		return arena, 0, err
 	}
@@ -164,16 +212,16 @@ const (
 )
 
 // groundTarget decides the route of a target with n slots whose first
-// gated run attempted a1 instantiations, and grounds tr (over a scratch
-// copy of database with the edb relations edbs attached, compiling with
-// pl) when the route allows. It returns the grounding only on
-// routeGrounded; the route depends on counts alone, so it is the same at
-// every Parallelism level.
-func groundTarget(tr *magic.Transformed, database *db.Database, edbs []string, pl *planner.Planner, n int, a1 int64, gopts magic.GroundOptions) (*magic.Grounding, magic.GroundStats, groundRoute, error) {
+// gated run attempted a1 instantiations, and grounds tr (bound from its
+// compiled program c over a scratch copy of database with the edb
+// relations edbs attached) when the route allows. It returns the grounding
+// only on routeGrounded; the route depends on counts alone, so it is the
+// same at every Parallelism level.
+func groundTarget(tr *magic.Transformed, c *engine.Compiled, database *db.Database, edbs []string, n int, a1 int64, gopts magic.GroundOptions) (*magic.Grounding, magic.GroundStats, groundRoute, error) {
 	if groundCapFactor*(n-1) <= 1 {
 		return nil, magic.GroundStats{}, routeTooFew, nil
 	}
-	eng, err := engine.NewPlanned(tr.Program, database.Scratch(edbs), pl)
+	eng, err := c.Bind(tr.Program, database.Scratch(edbs))
 	if err != nil {
 		return nil, magic.GroundStats{}, 0, err
 	}
@@ -277,7 +325,7 @@ func (m *magicRR) unsampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) e
 	if err != nil {
 		return err
 	}
-	g, _, err := buildMagicGraph(m.in, tr, 0, false, m.ctx, m.h, 0, m.pl)
+	g, _, err := buildMagicGraph(tr, m.shapes[ti].compiled, m.in.DB.Scratch(m.edbs), 0, false, m.ctx, m.h, 0)
 	if err != nil {
 		return err
 	}
@@ -315,7 +363,7 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) err
 	p.emit(w, idx[0], lo, t0)
 	rest := idx[1:]
 
-	g, gst, route, err := groundTarget(m.trs[ti], m.in.DB, m.in.Program.EDBs(), m.pl, len(idx), a1,
+	g, gst, route, err := groundTarget(m.trs[ti], m.shapes[ti].compiled, m.in.DB, m.edbs, len(idx), a1,
 		magic.GroundOptions{Context: m.ctx, Instr: m.h})
 	if err != nil {
 		return err
@@ -371,23 +419,21 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) err
 	return nil
 }
 
-// buildMagicGraph evaluates the transformed program over a scratch database
-// (sharing the original edb relations) and returns the projected WD
-// subgraph and the run's engine stats. With sampled=true a HashGate seeded
-// with gateSeed vetoes instantiations, so the returned graph is one random
-// execution. ctx cancels the evaluation between fixpoint rounds. h records
-// the evaluation and the build (instr.GraphBuilt; the gate construction
-// needs the engine, so this cannot delegate to wdgraph.BuildWith): the
-// grouped variant's one full union-graph build passes the solve's
-// instrument, the per-target builds its Quiet form, which keeps their
-// thousands of graph.build and engine.round events out of the journal. pl
-// is the solve's shared plan cache: the Magic variants compile one engine
-// per target, and the cache turns each compilation after the first into
-// pure plan lookups per adorned rule family.
-func buildMagicGraph(in Input, tr *magic.Transformed, gateSeed uint64, sampled bool,
-	ctx context.Context, h *instr.Instr, par int, pl *planner.Planner) (*wdgraph.Graph, engine.Stats, error) {
+// buildMagicGraph evaluates the transformed program tr, bound from its
+// compiled program c over the scratch database scratch (which shares the
+// original edb relations), and returns the projected WD subgraph and the
+// run's engine stats. With sampled=true a HashGate seeded with gateSeed
+// vetoes instantiations, so the returned graph is one random execution.
+// ctx cancels the evaluation between fixpoint rounds. h records the
+// evaluation and the build (instr.GraphBuilt; the gate construction needs
+// the engine, so this cannot delegate to wdgraph.BuildWith): the grouped
+// variant's one full union-graph build passes the solve's instrument, the
+// per-target builds its Quiet form, which keeps their thousands of
+// graph.build and engine.round events out of the journal.
+func buildMagicGraph(tr *magic.Transformed, c *engine.Compiled, scratch *db.Database, gateSeed uint64, sampled bool,
+	ctx context.Context, h *instr.Instr, par int) (*wdgraph.Graph, engine.Stats, error) {
 	start := time.Now()
-	eng, err := engine.NewPlanned(tr.Program, in.DB.Scratch(in.Program.EDBs()), pl)
+	eng, err := c.Bind(tr.Program, scratch)
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}

@@ -8,7 +8,6 @@ import (
 	"contribmax/internal/db"
 	"contribmax/internal/engine"
 	"contribmax/internal/magic"
-	"contribmax/internal/planner"
 )
 
 // DerivationProbability estimates, by Monte-Carlo simulation of random
@@ -49,13 +48,15 @@ func DerivationProbability(prog *ast.Program, database *db.Database, target ast.
 	for s := range seeds {
 		seeds[s] = rng.Uint64()
 	}
-	// One plan cache for all compilations: every one after the first
-	// reuses the cached plan of each adorned rule.
-	pl := planner.New(nil)
+	// One compilation: every gated sample and the grounding bind it.
+	c, err := engine.Compile(tr.Program, database.Symbols(), nil)
+	if err != nil {
+		return 0, err
+	}
 	edbs := prog.EDBs()
 	gated := func(seed uint64) (hit bool, attempted int64, err error) {
 		scratch := database.Scratch(edbs)
-		eng, err := engine.NewPlanned(tr.Program, scratch, pl)
+		eng, err := c.Bind(tr.Program, scratch)
 		if err != nil {
 			return false, 0, err
 		}
@@ -83,7 +84,7 @@ func DerivationProbability(prog *ast.Program, database *db.Database, target ast.
 	if hit {
 		hits++
 	}
-	g, _, _, err := groundTarget(tr, database, edbs, pl, samples, a1, magic.GroundOptions{})
+	g, _, _, err := groundTarget(tr, c, database, edbs, samples, a1, magic.GroundOptions{})
 	if err != nil {
 		return 0, err
 	}

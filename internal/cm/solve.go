@@ -77,14 +77,19 @@ func open(in Input, opts Options, name string) (*solve, error) {
 }
 
 // newResult returns an empty result of algorithm name with a fresh plan
-// cache. One cache spans every engine compilation of the algorithm —
-// full-graph builds and per-target subgraph builds alike — so hit counts
-// measure real cross-engine plan reuse.
+// cache. One cache spans every program compilation of the algorithm — the
+// full-graph build, Magic^G's union program, or one program per target
+// predicate of MagicCM and Magic^S — so hit counts measure plan reuse
+// across programs that share a rule family.
 func (s *solve) newResult(name string) *Result {
-	res := &Result{Algorithm: name, pl: planner.New(s.opts.Obs)}
+	res := &Result{Algorithm: name, pl: newPlanner(s.opts.Obs)}
 	res.Stats.RulesTotal, res.Stats.RulesPruned = s.inst.rulesTotal, s.inst.rulesPruned
 	return res
 }
+
+// newPlanner makes each result's plan cache. BenchmarkMagicSolvePlanCache
+// swaps it for one returning nil, which plans every compilation on its own.
+var newPlanner = planner.New
 
 // fallback reroutes the open solve to MagicCM sampling, stamping reason in
 // Stats.ExactFallback: ExactCM's eligibility or budget trips and DNFCM's

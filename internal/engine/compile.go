@@ -14,6 +14,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"contribmax/internal/ast"
 	"contribmax/internal/db"
@@ -29,11 +30,12 @@ type atomTerm struct {
 }
 
 // compiledAtom is an atom with terms resolved to variable slots / interned
-// constants and the predicate resolved to its relation.
+// constants and the predicate resolved to its relation number: an index
+// into Compiled.rels, and into every bound engine's relations.
 type compiledAtom struct {
 	pred  string
 	arity int
-	rel   *db.Relation
+	rel   int
 	terms []atomTerm
 }
 
@@ -44,7 +46,7 @@ type compiledCheck struct {
 	builtin bool
 	negated bool
 	pred    string
-	rel     *db.Relation // negated checks only
+	rel     int // relation number, negated checks only
 	terms   []atomTerm
 }
 
@@ -100,15 +102,58 @@ func plannerRule(cr *compiledRule) *planner.Rule {
 	return r
 }
 
-// compile resolves a program against a database: it interns all constants,
-// assigns variable slots per rule, resolves (creating when necessary) the
-// relation of every predicate, and plans every rule through pl (nil plans
-// without caching).
-func compile(prog *ast.Program, database *db.Database, pl *planner.Planner) ([]*compiledRule, error) {
+// relSchema is one numbered relation of a compiled program.
+type relSchema struct {
+	name  string
+	arity int
+}
+
+// Compiled is a program compiled once, independent of any database: it is
+// validated, every rule has its variable slots, interned constants and
+// join plans, its strata are computed, and every relation it mentions is
+// numbered. Bind turns it into an engine over a database. Nothing in a
+// Compiled is written after Compile returns, so any number of engines may
+// bind it and run at once, on any goroutines.
+type Compiled struct {
+	prog    *ast.Program
+	symbols *db.SymbolTable
+	rules   []*compiledRule
+	// rels numbers the relations in the order the rules first mention
+	// them, which is the order Bind creates missing ones in.
+	rels   []relSchema
+	strata [][]int
+	// stratErr is Stratify's error for an unstratifiable program; Run
+	// returns it.
+	stratErr error
+}
+
+// Compile compiles prog: it validates the program, interns its constants
+// into symbols, assigns variable slots per rule, numbers the relations,
+// plans every rule through pl (nil plans without caching) and stratifies
+// the program. Each rule's join plan is a greedy bound-first atom order
+// per delta position, with every built-in or negated check evaluated at
+// the earliest join step where its variables are bound, pruning doomed
+// partial bindings instead of fully materializing them. Engines bound to
+// the result share all of it: a program compiled once plans once, however
+// many engines evaluate it.
+func Compile(prog *ast.Program, symbols *db.SymbolTable, pl *planner.Planner) (*Compiled, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: invalid program: %w", err)
 	}
-	rules := make([]*compiledRule, len(prog.Rules))
+	c := &Compiled{prog: prog, symbols: symbols, rules: make([]*compiledRule, len(prog.Rules))}
+	relNo := map[string]int{}
+	relOf := func(a ast.Atom) (int, error) {
+		if a.Arity() > 31 {
+			return 0, fmt.Errorf("engine: predicate %s arity %d exceeds 31", a.Predicate, a.Arity())
+		}
+		if n, ok := relNo[a.Predicate]; ok {
+			return n, nil
+		}
+		n := len(c.rels)
+		relNo[a.Predicate] = n
+		c.rels = append(c.rels, relSchema{name: a.Predicate, arity: a.Arity()})
+		return n, nil
+	}
 	for i, r := range prog.Rules {
 		cr := &compiledRule{src: r, index: i}
 		slots := map[string]int{}
@@ -121,29 +166,6 @@ func compile(prog *ast.Program, database *db.Database, pl *planner.Planner) ([]*
 			cr.varNames = append(cr.varNames, name)
 			return s
 		}
-		compileAtom := func(a ast.Atom) (compiledAtom, error) {
-			if a.Arity() > 31 {
-				return compiledAtom{}, fmt.Errorf("engine: predicate %s arity %d exceeds 31", a.Predicate, a.Arity())
-			}
-			rel, err := database.EnsureRelation(a.Predicate, a.Arity())
-			if err != nil {
-				return compiledAtom{}, fmt.Errorf("engine: %w", err)
-			}
-			ca := compiledAtom{
-				pred:  a.Predicate,
-				arity: a.Arity(),
-				rel:   rel,
-				terms: make([]atomTerm, a.Arity()),
-			}
-			for j, t := range a.Terms {
-				if t.IsVar() {
-					ca.terms[j] = atomTerm{isVar: true, slot: slotOf(t.Name)}
-				} else {
-					ca.terms[j] = atomTerm{sym: database.Symbols().Intern(t.Name)}
-				}
-			}
-			return ca, nil
-		}
 		// Terms of a check atom are compiled without resolving a relation
 		// (built-ins have none).
 		compileTerms := func(a ast.Atom) []atomTerm {
@@ -152,10 +174,17 @@ func compile(prog *ast.Program, database *db.Database, pl *planner.Planner) ([]*
 				if t.IsVar() {
 					terms[j] = atomTerm{isVar: true, slot: slotOf(t.Name)}
 				} else {
-					terms[j] = atomTerm{sym: database.Symbols().Intern(t.Name)}
+					terms[j] = atomTerm{sym: symbols.Intern(t.Name)}
 				}
 			}
 			return terms
+		}
+		compileAtom := func(a ast.Atom) (compiledAtom, error) {
+			rel, err := relOf(a)
+			if err != nil {
+				return compiledAtom{}, err
+			}
+			return compiledAtom{pred: a.Predicate, arity: a.Arity(), rel: rel, terms: compileTerms(a)}, nil
 		}
 		// Positive body first so that head and check variables reuse body
 		// slots (range restriction and safety guarantee they all occur in
@@ -180,12 +209,9 @@ func compile(prog *ast.Program, database *db.Database, pl *planner.Planner) ([]*
 					terms:   compileTerms(b),
 				})
 			case b.Negated:
-				if b.Arity() > 31 {
-					return nil, fmt.Errorf("engine: predicate %s arity %d exceeds 31", b.Predicate, b.Arity())
-				}
-				rel, err := database.EnsureRelation(b.Predicate, b.Arity())
+				rel, err := relOf(b)
 				if err != nil {
-					return nil, fmt.Errorf("engine: %w", err)
+					return nil, err
 				}
 				cr.checks = append(cr.checks, compiledCheck{
 					negated: true,
@@ -200,7 +226,69 @@ func compile(prog *ast.Program, database *db.Database, pl *planner.Planner) ([]*
 		}
 		p := pl.PlanRule(plannerRule(cr))
 		cr.plans, cr.checksAt, cr.preChecks = p.Order, p.ChecksAt, p.Pre
-		rules[i] = cr
+		c.rules[i] = cr
 	}
-	return rules, nil
+	c.strata, c.stratErr = Stratify(prog)
+	return c, nil
+}
+
+// Bind returns a single-use engine evaluating prog over database with the
+// compiled rules. It resolves every numbered relation in database
+// (creating the absent ones empty) and compiles nothing but the facts prog
+// rebinds: prog must be the compiled program, or one with the same rules
+// except that a rule with an empty body may carry other constants in its
+// head — a Magic-Sets program's seed for another target of the same
+// predicate. Derivation.Rule and the runtime profile report prog's own
+// rules. database must use the symbol table the program was compiled
+// against.
+func (c *Compiled) Bind(prog *ast.Program, database *db.Database) (*Engine, error) {
+	if database.Symbols() != c.symbols {
+		return nil, fmt.Errorf("engine: database does not share the compiled program's symbol table")
+	}
+	rules := c.rules
+	if prog != c.prog {
+		if len(prog.Rules) != len(c.rules) {
+			return nil, fmt.Errorf("engine: program has %d rules, compiled %d", len(prog.Rules), len(c.rules))
+		}
+		rules = slices.Clone(c.rules)
+		for i := range prog.Rules {
+			r, cr := &prog.Rules[i], c.rules[i]
+			if r.Equal(cr.src) {
+				continue
+			}
+			if !rebindsFact(r, &cr.src) {
+				return nil, fmt.Errorf("engine: rule %d (%s) differs from the compiled rule %s", i, r, &cr.src)
+			}
+			rules[i] = c.bindFact(cr, r)
+		}
+	}
+	rels := make([]*db.Relation, len(c.rels))
+	for i, rs := range c.rels {
+		rel, err := database.EnsureRelation(rs.name, rs.arity)
+		if err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		rels[i] = rel
+	}
+	return &Engine{c: c, db: database, rules: rules, rels: rels}, nil
+}
+
+// rebindsFact reports whether r is compiled rule src with other constants:
+// both are ground facts of one label, probability, predicate and arity.
+func rebindsFact(r, src *ast.Rule) bool {
+	return len(r.Body) == 0 && len(src.Body) == 0 && r.Label == src.Label && r.Prob == src.Prob &&
+		r.Head.Predicate == src.Head.Predicate && r.Head.Arity() == src.Head.Arity() &&
+		!r.Head.Negated && r.Head.IsGround()
+}
+
+// bindFact compiles fact r in place of compiled fact cr: the head's
+// constants are r's, everything else is cr's.
+func (c *Compiled) bindFact(cr *compiledRule, r *ast.Rule) *compiledRule {
+	b := *cr
+	b.src = *r
+	b.head.terms = make([]atomTerm, len(r.Head.Terms))
+	for j, t := range r.Head.Terms {
+		b.head.terms[j] = atomTerm{sym: c.symbols.Intern(t.Name)}
+	}
+	return &b
 }

@@ -137,12 +137,16 @@ func (s Stats) HottestRule() int {
 	return best
 }
 
-// Engine evaluates one program over one database. Construct with New, then
-// call Run once. An Engine is single-use and not safe for concurrent use.
+// Engine evaluates one program over one database. Construct with New,
+// NewPlanned or Compiled.Bind, then call Run once. An Engine is single-use
+// and not safe for concurrent use.
 type Engine struct {
-	prog  *ast.Program
-	db    *db.Database
+	c  *Compiled
+	db *db.Database
+	// rules are the compiled program's rules, with the facts Bind rebound;
+	// rels[n] is relation number n in db.
 	rules []*compiledRule
+	rels  []*db.Relation
 	ran   bool
 }
 
@@ -152,22 +156,19 @@ func New(prog *ast.Program, database *db.Database) (*Engine, error) {
 	return NewPlanned(prog, database, nil)
 }
 
-// NewPlanned compiles prog against database. All predicates mentioned by
-// the program are resolved (idb relations are created empty if absent), and
-// each rule's join plan comes from the planner package: a greedy
-// bound-first atom order per delta position, with every built-in or negated
-// check evaluated at the earliest join step where its variables are bound,
-// pruning doomed partial bindings instead of fully materializing them. pl,
-// when non-nil, caches plans by rule shape across engines — the Magic
-// variants compile thousands of engines per solve from the same adorned
-// rule families, and each family plans once. A nil pl plans per-engine
-// without caching.
+// NewPlanned compiles prog for database's symbol table and binds it to
+// database: Compile, then Compiled.Bind. All predicates mentioned by the
+// program are resolved (idb relations are created empty if absent). pl,
+// when non-nil, caches plans by rule shape across compilations, so
+// programs that share a rule family plan it once; a nil pl plans without
+// caching. A caller that evaluates one program many times compiles it once
+// and binds it per run instead.
 func NewPlanned(prog *ast.Program, database *db.Database, pl *planner.Planner) (*Engine, error) {
-	rules, err := compile(prog, database, pl)
+	c, err := Compile(prog, database.Symbols(), pl)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{prog: prog, db: database, rules: rules}, nil
+	return c.Bind(prog, database)
 }
 
 // RuleVarNames returns the variable slot names of rule ruleIndex, in slot
@@ -220,7 +221,7 @@ func (e *Engine) Run(opts Options) (Stats, error) {
 // pipelined listener work from the stream alone.
 func (e *Engine) derivedEmpty() bool {
 	for _, cr := range e.rules {
-		if cr.head.rel.Len() > 0 {
+		if e.rels[cr.head.rel].Len() > 0 {
 			return false
 		}
 	}
@@ -241,12 +242,12 @@ type evaluator struct {
 	counts  *prof.JoinCounters
 	stratum int
 
-	// watermarks: processedLen[rel] is the tuple count of rel that has been
-	// fully processed by previous rounds; roundLen[rel] is the count
-	// snapshot at the start of the current round. Tuples with id in
-	// [processedLen, roundLen) form the current delta.
-	processedLen map[*db.Relation]int
-	roundLen     map[*db.Relation]int
+	// watermarks, indexed by relation number: processedLen[n] is the tuple
+	// count of relation n that has been fully processed by previous rounds;
+	// roundLen[n] is the count snapshot at the start of the current round.
+	// Tuples with id in [processedLen, roundLen) form the current delta.
+	processedLen []int
+	roundLen     []int
 
 	// pipe carries derivations to the listener of a pipelined run (nil when
 	// the listener, if any, is called in-line); see pipeline.go.
@@ -263,35 +264,15 @@ type evaluator struct {
 }
 
 func (ev *evaluator) run() error {
-	e := ev.engine
-	strata, err := Stratify(e.prog)
-	if err != nil {
-		return err
+	c := ev.engine.c
+	if c.stratErr != nil {
+		return c.stratErr
 	}
-	ev.processedLen = make(map[*db.Relation]int)
-	ev.roundLen = make(map[*db.Relation]int)
-	rels := map[*db.Relation]bool{}
-	for _, r := range e.rules {
-		rels[r.head.rel] = true
-		for _, b := range r.body {
-			rels[b.rel] = true
-		}
-		for _, c := range r.checks {
-			if c.rel != nil {
-				rels[c.rel] = true
-			}
-		}
-	}
-	// Deterministic iteration order for the relation set.
-	relList := make([]*db.Relation, 0, len(rels))
-	for rel := range rels {
-		relList = append(relList, rel)
-	}
-	sort.Slice(relList, func(i, j int) bool { return relList[i].Name() < relList[j].Name() })
-
-	for si, ruleIdxs := range strata {
+	ev.processedLen = make([]int, len(c.rels))
+	ev.roundLen = make([]int, len(c.rels))
+	for si, ruleIdxs := range c.strata {
 		ev.stratum = si
-		if err := ev.runStratum(ruleIdxs, relList); err != nil {
+		if err := ev.runStratum(ruleIdxs); err != nil {
 			return err
 		}
 		if ev.opts.MaxRounds > 0 && ev.stats.Rounds >= ev.opts.MaxRounds {
@@ -312,11 +293,9 @@ func (ev *evaluator) ctxErr() error {
 // runStratum evaluates one stratum's rules to fixpoint. At stratum entry
 // all existing tuples count as unprocessed delta, so rules see everything
 // derived by earlier strata exactly once.
-func (ev *evaluator) runStratum(ruleIdxs []int, relList []*db.Relation) error {
+func (ev *evaluator) runStratum(ruleIdxs []int) error {
 	e := ev.engine
-	for _, rel := range relList {
-		ev.processedLen[rel] = 0
-	}
+	clear(ev.processedLen)
 
 	// Fact rules of this stratum fire once, before the first round.
 	for _, ri := range ruleIdxs {
@@ -340,12 +319,12 @@ func (ev *evaluator) runStratum(ruleIdxs []int, relList []*db.Relation) error {
 		// Snapshot the round: delta = [processedLen, roundLen).
 		hasDelta := false
 		delta := int64(0)
-		for _, rel := range relList {
+		for i, rel := range e.rels {
 			n := rel.Len()
-			ev.roundLen[rel] = n
-			if n > ev.processedLen[rel] {
+			ev.roundLen[i] = n
+			if n > ev.processedLen[i] {
 				hasDelta = true
-				delta += int64(n - ev.processedLen[rel])
+				delta += int64(n - ev.processedLen[i])
 			}
 		}
 		if !hasDelta {
@@ -359,9 +338,7 @@ func (ev *evaluator) runStratum(ruleIdxs []int, relList []*db.Relation) error {
 				ev.applyRule(cr)
 			}
 		}
-		for _, rel := range relList {
-			ev.processedLen[rel] = ev.roundLen[rel]
-		}
+		copy(ev.processedLen, ev.roundLen)
 	}
 }
 
@@ -420,7 +397,7 @@ func (ev *evaluator) passViable(cr *compiledRule, deltaPos int) bool {
 // update stats, and notify the listener — in-line, or through the pipe on
 // a pipelined run.
 func (ev *evaluator) emit(cr *compiledRule) {
-	headRel := cr.head.rel
+	headRel := ev.engine.rels[cr.head.rel]
 	if cap(ev.headBuf) < cr.head.arity {
 		ev.headBuf = make(db.Tuple, cr.head.arity)
 	}
@@ -586,7 +563,7 @@ func stepAtom(deltaPos, step int) int {
 // bindings, records the body fact, and calls next for each match. Bindings
 // made here are rolled back before returning.
 func (ev *evaluator) scanAtom(atom *compiledAtom, pos, minID, maxID int, next func()) {
-	rel := atom.rel
+	rel := ev.engine.rels[atom.rel]
 	// Build the bound-position mask and lookup tuple.
 	if cap(ev.boundBuf) < atom.arity {
 		ev.boundBuf = make(db.Tuple, atom.arity)
@@ -707,6 +684,6 @@ func (ev *evaluator) evalCheck(c *compiledCheck) bool {
 	for i, term := range c.terms {
 		t[i] = symOf(term)
 	}
-	_, present := c.rel.Contains(t)
+	_, present := ev.engine.rels[c.rel].Contains(t)
 	return !present
 }

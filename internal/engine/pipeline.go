@@ -127,7 +127,7 @@ func (ev *evaluator) runPipelined() error {
 			}
 		}
 	}()
-	p.deliver(ev.engine.rules, ev.opts.Listener)
+	p.deliver(ev.engine.rules, ev.engine.rels, ev.opts.Listener)
 	delivered = true
 	if pv := <-exited; pv != nil {
 		panic(pv)
@@ -203,9 +203,9 @@ func (p *pipe) finish() {
 
 // deliver runs on the calling goroutine: it decodes every handed-over
 // batch into Derivations for listener, in order, until the fixpoint closes
-// full. It reads only the compiled rules, which the fixpoint never writes,
-// and the batches it owns.
-func (p *pipe) deliver(rules []*compiledRule, listener DerivationListener) {
+// full. It reads only the compiled rules and the relation table, which the
+// fixpoint never writes, and the batches it owns.
+func (p *pipe) deliver(rules []*compiledRule, rels []*db.Relation, listener DerivationListener) {
 	var body []FactRef
 	for {
 		var b *batch
@@ -229,10 +229,10 @@ func (p *pipe) deliver(rules []*compiledRule, listener DerivationListener) {
 			}
 			body = body[:n]
 			for j := range body {
-				body[j] = FactRef{Rel: cr.body[j].rel, ID: ids[j]}
+				body[j] = FactRef{Rel: rels[cr.body[j].rel], ID: ids[j]}
 			}
 			ids = ids[n:]
-			d := Derivation{RuleIndex: int(r.rule), Rule: &cr.src, Head: FactRef{Rel: cr.head.rel, ID: r.head}, HeadNew: r.new, Body: body}
+			d := Derivation{RuleIndex: int(r.rule), Rule: &cr.src, Head: FactRef{Rel: rels[cr.head.rel], ID: r.head}, HeadNew: r.new, Body: body}
 			if r.new {
 				a := cr.head.arity
 				d.HeadTuple, syms = syms[:a:a], syms[a:]

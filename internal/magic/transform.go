@@ -2,6 +2,7 @@ package magic
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"contribmax/internal/analysis"
@@ -289,6 +290,32 @@ func TransformWith(prog *ast.Program, queries []ast.Atom, sips SIPS) (*Transform
 		return nil, fmt.Errorf("magic: transformed program invalid: %w", err)
 	}
 	return out, nil
+}
+
+// Rebind returns the single-query program of another ground atom q of t's
+// query predicate. Only the seed rule and the query depend on the query
+// atom's constants, so the result shares every other rule, Meta and the
+// edb set with t, and equals TransformWith of q over t's origin program
+// and SIPS. It rejects a multi-query program (Magic^G's) and a q of
+// another predicate or arity or with variables.
+func (t *Transformed) Rebind(q ast.Atom) (*Transformed, error) {
+	if len(t.Queries) != 1 || len(t.Meta) == 0 || t.Meta[0].Kind != SeedRule {
+		return nil, fmt.Errorf("magic: rebind needs a single-query program, have %d queries", len(t.Queries))
+	}
+	if orig, _ := t.OrigPred(t.Queries[0].Predicate); q.Predicate != orig || q.Arity() != t.Queries[0].Arity() {
+		return nil, fmt.Errorf("magic: cannot rebind a %s/%d program to %s", orig, t.Queries[0].Arity(), q)
+	}
+	if !q.IsGround() {
+		return nil, fmt.Errorf("magic: query atom %s is not ground", q)
+	}
+	rules := slices.Clone(t.Program.Rules)
+	rules[0].Head = q.Rename(rules[0].Head.Predicate)
+	return &Transformed{
+		Program: ast.NewProgram(rules...),
+		Meta:    t.Meta,
+		Queries: []ast.Atom{q.Rename(t.Queries[0].Predicate)},
+		origEDB: t.origEDB,
+	}, nil
 }
 
 // orderBody returns the body atoms in SIPS processing order; the ordering

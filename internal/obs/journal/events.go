@@ -199,9 +199,9 @@ type IterInfo struct {
 }
 
 // PlanInfo is the plan.summary payload: the solve-wide join-planning
-// totals. A high Hits/Built ratio on the Magic variants means the adorned
-// rule families replanned once and every later per-RR engine compilation
-// reused the cached plans.
+// totals. Built plus Hits counts the rule plans of every program the solve
+// compiled — on MagicCM and Magic^S one program per target predicate —
+// and Hits the rule families those programs share.
 type PlanInfo struct {
 	// Built counts plans computed (cache misses).
 	Built int64 `json:"built"`

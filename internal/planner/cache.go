@@ -15,10 +15,11 @@ import (
 const maxCacheEntries = 4096
 
 // Planner is a concurrency-safe plan cache keyed by canonical rule shape
-// (see Key). One Planner typically spans a whole solve: the Magic variants
-// compile a fresh engine per target grounding or gated RR set (and per
-// gated Monte-Carlo sample), and every compilation after the first hits
-// the cache for each rule family.
+// (see Key). One Planner typically spans a whole solve, which compiles a
+// few programs: MagicCM and Magic^S one per target predicate (every RR
+// set, grounding and subgraph build binds those compilations instead of
+// compiling again), Magic^G one union program, the full-graph solvers one
+// program. A rule family that several of them share plans once.
 //
 // All methods are nil-safe: a nil *Planner plans without caching, so callers
 // thread an optional planner with no conditionals.

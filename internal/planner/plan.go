@@ -26,9 +26,10 @@
 //
 // Plans are cached in a Planner keyed by the rule's canonical shape — for
 // Magic-Sets-transformed programs the adorned predicate names carry the
-// binding pattern, so one cache entry covers a whole Magic^S rule family
-// across the per-target and per-RR-set engine compilations a solve
-// performs.
+// binding pattern, so one cache entry covers an adorned rule family across
+// the programs a solve compiles (one per target predicate for MagicCM and
+// Magic^S). The engine plans once per compilation, and a compiled program
+// serves every run bound to it.
 package planner
 
 import (

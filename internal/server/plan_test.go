@@ -7,16 +7,28 @@ import (
 	"contribmax/internal/server"
 )
 
+// tradePlanProgram's Magic programs for dealsWith and connected targets
+// share the dealsWith^bb rule family (rule a22 adorns dealsWith bb inside
+// connected's program).
+const tradePlanProgram = `0.8 a1: dealsWith(A, B) :- dealsWith(B, A).
+0.7 a2: dealsWith(A, B) :- exports(A, C), imports(B, C).
+0.7 a22: connected(A, B) :- dealsWith(A, B).
+0.5 a23: connected(A, B) :- connected(A, M), connected(M, B).`
+
+const tradePlanFacts = `exports(usa, oil). imports(iran, oil). exports(iran, gas). imports(cuba, gas).`
+
 // TestSolveAPIReportsPlannerCounters checks that a Magic solve reports the
 // join planner's counters over the HTTP surface: plans built for each
-// adorned rule family and cache hits from compiling the same families for
-// the other targets.
+// adorned rule family, and cache hits where the second target predicate's
+// program reuses a family the first one's planned. A solve compiles each
+// target predicate's program once, so targets of one predicate alone
+// would share no plans.
 func TestSolveAPIReportsPlannerCounters(t *testing.T) {
 	ts := newServer(t)
 	req := server.SolveRequest{
-		Program:   tcProgram,
-		Facts:     tcFacts,
-		Targets:   []string{"tc(a, b)", "tc(a, c)", "tc(b, c)", "tc(x, y)"},
+		Program:   tradePlanProgram,
+		Facts:     tradePlanFacts,
+		Targets:   []string{"dealsWith(usa, iran)", "dealsWith(iran, cuba)", "connected(usa, iran)", "connected(usa, cuba)"},
 		K:         1,
 		RR:        200,
 		Algorithm: "magic",
