@@ -21,11 +21,15 @@ test:
 # of the engine's pipelined-delivery tests (lifetime, panics, cancel,
 # byte-identity), whose goroutine interleavings vary run to run, then ten
 # of the compiled-program binding tests and the solver determinism
-# battery, whose RR workers bind one compiled Magic program at once.
+# battery, whose RR workers bind one compiled Magic program at once, then
+# ten of the shared-grounding tests: propagators that share one
+# multi-seed grounding reset their counters lazily and must write only
+# state they own, and a worker releases each grounding before its next.
 race:
 	$(GO) test -race ./internal/cm ./internal/db ./internal/im ./internal/engine ./internal/engine/difftest ./internal/magic ./internal/obs ./internal/obs/instr ./internal/obs/journal ./internal/planner ./internal/prof ./internal/server ./internal/solvecache ./internal/wdgraph
 	$(GO) test -race -count=10 -run 'Parallel|Pipeline' ./internal/engine ./internal/engine/difftest
 	$(GO) test -race -count=10 -run 'TestShapeBind|TestDeterminismAcrossParallelism' ./internal/engine ./internal/magic ./internal/cm
+	$(GO) test -race -count=10 -run 'TestPropagatorsShareGrounding|TestGroundingReleasedPerGroup' ./internal/magic ./internal/cm
 
 # Run every Go micro-benchmark once: a compile-and-run guard for the bench
 # code. Meaningful numbers need -benchtime left at its default; compare
@@ -52,9 +56,10 @@ journal-demo:
 # accepts), then the exact-vs-RIS estimator
 # differential (random hierarchical instances; the sampled estimate must
 # stay within its error proxy of the exact lifted value), then Magic^S's
-# grounding differential (random positive programs; propagation over one
-# grounding must reproduce every engine-gated sampled run). CI runs the
-# same smokes; longer local runs: make fuzz FUZZTIME=10m
+# grounding differential (random positive programs; propagation over a
+# target's own grounding, and from its own seed over its predicate's
+# multi-seed grounding, must reproduce every engine-gated sampled run).
+# CI runs the same smokes; longer local runs: make fuzz FUZZTIME=10m
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzEvalProgram -fuzztime=$(FUZZTIME)

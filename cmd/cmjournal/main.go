@@ -320,13 +320,15 @@ func render(w io.Writer, evs []journal.Event, maxRound int) error {
 	return nil
 }
 
-// renderRoute prints Magic^S's per-target RR route counts.
+// renderRoute prints Magic^S's RR route counts, per target-predicate
+// group.
 func renderRoute(w io.Writer, r *journal.RouteInfo) {
-	fmt.Fprintf(w, "\nRR route (Magic^S, c=%g): %d targets, %d slots; first slot of each target gated\n", r.C, r.Targets, r.Slots)
+	fmt.Fprintf(w, "\nRR route (Magic^S, c=%g): %d targets in %d predicate groups, %d slots; first slot of each group gated\n",
+		r.C, r.Targets, r.Groups, r.Slots)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "route\ttargets\tslots\tdetail")
-	fmt.Fprintf(tw, "grounded, rest propagated\t%d\t%d\t\n", r.Grounded, r.GroundedSlots)
+	fmt.Fprintln(tw, "route\tgroups\tslots\tdetail")
+	fmt.Fprintf(tw, "grounded, rest propagated\t%d\t%d\tone grounding per group, each slot from its target's seed\n", r.Grounded, r.GroundedSlots)
 	fmt.Fprintf(tw, "cap tripped, rest gated\t%d\t%d\tcap c*(n-1)*A1 with A1 total %d\n", r.CapTripped, r.CapSlots, r.CapA1)
-	fmt.Fprintf(tw, "too few slots, rest gated\t%d\t%d\tc*(n-1) <= 1\n", r.TooFew, r.TooFewSlots)
+	fmt.Fprintf(tw, "too few slots, rest gated\t%d\t%d\tc*(n-d) <= 1, d targets in the group\n", r.TooFew, r.TooFewSlots)
 	tw.Flush()
 }

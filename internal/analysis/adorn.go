@@ -91,7 +91,10 @@ const (
 
 // OrderBody returns the body atoms in SIPS processing order. bound is the
 // initially bound variable set (from the head adornment) and is NOT
-// mutated. For LeftToRight the source order is returned as-is.
+// mutated. For LeftToRight the source order is returned as-is. Under
+// BoundFirst a built-in filters and binds nothing, so it is eligible only
+// once all its variables are bound; in an unsafe rule, where none is
+// eligible, the earliest unprocessed atom goes next.
 func OrderBody(body []ast.Atom, bound map[string]bool, sips SIPS, idb map[string]bool) []ast.Atom {
 	if sips == LeftToRight || len(body) < 2 {
 		return body
@@ -109,12 +112,26 @@ func OrderBody(body []ast.Atom, bound map[string]bool, sips SIPS, idb map[string
 		}
 		return s
 	}
+	allBound := func(a ast.Atom) bool {
+		for _, t := range a.Terms {
+			if t.IsVar() && !cur[t.Name] {
+				return false
+			}
+		}
+		return true
+	}
 	out := make([]ast.Atom, 0, len(body))
 	used := make([]bool, len(body))
 	for len(out) < len(body) {
 		best, bestKey := -1, -1
 		for i, a := range body {
 			if used[i] {
+				continue
+			}
+			if best < 0 {
+				best = i
+			}
+			if ast.IsBuiltin(a.Predicate) && !allBound(a) {
 				continue
 			}
 			// Score: bound positions dominate; prefer edb atoms on ties;

@@ -92,11 +92,14 @@ type Options struct {
 	// slot — the master rng draws its target and the seeds of its own PCG
 	// stream — so for a fixed seed every Parallelism level produces
 	// byte-identical results regardless of scheduling or worker count. The
-	// workers run per-target subgraph constructions, groundings and
-	// propagations for MagicCM / Magic^S CM (each target's subgraph is
-	// built, or grounded, once per batch of slots), reverse walks over the
-	// shared graph for NaiveCM / Magic^G CM, and possible-world samples for
-	// DNFCM. When >= 2 it also pipelines *full-graph* builds (NaiveCM's,
+	// workers run MagicCM's per-target subgraph constructions (one per
+	// target per batch of slots), Magic^S CM's gated evaluations,
+	// groundings (at most one per target predicate per batch) and
+	// propagations, reverse walks over the shared graph for NaiveCM /
+	// Magic^G CM, and possible-world samples for DNFCM. Magic^S CM hands
+	// each worker one target predicate's slots at a time, so a batch whose
+	// targets share one predicate keeps one worker busy until its
+	// remaining gated slots are spread over all of them. When >= 2 it also pipelines *full-graph* builds (NaiveCM's,
 	// DNFCM's and ExactCM's WD graph, Magic^G CM's union graph): the
 	// fixpoint runs on a helper goroutine while the graph builder consumes
 	// its derivations on the solve's (engine.Options.Parallelism; a build
@@ -231,14 +234,16 @@ type Stats struct {
 	// memory at any point: the full graph for NaiveCM and Magic^G CM, the
 	// largest per-RR subgraph for MagicCM / Magic^S CM (which discard each
 	// subgraph after use, Section V-A) — or, for Magic^S CM, the largest
-	// ground program a worker held (magic.GroundStats.Size) when that is
-	// larger.
+	// ground program of a target predicate a worker held
+	// (magic.GroundStats.Size) when that is larger.
 	PeakResidentSize int
 
-	// Groundings counts Magic^S CM's per-target groundings (unsampled
-	// Magic evaluations recorded for propagation), GroundAborts those that
-	// exceeded their cap and were dropped. Both depend only on the solve's
-	// slots, so they are identical at every Parallelism level.
+	// Groundings counts Magic^S CM's groundings (unsampled evaluations of
+	// the multi-seed Magic program of the targets of one predicate that a
+	// batch drew, recorded for propagation): at most one per target
+	// predicate per batch of RR slots. GroundAborts counts those that exceeded their cap and were
+	// dropped. Both depend only on the solve's slots, so they are
+	// identical at every Parallelism level.
 	Groundings   int
 	GroundAborts int
 

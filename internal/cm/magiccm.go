@@ -42,13 +42,29 @@ func magicCM(s *solve) error { return magicVariant(s, false) }
 // of the subgraph is ever materialized, and the subsequent RR extraction is
 // a deterministic reverse reachability.
 //
+// The distribution it samples is that of the sampled run, not the
+// percolation reachability of Definition 3.4 that NaiveCM and MagicCM
+// sample: a modified rule fires only when all of its body facts were
+// derived in the same run. On a rule that joins a derived atom with
+// another atom, Magic^S therefore credits a seed in the other atom only in
+// runs where the derived atom was derived too, while percolation credits
+// it whenever the rule's own edge is drawn. In testdata/agree/hier_star
+// (0.6 hub(X) :- src(X). 0.7 leaf(X, Y) :- hub(X), port(Y).) the seed
+// port(p1) reaches leaf(h, p1) with probability 0.7 under percolation and
+// 0.6·0.7 = 0.42 under Magic^S. The two distributions agree when no rule
+// in the targets' cones joins a derived atom with another atom; recursive
+// rules such as transitive closure's tc(X, Z) :- tc(X, Y), e(Y, Z) do.
+//
 // The draw is a hash of (gate seed, origin rule, origin bindings)
 // (magic.HashGate), so a sampled run is a sub-run of the unsampled one.
-// Each batch of RR slots is drawn per target: the target's first RR set by
-// a gated evaluation, the others by Horn propagation over one recorded
-// unsampled evaluation (magic.Grounding) when that pays — see
-// groundTarget — and by gated evaluations otherwise. Every RR set equals
-// the gated evaluation's as a set.
+// Each batch of RR slots is drawn per target predicate: the group's first
+// RR set by a gated evaluation; when that pays (see groundGroup), one
+// recorded unsampled evaluation of the predicate's multi-seed Magic
+// program (Remark 1's grouping, magic.Grounding), over which every other
+// slot is drawn by Horn propagation from its own target's seed; and by
+// gated evaluations otherwise. The grounding covers only the targets the
+// batch drew of the predicate. Every RR set equals the gated evaluation's
+// as a set.
 func MagicSampledCM(in Input, opts Options) (*Result, error) {
 	return run(in, opts, "MagicSCM", cached(magicSampledCM))
 }
@@ -66,8 +82,6 @@ func magicVariant(s *solve, sampled bool) error {
 		in: s.inst.in, inst: s.inst, ctx: s.opts.ctx(), h: s.h.Quiet(), sampled: sampled,
 		edbs:   s.inst.in.Program.EDBs(),
 		shapes: shapes,
-		trs:    make([]*magic.Transformed, len(s.inst.targets)),
-		routes: make([]targetRoute, len(s.inst.targets)),
 		route:  journal.RouteInfo{C: groundCapFactor},
 	}
 	if err := s.generateRR(s.opts.rng(), nil, m.groupedPhase); err != nil {
@@ -84,24 +98,40 @@ func magicVariant(s *solve, sampled bool) error {
 // magicShape is one target predicate's Magic program under the solve's
 // SIPS, transformed and compiled once per solve. A ground, all-bound
 // query enters its program only through the seed fact, so every engine
-// run for a target of the predicate binds this one compilation, with the
-// target's own seed, over a fresh scratch database.
+// run for targets of the predicate binds this one compilation over a
+// fresh scratch database: a gated run with its target's own seed, and a
+// Magic^S grounding with the seeds of all the targets it covers
+// (engine.Compiled.Bind takes a repeated seed fact).
 type magicShape struct {
 	tr       *magic.Transformed // the program of the predicate's first target
 	compiled *engine.Compiled
 }
 
+// magicShapes is a solve's shapes, byPred in order of each predicate's
+// first target, and per target its shape (shape), its own program,
+// rebound from the shape (trs), and its query atom (atoms). byPred and
+// shape are read-only once built; a target's trs and atoms entries are
+// set on its first use (magicRR.bindTarget).
+type magicShapes struct {
+	byPred []*magicShape
+	shape  []int
+	trs    []*magic.Transformed
+	atoms  []ast.Atom
+}
+
 // newMagicShapes transforms and compiles one shape per distinct target
-// predicate, in target order, planning through pl, and returns each
-// target's shape. Compilations and plan requests thus depend on the
-// targets alone, not on the RR slots, Parallelism or scheduling.
-func newMagicShapes(inst *instance, sips magic.SIPS, pl *planner.Planner) ([]*magicShape, error) {
-	byPred := map[string]*magicShape{}
-	shapes := make([]*magicShape, len(inst.targets))
+// predicate, in target order, planning through pl. Compilations and plan
+// requests thus depend on the targets alone, not on the RR slots,
+// Parallelism or scheduling.
+func newMagicShapes(inst *instance, sips magic.SIPS, pl *planner.Planner) (*magicShapes, error) {
+	n := len(inst.targets)
+	out := &magicShapes{shape: make([]int, n), trs: make([]*magic.Transformed, n), atoms: make([]ast.Atom, n)}
+	byPred := map[string]int{}
 	for ti, target := range inst.targets {
-		sh := byPred[target.Pred]
-		if sh == nil {
-			tr, err := magic.TransformWith(inst.prog, []ast.Atom{inst.atomOf(target)}, sips)
+		k, ok := byPred[target.Pred]
+		if !ok {
+			out.atoms[ti] = inst.atomOf(target)
+			tr, err := magic.TransformWith(inst.prog, []ast.Atom{out.atoms[ti]}, sips)
 			if err != nil {
 				return nil, err
 			}
@@ -109,12 +139,14 @@ func newMagicShapes(inst *instance, sips magic.SIPS, pl *planner.Planner) ([]*ma
 			if err != nil {
 				return nil, err
 			}
-			sh = &magicShape{tr: tr, compiled: c}
-			byPred[target.Pred] = sh
+			k = len(out.byPred)
+			byPred[target.Pred] = k
+			out.byPred = append(out.byPred, &magicShape{tr: tr, compiled: c})
+			out.trs[ti] = tr
 		}
-		shapes[ti] = sh
+		out.shape[ti] = k
 	}
-	return shapes, nil
+	return out, nil
 }
 
 // magicRR is the RR-generation state of one MagicCM / Magic^S CM solve.
@@ -129,37 +161,40 @@ type magicRR struct {
 	// edbs names the input program's edb relations, which every scratch
 	// database attaches.
 	edbs []string
-	// shapes holds each target's compiled shape (read-only); trs caches
-	// each target's program, bound from its shape: a batch's owner of the
-	// target fills it in pass 1 (unless an earlier batch did), pass 2 and
-	// later batches only read it.
-	shapes []*magicShape
-	trs    []*magic.Transformed
-	// routes records, per target, Magic^S's route in the current batch and
-	// its first gated run's attempted instantiations (written by the owner).
-	routes []targetRoute
+	// shapes holds the compiled shapes and the targets' programs.
+	shapes *magicShapes
 	// route sums Magic^S's routes over every batch of the solve: the one
 	// rr.route event.
 	route journal.RouteInfo
 }
 
-// targetRoute is one target's route decision (see groundTarget).
-type targetRoute struct {
+// groupRoute is one group's route decision (see groundGroup) and its
+// first gated run's attempted instantiations, written by the group's
+// owner.
+type groupRoute struct {
 	route groundRoute
 	a1    int64
 }
 
-// transform returns target ti's Magic program, rebound from its shape's
-// on first use.
-func (m *magicRR) transform(ti int) (*magic.Transformed, error) {
-	if m.trs[ti] == nil {
-		tr, err := m.shapes[ti].tr.Rebind(m.inst.atomOf(m.inst.targets[ti]))
-		if err != nil {
-			return nil, err
-		}
-		m.trs[ti] = tr
+// shapeOf returns target ti's shape.
+func (m *magicRR) shapeOf(ti int) *magicShape { return m.shapes.byPred[m.shapes.shape[ti]] }
+
+// bindTarget rebinds target ti's program from its shape, and records its
+// query atom, on the target's first use. Only the worker that owns the
+// target's pass-1 group calls it, and pass 2 and later batches only read
+// the entries, so no two workers write one target's.
+func (m *magicRR) bindTarget(ti int) error {
+	s := m.shapes
+	if s.trs[ti] != nil {
+		return nil
 	}
-	return m.trs[ti], nil
+	s.atoms[ti] = m.inst.atomOf(m.inst.targets[ti])
+	tr, err := m.shapeOf(ti).tr.Rebind(s.atoms[ti])
+	if err != nil {
+		return err
+	}
+	s.trs[ti] = tr
+	return nil
 }
 
 // gatedRR evaluates target ti's Magic program gated by gateSeed (one
@@ -167,14 +202,10 @@ func (m *magicRR) transform(ti int) (*magic.Transformed, error) {
 // to arena. It also returns the run's attempted instantiations (fired plus
 // gate-suppressed).
 func (m *magicRR) gatedRR(ti int, gateSeed uint64, st *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, int64, error) {
-	tr, err := m.transform(ti)
-	if err != nil {
-		return arena, 0, err
-	}
 	// Per-tuple subgraphs build without the engine pipeline: the RR phase
 	// already runs one worker per Parallelism slot, and the subgraphs are
 	// small — a second goroutine per build would oversubscribe.
-	g, est, err := buildMagicGraph(tr, m.shapes[ti].compiled, m.in.DB.Scratch(m.edbs), gateSeed, true, m.ctx, m.h, 0)
+	g, est, err := buildMagicGraph(m.shapes.trs[ti], m.shapeOf(ti).compiled, m.in.DB.Scratch(m.edbs), gateSeed, true, m.ctx, m.h, 0)
 	if err != nil {
 		return arena, 0, err
 	}
@@ -182,27 +213,36 @@ func (m *magicRR) gatedRR(ti int, gateSeed uint64, st *Stats, sc *rrScratch, are
 	return collectRR(g, m.inst, m.inst.targets[ti], nil, true, sc, arena), est.Instantiations + est.Suppressed, nil
 }
 
-// groundCapFactor is c in the grounding route (see groundTarget): a
-// target's grounding may fire at most c·(n−1)·A₁ instantiations, n the
-// target's slot count and A₁ the instantiations its first gated run
+// groundCapFactor is c in the grounding route (see groundGroup): a
+// group's grounding may fire at most c·(n−1)·A₁ instantiations, n the
+// group's slot count and A₁ the instantiations its first gated run
 // attempted. Per instantiation, a grounding and a gated run cost about the
-// same: 1.1–1.3 µs per instantiation for a grounding (compile, unsampled
-// fixpoint, recording listener, index build) against 1.1–1.2 µs per
-// attempted instantiation for a gated run (compile, gated fixpoint,
-// WD-graph builder), while a propagation costs about 0.05 µs per ground
-// instantiation (internal/magic BenchmarkGrounding, BenchmarkGatedRun and
-// BenchmarkPropagate on AMIE-8 targets, 2-vCPU linux/amd64 host). So with
-// c = 1 a grounding that completes costs at most about as much as the n−1
-// gated runs it replaces, and one that aborts wastes at most that much.
+// same: 1.0–1.3 µs per instantiation for a predicate's grounding (compile,
+// unsampled fixpoint, recording listener, index build) against 1.0–1.1 µs
+// per attempted instantiation for a gated run (compile, gated fixpoint,
+// WD-graph builder), while a propagation from one target's seed costs
+// about 0.06 µs per instantiation of that target's own run (internal/magic
+// BenchmarkGroundingPerPredicate, BenchmarkGatedRun and
+// BenchmarkPropagatePerPredicate on AMIE-8, 2-vCPU linux/amd64 host). So
+// with c = 1 a grounding that completes costs at most about as much as
+// the n−1 gated runs it replaces, and one that aborts wastes at most that
+// much. c also sets the least number of repeat slots (see routeTooFew) a
+// group needs before a grounding is tried.
 const groundCapFactor = 1
 
-// groundRoute is how a target's slots after the first were drawn.
+// groundRoute is how a group's slots after the first were drawn.
 type groundRoute uint8
 
 const (
-	// routeTooFew: c·(n−1) <= 1, so the cap would be at most A₁ and is
-	// certain to trip (every instantiation the first run attempted is one
-	// of the unsampled run); the slots are evaluated gated.
+	// routeTooFew: c·(n−d) <= 1, d the group's distinct targets: the group
+	// has at most one repeat slot (a slot whose target already has an
+	// earlier one in the group). The grounding holds each target's
+	// unsampled run, which contains every instantiation the target's
+	// gated runs attempt, so unless the targets' runs overlap it costs at
+	// least one gated run per target while replacing n−1 of the group's
+	// n: it can pay only with two or more repeat slots. With one target
+	// this is c·(n−1) <= 1, where the cap would be at most A₁ and is
+	// certain to trip. The slots are evaluated gated.
 	routeTooFew groundRoute = iota
 	// routeGrounded: one grounding, one propagation per slot.
 	routeGrounded
@@ -211,23 +251,28 @@ const (
 	routeCapTripped
 )
 
-// groundTarget decides the route of a target with n slots whose first
-// gated run attempted a1 instantiations, and grounds tr (bound from its
-// compiled program c over a scratch copy of database with the edb
-// relations edbs attached) when the route allows. It returns the grounding
-// only on routeGrounded; the route depends on counts alone, so it is the
-// same at every Parallelism level.
-func groundTarget(tr *magic.Transformed, c *engine.Compiled, database *db.Database, edbs []string, n int, a1 int64, gopts magic.GroundOptions) (*magic.Grounding, magic.GroundStats, groundRoute, error) {
-	if groundCapFactor*(n-1) <= 1 {
+// groundGroup decides the route of a group of n slots over the distinct
+// targets qs whose first gated run attempted a1 instantiations and, when
+// the route allows, grounds the program of qs: tr rebound to qs, bound
+// from tr's compiled program c over a scratch copy of database with the
+// edb relations edbs attached. The grounding's query q is qs[q]. It
+// returns the grounding only on routeGrounded; the route depends on
+// counts alone, so it is the same at every Parallelism level.
+func groundGroup(tr *magic.Transformed, c *engine.Compiled, database *db.Database, edbs []string, qs []ast.Atom, n int, a1 int64, gopts magic.GroundOptions) (*magic.Grounding, magic.GroundStats, groundRoute, error) {
+	if groundCapFactor*(n-len(qs)) <= 1 {
 		return nil, magic.GroundStats{}, routeTooFew, nil
 	}
-	eng, err := c.Bind(tr.Program, database.Scratch(edbs))
+	gt, err := tr.Rebind(qs...)
+	if err != nil {
+		return nil, magic.GroundStats{}, 0, err
+	}
+	eng, err := c.Bind(gt.Program, database.Scratch(edbs))
 	if err != nil {
 		return nil, magic.GroundStats{}, 0, err
 	}
 	gopts.Cap = int64(groundCapFactor*(n-1)) * a1
 	gopts.SizeHint = a1
-	g, st, err := magic.Ground(tr, eng, gopts)
+	g, st, err := magic.Ground(gt, eng, gopts)
 	if err != nil {
 		return nil, st, 0, err
 	}
@@ -242,35 +287,43 @@ func groundTarget(tr *magic.Transformed, c *engine.Compiled, database *db.Databa
 // check that a worker holds one ground program at a time.
 var groundingBuilt func(*magic.Grounding)
 
-// groupedPhase generates one batch of slots grouped by target, in two
-// passes of p. Pass 1 hands out whole targets, so a worker holds one
-// target's subgraph or grounding at a time: MagicCM builds the subgraph
-// once and walks it per slot; Magic^S evaluates the first slot gated and
-// routes the rest (groundTarget). Pass 2 spreads the slots Magic^S could
-// not propagate over all workers, one gated evaluation each, so a target
-// whose grounding aborted is not serialized onto one worker. Every slot's
-// RR set depends only on its target and seeds, so results are
-// byte-identical at every worker count.
+// groupedPhase generates one batch of slots in groups, in two passes of
+// p. Pass 1 hands out whole groups, largest first, so a worker holds one
+// group's subgraph or grounding at a time. MagicCM groups by target: it
+// builds the target's subgraph once and walks it per slot with the slot's
+// own stream (a graph shared by several targets would change the walks,
+// which draw in CSR order). Magic^S groups by target predicate: it
+// evaluates the group's first slot gated and routes the rest
+// (groundGroup). Pass 2 spreads the slots Magic^S could not propagate over
+// all workers, one gated evaluation each, so a group whose grounding
+// aborted is not serialized onto one worker. Every slot's RR set depends
+// only on its target and seeds, so results are byte-identical at every
+// worker count.
 func (m *magicRR) groupedPhase(p *slotPhase) {
-	byTarget := make([][]int, len(m.inst.targets))
-	for i, s := range p.slots {
-		byTarget[s.ti] = append(byTarget[s.ti], i)
+	key, nKeys := func(ti int) int { return ti }, len(m.inst.targets)
+	if m.sampled {
+		key, nKeys = func(ti int) int { return m.shapes.shape[ti] }, len(m.shapes.byPred)
 	}
-	var groups []int
-	for ti, idx := range byTarget {
+	byKey := make([][]int, nKeys)
+	for i, s := range p.slots {
+		k := key(s.ti)
+		byKey[k] = append(byKey[k], i)
+	}
+	var groups [][]int
+	for _, idx := range byKey {
 		if len(idx) > 0 {
-			groups = append(groups, ti)
+			groups = append(groups, idx)
 		}
 	}
 	// Largest groups first, for balance; the order never affects results.
-	sort.SliceStable(groups, func(a, b int) bool { return len(byTarget[groups[a]]) > len(byTarget[groups[b]]) })
+	sort.SliceStable(groups, func(a, b int) bool { return len(groups[a]) > len(groups[b]) })
 
+	routes := make([]groupRoute, len(groups))
 	p.run(len(groups), func(w *rrWorker, k int) error {
-		ti := groups[k]
 		if m.sampled {
-			return m.sampledGroup(p, w, ti, byTarget[ti])
+			return m.sampledGroup(p, w, groups[k], &routes[k])
 		}
-		return m.unsampledGroup(p, w, ti, byTarget[ti])
+		return m.unsampledGroup(p, w, groups[k])
 	})
 	var fallback []int
 	failed := false
@@ -296,11 +349,18 @@ func (m *magicRR) groupedPhase(p *slotPhase) {
 		return
 	}
 	info := &m.route
-	info.Targets += len(groups)
+	drawn := make([]bool, len(m.inst.targets))
+	for _, s := range p.slots {
+		if !drawn[s.ti] {
+			drawn[s.ti] = true
+			info.Targets++
+		}
+	}
+	info.Groups += len(groups)
 	info.Slots += len(p.slots)
-	for _, ti := range groups {
-		n := len(byTarget[ti])
-		switch r := m.routes[ti]; r.route {
+	for k, idx := range groups {
+		n := len(idx)
+		switch r := routes[k]; r.route {
 		case routeGrounded:
 			info.Grounded++
 			info.GroundedSlots += n
@@ -315,17 +375,17 @@ func (m *magicRR) groupedPhase(p *slotPhase) {
 	}
 }
 
-// unsampledGroup is MagicCM's pass-1 work for target ti: one subgraph
-// build, then one reverse sampled walk per slot with the slot's own PCG
-// stream. Stats record the subgraph once per slot — the graph each RR set
-// was drawn from.
-func (m *magicRR) unsampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) error {
+// unsampledGroup is MagicCM's pass-1 work for one target's slots idx:
+// one subgraph build, then one reverse sampled walk per slot with the
+// slot's own PCG stream. Stats record the subgraph once per slot — the
+// graph each RR set was drawn from.
+func (m *magicRR) unsampledGroup(p *slotPhase, w *rrWorker, idx []int) error {
 	t0 := w.rec.Start()
-	tr, err := m.transform(ti)
-	if err != nil {
+	ti := p.slots[idx[0]].ti
+	if err := m.bindTarget(ti); err != nil {
 		return err
 	}
-	g, _, err := buildMagicGraph(tr, m.shapes[ti].compiled, m.in.DB.Scratch(m.edbs), 0, false, m.ctx, m.h, 0)
+	g, _, err := buildMagicGraph(m.shapes.trs[ti], m.shapeOf(ti).compiled, m.in.DB.Scratch(m.edbs), 0, false, m.ctx, m.h, 0)
 	if err != nil {
 		return err
 	}
@@ -347,13 +407,31 @@ func (m *magicRR) unsampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) e
 	return nil
 }
 
-// sampledGroup is Magic^S's pass-1 work for target ti: the first slot by
-// a gated evaluation, then either one propagation per remaining slot over
-// the target's grounding, or — when the route rejects grounding — the
-// remaining slots queued for pass 2.
-func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) error {
+// sampledGroup is Magic^S's pass-1 work for one target predicate's slots
+// idx (ascending): the first slot by a gated evaluation, then either one
+// propagation per remaining slot, from its own target's seed, over the
+// grounding of the multi-seed program of the targets the slots drew, or —
+// when the route rejects grounding — the remaining slots queued for
+// pass 2. It records the route in r.
+func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, idx []int, r *groupRoute) error {
 	t0 := w.rec.Start()
+	// The targets the slots drew, in T2 order: the grounding's queries.
+	w.drawn = w.drawn[:0]
+	for _, i := range idx {
+		w.drawn = append(w.drawn, p.slots[i].ti)
+	}
+	slices.Sort(w.drawn)
+	w.drawn = slices.Compact(w.drawn)
+	qs := make([]ast.Atom, len(w.drawn))
+	for q, tq := range w.drawn {
+		if err := m.bindTarget(tq); err != nil {
+			return err
+		}
+		qs[q] = m.shapes.atoms[tq]
+	}
+
 	lo := len(w.arena)
+	ti := p.slots[idx[0]].ti
 	var a1 int64
 	var err error
 	w.arena, a1, err = m.gatedRR(ti, p.slots[idx[0]].gate(), &w.stats, w.sc, w.arena)
@@ -363,12 +441,13 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) err
 	p.emit(w, idx[0], lo, t0)
 	rest := idx[1:]
 
-	g, gst, route, err := groundTarget(m.trs[ti], m.shapes[ti].compiled, m.in.DB, m.edbs, len(idx), a1,
+	sh := m.shapeOf(ti)
+	g, gst, route, err := groundGroup(sh.tr, sh.compiled, m.in.DB, m.edbs, qs, len(idx), a1,
 		magic.GroundOptions{Context: m.ctx, Instr: m.h})
 	if err != nil {
 		return err
 	}
-	m.routes[ti] = targetRoute{route: route, a1: a1}
+	*r = groupRoute{route: route, a1: a1}
 	if route != routeTooFew {
 		// The worker held the ground program (or, aborted, its part up to
 		// the cap) while it existed.
@@ -381,13 +460,18 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) err
 	if groundingBuilt != nil {
 		groundingBuilt(g)
 	}
-	// The worker keeps its propagator's scratch for the next target, but
+	// The worker keeps its propagator's scratch for the next group, but
 	// not this ground program.
 	defer w.prop.Release()
 
-	// Resolve the target and the candidates once per grounding.
-	target := m.inst.targets[ti]
-	root, rootOK := g.ProjectedFact(target.Pred, target.Tuple)
+	// Resolve each target's seed and root, and the candidates, once per
+	// grounding.
+	w.seeds = slices.Grow(w.seeds[:0], len(m.inst.targets))[:len(m.inst.targets)]
+	for q, tq := range w.drawn {
+		target := m.inst.targets[tq]
+		root, rootOK := g.ProjectedFact(target.Pred, target.Tuple)
+		w.seeds[tq] = seedRoot{from: g.Seed(q), root: root, rootOK: rootOK}
+	}
 	w.cand = slices.Grow(w.cand[:0], g.NumProjected())[:g.NumProjected()]
 	for pf := range w.cand {
 		w.cand[pf] = -1
@@ -403,11 +487,12 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) err
 		}
 		t0 := w.rec.Start()
 		lo := len(w.arena)
-		w.prop.Propagate(g, p.slots[i].gate())
+		s := w.seeds[p.slots[i].ti]
+		w.prop.Propagate(g, p.slots[i].gate(), s.from)
 		nodes, edges := w.prop.GraphSize()
 		recordGraph(&w.stats, nodes, edges)
-		if rootOK {
-			w.reached, _ = w.prop.AppendReached(w.reached[:0], root)
+		if s.rootOK {
+			w.reached, _ = w.prop.AppendReached(w.reached[:0], s.root)
 			for _, pf := range w.reached {
 				if c := w.cand[pf]; c >= 0 {
 					w.arena = append(w.arena, im.CandidateID(c))
@@ -417,6 +502,15 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, ti int, idx []int) err
 		p.emit(w, i, lo, t0)
 	}
 	return nil
+}
+
+// seedRoot locates one target in its group's grounding: the seed
+// instantiation its propagations start from and its projected root.
+// rrWorker.seeds holds one per target, valid for the targets of the
+// grounding the worker holds.
+type seedRoot struct {
+	from, root int32
+	rootOK     bool
 }
 
 // buildMagicGraph evaluates the transformed program tr, bound from its

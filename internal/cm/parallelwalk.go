@@ -81,6 +81,8 @@ type rrWorker struct {
 	rng      *rand.Rand
 	arena    []im.CandidateID
 	reached  []int32
+	drawn    []int
+	seeds    []seedRoot
 	cand     []int32
 	stats    Stats
 	rec      *instr.RR

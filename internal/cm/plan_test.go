@@ -96,9 +96,10 @@ func shapePlanRequests(t *testing.T, in cm.Input) int64 {
 // TestPlanRequestsIndependentOfTheta: a MagicCM or Magic^S solve compiles
 // one program per target predicate, before its first RR set, so its plan
 // requests (plans built plus cache hits) are those of compiling each once
-// — the same at every θ, Parallelism level and under adaptive θ. A
-// compilation per target, per RR set or per fallback slot would make them
-// grow with the targets or with θ.
+// — the same at every θ, Parallelism level and under adaptive θ. Magic^S's
+// groundings bind that compilation too. A compilation per target, per
+// group, per RR set or per fallback slot would make them grow with the
+// targets or with θ.
 func TestPlanRequestsIndependentOfTheta(t *testing.T) {
 	in := amiePlanInstance(t)
 	want := shapePlanRequests(t, in)
@@ -130,8 +131,8 @@ func TestPlanRequestsIndependentOfTheta(t *testing.T) {
 			})
 		})
 	}
-	// On TC-24 every grounding trips its cap, so Magic^S evaluates all but
-	// each target's first slot gated in its fallback pass.
+	// On TC-24 at these θ the grounding trips its cap, so Magic^S
+	// evaluates all but the group's first slot gated in its fallback pass.
 	t.Run("CapTrips", func(t *testing.T) {
 		in := tc24Instance(t)
 		want := shapePlanRequests(t, in)

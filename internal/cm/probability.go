@@ -24,7 +24,7 @@ import (
 // instantiation whose body facts were all derived — stricter than the
 // reachability that the contribution measure (Definition 3.4) is built on.
 // The first sample runs gated; the others propagate their seeds through
-// one grounding of the program when Magic^S CM's route (groundTarget)
+// one grounding of the program when Magic^S CM's route (groundGroup)
 // allows, and run gated otherwise — the same executions either way.
 //
 // The program must be positive (no negation); the standard error of the
@@ -84,7 +84,7 @@ func DerivationProbability(prog *ast.Program, database *db.Database, target ast.
 	if hit {
 		hits++
 	}
-	g, _, _, err := groundTarget(tr, c, database, edbs, samples, a1, magic.GroundOptions{})
+	g, _, _, err := groundGroup(tr, c, database, edbs, []ast.Atom{target}, samples, a1, magic.GroundOptions{})
 	if err != nil {
 		return 0, err
 	}
@@ -96,7 +96,7 @@ func DerivationProbability(prog *ast.Program, database *db.Database, target ast.
 		f, derivable := g.Fact(adorned.Predicate, tuple)
 		var p magic.Propagator
 		for _, seed := range seeds[1:] {
-			p.Propagate(g, seed)
+			p.Propagate(g, seed, g.Seed(0))
 			if derivable && p.Derived(f) {
 				hits++
 			}

@@ -143,11 +143,13 @@ func (s Stats) HottestRule() int {
 type Engine struct {
 	c  *Compiled
 	db *db.Database
-	// rules are the compiled program's rules, with the facts Bind rebound;
-	// rels[n] is relation number n in db.
-	rules []*compiledRule
-	rels  []*db.Relation
-	ran   bool
+	// rules are the bound program's rules: the compiled ones, with the
+	// facts Bind rebound; strata lists them per stratum, as the compiled
+	// strata do; rels[n] is relation number n in db.
+	rules  []*compiledRule
+	strata [][]int
+	rels   []*db.Relation
+	ran    bool
 }
 
 // New compiles prog against database with per-engine planning and no plan
@@ -270,7 +272,7 @@ func (ev *evaluator) run() error {
 	}
 	ev.processedLen = make([]int, len(c.rels))
 	ev.roundLen = make([]int, len(c.rels))
-	for si, ruleIdxs := range c.strata {
+	for si, ruleIdxs := range ev.engine.strata {
 		ev.stratum = si
 		if err := ev.runStratum(ruleIdxs); err != nil {
 			return err

@@ -38,8 +38,9 @@ func boundStream(t *testing.T, eng *engine.Engine, d *db.Database) string {
 }
 
 // TestShapeBindRebindsFacts: a compiled program binds to a program whose
-// facts carry other constants, and the bound engine evaluates — and
-// reports rules — exactly as an engine compiled from that program.
+// facts carry other constants, or that repeats a fact with other
+// constants, and the bound engine evaluates — and reports rules — exactly
+// as an engine compiled from that program.
 func TestShapeBindRebindsFacts(t *testing.T) {
 	prog := mustProgram(t, shapeProgram)
 	base := mustFacts(t, shapeFacts)
@@ -49,7 +50,8 @@ func TestShapeBindRebindsFacts(t *testing.T) {
 	}
 	other := prog.Clone()
 	other.Rules[0].Head = ast.NewAtom("seed", ast.C("b"))
-	for _, p := range []*ast.Program{prog, prog.Clone(), other} {
+	several := ast.NewProgram(append(mustProgram(t, `1 s: seed(b). 1 s2: seed(d). 1 s3: seed(b).`).Rules, prog.Rules[1:]...)...)
+	for _, p := range []*ast.Program{prog, prog.Clone(), other, several} {
 		d := base.Scratch([]string{"edge"})
 		eng, err := c.Bind(p, d)
 		if err != nil {
@@ -84,6 +86,11 @@ func TestShapeBindRejectsOtherRules(t *testing.T) {
 	}
 	longer := prog.Clone()
 	longer.Add(mustProgram(t, `0.5 r4: reach(X) :- edge(X, X).`).Rules[0])
+	shorter := ast.NewProgram(prog.Rules[:3]...)
+	// repeat puts fact src right after the compiled fact.
+	repeat := func(src string) *ast.Program {
+		return ast.NewProgram(append([]ast.Rule{prog.Rules[0], mustProgram(t, src).Rules[0]}, prog.Rules[1:]...)...)
+	}
 	unsafe := prog.Clone()
 	unsafe.Rules[0].Head = ast.NewAtom("seed", ast.V("X"))
 	for _, tc := range []struct {
@@ -91,6 +98,10 @@ func TestShapeBindRejectsOtherRules(t *testing.T) {
 		prog *ast.Program
 	}{
 		{"extra rule", longer},
+		{"missing rule", shorter},
+		{"repeat of another predicate", repeat(`1 s2: start(b).`)},
+		{"repeat of another probability", repeat(`0.5 s2: seed(b).`)},
+		{"repeat of a rule with a body", repeat(`0.8 r1b: reach(X) :- seed(X).`)},
 		{"other body", edit(2, `0.7 r2: reach(Y) :- reach(X), edge(Y, X).`)},
 		{"other probability", edit(1, `0.9 r1: reach(X) :- seed(X).`)},
 		{"other constant in a rule with a body", edit(3, `0.6 r3: reach(Y) :- edge(d, Y).`)},

@@ -20,9 +20,14 @@ import (
 // fires iff its gate verdict is yes and all its body facts are derived",
 // taken over the instantiations of the unsampled run (Proposition 4.4
 // makes that run the target's backward subgraph). Propagator computes
-// that fixpoint per seed by Horn propagation (Dowling–Gallier):
+// that fixpoint per gate seed by Horn propagation (Dowling–Gallier):
 // per-instantiation counters of underived body facts, in time linear in
-// the ground program.
+// the part of the ground program it touches.
+//
+// A program with several queries (Remark 1's grouping) grounds once for
+// all of them: the instantiations reachable from one query's seed
+// instantiation are that query's own unsampled run, so propagation from
+// that seed alone (Grounding.Seed) draws the query's sampled runs.
 //
 // A Grounding is read-only once built.
 type Grounding struct {
@@ -50,13 +55,14 @@ type Grounding struct {
 	key     []int32
 	nKeys   int
 
-	// Propagation indexes: need[i] counts i's idb body occurrences, roots
-	// lists the instantiations with none, watch[watchOff[f]:watchOff[f+1]]
-	// the instantiations with idb fact f in their body (one entry per
-	// occurrence), and prod[prodOff[p]:prodOff[p+1]] the modified
-	// instantiations whose projected head is p.
+	// Propagation indexes: need[i] counts i's idb body occurrences,
+	// seeds[q] is the instantiation of query q's seed rule,
+	// watch[watchOff[f]:watchOff[f+1]] the instantiations with idb fact f
+	// in their body (one entry per occurrence), and
+	// prod[prodOff[p]:prodOff[p+1]] the modified instantiations whose
+	// projected head is p.
 	need     []int32
-	roots    []int32
+	seeds    []int32
 	watchOff []int32
 	watch    []int32
 	prodOff  []int32
@@ -394,6 +400,9 @@ func (r *recorder) finish() *Grounding {
 	g.pHead = make([]int32, n)
 	g.key = make([]int32, n)
 	g.need = make([]int32, n)
+	// ruleInst[r] is an instantiation of body-less rule r: a seed rule's
+	// one firing (an unsampled run fires every seed rule).
+	ruleInst := make([]int32, len(r.rules))
 	keys := map[string]int32{}
 	at := 0
 	for i := 0; i < n; i++ {
@@ -409,7 +418,7 @@ func (r *recorder) finish() *Grounding {
 		g.bodyOff[i+1] = int32(len(g.body))
 		g.need[i] = int32(len(gr.idbPos))
 		if g.need[i] == 0 {
-			g.roots = append(g.roots, int32(i))
+			ruleInst[g.rule[i]] = int32(i)
 		}
 		rec = rec[len(gr.idbPos):]
 		for j := range gr.vals {
@@ -462,6 +471,10 @@ func (r *recorder) finish() *Grounding {
 		g.key[i] = id
 	}
 	r.raw = nil
+	g.seeds = make([]int32, len(r.t.querySeed))
+	for q, rule := range r.t.querySeed {
+		g.seeds[q] = ruleInst[rule]
+	}
 
 	g.watchOff = csrOffsets(g.nFacts, g.body)
 	g.watch = make([]int32, len(g.body))
@@ -558,15 +571,23 @@ func (g *Grounding) EDBFacts(fn func(pf int32, pred string, t db.Tuple)) {
 // [0, NumProjected()).
 func (g *Grounding) NumProjected() int { return g.nPF }
 
+// Seed returns the instantiation of the seed rule of the transformed
+// program's query q (in Transformed.Queries order): where propagation of
+// a sampled run for that query starts.
+func (g *Grounding) Seed(q int) int32 { return g.seeds[q] }
+
 // Propagator draws sampled runs over a Grounding. It owns reusable
 // counters and epoch-stamped marks, so a steady-state propagation
-// allocates nothing. Not safe for concurrent use; give each goroutine its
-// own (several propagators may share one Grounding).
+// allocates nothing and costs only the instantiations and facts it
+// touches. It never writes to the Grounding. Not safe for concurrent use;
+// give each goroutine its own (several propagators may share one
+// Grounding).
 type Propagator struct {
 	g       *Grounding
 	epoch   uint32
 	walkEp  uint32
-	cnt     []int32
+	cnt     []int32  // instantiation -> idb body facts not yet derived
+	counted []uint32 // instantiation -> epoch cnt was set in
 	fired   []uint32 // instantiation -> epoch it fired in
 	derived []uint32 // idb fact -> epoch it was derived in
 	pfMark  []uint32
@@ -577,12 +598,16 @@ type Propagator struct {
 	originH []uint64
 }
 
-// Propagate computes the sampled run of g with the given gate seed: the
-// least set of instantiations whose HashGate verdict (seeded with seed)
-// is yes and whose idb body facts are all derived by instantiations of
-// the set. It equals the run of the engine gated by NewHashGate(t, eng,
-// seed) on the same program and database.
-func (p *Propagator) Propagate(g *Grounding, seed uint64) {
+// Propagate computes the sampled run of g with the given gate seed that
+// starts from the seed instantiation from (see Grounding.Seed): the least
+// set of instantiations, reached from from, whose HashGate verdict (seeded
+// with seed) is yes and whose idb body facts are all derived by
+// instantiations of the set. For the seed of query q it equals the run of
+// the engine gated by NewHashGate(t, eng, seed) on the program with q
+// alone: the verdicts depend only on origin rules and bindings, and the
+// instantiations reachable from q's seed are those of q's own unsampled
+// run, which a grounding of a program with q among its queries contains.
+func (p *Propagator) Propagate(g *Grounding, seed uint64, from int32) {
 	p.reset(g)
 	for r := range g.gates {
 		if g.gates[r].sample {
@@ -590,9 +615,8 @@ func (p *Propagator) Propagate(g *Grounding, seed uint64) {
 		}
 	}
 	ep := p.epoch
-	cnt := p.cnt
-	copy(cnt, g.need)
-	queue := append(p.queue[:0], g.roots...)
+	cnt, counted := p.cnt, p.counted
+	queue := append(p.queue[:0], from)
 	fired := p.firedIn[:0]
 	for len(queue) > 0 {
 		i := queue[len(queue)-1]
@@ -615,6 +639,10 @@ func (p *Propagator) Propagate(g *Grounding, seed uint64) {
 		}
 		p.derived[f] = ep
 		for _, j := range g.watch[g.watchOff[f]:g.watchOff[f+1]] {
+			if counted[j] != ep {
+				counted[j] = ep
+				cnt[j] = g.need[j]
+			}
 			cnt[j]--
 			if cnt[j] == 0 {
 				queue = append(queue, j)
@@ -629,6 +657,7 @@ func (p *Propagator) reset(g *Grounding) {
 	p.g = g
 	n := len(g.rule)
 	p.cnt = resize(p.cnt, n)
+	p.counted = resize(p.counted, n)
 	p.fired = resize(p.fired, n)
 	p.derived = resize(p.derived, g.nFacts)
 	p.pfMark = resize(p.pfMark, g.nPF)
@@ -639,6 +668,7 @@ func (p *Propagator) reset(g *Grounding) {
 	if p.epoch == 0 {
 		// Wrapped: stale marks, also those past the current lengths, could
 		// equal a future epoch.
+		clear(p.counted[:cap(p.counted)])
 		clear(p.fired[:cap(p.fired)])
 		clear(p.derived[:cap(p.derived)])
 		clear(p.pfMark[:cap(p.pfMark)])

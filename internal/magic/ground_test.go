@@ -2,6 +2,7 @@ package magic_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -81,20 +82,40 @@ func gatedRun(t testing.TB, prog *ast.Program, d *db.Database, tr *magic.Transfo
 	return out
 }
 
-// grounded is a target's Grounding plus what reading a propagation back
-// needs.
+// grounded is a Grounding plus what reading a propagation back needs,
+// per query of the grounded program.
 type grounded struct {
 	g       *magic.Grounding
 	edbName map[int32]string
+	queries []groundedQuery
+}
+
+// groundedQuery locates one query of a grounded program: its seed
+// instantiation, its projected root and its adorned query fact.
+type groundedQuery struct {
+	from    int32
 	root    int32
 	rootOK  bool
 	query   int32
 	queryOK bool
 }
 
-func groundTarget(t testing.TB, prog *ast.Program, d *db.Database, tr *magic.Transformed, target ast.Atom) *grounded {
+// groundProgram grounds tr, the transform of prog for targets (in order),
+// over d without a cap.
+func groundProgram(t testing.TB, prog *ast.Program, d *db.Database, tr *magic.Transformed, targets []ast.Atom) *grounded {
 	t.Helper()
-	eng, err := engine.New(tr.Program, d.Scratch(prog.EDBs()))
+	c, err := engine.Compile(tr.Program, d.Symbols(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return groundBound(t, prog, d, c, tr, targets)
+}
+
+// groundBound grounds tr, the transform of prog for targets (in order),
+// bound from c, over d without a cap.
+func groundBound(t testing.TB, prog *ast.Program, d *db.Database, c *engine.Compiled, tr *magic.Transformed, targets []ast.Atom) *grounded {
+	t.Helper()
+	eng, err := c.Bind(tr.Program, d.Scratch(prog.EDBs()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,29 +129,43 @@ func groundTarget(t testing.TB, prog *ast.Program, d *db.Database, tr *magic.Tra
 	if g.Instantiations() != int(st.Engine.Instantiations) {
 		t.Fatalf("grounding recorded %d instantiations, engine fired %d", g.Instantiations(), st.Engine.Instantiations)
 	}
-	tuple, err := d.InternAtom(target)
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := &grounded{g: g, edbName: map[int32]string{}}
 	g.EDBFacts(func(pf int32, pred string, tu db.Tuple) { out.edbName[pf] = renderFact(d, pred, tu) })
-	out.root, out.rootOK = g.ProjectedFact(target.Predicate, tuple)
-	out.query, out.queryOK = g.Fact(tr.Queries[0].Predicate, tuple)
+	for q, target := range targets {
+		tuple, err := d.InternAtom(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gq := groundedQuery{from: g.Seed(q)}
+		if got, want := g.RuleOf(gq.from), tr.QuerySeed(q); got != want {
+			t.Fatalf("query %d (%s): seed instantiation of rule %d, want its seed rule %d", q, target, got, want)
+		}
+		gq.root, gq.rootOK = g.ProjectedFact(target.Predicate, tuple)
+		gq.query, gq.queryOK = g.Fact(tr.Queries[q].Predicate, tuple)
+		out.queries = append(out.queries, gq)
+	}
 	return out
 }
 
-func (gr *grounded) run(p *magic.Propagator, seed uint64) sampledRun {
-	p.Propagate(gr.g, seed)
+func groundTarget(t testing.TB, prog *ast.Program, d *db.Database, tr *magic.Transformed, target ast.Atom) *grounded {
+	t.Helper()
+	return groundProgram(t, prog, d, tr, []ast.Atom{target})
+}
+
+// run propagates the sampled run of query q with the given gate seed.
+func (gr *grounded) run(p *magic.Propagator, q int, seed uint64) sampledRun {
+	gq := gr.queries[q]
+	p.Propagate(gr.g, seed, gq.from)
 	var out sampledRun
 	out.nodes, out.edges = p.GraphSize()
-	if gr.rootOK {
+	if gq.rootOK {
 		var reached []int32
-		reached, out.present = p.AppendReached(nil, gr.root)
+		reached, out.present = p.AppendReached(nil, gq.root)
 		for _, pf := range reached {
 			out.rr = append(out.rr, gr.edbName[pf])
 		}
 	}
-	out.derived = gr.queryOK && p.Derived(gr.query)
+	out.derived = gq.queryOK && p.Derived(gq.query)
 	slices.Sort(out.rr)
 	return out
 }
@@ -148,9 +183,67 @@ func checkGroundedVsGated(t testing.TB, prog *ast.Program, d *db.Database, targe
 	bad := 0
 	for _, seed := range seeds {
 		want := gatedRun(t, prog, d, tr, target, seed)
-		if got := gr.run(p, seed); got.String() != want.String() {
+		if got := gr.run(p, 0, seed); got.String() != want.String() {
 			bad++
 			t.Errorf("target %s seed %#x:\n  grounded %s\n  gated    %s\nprogram:\n%s", target, seed, got, want, prog)
+		}
+	}
+	return bad
+}
+
+// byPredicate splits targets by predicate, in order of first occurrence.
+func byPredicate(targets []ast.Atom) [][]ast.Atom {
+	var out [][]ast.Atom
+	at := map[string]int{}
+	for _, a := range targets {
+		k, ok := at[a.Predicate]
+		if !ok {
+			k = len(out)
+			at[a.Predicate] = k
+			out = append(out, nil)
+		}
+		out[k] = append(out[k], a)
+	}
+	return out
+}
+
+// checkPredicateGroundedVsGated grounds targets once per predicate (one
+// multi-seed program each, bound as Magic^S binds it: from the compiled
+// single-query program of the predicate's first target, its seed
+// repeated per target) and compares, per target and gate seed,
+// propagation from the target's own seed with the engine-gated run of the
+// target's single-query program; it returns the mismatch count.
+func checkPredicateGroundedVsGated(t testing.TB, prog *ast.Program, d *db.Database, targets []ast.Atom, seedsPerTarget int, rng *rand.Rand) int {
+	t.Helper()
+	p := &magic.Propagator{}
+	bad := 0
+	for _, group := range byPredicate(targets) {
+		first, err := magic.Transform(prog, group[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := engine.Compile(first.Program, d.Symbols(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := first.Rebind(group...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gr := groundBound(t, prog, d, c, tr, group)
+		for q, target := range group {
+			single, err := magic.Transform(prog, []ast.Atom{target})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range gateSeeds(rng, seedsPerTarget) {
+				want := gatedRun(t, prog, d, single, target, seed)
+				if got := gr.run(p, q, seed); got.String() != want.String() {
+					bad++
+					t.Errorf("target %s (query %d of %d) seed %#x:\n  grounded %s\n  gated    %s\nprogram:\n%s",
+						target, q, len(group), seed, got, want, prog)
+				}
+			}
 		}
 	}
 	return bad
@@ -216,11 +309,13 @@ func gateSeeds(rng *rand.Rand, n int) []uint64 {
 	return out
 }
 
-// TestGroundedRRMatchesGated is the differential test of the per-target
-// grounding: for random positive programs and small instances of the
-// benchmark families, every propagation must reproduce the engine-gated
-// run's RR set (as a set), target verdict, adorned-query verdict, and
-// projected node and edge counts.
+// TestGroundedRRMatchesGated is the differential test of the grounding:
+// for random positive programs and small instances of the benchmark
+// families, every propagation must reproduce the engine-gated run's RR set
+// (as a set), target verdict, adorned-query verdict, and projected node
+// and edge counts — over each target's own grounding, and, on a second
+// draw of programs and targets, from each target's own seed over one
+// multi-seed grounding of its predicate's targets.
 func TestGroundedRRMatchesGated(t *testing.T) {
 	const seedsPerTarget = 25
 	rng := rand.New(rand.NewPCG(0x6A0, 0x0D))
@@ -247,6 +342,40 @@ func TestGroundedRRMatchesGated(t *testing.T) {
 		for _, target := range derivedTargets(t, w.Program, w.DB, 4, rng) {
 			bad += checkGroundedVsGated(t, w.Program, w.DB, target, gateSeeds(rng, seedsPerTarget))
 		}
+	}
+
+	// Per predicate: more targets per program, so that predicates share
+	// groundings, and fewer gate seeds per target.
+	const seedsPerPredTarget = 10
+	rng = rand.New(rand.NewPCG(0x6A1, 0x0D))
+	multi := 0
+	countMulti := func(targets []ast.Atom) {
+		for _, group := range byPredicate(targets) {
+			if len(group) > 1 {
+				multi++
+			}
+		}
+	}
+	for programs = 0; programs < 40; {
+		prog, d, targets, ok := generatedCase(t, rng, 6)
+		if !ok {
+			continue
+		}
+		programs++
+		countMulti(targets)
+		bad += checkPredicateGroundedVsGated(t, prog, d, targets, seedsPerPredTarget, rng)
+	}
+	for _, f := range families {
+		w, err := workload.ByName(f.name, f.size, rand.New(rand.NewPCG(uint64(f.size), 7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets := derivedTargets(t, w.Program, w.DB, 8, rng)
+		countMulti(targets)
+		bad += checkPredicateGroundedVsGated(t, w.Program, w.DB, targets, seedsPerPredTarget, rng)
+	}
+	if multi < 20 {
+		t.Errorf("only %d predicates had several targets; the check needs multi-seed groundings", multi)
 	}
 	if bad > 0 {
 		t.Fatalf("%d mismatches", bad)
@@ -291,38 +420,60 @@ func TestGroundingCapAborts(t *testing.T) {
 	}
 }
 
-// TestPropagatorsShareGrounding reads one Grounding from several
-// goroutines, each with its own Propagator, and checks every result
-// against a sequential pass (run with -race).
-func TestPropagatorsShareGrounding(t *testing.T) {
+// amie4Grounding grounds one multi-seed program of an AMIE-4 instance:
+// the targets of the predicate with the most of 12 derived targets.
+func amie4Grounding(t *testing.T) *grounded {
+	t.Helper()
 	w, err := workload.ByName("AMIE", 4, rand.New(rand.NewPCG(4, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewPCG(5, 5))
-	target := derivedTargets(t, w.Program, w.DB, 1, rng)[0]
-	tr, err := magic.Transform(w.Program, []ast.Atom{target})
+	var group []ast.Atom
+	for _, g := range byPredicate(derivedTargets(t, w.Program, w.DB, 12, rand.New(rand.NewPCG(5, 5)))) {
+		if len(g) > len(group) {
+			group = g
+		}
+	}
+	if len(group) < 3 {
+		t.Fatalf("largest predicate group has %d targets; pick another draw", len(group))
+	}
+	tr, err := magic.Transform(w.Program, group)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr := groundTarget(t, w.Program, w.DB, tr, target)
-	seeds := gateSeeds(rng, 64)
-	want := make([]string, len(seeds))
+	return groundProgram(t, w.Program, w.DB, tr, group)
+}
+
+// TestPropagatorsShareGrounding reads one multi-seed Grounding from
+// several goroutines, each with its own Propagator, and checks every
+// result against a sequential pass (run with -race: a propagation writes
+// only its propagator's state).
+func TestPropagatorsShareGrounding(t *testing.T) {
+	gr := amie4Grounding(t)
+	type draw struct {
+		q    int
+		seed uint64
+	}
+	var draws []draw
+	for i, seed := range gateSeeds(rand.New(rand.NewPCG(5, 6)), 64) {
+		draws = append(draws, draw{i % len(gr.queries), seed})
+	}
+	want := make([]string, len(draws))
 	p := &magic.Propagator{}
-	for i, s := range seeds {
-		want[i] = gr.run(p, s).String()
+	for i, d := range draws {
+		want[i] = gr.run(p, d.q, d.seed).String()
 	}
 	var wg sync.WaitGroup
-	errs := make(chan string, 4*len(seeds))
+	errs := make(chan string, 4*len(draws))
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			p := &magic.Propagator{}
-			for k := range seeds {
-				i := (k + w*17) % len(seeds)
-				if got := gr.run(p, seeds[i]).String(); got != want[i] {
-					errs <- fmt.Sprintf("worker %d seed %d: %s, want %s", w, i, got, want[i])
+			for k := range draws {
+				i := (k + w*17) % len(draws)
+				if got := gr.run(p, draws[i].q, draws[i].seed).String(); got != want[i] {
+					errs <- fmt.Sprintf("worker %d draw %d: %s, want %s", w, i, got, want[i])
 				}
 			}
 		}(w)
@@ -331,6 +482,34 @@ func TestPropagatorsShareGrounding(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestPropagatorEpochWrap forces a propagator's epoch to wrap between
+// propagations from different seeds of one multi-seed grounding: every
+// propagation must still equal a fresh propagator's, so no mark or lazily
+// reset counter stamped before the wrap may pass for a current one.
+func TestPropagatorEpochWrap(t *testing.T) {
+	gr := amie4Grounding(t)
+	seeds := gateSeeds(rand.New(rand.NewPCG(7, 7)), 6)
+	check := func(p *magic.Propagator, q int, seed uint64) {
+		t.Helper()
+		want := gr.run(&magic.Propagator{}, q, seed).String()
+		if got := gr.run(p, q, seed).String(); got != want {
+			t.Errorf("epoch %d, query %d, seed %#x: %s, want %s", p.Epoch(), q, seed, got, want)
+		}
+	}
+	p := &magic.Propagator{}
+	// Stamp the first epochs from every query.
+	for q := range gr.queries {
+		check(p, q, seeds[0])
+	}
+	p.SetEpoch(math.MaxUint32 - 2)
+	for k, seed := range seeds {
+		check(p, (k+1)%len(gr.queries), seed)
+	}
+	if p.Epoch() > uint32(len(seeds)) {
+		t.Fatalf("epoch %d: the propagator did not wrap", p.Epoch())
 	}
 }
 
@@ -350,6 +529,7 @@ func FuzzGroundedVsGated(f *testing.F) {
 		for _, target := range targets {
 			checkGroundedVsGated(t, prog, d, target, gateSeeds(rng, 8))
 		}
+		checkPredicateGroundedVsGated(t, prog, d, targets, 4, rng)
 	})
 }
 
@@ -447,9 +627,93 @@ func BenchmarkPropagate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := gs[i%len(gs)]
-		p.Propagate(g, uint64(i))
+		p.Propagate(g, uint64(i), g.Seed(0))
 		sinkNodes, _ = p.GraphSize()
 		insts += int64(g.Instantiations())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+}
+
+// amie8Groups builds a magics-amie-shaped instance (AMIE-8, 30 derived
+// targets), groups the targets by predicate, and returns each predicate's
+// multi-seed transform and, per target, the instantiation count of its
+// own single-target grounding.
+func amie8Groups(b *testing.B) (*ast.Program, *db.Database, []*magic.Transformed, [][]int) {
+	b.Helper()
+	w, err := workload.ByName("AMIE", 8, rand.New(rand.NewPCG(8, 1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var trs []*magic.Transformed
+	var own [][]int
+	for _, group := range byPredicate(derivedTargets(b, w.Program, w.DB, 30, rand.New(rand.NewPCG(8, 2)))) {
+		tr, err := magic.Transform(w.Program, group)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trs = append(trs, tr)
+		var sizes []int
+		for _, target := range group {
+			single, err := magic.Transform(w.Program, []ast.Atom{target})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sizes = append(sizes, groundTarget(b, w.Program, w.DB, single, target).g.Instantiations())
+		}
+		own = append(own, sizes)
+	}
+	return w.Program, w.DB, trs, own
+}
+
+// BenchmarkGroundingPerPredicate times one grounding of a target
+// predicate's multi-seed program on AMIE-8 (compile, unsampled fixpoint,
+// recording listener, index build), per instantiation.
+func BenchmarkGroundingPerPredicate(b *testing.B) {
+	prog, d, trs, _ := amie8Groups(b)
+	var fired int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := trs[i%len(trs)]
+		eng, err := engine.New(tr.Program, d.Scratch(prog.EDBs()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, st, err := magic.Ground(tr, eng, magic.GroundOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkGround = g
+		fired += st.Engine.Instantiations
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/inst")
+}
+
+// BenchmarkPropagatePerPredicate times one propagation plus graph-size
+// count from one target's seed over its predicate's grounding on AMIE-8,
+// per instantiation of the target's own unsampled run (the unit of
+// BenchmarkPropagate, so the two compare directly).
+func BenchmarkPropagatePerPredicate(b *testing.B) {
+	prog, d, trs, own := amie8Groups(b)
+	type draw struct {
+		g    *magic.Grounding
+		from int32
+		size int
+	}
+	var draws []draw
+	for k, tr := range trs {
+		gr := groundProgram(b, prog, d, tr, nil)
+		for q, size := range own[k] {
+			draws = append(draws, draw{gr.g, gr.g.Seed(q), size})
+		}
+	}
+	var p magic.Propagator
+	var insts int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dr := draws[i%len(draws)]
+		p.Propagate(dr.g, uint64(i), dr.from)
+		sinkNodes, _ = p.GraphSize()
+		insts += int64(dr.size)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
 }

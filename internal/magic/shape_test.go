@@ -40,13 +40,22 @@ func derivedFacts(t testing.TB, prog *ast.Program, d *db.Database) [][]ast.Atom 
 
 // checkRebinds compares, for every derived fact q of prog over d, the
 // program rebound from its predicate's first fact's transform with
-// TransformWith of q itself: rule text, Meta and Queries. It returns the
-// number of facts checked.
+// TransformWith of q itself: rule text, Meta and Queries; and likewise the
+// program rebound to all of the predicate's facts (a multi-seed program,
+// with the first fact repeated at the end) with their TransformWith. A
+// transform that fails under sips must fail under LeftToRight too: the
+// transform's validity depends on the program, not on the order it
+// processes bodies in. It returns the number of facts checked.
 func checkRebinds(t *testing.T, name string, prog *ast.Program, d *db.Database, sips magic.SIPS) int {
 	t.Helper()
 	n := 0
 	for _, facts := range derivedFacts(t, prog, d) {
 		shape, shapeErr := magic.TransformWith(prog, facts[:1], sips)
+		if shapeErr != nil && sips != magic.LeftToRight {
+			if _, err := magic.TransformWith(prog, facts[:1], magic.LeftToRight); err == nil {
+				t.Errorf("%s: transform of %s fails under SIPS %v only: %v", name, facts[0], sips, shapeErr)
+			}
+		}
 		for _, q := range facts {
 			want, err := magic.TransformWith(prog, []ast.Atom{q}, sips)
 			if shapeErr != nil || err != nil {
@@ -57,23 +66,39 @@ func checkRebinds(t *testing.T, name string, prog *ast.Program, d *db.Database, 
 				}
 				continue
 			}
-			got, err := shape.Rebind(q)
-			if err != nil {
-				t.Fatalf("%s: rebind %s: %v", name, q, err)
-			}
 			n++
-			if g, w := got.Program.String(), want.Program.String(); g != w {
-				t.Fatalf("%s: rebind %s: program\n%s\nwant\n%s", name, q, g, w)
-			}
-			if !reflect.DeepEqual(got.Meta, want.Meta) {
-				t.Fatalf("%s: rebind %s: meta %+v, want %+v", name, q, got.Meta, want.Meta)
-			}
-			if g, w := fmt.Sprint(got.Queries), fmt.Sprint(want.Queries); g != w {
-				t.Fatalf("%s: rebind %s: queries %s, want %s", name, q, g, w)
-			}
+			checkRebind(t, name, shape, []ast.Atom{q}, want)
 		}
+		if shapeErr != nil {
+			continue
+		}
+		all := append(facts[:len(facts):len(facts)], facts[0])
+		want, err := magic.TransformWith(prog, all, sips)
+		if err != nil {
+			t.Fatalf("%s: transform of %d facts of %s: %v", name, len(all), facts[0].Predicate, err)
+		}
+		checkRebind(t, name, shape, all, want)
 	}
 	return n
+}
+
+// checkRebind compares shape rebound to qs with want: rule text, Meta
+// and Queries.
+func checkRebind(t *testing.T, name string, shape *magic.Transformed, qs []ast.Atom, want *magic.Transformed) {
+	t.Helper()
+	got, err := shape.Rebind(qs...)
+	if err != nil {
+		t.Fatalf("%s: rebind %s: %v", name, qs, err)
+	}
+	if g, w := got.Program.String(), want.Program.String(); g != w {
+		t.Fatalf("%s: rebind %s: program\n%s\nwant\n%s", name, qs, g, w)
+	}
+	if !reflect.DeepEqual(got.Meta, want.Meta) {
+		t.Fatalf("%s: rebind %s: meta %+v, want %+v", name, qs, got.Meta, want.Meta)
+	}
+	if g, w := fmt.Sprint(got.Queries), fmt.Sprint(want.Queries); g != w {
+		t.Fatalf("%s: rebind %s: queries %s, want %s", name, qs, g, w)
+	}
 }
 
 // TestShapeRebindMatchesTransform: a target's program rebound from another
@@ -110,7 +135,7 @@ func TestShapeRebindMatchesTransform(t *testing.T) {
 }
 
 // TestShapeRebindRejects: only a single-query program rebinds, and only to
-// a ground atom of its query predicate and arity.
+// ground atoms of its query predicate and arity.
 func TestShapeRebindRejects(t *testing.T) {
 	prog := mustProgram(t, tcProgram)
 	tc := func(a, b string) ast.Atom { return ast.NewAtom("tc", ast.C(a), ast.C(b)) }
@@ -133,9 +158,18 @@ func TestShapeRebindRejects(t *testing.T) {
 		if _, err := single.Rebind(q); err == nil {
 			t.Errorf("tc program rebound to %s", q)
 		}
+		if _, err := single.Rebind(tc("b", "c"), q); err == nil {
+			t.Errorf("tc program rebound to tc(b, c) and %s", q)
+		}
+	}
+	if _, err := single.Rebind(); err == nil {
+		t.Error("tc program rebound to no atom")
 	}
 	if _, err := single.Rebind(tc("b", "c")); err != nil {
 		t.Errorf("rebind to tc(b, c): %v", err)
+	}
+	if _, err := single.Rebind(tc("b", "c"), tc("c", "a")); err != nil {
+		t.Errorf("rebind to tc(b, c) and tc(c, a): %v", err)
 	}
 }
 

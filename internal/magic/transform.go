@@ -2,7 +2,6 @@ package magic
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 
 	"contribmax/internal/analysis"
@@ -65,6 +64,9 @@ type Transformed struct {
 	// the transformed program (the fact t^m whose derivation answers the
 	// query).
 	Queries []ast.Atom
+	// querySeed[q] is the index of query q's seed rule in Program.Rules
+	// (equal queries share one seed rule).
+	querySeed []int
 	// origEDB records the edb predicates of the origin program.
 	origEDB map[string]bool
 }
@@ -164,8 +166,7 @@ func TransformWith(prog *ast.Program, queries []ast.Atom, sips SIPS) (*Transform
 	// corresponding adorned goal. (The paper also adds a boolean query rule
 	// Q() :- q^b..b(c...); it carries no probability mass and no WD-graph
 	// content, so we track the adorned query atom directly instead.)
-	seedSeen := map[string]bool{}
-	nSeed := 0
+	seedRule := map[string]int{}
 	for _, q := range queries {
 		if !q.IsGround() {
 			return nil, fmt.Errorf("magic: query atom %s is not ground", q)
@@ -177,17 +178,18 @@ func TransformWith(prog *ast.Program, queries []ast.Atom, sips SIPS) (*Transform
 		enqueue(adornedGoal{q.Predicate, a})
 		out.Queries = append(out.Queries, q.Rename(AdornedPred(q.Predicate, a)))
 		seed := q.Rename(MagicPred(q.Predicate, a))
-		if seedSeen[seed.String()] {
-			continue
+		i, ok := seedRule[seed.String()]
+		if !ok {
+			i = len(out.Program.Rules)
+			seedRule[seed.String()] = i
+			out.Program.Add(ast.Rule{
+				Label: "seed" + strconv.Itoa(i+1),
+				Prob:  1,
+				Head:  seed,
+			})
+			out.Meta = append(out.Meta, RuleMeta{Kind: SeedRule})
 		}
-		seedSeen[seed.String()] = true
-		nSeed++
-		out.Program.Add(ast.Rule{
-			Label: "seed" + strconv.Itoa(nSeed),
-			Prob:  1,
-			Head:  seed,
-		})
-		out.Meta = append(out.Meta, RuleMeta{Kind: SeedRule})
+		out.querySeed = append(out.querySeed, i)
 	}
 
 	nMagic := 0
@@ -292,30 +294,54 @@ func TransformWith(prog *ast.Program, queries []ast.Atom, sips SIPS) (*Transform
 	return out, nil
 }
 
-// Rebind returns the single-query program of another ground atom q of t's
-// query predicate. Only the seed rule and the query depend on the query
-// atom's constants, so the result shares every other rule, Meta and the
-// edb set with t, and equals TransformWith of q over t's origin program
-// and SIPS. It rejects a multi-query program (Magic^G's) and a q of
-// another predicate or arity or with variables.
-func (t *Transformed) Rebind(q ast.Atom) (*Transformed, error) {
+// Rebind returns the program of other ground atoms qs of t's query
+// predicate. Only the seed rules and the queries depend on the query
+// atoms' constants, so the result shares every other rule and the edb set
+// with t (and Meta when qs is one atom), and equals TransformWith of qs
+// over t's origin program and SIPS: one seed rule per distinct atom, in
+// order, then t's magic and modified rules. It rejects a multi-query t
+// (Magic^G's) and an atom of another predicate or arity or with
+// variables.
+func (t *Transformed) Rebind(qs ...ast.Atom) (*Transformed, error) {
 	if len(t.Queries) != 1 || len(t.Meta) == 0 || t.Meta[0].Kind != SeedRule {
 		return nil, fmt.Errorf("magic: rebind needs a single-query program, have %d queries", len(t.Queries))
 	}
-	if orig, _ := t.OrigPred(t.Queries[0].Predicate); q.Predicate != orig || q.Arity() != t.Queries[0].Arity() {
-		return nil, fmt.Errorf("magic: cannot rebind a %s/%d program to %s", orig, t.Queries[0].Arity(), q)
+	if len(qs) == 0 {
+		return nil, fmt.Errorf("magic: no query atoms")
 	}
-	if !q.IsGround() {
-		return nil, fmt.Errorf("magic: query atom %s is not ground", q)
+	orig, _ := t.OrigPred(t.Queries[0].Predicate)
+	seedPred := t.Program.Rules[0].Head.Predicate
+	out := &Transformed{Meta: t.Meta, origEDB: t.origEDB}
+	var rules []ast.Rule
+	seedRule := map[string]int{}
+	for _, q := range qs {
+		if q.Predicate != orig || q.Arity() != t.Queries[0].Arity() {
+			return nil, fmt.Errorf("magic: cannot rebind a %s/%d program to %s", orig, t.Queries[0].Arity(), q)
+		}
+		if !q.IsGround() {
+			return nil, fmt.Errorf("magic: query atom %s is not ground", q)
+		}
+		out.Queries = append(out.Queries, q.Rename(t.Queries[0].Predicate))
+		seed := q.Rename(seedPred)
+		i, ok := seedRule[seed.String()]
+		if !ok {
+			i = len(rules)
+			seedRule[seed.String()] = i
+			rule := t.Program.Rules[0]
+			rule.Label, rule.Head = "seed"+strconv.Itoa(i+1), seed
+			rules = append(rules, rule)
+		}
+		out.querySeed = append(out.querySeed, i)
 	}
-	rules := slices.Clone(t.Program.Rules)
-	rules[0].Head = q.Rename(rules[0].Head.Predicate)
-	return &Transformed{
-		Program: ast.NewProgram(rules...),
-		Meta:    t.Meta,
-		Queries: []ast.Atom{q.Rename(t.Queries[0].Predicate)},
-		origEDB: t.origEDB,
-	}, nil
+	if len(rules) > 1 {
+		out.Meta = make([]RuleMeta, 0, len(rules)+len(t.Meta)-1)
+		for range rules {
+			out.Meta = append(out.Meta, t.Meta[0])
+		}
+		out.Meta = append(out.Meta, t.Meta[1:]...)
+	}
+	out.Program = ast.NewProgram(append(rules, t.Program.Rules[1:]...)...)
+	return out, nil
 }
 
 // orderBody returns the body atoms in SIPS processing order; the ordering

@@ -68,8 +68,9 @@ const (
 	// band (cmrun -profile-json, SolveResponse.Profile).
 	TypeProfileSummary EventType = "profile.summary"
 	// TypeRRRoute records how a Magic^S CM solve drew its RR sets per
-	// target: grounded once and propagated, or evaluated gated per RR set
-	// because the grounding cap tripped or the target had too few slots.
+	// target-predicate group: grounded once and propagated, or evaluated
+	// gated per RR set because the grounding cap tripped or the group had
+	// too few repeat slots.
 	// At most one per solve, emitted at the end of RR generation.
 	TypeRRRoute EventType = "rr.route"
 )
@@ -381,28 +382,34 @@ func ErrProxy(covered, theta int) float64 {
 	return math.Sqrt((1 - f) / float64(covered))
 }
 
-// RouteInfo is the rr.route payload: Magic^S CM's per-target route
-// counts. A target with n slots and a first gated run that attempted A₁
-// instantiations is grounded only when C·(n−1) > 1, and the grounding is
-// dropped once it fires more than C·(n−1)·A₁ instantiations. Every
-// target's first slot is a gated evaluation; the other slots of grounded
-// targets are propagations, the rest gated evaluations.
+// RouteInfo is the rr.route payload: Magic^S CM's route counts. Each
+// batch's slots form one group per target predicate. A group with n slots
+// over d distinct targets and a first gated run that attempted A₁
+// instantiations is grounded only when C·(n−d) > 1: one grounding of the
+// multi-seed Magic program of its d targets, dropped once it fires more
+// than C·(n−1)·A₁ instantiations.
+// Every group's first slot is a gated evaluation; the other slots of
+// grounded groups are propagations from their own target's seed, the
+// rest gated evaluations.
 type RouteInfo struct {
 	// C is the cap factor.
 	C float64 `json:"c"`
-	// Targets counts distinct targets drawn, Slots the RR sets.
+	// Targets counts distinct targets drawn, Slots the RR sets, Groups the
+	// predicate groups (Grounded + CapTripped + TooFew); all three are
+	// summed over the solve's batches.
 	Targets int `json:"targets"`
 	Slots   int `json:"slots"`
-	// Grounded counts targets drawn by propagation, GroundedSlots their
+	Groups  int `json:"groups"`
+	// Grounded counts groups drawn by propagation, GroundedSlots their
 	// slots (first slots included).
 	Grounded      int `json:"grounded"`
 	GroundedSlots int `json:"grounded_slots"`
-	// CapTripped counts targets whose grounding exceeded the cap;
-	// CapSlots and CapA1 total their n and A₁.
+	// CapTripped counts groups whose grounding exceeded the cap; CapSlots
+	// and CapA1 total their n and A₁.
 	CapTripped int   `json:"cap_tripped"`
 	CapSlots   int   `json:"cap_slots"`
 	CapA1      int64 `json:"cap_a1"`
-	// TooFew counts targets with C·(n−1) <= 1, TooFewSlots their slots.
+	// TooFew counts groups with C·(n−d) <= 1, TooFewSlots their slots.
 	TooFew      int `json:"too_few"`
 	TooFewSlots int `json:"too_few_slots"`
 }

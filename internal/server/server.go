@@ -106,9 +106,10 @@ type SolveResponse struct {
 	// was answered by magic sampling instead (non-hierarchical cone,
 	// lineage budget). Empty when the tier answered or for the samplers.
 	ExactFallback string `json:"exactFallback,omitempty"`
-	// Groundings counts the per-target groundings a Magic^S solve drew
-	// RR sets from, GroundAborts those dropped at their cap (see
-	// cm.Stats). Omitted when zero.
+	// Groundings counts the groundings a Magic^S solve drew RR sets from
+	// (at most one per target predicate per batch, over the predicate's
+	// targets the batch drew), GroundAborts those
+	// dropped at their cap (see cm.Stats). Omitted when zero.
 	Groundings   int     `json:"groundings,omitempty"`
 	GroundAborts int     `json:"groundAborts,omitempty"`
 	TotalMillis  float64 `json:"totalMillis"`
