@@ -144,7 +144,7 @@ func BenchmarkSemiNaiveEvalTC(b *testing.B) {
 }
 
 // BenchmarkFullGraphBuild times the build phase of NaiveCM: one
-// wdgraph.BuildWith (edb preload, identity projection) over a scratch
+// wdgraph.Build (edb preload, identity projection) over a scratch
 // database, at Parallelism 1 (sequential) and 2 (the fixpoint on a helper
 // goroutine, pipelined beside the graph builder). It runs on an
 // Explain-160 instance, the shape of perfbench's naive-explain, and on the
@@ -164,7 +164,7 @@ func BenchmarkFullGraphBuild(b *testing.B) {
 		for _, par := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/p%d", w.name, par), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					g, _, err := wdgraph.BuildWith(w.w.Program, w.w.DB.Scratch(w.w.Program.EDBs()), wdgraph.BuildConfig{PreloadEDB: true, Parallelism: par})
+					g, _, err := wdgraph.Build(w.w.Program, w.w.DB.Scratch(w.w.Program.EDBs()), wdgraph.BuildConfig{Parallelism: par})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -400,7 +400,7 @@ func newRRGenWorkload(b *testing.B) *rrGenWorkload {
 	rng := rand.New(rand.NewPCG(1, 2))
 	d := workload.RandomGraphM(40, 70, rng)
 	prog := workload.TCProgram(0.7, 0.45)
-	g, _, err := wdgraph.Build(prog, d, nil, true, nil)
+	g, _, err := wdgraph.Build(prog, d, wdgraph.BuildConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

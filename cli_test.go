@@ -1,9 +1,13 @@
 package contribmax_test
 
 import (
+	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,6 +98,38 @@ func TestCLIsRun(t *testing.T) {
 		}
 		if err := experiments.ValidateReportJSON(data); err != nil {
 			t.Errorf("BENCH report invalid: %v\n%s", err, data)
+		}
+		// The report carries the figures and their provenance, nothing else.
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(data, &fields); err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for k := range fields {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		if want := []string{"figures", "goVersion", "scale", "schema"}; !slices.Equal(keys, want) {
+			t.Errorf("BENCH report fields = %v, want %v", keys, want)
+		}
+	})
+
+	t.Run("cmbench-rejects-unknown-values", func(t *testing.T) {
+		t.Parallel()
+		for _, bad := range []struct{ flag, value, msg string }{
+			{"-fig", "bogus", "unknown figure"},
+			{"-fig", "none", "unknown figure"},
+			{"-format", "bogus", "unknown format"},
+		} {
+			path := filepath.Join(t.TempDir(), "BENCH_quick.json")
+			out, err := exec.Command("go", "run", "./cmd/cmbench", bad.flag, bad.value, "-json", path).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || !strings.Contains(string(out), bad.msg) {
+				t.Errorf("cmbench %s %s: err %v, want a nonzero exit naming %q:\n%s", bad.flag, bad.value, err, bad.msg, out)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("cmbench %s %s left a report behind (stat: %v)", bad.flag, bad.value, err)
+			}
 		}
 	})
 

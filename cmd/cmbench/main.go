@@ -15,10 +15,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"contribmax/internal/experiments"
 )
+
+// figures lists the -fig values: one figure each, 7 for both 7a and 7b.
+var figures = []string{"2", "3", "4", "5", "7a", "7b", "7", "all"}
 
 func main() {
 	if err := run(); err != nil {
@@ -29,7 +33,7 @@ func main() {
 
 func run() error {
 	var (
-		fig           = flag.String("fig", "all", "figure to regenerate: 2, 3, 4, 5, 7a, 7b, or all")
+		fig           = flag.String("fig", "all", "figure to regenerate: 2, 3, 4, 5, 7a, 7b, 7 (both 7a and 7b), or all")
 		ds            = flag.String("ds", "all", "dataset: TC, Explain, IRIS, AMIE, or all")
 		full          = flag.Bool("full", false, "run the full-scale sweep (minutes) instead of the quick one")
 		format        = flag.String("format", "text", "output format: text | csv")
@@ -37,11 +41,23 @@ func run() error {
 		diff          = flag.String("diff", "", "compare this run against a baseline BENCH_*.json and warn (stderr) on regressions beyond -diff-threshold")
 		diffThreshold = flag.Float64("diff-threshold", 0.20, "relative slowdown that counts as a regression for -diff (0.20 = 20%)")
 		diffStrict    = flag.Bool("diff-strict", false, "exit nonzero when -diff finds regressions (default: warn only, for noisy CI runners)")
-		cacheAB       = flag.Bool("cache-ab", false, "also run and print the solve-cache cold/warm A/B (always included in -json reports)")
-		estimatorAB   = flag.Bool("estimator-ab", false, "also run and print the exact/RIS/DNF estimator A/B (always included in -json reports)")
-		profileRun    = flag.Bool("profile", false, "also run and print the runtime-profiled reference solve's rule hotspots (always included in -json reports)")
 	)
 	flag.Parse()
+
+	if !slices.Contains(figures, *fig) {
+		return fmt.Errorf("unknown figure %q (want one of %s)", *fig, strings.Join(figures, ", "))
+	}
+	if *format != "text" && *format != "csv" {
+		return fmt.Errorf("unknown format %q (want text or csv)", *format)
+	}
+	datasets := experiments.Datasets
+	if *ds != "all" {
+		d := experiments.Dataset(*ds)
+		if !slices.Contains(experiments.Datasets, d) {
+			return fmt.Errorf("unknown dataset %q (want TC, Explain, IRIS, AMIE or all)", *ds)
+		}
+		datasets = []experiments.Dataset{d}
+	}
 
 	scale := experiments.Quick
 	scaleName := "quick"
@@ -52,19 +68,6 @@ func run() error {
 	var report *experiments.Report
 	if *jsonOut != "" || *diff != "" {
 		report = experiments.NewReport(scaleName)
-	}
-	datasets := experiments.Datasets
-	if *ds != "all" {
-		datasets = []experiments.Dataset{experiments.Dataset(*ds)}
-		found := false
-		for _, d := range experiments.Datasets {
-			if d == datasets[0] {
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("unknown dataset %q", *ds)
-		}
 	}
 
 	want := func(f string) bool { return *fig == "all" || *fig == f }
@@ -119,7 +122,7 @@ func run() error {
 			}
 		}
 	}
-	if want("7a") || strings.EqualFold(*fig, "7") {
+	if want("7a") || *fig == "7" {
 		t, err := experiments.Figure7a(scale)
 		if err != nil {
 			return err
@@ -128,7 +131,7 @@ func run() error {
 			return err
 		}
 	}
-	if want("7b") || strings.EqualFold(*fig, "7") {
+	if want("7b") || *fig == "7" {
 		t, err := experiments.Figure7b(scale)
 		if err != nil {
 			return err
@@ -136,89 +139,6 @@ func run() error {
 		if err := emit(t); err != nil {
 			return err
 		}
-	}
-	if *cacheAB || report != nil {
-		// The cache A/B resolves the same request cold and warm against the
-		// solve cache and fails hard if the warm replay misses or diverges.
-		summaries, err := experiments.CacheSummaries()
-		if err != nil {
-			return err
-		}
-		if report != nil {
-			report.Cache = summaries
-		}
-		if *cacheAB {
-			t := experiments.CacheTable(summaries)
-			if *format == "csv" {
-				if err := t.WriteCSV(os.Stdout); err != nil {
-					return err
-				}
-			} else {
-				t.Print(os.Stdout)
-			}
-			fmt.Println()
-		}
-	}
-	if *estimatorAB || report != nil {
-		// The estimator A/B solves the same power-law instances with the
-		// exact lifted tier, RIS, and DNF world sampling, and fails hard if
-		// a sampler strays beyond its error proxy of the exact value.
-		summaries, err := experiments.EstimatorSummaries()
-		if err != nil {
-			return err
-		}
-		if report != nil {
-			report.Estimators = summaries
-		}
-		if *estimatorAB {
-			t := experiments.EstimatorTable(summaries)
-			if *format == "csv" {
-				if err := t.WriteCSV(os.Stdout); err != nil {
-					return err
-				}
-			} else {
-				t.Print(os.Stdout)
-			}
-			fmt.Println()
-		}
-	}
-	if *profileRun || report != nil {
-		// The profiled reference solve embeds rule-level hotspots so report
-		// diffs notice when evaluation behavior shifts, not just timings.
-		summary, err := experiments.ProfiledReferenceSolve(scale)
-		if err != nil {
-			return err
-		}
-		if report != nil {
-			report.Profile = summary
-		}
-		if *profileRun {
-			t := experiments.ProfileTable(summary)
-			if *format == "csv" {
-				if err := t.WriteCSV(os.Stdout); err != nil {
-					return err
-				}
-			} else {
-				t.Print(os.Stdout)
-			}
-			fmt.Println()
-		}
-	}
-	if report != nil {
-		// The journaled reference solve gives every report a comparable
-		// RR/coverage telemetry block alongside the figures.
-		summary, err := experiments.JournaledReferenceSolve(scale)
-		if err != nil {
-			return err
-		}
-		report.Journal = summary
-		// Static dead-rule summaries let report diffs notice workload
-		// program changes (see DiffReports).
-		pruning, err := experiments.PruningSummaries()
-		if err != nil {
-			return err
-		}
-		report.Pruning = pruning
 	}
 	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)

@@ -473,7 +473,7 @@ func relevantGraph(prog *Program, d Database, target Atom) (*wdgraph.Graph, wdgr
 		// Programs the transformation rejects (e.g. stratified negation)
 		// fall back to the full graph of the positive rule firings.
 		var err error
-		g, _, err = wdgraph.Build(prog, scratch, nil, true, nil)
+		g, _, err = wdgraph.Build(prog, scratch, wdgraph.BuildConfig{})
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -522,6 +522,6 @@ func Eval(prog *Program, d Database) (EvalStats, error) {
 // 3.1, including a node for every edb fact. The evaluation runs on a
 // scratch copy sharing d's edb relations, so d itself is not mutated.
 func BuildWDGraph(prog *Program, d Database) (*WDGraph, error) {
-	g, _, err := wdgraph.Build(prog, d.Scratch(prog.EDBs()), nil, true, nil)
+	g, _, err := wdgraph.Build(prog, d.Scratch(prog.EDBs()), wdgraph.BuildConfig{})
 	return g, err
 }

@@ -19,7 +19,7 @@ func TestSteadyStateWalkZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	d := workload.RandomGraphM(30, 90, rng)
 	prog := workload.TCProgram(0.9, 0.6)
-	g, _, err := wdgraph.Build(prog, d, nil, true, nil)
+	g, _, err := wdgraph.Build(prog, d, wdgraph.BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,8 +173,7 @@ func effectiveProgramID(inst *instance, id solvecache.Identity) string {
 func (s *solve) fullGraph() (*wdgraph.Graph, error) {
 	return s.cachedGraph("full", func() (*wdgraph.Graph, error) {
 		in := s.inst.in
-		g, _, err := wdgraph.BuildWith(s.inst.prog, in.DB.Scratch(in.Program.EDBs()), wdgraph.BuildConfig{
-			PreloadEDB:  true,
+		g, _, err := wdgraph.Build(s.inst.prog, in.DB.Scratch(in.Program.EDBs()), wdgraph.BuildConfig{
 			Ctx:         s.opts.ctx(),
 			Parallelism: s.opts.Parallelism,
 			Planner:     s.res.pl,

@@ -34,7 +34,7 @@ func NewEstimator(in Input) (*Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, _, err := wdgraph.Build(in.Program, in.DB.Scratch(in.Program.EDBs()), nil, true, nil)
+	g, _, err := wdgraph.Build(in.Program, in.DB.Scratch(in.Program.EDBs()), wdgraph.BuildConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -63,17 +63,8 @@ func (e *Estimator) Graph() *wdgraph.Graph { return e.g }
 // are ignored. The standard error of the estimate is at most
 // |T2| / (2·sqrt(samples)).
 func (e *Estimator) Contribution(seeds []ast.Atom, samples int, rng *rand.Rand) (float64, error) {
-	ids := make([]wdgraph.NodeID, 0, len(seeds))
-	for _, s := range seeds {
-		id, ok, err := e.factNode(s)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			ids = append(ids, id)
-		}
-	}
-	return e.contributionByID(ids, samples, rng), nil
+	mean, _, err := e.ContributionCI(seeds, samples, rng)
+	return mean, err
 }
 
 // ContributionCI is like Contribution but also returns the standard error
@@ -115,23 +106,6 @@ func (e *Estimator) ContributionCI(seeds []ast.Atom, samples int, rng *rand.Rand
 		stderr = math.Sqrt(variance / n)
 	}
 	return mean, stderr, nil
-}
-
-func (e *Estimator) contributionByID(seeds []wdgraph.NodeID, samples int, rng *rand.Rand) float64 {
-	if len(seeds) == 0 || len(e.targets) == 0 || samples <= 0 {
-		return 0
-	}
-	total := 0
-	for s := 0; s < samples; s++ {
-		reached := 0
-		e.walker.ForwardReach(seeds, rng, func(v wdgraph.NodeID) {
-			if e.isTarget[v] {
-				reached++
-			}
-		})
-		total += reached
-	}
-	return float64(total) / float64(samples)
 }
 
 func (e *Estimator) factNode(a ast.Atom) (wdgraph.NodeID, bool, error) {

@@ -278,7 +278,7 @@ func ExactContribution(in Input, seeds []ast.Atom, opts Options) (float64, error
 	if err != nil {
 		return 0, err
 	}
-	g, _, err := wdgraph.Build(inst.prog, in.DB.Scratch(in.Program.EDBs()), nil, true, nil)
+	g, _, err := wdgraph.Build(inst.prog, in.DB.Scratch(in.Program.EDBs()), wdgraph.BuildConfig{})
 	if err != nil {
 		return 0, err
 	}
@@ -332,7 +332,7 @@ func ExactContribution(in Input, seeds []ast.Atom, opts Options) (float64, error
 // non-recursive. A target that was never derived returns 0.
 func ExactQueryProbability(prog *ast.Program, database *db.Database, target ast.Atom) (float64, error) {
 	in := Input{Program: prog, DB: database}
-	g, _, err := wdgraph.Build(prog, in.DB.Scratch(in.Program.EDBs()), nil, true, nil)
+	g, _, err := wdgraph.Build(prog, in.DB.Scratch(in.Program.EDBs()), wdgraph.BuildConfig{})
 	if err != nil {
 		return 0, err
 	}

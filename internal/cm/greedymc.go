@@ -41,7 +41,7 @@ func GreedyMCCM(in Input, opts GreedyMCOptions) (*Result, error) {
 	res := &Result{Algorithm: "GreedyMC"}
 
 	buildStart := time.Now()
-	g, _, err := wdgraph.Build(in.Program, in.DB.Scratch(in.Program.EDBs()), nil, true, nil)
+	g, _, err := wdgraph.Build(in.Program, in.DB.Scratch(in.Program.EDBs()), wdgraph.BuildConfig{})
 	if err != nil {
 		return nil, err
 	}

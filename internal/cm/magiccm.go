@@ -519,8 +519,8 @@ type seedRoot struct {
 // run's engine stats. With sampled=true a HashGate seeded with gateSeed
 // vetoes instantiations, so the returned graph is one random execution.
 // ctx cancels the evaluation between fixpoint rounds. h records the
-// evaluation and the build (instr.GraphBuilt; the gate construction needs
-// the engine, so this cannot delegate to wdgraph.BuildWith): the grouped
+// evaluation and the build (instr.GraphBuilt, as wdgraph.Build does for
+// the full graph, which has neither projection nor gate): the grouped
 // variant's one full union-graph build passes the solve's instrument, the
 // per-target builds its Quiet form, which keeps their thousands of
 // graph.build and engine.round events out of the journal.

@@ -53,7 +53,7 @@ func BruteForceOPT(in Input, rrSets int, rng *rand.Rand) (*OPTResult, error) {
 	}
 
 	// Build the full graph once; draw the shared RR pool as NaiveCM does.
-	g, _, err := wdgraph.Build(in.Program, in.DB.Scratch(in.Program.EDBs()), nil, true, nil)
+	g, _, err := wdgraph.Build(in.Program, in.DB.Scratch(in.Program.EDBs()), wdgraph.BuildConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -47,49 +47,6 @@ func DiffReports(baseline, current *Report, threshold float64) []string {
 		base[baseline.Figures[i].Title] = &baseline.Figures[i]
 	}
 	var warnings []string
-	// Dead-rule tracking: the pruning summaries are static program facts,
-	// so any drift between runs means a workload program changed — worth a
-	// line in the log regardless of direction.
-	basePrune := map[string]PruningSummary{}
-	for _, p := range baseline.Pruning {
-		basePrune[p.Dataset] = p
-	}
-	for _, p := range current.Pruning {
-		was, ok := basePrune[p.Dataset]
-		if !ok {
-			continue
-		}
-		if p.RulesTotal != was.RulesTotal || p.RulesPruned != was.RulesPruned {
-			warnings = append(warnings, fmt.Sprintf(
-				"pruning [%s, root=%s]: rules pruned/total %d/%d -> %d/%d",
-				p.Dataset, p.Root, was.RulesPruned, was.RulesTotal, p.RulesPruned, p.RulesTotal))
-		}
-	}
-	// Estimator tracking: the exact value is deterministic for a pinned
-	// workload (a closed-form computation, no sampling), so any drift means
-	// the workload generator or the lifted evaluator changed semantics —
-	// report it regardless of direction, like pruning drift. Timings and
-	// sampler estimates are noisy and stay out of the drift check.
-	baseEst := map[string]EstimatorSummary{}
-	for _, e := range baseline.Estimators {
-		baseEst[e.Dataset] = e
-	}
-	for _, e := range current.Estimators {
-		was, ok := baseEst[e.Dataset]
-		if !ok {
-			continue
-		}
-		if diff := e.ExactValue - was.ExactValue; diff > 1e-9 || diff < -1e-9 {
-			warnings = append(warnings, fmt.Sprintf(
-				"estimator [%s]: exact value %.6f -> %.6f (deterministic; semantics or workload changed)",
-				e.Dataset, was.ExactValue, e.ExactValue))
-		}
-		if e.LineageClauses != was.LineageClauses {
-			warnings = append(warnings, fmt.Sprintf(
-				"estimator [%s]: lineage clauses %d -> %d",
-				e.Dataset, was.LineageClauses, e.LineageClauses))
-		}
-	}
 	for _, fig := range current.Figures {
 		old, ok := base[fig.Title]
 		if !ok {

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"contribmax/internal/obs/journal"
 )
 
 func figWith(title, yLabel string, val float64) ReportFigure {
@@ -44,67 +42,5 @@ func TestDiffReportsDirections(t *testing.T) {
 	}}
 	if w := DiffReports(baseline, better, 0.20); len(w) != 0 {
 		t.Errorf("unexpected warnings: %v", w)
-	}
-}
-
-// TestDiffReportsEstimatorDrift: the exact value and lineage size are
-// deterministic per workload, so any change — in either direction — warns;
-// noisy fields (timings, sampler estimates) never do.
-func TestDiffReportsEstimatorDrift(t *testing.T) {
-	baseline := &Report{Estimators: []EstimatorSummary{
-		{Dataset: "PowerLaw-a1", ExactValue: 13.4360, LineageClauses: 120, RISEst: 13.1, RISMillis: 15},
-	}}
-	same := &Report{Estimators: []EstimatorSummary{
-		{Dataset: "PowerLaw-a1", ExactValue: 13.4360, LineageClauses: 120, RISEst: 12.2, RISMillis: 40},
-	}}
-	if w := DiffReports(baseline, same, 0.20); len(w) != 0 {
-		t.Errorf("noisy-field change warned: %v", w)
-	}
-	drifted := &Report{Estimators: []EstimatorSummary{
-		{Dataset: "PowerLaw-a1", ExactValue: 13.2, LineageClauses: 118},
-	}}
-	w := DiffReports(baseline, drifted, 0.20)
-	if len(w) != 2 {
-		t.Fatalf("warnings = %v, want exact-value and lineage drift", w)
-	}
-	if !strings.Contains(w[0], "exact value") || !strings.Contains(w[1], "lineage clauses") {
-		t.Errorf("drift warnings = %v", w)
-	}
-	// Improvements warn too — drift is semantic, not performance.
-	improved := &Report{Estimators: []EstimatorSummary{
-		{Dataset: "PowerLaw-a1", ExactValue: 14.0, LineageClauses: 120},
-	}}
-	if w := DiffReports(baseline, improved, 0.20); len(w) != 1 {
-		t.Errorf("upward exact-value drift warnings = %v, want 1", w)
-	}
-}
-
-func TestSummarizeJournal(t *testing.T) {
-	j := journal.New("sum", journal.Options{})
-	j.RRBatch(journal.RRBatchInfo{Worker: 0, Sets: 60, Members: 120, TotalSets: 60})
-	j.RRBatch(journal.RRBatchInfo{Worker: 1, Sets: 40, Members: 60, TotalSets: 40})
-	j.SelectIter(journal.IterInfo{I: 0, Seed: "f(a)", Gain: 50, Covered: 50, Coverage: 0.5, ErrProxy: 0.1})
-	j.SelectIter(journal.IterInfo{I: 1, Seed: "f(b)", Gain: 25, Covered: 75, Coverage: 0.75, ErrProxy: 0.05})
-	j.SolveFinish(journal.FinishInfo{Algorithm: "MagicSCM", CoveredRR: 75, NumRR: 100})
-
-	s, err := SummarizeJournal(j.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Run != "sum" || s.Algorithm != "MagicSCM" || s.Events != 5 {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.RRSets != 100 || s.CoveredRR != 75 || s.Coverage != 0.75 {
-		t.Errorf("coverage fields = %+v", s)
-	}
-	if s.AvgRRMembers != 1.8 || s.SelectIters != 2 || s.FinalErrProxy != 0.05 {
-		t.Errorf("telemetry fields = %+v", s)
-	}
-
-	// A journal without solve.finish cannot be summarized.
-	open := journal.New("open", journal.Options{})
-	open.RRBatch(journal.RRBatchInfo{Sets: 1, Members: 1})
-	if _, err := SummarizeJournal(open.Snapshot()); err == nil {
-		t.Error("expected error for unfinished journal")
 	}
 }

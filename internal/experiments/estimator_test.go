@@ -1,96 +1,90 @@
 package experiments
 
 import (
-	"bytes"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"testing"
+
+	"contribmax/internal/cm"
+	"contribmax/internal/im"
+	"contribmax/internal/obs/journal"
+	"contribmax/internal/workload"
 )
 
-// TestReportEstimatorValidation covers the estimator block of
-// ValidateReportJSON: a well-formed report with estimator entries passes,
-// structurally impossible entries are rejected.
-func TestReportEstimatorValidation(t *testing.T) {
-	r := NewReport("quick")
-	r.AddTable(sampleTable())
-	r.Estimators = []EstimatorSummary{{
-		Dataset: "PowerLaw-a1", Alpha: 1.0, Targets: 30,
-		ExactMillis: 3, RISMillis: 15, DNFMillis: 2,
-		ExactValue: 13.4, RISEst: 13.1, DNFEst: 13.6,
-		MaxDeviation: 0.5, LineageClauses: 120,
-	}}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateReportJSON(buf.Bytes()); err != nil {
-		t.Fatalf("valid estimator report rejected: %v", err)
-	}
-
-	figure := `"figures":[{"title":"t","series":["a"],"rows":[{"x":"1","values":{}}]}]`
-	cases := map[string]string{
-		"no dataset": `{"schema":"contribmax/bench/v1","goVersion":"go1.22",` + figure +
-			`,"estimators":[{"targets":3,"exact_millis":1,"ris_millis":1,"dnf_millis":1,"lineage_clauses":5}]}`,
-		"no targets": `{"schema":"contribmax/bench/v1","goVersion":"go1.22",` + figure +
-			`,"estimators":[{"dataset":"PL","targets":0,"exact_millis":1,"ris_millis":1,"dnf_millis":1,"lineage_clauses":5}]}`,
-		"negative timing": `{"schema":"contribmax/bench/v1","goVersion":"go1.22",` + figure +
-			`,"estimators":[{"dataset":"PL","targets":3,"exact_millis":-1,"ris_millis":1,"dnf_millis":1,"lineage_clauses":5}]}`,
-		"negative deviation": `{"schema":"contribmax/bench/v1","goVersion":"go1.22",` + figure +
-			`,"estimators":[{"dataset":"PL","targets":3,"exact_millis":1,"ris_millis":1,"dnf_millis":1,"max_deviation":-0.1,"lineage_clauses":5}]}`,
-		"no lineage": `{"schema":"contribmax/bench/v1","goVersion":"go1.22",` + figure +
-			`,"estimators":[{"dataset":"PL","targets":3,"exact_millis":1,"ris_millis":1,"dnf_millis":1,"lineage_clauses":0}]}`,
-	}
-	for name, src := range cases {
-		if err := ValidateReportJSON([]byte(src)); err == nil {
-			t.Errorf("%s: validation unexpectedly passed", name)
-		}
-	}
-}
-
-// TestEstimatorSummaries runs the real three-way A/B. The measurement
-// itself enforces the hard contracts (no exact-tier fallback on the
-// hierarchical power-law programs, every sampler within its error proxy
-// of the exact value of its own seeds), so a non-error return already
-// certifies agreement; the assertions below pin the report shape.
+// TestEstimatorSummaries solves three power-law instances, at increasing
+// skew, with the exact lifted tier, the RIS sampler (MagicCM) and DNF
+// possible-world sampling, on identical inputs and generators. The
+// power-law program is hierarchical by construction, so an exact-tier
+// fallback means the eligibility analysis regressed. Each sampler must lie
+// within 6σ of the exact value of its own seed set. The exact objective and
+// the lineage size are closed-form computations over pinned inputs, so
+// they are pinned: any drift means the workload generator or the lifted
+// evaluator changed semantics.
 func TestEstimatorSummaries(t *testing.T) {
 	if testing.Short() {
-		t.Skip("estimator A/B solves three power-law instances nine ways")
+		t.Skip("solves three power-law instances three ways")
 	}
-	summaries, err := EstimatorSummaries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(summaries) != 3 {
-		t.Fatalf("got %d summaries, want 3", len(summaries))
-	}
-	prevAlpha := -1.0
-	for _, s := range summaries {
-		if s.Alpha <= prevAlpha {
-			t.Errorf("%s: alphas not increasing (%g after %g)", s.Dataset, s.Alpha, prevAlpha)
-		}
-		prevAlpha = s.Alpha
-		if s.Targets <= 0 {
-			t.Errorf("%s: no targets", s.Dataset)
-		}
-		if s.ExactMillis <= 0 || s.RISMillis <= 0 || s.DNFMillis <= 0 {
-			t.Errorf("%s: non-positive timings exact=%v ris=%v dnf=%v",
-				s.Dataset, s.ExactMillis, s.RISMillis, s.DNFMillis)
-		}
-		if s.ExactValue <= 0 {
-			t.Errorf("%s: exact value %g, want positive (targets are derivable)", s.Dataset, s.ExactValue)
-		}
-		if s.LineageClauses <= 0 {
-			t.Errorf("%s: exact solve recorded no lineage clauses", s.Dataset)
-		}
-	}
+	// theta is small enough to keep the test fast and large enough that
+	// the 6σ gate has negligible flake probability.
+	const theta = 400
+	for _, pin := range []struct {
+		alpha   float64
+		exact   float64
+		clauses int
+	}{
+		{0.5, 8.3564, 143},
+		{1, 13.435577920000004, 205},
+		{2, 13.187243417600003, 148},
+	} {
+		t.Run(fmt.Sprintf("PowerLaw-a%g", pin.alpha), func(t *testing.T) {
+			p := workload.DefaultPowerLawParams(40)
+			p.Alpha = pin.alpha
+			w := workload.PowerLaw(p, rand.New(rand.NewPCG(3, 5)))
+			_, outputs, err := evalOutputs(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			targets := sampleTargets(outputs, targetCount(Quick), rand.New(rand.NewPCG(11, 13)))
+			if len(targets) == 0 {
+				t.Fatal("no targets derived")
+			}
+			in := cm.Input{Program: w.Program, DB: w.DB, T2: targets, K: 5}
+			solve := func(algo func(cm.Input, cm.Options) (*cm.Result, error)) *cm.Result {
+				t.Helper()
+				r, err := algo(in, cm.Options{
+					Theta: im.ThetaSpec{Explicit: theta},
+					Rand:  rand.New(rand.NewPCG(17, 19)),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
 
-	// Round-trip through a report: the emitted JSON must validate.
-	r := NewReport("quick")
-	r.AddTable(EstimatorTable(summaries))
-	r.Estimators = summaries
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateReportJSON(buf.Bytes()); err != nil {
-		t.Fatalf("estimator report failed validation: %v", err)
+			exact := solve(cm.ExactCM)
+			if exact.Stats.ExactFallback != "" {
+				t.Fatalf("exact tier fell back on a hierarchical program: %s", exact.Stats.ExactFallback)
+			}
+			if math.Abs(exact.EstContribution-pin.exact) > 1e-9 {
+				t.Errorf("exact value %.12g, pinned %.12g", exact.EstContribution, pin.exact)
+			}
+			if exact.Stats.LineageClauses != pin.clauses {
+				t.Errorf("lineage clauses %d, pinned %d", exact.Stats.LineageClauses, pin.clauses)
+			}
+
+			for _, sampled := range []*cm.Result{solve(cm.MagicCM), solve(cm.DNFCM)} {
+				ev, err := cm.ExactContribution(in, sampled.Seeds, cm.Options{})
+				if err != nil {
+					t.Fatalf("%s seeds: %v", sampled.Algorithm, err)
+				}
+				tol := 6*sampled.EstContribution*journal.ErrProxy(sampled.Stats.CoveredRR, theta) +
+					3*float64(len(in.T2))/math.Sqrt(theta)
+				if dev := math.Abs(sampled.EstContribution - ev); dev > tol {
+					t.Errorf("%s estimate %.4f strays %.4f from the exact value %.4f of its seeds (tol %.4f)",
+						sampled.Algorithm, sampled.EstContribution, dev, ev, tol)
+				}
+			}
+		})
 	}
 }

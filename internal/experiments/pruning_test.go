@@ -1,103 +1,43 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
+	"math/rand/v2"
 	"testing"
+
+	"contribmax/internal/analysis"
 )
 
-// TestPruningSummaries pins the static dead-rule facts of the four
-// workload programs: TC and Explain are fully live for their flagship
-// roots, while the IRIS and AMIE rule sets contain predicates outside
-// their flagship cones.
+// TestPruningSummaries pins the dead-rule analysis of each dataset's
+// program against the query predicate its figures target: rules outside
+// the root's dependency cone plus zero-probability rules. TC and Explain
+// are fully live; the IRIS and AMIE rule sets carry predicates outside
+// their flagship cones. The programs are fixed per dataset (size only
+// scales the databases), so the smallest quick instance suffices and any
+// change in a count means a workload program changed.
 func TestPruningSummaries(t *testing.T) {
-	ps, err := PruningSummaries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != len(Datasets) {
-		t.Fatalf("got %d summaries, want %d", len(ps), len(Datasets))
-	}
-	byDS := map[string]PruningSummary{}
-	for _, p := range ps {
-		byDS[p.Dataset] = p
-	}
-	for ds, want := range map[string]struct {
-		root      string
-		prunedMin int
+	want := map[Dataset]struct {
+		root          string
+		pruned, total int
 	}{
-		"TC":      {"tc", 0},
-		"Explain": {"related", 0},
-		"IRIS":    {"mayMeet", 1},
-		"AMIE":    {"influences", 1},
-	} {
-		p, ok := byDS[ds]
-		if !ok {
-			t.Errorf("no summary for %s", ds)
-			continue
+		TC:      {"tc", 0, 3},
+		Explain: {"related", 0, 3},
+		IRIS:    {"mayMeet", 2, 8},
+		AMIE:    {"influences", 18, 23},
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, ds := range Datasets {
+		w, err := buildWorkload(ds, sizesFor(ds, Quick)[0], rng)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.Root != want.root {
-			t.Errorf("%s: root = %s, want %s", ds, p.Root, want.root)
+		pin := want[ds]
+		pr := analysis.Prune(w.Program, analysis.PruneOptions{
+			Roots:    []string{pin.root},
+			ZeroProb: true,
+		})
+		if len(pr.Pruned) != pin.pruned || pr.Total != pin.total {
+			t.Errorf("%s, root %s: rules pruned/total %d/%d, pinned %d/%d",
+				ds, pin.root, len(pr.Pruned), pr.Total, pin.pruned, pin.total)
 		}
-		if p.RulesTotal <= 0 || p.RulesPruned < want.prunedMin || p.RulesPruned >= p.RulesTotal {
-			t.Errorf("%s: pruned/total = %d/%d, want >= %d pruned and a live remainder",
-				ds, p.RulesPruned, p.RulesTotal, want.prunedMin)
-		}
-	}
-
-	// Determinism: the summary is a static program fact.
-	again, err := PruningSummaries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ps {
-		if ps[i] != again[i] {
-			t.Errorf("summary %d not deterministic: %+v vs %+v", i, ps[i], again[i])
-		}
-	}
-}
-
-// TestReportPruningValidatesAndDiffs checks the additive schema: reports
-// with the pruning block validate, impossible counts are rejected, and
-// DiffReports flags drift in the counts.
-func TestReportPruningValidatesAndDiffs(t *testing.T) {
-	r := NewReport("quick")
-	r.AddTable(sampleTable())
-	r.Pruning = []PruningSummary{{Dataset: "IRIS", Root: "mayMeet", RulesTotal: 8, RulesPruned: 2}}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateReportJSON(buf.Bytes()); err != nil {
-		t.Fatalf("report with pruning block rejected: %v", err)
-	}
-	if !strings.Contains(buf.String(), `"rules_pruned": 2`) {
-		t.Fatalf("rules_pruned missing from JSON:\n%s", buf.String())
-	}
-
-	bad := `{"schema":"contribmax/bench/v1","goVersion":"go1.22",` +
-		`"figures":[{"title":"t","series":["a"],"rows":[{"x":"1","values":{}}]}],` +
-		`"pruning":[{"dataset":"IRIS","root":"mayMeet","rules_total":3,"rules_pruned":5}]}`
-	if err := ValidateReportJSON([]byte(bad)); err == nil {
-		t.Error("pruned > total unexpectedly validated")
-	}
-
-	baseline := NewReport("quick")
-	baseline.AddTable(sampleTable())
-	baseline.Pruning = []PruningSummary{{Dataset: "IRIS", Root: "mayMeet", RulesTotal: 8, RulesPruned: 1}}
-	warnings := DiffReports(baseline, r, 0.20)
-	found := false
-	for _, w := range warnings {
-		if strings.Contains(w, "pruning [IRIS") && strings.Contains(w, "1/8 -> 2/8") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("pruning drift not reported: %v", warnings)
-	}
-
-	// Identical counts stay silent.
-	if warnings := DiffReports(r, r, 0.20); len(warnings) != 0 {
-		t.Errorf("no-drift diff warned: %v", warnings)
 	}
 }

@@ -212,7 +212,7 @@ func TestMagicGraphIsomorphicToReachableSubgraph(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := mustProgram(t, tc.program)
 			full := mustDB(t, tc.facts)
-			fullGraph, _, err := wdgraph.Build(prog, full, nil, true, nil)
+			fullGraph, _, err := wdgraph.Build(prog, full, wdgraph.BuildConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -555,7 +555,7 @@ func TestMagicWithBuiltins(t *testing.T) {
 		0.5 b3: linked(X, Y) :- linked(X, Z), pair(Z, Y), neq(X, Y).
 	`)
 	d := mustDB(t, `item(a, 1). item(b, 2). item(c, 3).`)
-	fullGraph, _, err := wdgraph.Build(prog, d, nil, true, nil)
+	fullGraph, _, err := wdgraph.Build(prog, d, wdgraph.BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

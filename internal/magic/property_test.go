@@ -92,7 +92,7 @@ func TestMagicIsomorphismOnRandomPrograms(t *testing.T) {
 			continue
 		}
 		d := randomFactsDB(rng)
-		fullGraph, _, err := wdgraph.Build(prog, d, nil, true, nil)
+		fullGraph, _, err := wdgraph.Build(prog, d, wdgraph.BuildConfig{})
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, prog)
 		}
@@ -141,7 +141,7 @@ func TestMagicIsomorphismBoundFirstSIPS(t *testing.T) {
 			continue
 		}
 		d := randomFactsDB(rng)
-		fullGraph, _, err := wdgraph.Build(prog, d, nil, true, nil)
+		fullGraph, _, err := wdgraph.Build(prog, d, wdgraph.BuildConfig{})
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, prog)
 		}

@@ -25,7 +25,7 @@ func build(t *testing.T, programSrc, factsSrc string) (*wdgraph.Graph, *db.Datab
 	for _, f := range facts {
 		d.MustInsertAtom(f)
 	}
-	g, _, err := wdgraph.Build(prog, d, nil, true, nil)
+	g, _, err := wdgraph.Build(prog, d, wdgraph.BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -428,18 +428,10 @@ func detPrefixes(off []int32, w []float64) []int32 {
 	return det
 }
 
-// BuildConfig parameterizes BuildWith beyond the program and database.
-// The zero value matches Build's defaults: identity projection, no EDB
-// preload, no gate, no context, observability disabled.
+// BuildConfig parameterizes Build beyond the program and database. The
+// zero value evaluates sequentially, without cancellation, plan sharing or
+// observability.
 type BuildConfig struct {
-	// Proj controls the instantiation-to-graph mapping; nil means the
-	// identity projection of Definition 3.1.
-	Proj *Projection
-	// PreloadEDB adds nodes for all edb facts up front (Definition 3.1).
-	PreloadEDB bool
-	// Gate, if non-nil, is consulted before every instantiation (Magic^S
-	// CM's in-construction sampling).
-	Gate engine.FireGate
 	// Ctx, when non-nil, cancels the underlying fixpoint evaluation
 	// between rounds.
 	Ctx context.Context
@@ -460,39 +452,25 @@ type BuildConfig struct {
 	Instr *instr.Instr
 }
 
-// Build evaluates prog over database and returns the projected WD graph.
-// preloadEDB adds nodes for all edb facts up front (Definition 3.1); gate,
-// if non-nil, is consulted before every instantiation (Magic^S CM's
-// in-construction sampling). Instrumented callers use BuildWith.
-func Build(prog *ast.Program, database *db.Database, proj *Projection, preloadEDB bool, gate engine.FireGate) (*Graph, engine.Stats, error) {
-	return BuildWith(prog, database, BuildConfig{Proj: proj, PreloadEDB: preloadEDB, Gate: gate})
-}
-
-// BuildWith is Build with cancellation and observability: one constructed
-// graph is recorded once through cfg.Instr (instr.GraphBuilt).
-func BuildWith(prog *ast.Program, database *db.Database, cfg BuildConfig) (*Graph, engine.Stats, error) {
+// Build evaluates prog over database and returns its full WD graph
+// (Definition 3.1): the identity projection, with a node for every edb
+// fact added up front. Projected or sampled graphs (the Magic solvers')
+// are built through NewBuilder and the engine directly.
+func Build(prog *ast.Program, database *db.Database, cfg BuildConfig) (*Graph, engine.Stats, error) {
 	start := time.Now()
-	proj := cfg.Proj
-	if proj == nil {
-		proj = IdentityProjection(prog)
-	}
 	factHint := 0
-	if cfg.PreloadEDB {
-		for _, pred := range prog.EDBs() {
-			if rel, ok := database.Lookup(pred); ok {
-				factHint += rel.Len()
-			}
+	for _, pred := range prog.EDBs() {
+		if rel, ok := database.Lookup(pred); ok {
+			factHint += rel.Len()
 		}
 	}
-	b := NewBuilderSized(proj, factHint, 0)
-	if cfg.PreloadEDB {
-		b.PreloadEDB(prog, database)
-	}
+	b := NewBuilderSized(IdentityProjection(prog), factHint, 0)
+	b.PreloadEDB(prog, database)
 	eng, err := engine.NewPlanned(prog, database, cfg.Planner)
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
-	stats, err := eng.Run(engine.Options{Listener: b.Listener(), Gate: cfg.Gate, Context: cfg.Ctx, Parallelism: cfg.Parallelism, Instr: cfg.Instr})
+	stats, err := eng.Run(engine.Options{Listener: b.Listener(), Context: cfg.Ctx, Parallelism: cfg.Parallelism, Instr: cfg.Instr})
 	if err != nil {
 		return nil, stats, err
 	}

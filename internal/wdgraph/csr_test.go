@@ -41,7 +41,7 @@ func buildFrom(t *testing.T, progSrc string, d *db.Database) *Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := Build(prog, d, nil, true, nil)
+	g, _, err := Build(prog, d, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

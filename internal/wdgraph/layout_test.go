@@ -86,7 +86,7 @@ func layoutInstances(t *testing.T) []layoutInstance {
 // identity projection) and returns it with the evaluated database.
 func identityGraph(t *testing.T, prog *ast.Program, d *db.Database) *wdgraph.Graph {
 	t.Helper()
-	g, _, err := wdgraph.Build(prog, d, nil, true, nil)
+	g, _, err := wdgraph.Build(prog, d, wdgraph.BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

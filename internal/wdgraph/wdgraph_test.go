@@ -9,6 +9,7 @@ import (
 
 	"contribmax/internal/ast"
 	"contribmax/internal/db"
+	"contribmax/internal/engine"
 	"contribmax/internal/parser"
 	"contribmax/internal/wdgraph"
 )
@@ -43,7 +44,7 @@ func buildTC(t *testing.T) (*wdgraph.Graph, *db.Database) {
 		0.8 r2: tc(X, Y) :- tc(X, Z), tc(Z, Y).
 	`)
 	d := mustDB(t, `edge(a, b). edge(b, c).`)
-	g, _, err := wdgraph.Build(prog, d, nil, true, nil)
+	g, _, err := wdgraph.Build(prog, d, wdgraph.BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +102,27 @@ func TestWDGraphStructureDefinition31(t *testing.T) {
 	}
 }
 
+// unpreloadedGraph builds the identity-projected graph of prog over d
+// without the edb preload, through the builder's listener as the Magic
+// subgraph builds do: an edb fact gets a node only when an instantiation
+// uses it.
+func unpreloadedGraph(t *testing.T, prog *ast.Program, d *db.Database) *wdgraph.Graph {
+	t.Helper()
+	eng, err := engine.New(prog, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := wdgraph.NewBuilder(wdgraph.IdentityProjection(prog))
+	if _, err := eng.Run(engine.Options{Listener: b.Listener()}); err != nil {
+		t.Fatal(err)
+	}
+	return b.Graph()
+}
+
 func TestPreloadIncludesUnusedEDB(t *testing.T) {
 	prog := mustProgram(t, `p(X) :- e(X, X).`)
 	d := mustDB(t, `e(a, b). e(c, c).`)
-	g, _, err := wdgraph.Build(prog, d, nil, true, nil)
+	g, _, err := wdgraph.Build(prog, d, wdgraph.BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +133,7 @@ func TestPreloadIncludesUnusedEDB(t *testing.T) {
 		t.Error("unused edb fact missing despite preload")
 	}
 	// Without preload it is absent.
-	g2, _, err := wdgraph.Build(prog, mustDB(t, `e(a, b). e(c, c).`), nil, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2 := unpreloadedGraph(t, prog, mustDB(t, `e(a, b). e(c, c).`))
 	if _, ok := g2.FactID("e", ab); ok {
 		t.Error("unused edb fact present without preload")
 	}
@@ -132,7 +147,7 @@ func TestSharedDerivationsMerge(t *testing.T) {
 		0.5 q2: p(X) :- f(X, Y).
 	`)
 	d := mustDB(t, `e(a, b). f(a, z).`)
-	g, _, err := wdgraph.Build(prog, d, nil, true, nil)
+	g, _, err := wdgraph.Build(prog, d, wdgraph.BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +253,7 @@ func TestWalkerReuseIsolation(t *testing.T) {
 		1.0 r2: tc(X, Y) :- tc(X, Z), tc(Z, Y).
 	`)
 	d := mustDB(t, `edge(a, b). edge(b, c).`)
-	g, _, err := wdgraph.Build(prog, d, nil, true, nil)
+	g, _, err := wdgraph.Build(prog, d, wdgraph.BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,10 +333,7 @@ func TestWideInstantiation(t *testing.T) {
 	}
 	prog := mustProgram(t, "0.5 wide: h(X) :- "+strings.Join(body, ", ")+".")
 	d := mustDB(t, strings.Join(facts, " "))
-	g, _, err := wdgraph.Build(prog, d, nil, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := unpreloadedGraph(t, prog, d)
 	var rules []wdgraph.NodeID
 	for i := 0; i < g.NumNodes(); i++ {
 		if g.Node(wdgraph.NodeID(i)).Kind == wdgraph.RuleNode {
