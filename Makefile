@@ -24,12 +24,16 @@ test:
 # battery, whose RR workers bind one compiled Magic program at once, then
 # ten of the shared-grounding tests: propagators that share one
 # multi-seed grounding reset their counters lazily and must write only
-# state they own, and a worker releases each grounding before its next.
+# state they own, and a worker releases each grounding before its next,
+# then ten of the lock-free readers of shared tables: RR workers probe
+# and lazily index shared edb relations, and the solve cache's requests
+# call FactID on one shared graph.
 race:
 	$(GO) test -race ./internal/cm ./internal/db ./internal/im ./internal/engine ./internal/engine/difftest ./internal/magic ./internal/obs ./internal/obs/instr ./internal/obs/journal ./internal/planner ./internal/prof ./internal/server ./internal/solvecache ./internal/wdgraph
 	$(GO) test -race -count=10 -run 'Parallel|Pipeline' ./internal/engine ./internal/engine/difftest
 	$(GO) test -race -count=10 -run 'TestShapeBind|TestDeterminismAcrossParallelism' ./internal/engine ./internal/magic ./internal/cm
 	$(GO) test -race -count=10 -run 'TestPropagatorsShareGrounding|TestGroundingReleasedPerGroup' ./internal/magic ./internal/cm
+	$(GO) test -race -count=10 -run 'TestRelationConcurrentReaders|TestFactIDConcurrentReaders' ./internal/db ./internal/wdgraph
 
 # Run every Go micro-benchmark once: a compile-and-run guard for the bench
 # code. Meaningful numbers need -benchtime left at its default; compare

@@ -163,6 +163,7 @@ func BenchmarkFullGraphBuild(b *testing.B) {
 		nodes, edges := -1, -1
 		for _, par := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/p%d", w.name, par), func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					g, _, err := wdgraph.Build(w.w.Program, w.w.DB.Scratch(w.w.Program.EDBs()), wdgraph.BuildConfig{Parallelism: par})
 					if err != nil {

@@ -221,7 +221,7 @@ func (d *Database) Fingerprint() string {
 		rel := d.relations[name]
 		fmt.Fprintf(h, "%d:%s/%d#%d;", len(name), name, rel.arity, rel.Len())
 		for i := 0; i < rel.Len(); i++ {
-			for _, s := range rel.tuples[i] {
+			for _, s := range rel.Tuple(TupleID(i)) {
 				n := d.symbols.Name(s)
 				fmt.Fprintf(h, "%d:%s,", len(n), n)
 			}

@@ -340,6 +340,32 @@ func TestMatch(t *testing.T) {
 	if _, err := d.Match(neg); err == nil {
 		t.Error("negated pattern should error")
 	}
+
+	// A constant past position 31 lies outside the index mask, so Match
+	// must check it itself.
+	wide := make([]ast.Term, 40)
+	for i := range wide {
+		wide[i] = ast.C(fmt.Sprintf("c%d", i))
+	}
+	d.MustInsertAtom(ast.NewAtom("w", wide...))
+	pattern := func(pos int, c string) ast.Atom {
+		terms := make([]ast.Term, 40)
+		for i := range terms {
+			terms[i] = ast.V(fmt.Sprintf("X%d", i))
+		}
+		terms[pos] = ast.C(c)
+		return ast.NewAtom("w", terms...)
+	}
+	for _, tc := range []struct {
+		pos  int
+		c    string
+		want int
+	}{{35, "c0", 0}, {35, "c35", 1}, {39, "c38", 0}, {39, "c39", 1}, {3, "c3", 1}} {
+		got, err := d.Match(pattern(tc.pos, tc.c))
+		if err != nil || len(got) != tc.want {
+			t.Errorf("w with %s at position %d: %d matches, err %v; want %d", tc.c, tc.pos, len(got), err, tc.want)
+		}
+	}
 }
 
 func TestLoadCSVFileAndEstimatedBytes(t *testing.T) {

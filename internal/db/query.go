@@ -27,8 +27,10 @@ func (d *Database) Match(pattern ast.Atom) ([]ast.Atom, error) {
 
 	// Bound positions: constants and the first occurrence of each repeated
 	// variable cannot be pre-bound, but constants can use the pattern
-	// index.
+	// index. A constant past position 31, which the index mask cannot
+	// carry, is checked by matches instead.
 	var mask uint32
+	var unindexed []int
 	lookup := make(Tuple, rel.Arity())
 	for i, t := range pattern.Terms {
 		if t.IsConst() {
@@ -36,8 +38,12 @@ func (d *Database) Match(pattern ast.Atom) ([]ast.Atom, error) {
 			if !ok {
 				return nil, nil // constant never interned: no matches
 			}
-			mask |= 1 << uint(i)
 			lookup[i] = sym
+			if i < 32 {
+				mask |= 1 << uint(i)
+			} else {
+				unindexed = append(unindexed, i)
+			}
 		}
 	}
 
@@ -58,6 +64,11 @@ func (d *Database) Match(pattern ast.Atom) ([]ast.Atom, error) {
 	}
 
 	matches := func(t Tuple) bool {
+		for _, p := range unindexed {
+			if t[p] != lookup[p] {
+				return false
+			}
+		}
 		for _, e := range eqs {
 			if t[e.a] != t[e.b] {
 				return false

@@ -1,6 +1,9 @@
 package db
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // TupleID identifies a tuple within a relation. Ids are dense and issued in
 // insertion order, so the tuples added by one evaluation round form a
@@ -10,53 +13,96 @@ type TupleID int32
 // Relation is an append-only set of tuples of a fixed arity with lazily
 // created hash indexes over binding patterns.
 //
+// Storage is flat: the symbols of every tuple lie back to back in one
+// arena, tuple id i at [i·arity, (i+1)·arity), and the dedup table and the
+// pattern indexes hold tuple ids hashed over the arena. So a relation
+// keeps no key strings and no object per tuple, and n inserts allocate
+// O(log n) times.
+//
 // Concurrency: a relation that is not currently being inserted into may be
 // read — including index-building LookupPattern calls — from multiple
 // goroutines (the parallel Magic variants share edb relations across RR
-// workers this way; idxMu guards lazy index creation). Insert is
-// single-writer and must not run concurrently with any reader or another
-// Insert.
+// workers this way; idxMu serializes lazy index creation, which publishes
+// each new index list atomically). Insert is single-writer and must not
+// run concurrently with any reader or another Insert.
 type Relation struct {
-	name   string
-	arity  int
-	tuples []Tuple
-	byKey  map[string]TupleID
+	name  string
+	arity int
+	n     int     // tuple count (the arena cannot tell it at arity 0)
+	syms  []Sym   // the arena
+	ids   IDTable // every tuple id, hashed over its symbols
 
-	// indexes maps a binding-pattern bitmask (bit i set = position i bound)
-	// to a hash index from projected key to the ids of matching tuples.
-	idxMu   sync.RWMutex
-	indexes map[uint32]*patternIndex
+	idxMu   sync.Mutex
+	indexes atomic.Pointer[[]*patternIndex]
 }
 
+// patternIndex maps the symbols a binding pattern projects out of a tuple
+// to the ids of the tuples sharing them.
 type patternIndex struct {
-	positions []int // sorted bound positions
-	// slot maps a projected key to its bucket: the ids of the matching
-	// tuples, ascending. Going through a slot lets a probe or an append to
-	// an existing bucket look its key up without allocating; only a new
-	// bucket stores a key string.
-	slot    map[string]int32
-	buckets [][]TupleID
+	mask      uint32 // bit i set = position i bound
+	positions []int  // the bound positions, ascending
+	// keys holds bucket numbers, hashed over the projected symbols; a
+	// bucket's projection is that of its first tuple.
+	keys    IDTable
+	buckets [][]TupleID // ascending ids per projection
+	slab    []TupleID   // room small buckets are carved from
 }
 
-// add appends id (the id of t) to its bucket.
-func (idx *patternIndex) add(t Tuple, id TupleID) {
-	var buf [keyBufLen]byte
-	k := appendProjKey(buf[:0], t, idx.positions)
-	if s, ok := idx.slot[string(k)]; ok {
-		idx.buckets[s] = append(idx.buckets[s], id)
-		return
+const (
+	// Slabs start at minSlab ids, so an index over a handful of tuples
+	// (a Magic scratch relation) stays small, and double up to maxSlab.
+	minSlab, maxSlab = 16, 1024
+	// slabBucketCap is the largest bucket capacity carved from a slab:
+	// most buckets of a pattern index stay this small, and carving them
+	// saves an allocation per bucket.
+	slabBucketCap = 8
+)
+
+// add files tuple id of r under its projection.
+func (idx *patternIndex) add(r *Relation, id TupleID) {
+	t := r.Tuple(id)
+	b, found := idx.keys.FindOrAdd(hashAt(t, idx.positions), int32(len(idx.buckets)), idx.matches(r, t))
+	if found {
+		idx.buckets[b] = idx.push(idx.buckets[b], id)
+	} else {
+		idx.buckets = append(idx.buckets, idx.push(nil, id))
 	}
-	idx.slot[string(k)] = int32(len(idx.buckets))
-	idx.buckets = append(idx.buckets, []TupleID{id})
+}
+
+// matches returns the test of whether bucket b's projection equals that of
+// t.
+func (idx *patternIndex) matches(r *Relation, t Tuple) func(b int32) bool {
+	return func(b int32) bool {
+		first := r.Tuple(idx.buckets[b][0])
+		for _, p := range idx.positions {
+			if first[p] != t[p] {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// push appends id to bucket. A bucket grows inside the index's slabs until
+// its capacity reaches slabBucketCap and by append after that. A bucket
+// that moves leaves its old ids in place, so a slice LookupPattern
+// returned before stays valid while inserts continue.
+func (idx *patternIndex) push(bucket []TupleID, id TupleID) []TupleID {
+	if len(bucket) < cap(bucket) || cap(bucket) >= slabBucketCap {
+		return append(bucket, id)
+	}
+	c := max(2*cap(bucket), 1)
+	n := len(idx.slab)
+	if cap(idx.slab)-n < c {
+		idx.slab, n = make([]TupleID, 0, min(max(2*cap(idx.slab), minSlab), maxSlab)), 0
+	}
+	idx.slab = idx.slab[:n+c]
+	return append(append(idx.slab[n:n:n+c], bucket...), id)
 }
 
 // NewRelation creates an empty relation.
 func NewRelation(name string, arity int) *Relation {
-	return &Relation{
-		name:  name,
-		arity: arity,
-		byKey: make(map[string]TupleID),
-	}
+	return &Relation{name: name, arity: arity}
 }
 
 // Name returns the relation's predicate name.
@@ -66,40 +112,50 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.n }
 
-// Tuple returns the tuple with the given id. The returned slice must not be
-// modified.
-func (r *Relation) Tuple(id TupleID) Tuple { return r.tuples[id] }
+// Tuple returns the tuple with the given id: a view of the arena, capped
+// so that appending to it copies. The returned slice must not be modified.
+func (r *Relation) Tuple(id TupleID) Tuple {
+	i, a := int(id)*r.arity, r.arity
+	s := r.syms[:len(r.syms):len(r.syms)] // bound the view by the tuples stored
+	return s[i : i+a : i+a]
+}
+
+// same returns the test of whether tuple id equals t.
+func (r *Relation) same(t Tuple) func(id int32) bool {
+	return func(id int32) bool { return r.Tuple(TupleID(id)).Equal(t) }
+}
 
 // Contains reports whether the relation holds t, and its id if so. The
-// probe packs t's key on the stack and allocates nothing.
+// probe allocates nothing.
 func (r *Relation) Contains(t Tuple) (TupleID, bool) {
-	var buf [keyBufLen]byte
-	id, ok := r.byKey[string(t.AppendKey(buf[:0]))]
-	return id, ok
+	id, ok := r.ids.Find(t.Hash(0), r.same(t))
+	return TupleID(id), ok
 }
 
 // Insert adds t if absent. It returns the tuple's id and whether it was
-// newly added. The relation keeps its own copy of new tuples, so callers may
-// reuse the argument slice. Finding t already present allocates nothing.
+// newly added. The relation copies new tuples into its arena, so callers
+// may reuse the argument slice. Finding t already present allocates
+// nothing. A tuple whose length is not the relation's arity is an
+// invariant violation and panics.
 func (r *Relation) Insert(t Tuple) (TupleID, bool) {
-	var buf [keyBufLen]byte
-	key := t.AppendKey(buf[:0])
-	if id, ok := r.byKey[string(key)]; ok {
-		return id, false
+	if len(t) != r.arity {
+		invariantf("tuple of length %d inserted into %s/%d", len(t), r.name, r.arity)
 	}
-	id := TupleID(len(r.tuples))
-	r.tuples = append(r.tuples, t.Clone())
-	r.byKey[string(key)] = id
-	// The write lock (not RLock: bucket appends mutate the index maps)
-	// keeps index maintenance consistent with lazy index creation.
-	r.idxMu.Lock()
-	for _, idx := range r.indexes {
-		idx.add(r.tuples[id], id)
+	id, found := r.ids.FindOrAdd(t.Hash(0), int32(r.n), r.same(t))
+	if found {
+		return TupleID(id), false
 	}
-	r.idxMu.Unlock()
-	return id, true
+	r.syms = append(r.syms, t...)
+	r.n++
+	// Readers never run beside Insert, so index maintenance takes no lock.
+	if ix := r.indexes.Load(); ix != nil {
+		for _, idx := range *ix {
+			idx.add(r, TupleID(id))
+		}
+	}
+	return TupleID(id), true
 }
 
 // LookupPattern returns the ids of tuples matching the given partial
@@ -116,45 +172,55 @@ func (r *Relation) LookupPattern(mask uint32, bound Tuple) (ids []TupleID, ok bo
 		return nil, false
 	}
 	idx := r.index(mask)
-	var buf [keyBufLen]byte
-	if s, ok := idx.slot[string(appendProjKey(buf[:0], bound, idx.positions))]; ok {
-		return idx.buckets[s], true
+	if b, ok := idx.keys.Find(hashAt(bound, idx.positions), idx.matches(r, bound)); ok {
+		return idx.buckets[b], true
 	}
 	return nil, true
 }
 
+// index returns the pattern index of mask, building it on first use.
 func (r *Relation) index(mask uint32) *patternIndex {
-	r.idxMu.RLock()
-	idx, ok := r.indexes[mask]
-	r.idxMu.RUnlock()
-	if ok {
+	if idx := r.findIndex(mask); idx != nil {
 		return idx
 	}
 	r.idxMu.Lock()
 	defer r.idxMu.Unlock()
-	if r.indexes == nil {
-		r.indexes = make(map[uint32]*patternIndex)
-	}
-	if idx, ok := r.indexes[mask]; ok {
+	if idx := r.findIndex(mask); idx != nil {
 		return idx
 	}
-	var positions []int
+	idx := &patternIndex{mask: mask}
 	for i := 0; i < r.arity; i++ {
 		if mask&(1<<uint(i)) != 0 {
-			positions = append(positions, i)
+			idx.positions = append(idx.positions, i)
 		}
 	}
-	idx = &patternIndex{positions: positions, slot: make(map[string]int32)}
-	for id, t := range r.tuples {
-		idx.add(t, TupleID(id))
+	for id := 0; id < r.n; id++ {
+		idx.add(r, TupleID(id))
 	}
-	r.indexes[mask] = idx
+	var list []*patternIndex
+	if ix := r.indexes.Load(); ix != nil {
+		list = append(list, *ix...)
+	}
+	list = append(list, idx)
+	r.indexes.Store(&list)
 	return idx
+}
+
+// findIndex returns the published index of mask, nil if there is none.
+func (r *Relation) findIndex(mask uint32) *patternIndex {
+	if ix := r.indexes.Load(); ix != nil {
+		for _, idx := range *ix {
+			if idx.mask == mask {
+				return idx
+			}
+		}
+	}
+	return nil
 }
 
 // EstimatedBytes returns a rough in-memory size of the relation's tuple
 // store (excluding indexes), used by the experiment harness to report
 // memory consumption.
 func (r *Relation) EstimatedBytes() int64 {
-	return int64(len(r.tuples)) * int64(4*r.arity+16)
+	return int64(r.n) * int64(4*r.arity+16)
 }

@@ -6,7 +6,10 @@
 // The representation is optimized for the access patterns of semi-naive
 // datalog evaluation: append-only relations with insertion-ordered tuple
 // ids (so "the delta of iteration i" is an id range), and per-binding-
-// pattern hash indexes for sideways information passing joins.
+// pattern hash indexes for sideways information passing joins. Storage is
+// flat: a relation keeps its tuples' symbols in one arena, and its dedup
+// table and pattern indexes (IDTable) hold tuple ids hashed over that
+// arena, so it stores no key strings and no object per tuple.
 package db
 
 // Sym is an interned constant symbol. Symbols are dense, starting at 0, in

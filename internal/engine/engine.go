@@ -97,9 +97,11 @@ type Options struct {
 	// Context, when non-nil, is checked between semi-naive rounds;
 	// cancellation aborts the run with the context's error. Checks are
 	// per-round, so cancellation latency is one round of rule firing. A
-	// pipelined run checks only after the listener has consumed the round,
-	// so a listener that cancels stops the run at the same boundary as a
-	// sequential run.
+	// pipelined run under a context that can be cancelled (Done() != nil)
+	// checks only after the listener has consumed the round, so a listener
+	// that cancels stops the run at the same boundary as a sequential run;
+	// under any other context its fixpoint does not wait for the listener
+	// between rounds.
 	Context context.Context
 	// Instr, when non-nil, records the run (see internal/obs/instr): the
 	// engine.* metrics, one engine.round event per semi-naive round, one
@@ -307,9 +309,10 @@ func (ev *evaluator) runStratum(ruleIdxs []int) error {
 	}
 
 	for {
-		// A pipelined run's listener consumes everything fired so far
-		// before the round-boundary checks, as a sequential run's has.
-		if ev.pipe != nil && !ev.pipe.drain() {
+		// A pipelined run whose context can be cancelled lets its listener
+		// consume everything fired so far before the round-boundary
+		// checks, as a sequential run's has (see pipeline.go).
+		if ev.pipe != nil && !ev.pipe.boundary() {
 			return errListenerStopped
 		}
 		if ev.opts.MaxRounds > 0 && ev.stats.Rounds >= ev.opts.MaxRounds {

@@ -1,5 +1,8 @@
 package engine
 
+// PipeBatchLen is the number of derivations in a full pipeline batch.
+const PipeBatchLen = pipeBatchLen
+
 // PlanOrders exposes each compiled rule's per-delta join orders so external
 // tests can assert them against ReferenceOrders.
 func (e *Engine) PlanOrders() [][][]int {

@@ -176,11 +176,15 @@ func TestParallelSafeGateRunsParallel(t *testing.T) {
 
 // TestParallelObsMetrics checks the per-run pipeline record: one batch
 // count and one sample of each wait at Parallelism=4, nothing on a
-// sequential run or a run without a listener.
+// sequential run or a run without a listener. The run's context can be
+// cancelled, so its fixpoint drains at every round boundary: one batch
+// per round at least.
 func TestParallelObsMetrics(t *testing.T) {
 	prog, freshDB := tcFixture(t, 60)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	reg := obs.NewRegistry()
-	_, stats := evalSnapshot(t, prog, freshDB(), engine.Options{Parallelism: 4, Instr: instr.New(reg, nil, nil, nil)})
+	_, stats := evalSnapshot(t, prog, freshDB(), engine.Options{Parallelism: 4, Context: ctx, Instr: instr.New(reg, nil, nil, nil)})
 	// One batch per pipeBatchLen derivations at least, plus a drain per
 	// round boundary.
 	if got, min := reg.Counter(obs.EnginePipeBatches).Value(), int64(stats.Rounds); got < min {
@@ -212,9 +216,33 @@ func TestParallelObsMetrics(t *testing.T) {
 	}
 }
 
+// TestParallelObsMetricsNoDrain: a pipelined run whose context cannot be
+// cancelled (none, or context.Background) never drains, so it hands over
+// exactly one batch per PipeBatchLen derivations, the last one partial,
+// and its stream and stats still match sequential evaluation.
+func TestParallelObsMetricsNoDrain(t *testing.T) {
+	prog, freshDB := tcFixture(t, 60)
+	want, wantStats := evalSnapshot(t, prog, freshDB(), engine.Options{})
+	for name, ctx := range map[string]context.Context{"nil": nil, "background": context.Background()} {
+		reg := obs.NewRegistry()
+		got, stats := evalSnapshot(t, prog, freshDB(), engine.Options{Parallelism: 4, Context: ctx, Instr: instr.New(reg, nil, nil, nil)})
+		if got != want || stats.Instantiations != wantStats.Instantiations || stats.Rounds != wantStats.Rounds {
+			t.Errorf("%s context: pipelined run diverges from sequential", name)
+		}
+		batches := (stats.Instantiations + engine.PipeBatchLen - 1) / engine.PipeBatchLen
+		if batches <= 1 || int64(stats.Rounds) <= batches {
+			t.Fatalf("fixture fires %d instantiations in %d rounds; want several batches, fewer than rounds", stats.Instantiations, stats.Rounds)
+		}
+		if n := reg.Counter(obs.EnginePipeBatches).Value(); n != batches {
+			t.Errorf("%s context: engine.pipe_batches = %d, want %d (one per %d derivations, no drains)", name, n, batches, engine.PipeBatchLen)
+		}
+	}
+}
+
 // TestParallelSmallRoundFallback: a tiny program fills less than one batch
-// per round, so every batch is a round-boundary drain; the stream must
-// still match.
+// per round, so under a context that can be cancelled every batch is a
+// round-boundary drain, and without one the whole run is the final
+// partial batch; the stream must match either way.
 func TestParallelSmallRoundFallback(t *testing.T) {
 	prog := mustProgram(t, `
 		path(X, Y) :- edge(X, Y).
@@ -222,9 +250,13 @@ func TestParallelSmallRoundFallback(t *testing.T) {
 	`)
 	src := "edge(a, b).\nedge(b, c).\nedge(c, d).\n"
 	want, _ := evalSnapshot(t, prog, mustFacts(t, src), engine.Options{})
-	got, _ := evalSnapshot(t, prog, mustFacts(t, src), engine.Options{Parallelism: 8})
-	if got != want {
-		t.Error("small-round pipeline diverges from sequential")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []context.Context{ctx, nil} {
+		got, _ := evalSnapshot(t, prog, mustFacts(t, src), engine.Options{Parallelism: 8, Context: c})
+		if got != want {
+			t.Errorf("small-round pipeline diverges from sequential (cancellable context: %t)", c != nil)
+		}
 	}
 }
 

@@ -15,9 +15,14 @@ import (
 // into the same Derivation values, in the same order, and calls the
 // listener. So while the listener consumes one batch, the fixpoint joins
 // and inserts the next. Nothing is reordered: relations, Stats and the
-// stream are those of sequential evaluation. At every round boundary the
-// fixpoint hands its partial batch over and waits until the listener has
-// consumed it (a drain) before it checks MaxRounds and the context.
+// stream are those of sequential evaluation. When the run's context can be
+// cancelled, the fixpoint hands its partial batch over at every round
+// boundary and waits until the listener has consumed it (a drain) before
+// it checks MaxRounds and the context, so a listener that cancels stops
+// the run where a sequential run stops. Otherwise nothing can observe a
+// boundary, so the fixpoint does not wait there: MaxRounds counts the
+// fixpoint's own rounds, and the last batch reaches the listener before
+// Run returns either way.
 
 const (
 	// pipeBatchLen is the number of derivations per batch: enough that the
@@ -70,7 +75,8 @@ type pipe struct {
 	// stop is closed when the listener panicked.
 	stop chan struct{}
 
-	cur *batch // the batch the fixpoint is filling; nil once stopped
+	cur    *batch // the batch the fixpoint is filling; nil once stopped
+	drains bool   // the fixpoint drains at round boundaries
 
 	// handed and fixpointWait belong to the fixpoint goroutine,
 	// listenerWait to the listener's; the caller reads all three after
@@ -80,13 +86,14 @@ type pipe struct {
 	listenerWait time.Duration
 }
 
-func newPipe() *pipe {
+func newPipe(drains bool) *pipe {
 	p := &pipe{
 		full:    make(chan *batch, pipeBatches),
 		free:    make(chan *batch, pipeBatches),
 		drained: make(chan *batch, 1),
 		stop:    make(chan struct{}),
 		cur:     &batch{},
+		drains:  drains,
 	}
 	for i := 1; i < pipeBatches; i++ {
 		p.free <- &batch{}
@@ -99,7 +106,8 @@ func newPipe() *pipe {
 // stopped, on every path; a panic on either side is raised here after the
 // other side has stopped.
 func (ev *evaluator) runPipelined() error {
-	p := newPipe()
+	ctx := ev.opts.Context
+	p := newPipe(ctx != nil && ctx.Done() != nil)
 	ev.pipe = p
 	// exited carries the fixpoint's panic value (nil when it returned); its
 	// buffer lets the helper exit without waiting for the caller. runErr is
@@ -156,15 +164,25 @@ func (p *pipe) add(cr *compiledRule, head db.TupleID, added bool, ht db.Tuple, b
 	}
 }
 
-// drain hands the partial batch over and waits until the listener has
-// consumed it and everything before it. It reports false once the listener
-// has stopped.
-func (p *pipe) drain() bool {
+// boundary runs at every round boundary and reports false once the
+// listener has stopped. A draining pipe hands the partial batch over and
+// waits until the listener has consumed it and everything before it; any
+// other pipe only looks whether the listener stopped.
+func (p *pipe) boundary() bool {
 	if p.cur == nil {
 		return false
 	}
-	p.handOver(true)
-	return p.cur != nil
+	if p.drains {
+		p.handOver(true)
+		return p.cur != nil
+	}
+	select {
+	case <-p.stop:
+		p.cur = nil
+		return false
+	default:
+		return true
+	}
 }
 
 // handOver sends the current batch to the listener and takes the next one

@@ -117,9 +117,10 @@ func (h *Instr) EngineRun(rounds int, instantiations, suppressed, newFacts int64
 
 // EnginePipeline records one pipelined evaluation (Parallelism >= 2 with a
 // listener, see engine.Options): the derivation batches the fixpoint
-// handed to the listener, round-boundary drains included, how long the
-// listener waited for the fixpoint, and how long the fixpoint waited for
-// the listener (to return a batch, or to consume a round). The larger wait
+// handed to the listener (round-boundary drains included, which happen
+// only when the run's context can be cancelled), how long the listener
+// waited for the fixpoint, and how long the fixpoint waited for the
+// listener (to return a batch, or to consume a round). The larger wait
 // belongs to the faster stage; the other stage bounds the run.
 func (h *Instr) EnginePipeline(batches int, listenerWait, fixpointWait time.Duration) {
 	if h == nil || h.reg == nil {

@@ -74,34 +74,81 @@ func IdentityProjection(prog *ast.Program) *Projection {
 	}
 }
 
-// rawEdge is one directed edge recorded during construction, before the
-// finalize step lays the adjacency out in CSR form.
-type rawEdge struct {
-	from, to NodeID
-	w        float64
+// The graph is bipartite: every edge joins a fact node and an
+// instantiation node. So the builder logs edges in two streams, and each
+// node's edges in either direction come from one stream alone, in the
+// order they were added:
+//   - a bodyEdge runs from a body fact to an instantiation, with weight 1:
+//     these are the out-edges of facts and the in-edges of instantiations;
+//   - a headEdge runs from an instantiation to its head, weighted by the
+//     rule's probability: the one out-edge of an instantiation, and the
+//     in-edges of facts.
+//
+// A body edge stores no weight, so it takes half the memory of a weighted
+// edge.
+type bodyEdge struct{ fact, rule NodeID }
+
+type headEdge struct {
+	rule, head NodeID
+	w          float64
+}
+
+// Log chunks double from firstChunk to maxChunk entries. The first is
+// small because most builds are small (a Magic RR subgraph has tens of
+// edges); the cap bounds the unfilled tail of a full graph's log.
+const firstChunk, maxChunk = 8, 1 << 13
+
+// chunkLog is an insertion-ordered log kept in chunks, so that appending
+// never copies what is already logged.
+type chunkLog[T any] struct {
+	full [][]T // filled chunks, in order
+	cur  []T   // the chunk being filled
+}
+
+func (l *chunkLog[T]) add(e T) {
+	if len(l.cur) == cap(l.cur) {
+		c := firstChunk
+		if l.cur != nil {
+			l.full = append(l.full, l.cur)
+			c = min(2*cap(l.cur), maxChunk)
+		}
+		l.cur = make([]T, 0, c)
+	}
+	l.cur = append(l.cur, e)
+}
+
+// chunks returns every chunk, in order, and the number of entries.
+func (l *chunkLog[T]) chunks() ([][]T, int) {
+	n := len(l.cur)
+	for _, c := range l.full {
+		n += len(c)
+	}
+	return append(l.full[:len(l.full):len(l.full)], l.cur), n
 }
 
 // Builder incrementally constructs a Graph from engine derivations. It is
 // the paper's Algorithm 1, generalized with a Projection. Edges accumulate
-// in a flat insertion-ordered log; Graph() runs a counting sort that lays
-// both adjacency directions out in CSR form, preserving per-node insertion
+// in insertion-ordered logs; Graph() runs a counting sort that lays both
+// adjacency directions out in CSR form, preserving per-node insertion
 // order (the order the old per-node slices grew in), so walk results are
 // unchanged by the layout.
 //
 // Each fired instantiation costs a few array and integer-keyed lookups:
-// fact nodes are memoized by the engine's identity for a fact (relation and
-// tuple id), the projection of a relation's predicate is computed once per
-// relation, and a rule's label once per rule. The string-keyed fact index
-// behind Graph.FactID is consulted only the first time a relation yields a
-// fact, which is also where adorned relations of one predicate (p_bf, p_fb
-// under the Magic projection) merge into one fact node.
+// what the projection says about a rule (inclusion, label, weight, kept
+// body positions) and the relations of its head and body atoms are
+// resolved once per rule, fact nodes are memoized by the engine's identity
+// for a fact (relation and tuple id), and the projection of a relation's
+// predicate is computed once per relation. The graph's fact index behind
+// Graph.FactID is consulted only the first time a relation yields a fact,
+// which is also where adorned relations of one predicate (p_bf, p_fb under
+// the Magic projection) merge into one fact node.
 type Builder struct {
 	proj      *Projection
 	g         *Graph
-	edges     []rawEdge
-	names     map[string]int32 // interned name -> index into g.names
+	bodies    chunkLog[bodyEdge]
+	heads     chunkLog[headEdge]
 	rels      map[*db.Relation]*relMemo
-	labels    []int32           // rule index -> interned label + 1 (0: not seen yet)
+	ruleMemos []ruleMemo        // per rule index, resolved on its first instantiation
 	rules     map[string]NodeID // instantiation dedup key -> node; nil if nothing can merge
 	body      []NodeID          // the current instantiation's body nodes
 	keyBuf    []byte            // reusable key scratch
@@ -116,12 +163,26 @@ type Builder struct {
 // with the input database, keeps it in a map, so the memo's cost follows
 // the facts the build touches rather than the relation's length.
 type relMemo struct {
-	drop   bool   // MapPred dropped the predicate (magic atoms)
-	pred   string // projected predicate
-	name   int32  // its index in Graph.names
+	rel    *db.Relation
+	drop   bool  // MapPred dropped the predicate (magic atoms)
+	name   int32 // the projected predicate's index in Graph.names
 	edb    bool
 	ids    []NodeID              // tuple id -> node id + 1 (0: no node yet), if sparse is nil
 	sparse map[db.TupleID]NodeID // tuple id -> node id, for relations the build does not fill
+}
+
+// ruleMemo is what the builder resolved about one rule on its first
+// instantiation. head and body cache the memos of the relations the
+// rule's atoms were drawn from; every later instantiation checks that it
+// names the same relation before using the cached memo.
+type ruleMemo struct {
+	seen    bool
+	include bool
+	label   int32
+	weight  float64
+	keep    []int // KeepBody's positions; nil keeps all
+	head    *relMemo
+	body    []*relMemo
 }
 
 // NewBuilder returns a builder using proj.
@@ -137,10 +198,9 @@ func NewBuilder(proj *Projection) *Builder {
 func NewBuilderSized(proj *Projection, factHint, ruleHint int) *Builder {
 	factHint = max(factHint, 0)
 	b := &Builder{
-		proj:  proj,
-		g:     &Graph{nodes: make([]nodeRec, 0, factHint), factIDs: make(map[string]NodeID, factHint)},
-		names: make(map[string]int32),
-		rels:  make(map[*db.Relation]*relMemo),
+		proj: proj,
+		g:    &Graph{nodes: make([]nodeRec, 0, factHint), nameIDs: make(map[string]int32)},
+		rels: make(map[*db.Relation]*relMemo),
 	}
 	if !proj.distinctInstantiations {
 		b.rules = make(map[string]NodeID, max(ruleHint, 0))
@@ -152,44 +212,46 @@ func NewBuilderSized(proj *Projection, factHint, ruleHint int) *Builder {
 // not observe further derivations afterwards, and the graph must not be
 // handed to concurrent readers before this returns.
 func (b *Builder) Graph() *Graph {
-	b.finalize()
+	b.finalize(false)
 	return b.g
 }
 
 // AddFact ensures a node for the fact pred(t) (already projected) and
 // returns its id.
 func (b *Builder) AddFact(pred string, t db.Tuple, edb bool) NodeID {
-	return b.factNode(pred, b.intern(pred), edb, t)
+	return b.factNode(b.intern(pred), edb, t)
 }
 
-// factNode returns the node of the projected fact pred(t), adding one (and
-// copying t into the graph's tuple storage) if absent. name is pred's
-// interned index.
-func (b *Builder) factNode(pred string, name int32, edb bool, t db.Tuple) NodeID {
+// factNode returns the node of the projected fact names[name](t), adding
+// one (and copying t into the graph's tuple storage) if absent.
+func (b *Builder) factNode(name int32, edb bool, t db.Tuple) NodeID {
 	g := b.g
-	b.keyBuf = appendFactKey(b.keyBuf[:0], pred, t)
-	if id, ok := g.factIDs[string(b.keyBuf)]; ok {
-		return id
-	}
+	h := t.Hash(uint64(name))
 	if b.finalized {
+		if id, ok := g.facts.Find(h, g.isFact(name, t)); ok {
+			return NodeID(id)
+		}
 		panic("wdgraph: fact added after Graph() finalized the CSR layout")
 	}
-	id := NodeID(len(g.nodes))
-	g.nodes = append(grow(g.nodes), nodeRec{kind: FactNode, name: name, edb: edb, off: int32(len(g.syms)), arity: int32(len(t))})
-	g.syms = append(g.syms, t...)
-	g.factIDs[string(b.keyBuf)] = id
-	return id
+	id, found := g.facts.FindOrAdd(h, int32(len(g.nodes)), g.isFact(name, t))
+	if found {
+		return NodeID(id)
+	}
+	g.nodes = append(grow(g.nodes, 1), nodeRec{kind: FactNode, name: name, edb: edb, off: int32(len(g.syms)), arity: int32(len(t))})
+	g.syms = append(grow(g.syms, len(t)), t...)
+	return NodeID(id)
 }
 
 // intern returns the index of name in the graph's name table, adding it
 // on first use.
 func (b *Builder) intern(name string) int32 {
-	if i, ok := b.names[name]; ok {
+	g := b.g
+	if i, ok := g.nameIDs[name]; ok {
 		return i
 	}
-	i := int32(len(b.g.names))
-	b.g.names = append(b.g.names, name)
-	b.names[name] = i
+	i := int32(len(g.names))
+	g.names = append(g.names, name)
+	g.nameIDs[name] = i
 	return i
 }
 
@@ -198,11 +260,11 @@ func (b *Builder) memo(rel *db.Relation) *relMemo {
 	if m, ok := b.rels[rel]; ok {
 		return m
 	}
-	m := &relMemo{}
+	m := &relMemo{rel: rel}
 	if pred, edb, ok := b.proj.MapPred(rel.Name()); !ok {
 		m.drop = true
 	} else {
-		m.pred, m.name, m.edb = pred, b.intern(pred), edb
+		m.name, m.edb = b.intern(pred), edb
 		if edb {
 			m.sparse = make(map[db.TupleID]NodeID)
 		}
@@ -216,7 +278,11 @@ func (b *Builder) memo(rel *db.Relation) *relMemo {
 // fact's tuple; a nil t is read from ref.Rel, which a pipelined run may be
 // appending to, so callers pass the tuple for a new head.
 func (b *Builder) fact(ref engine.FactRef, t db.Tuple) (NodeID, bool) {
-	m := b.memo(ref.Rel)
+	return b.factIn(b.memo(ref.Rel), ref, t)
+}
+
+// factIn is fact with ref.Rel's memo m already resolved.
+func (b *Builder) factIn(m *relMemo, ref engine.FactRef, t db.Tuple) (NodeID, bool) {
 	if m.drop {
 		return 0, false
 	}
@@ -231,12 +297,12 @@ func (b *Builder) fact(ref engine.FactRef, t db.Tuple) (NodeID, bool) {
 	if t == nil {
 		t = ref.Rel.Tuple(ref.ID)
 	}
-	id := b.factNode(m.pred, m.name, m.edb, t)
+	id := b.factNode(m.name, m.edb, t)
 	if m.sparse != nil {
 		m.sparse[ref.ID] = id
 	} else {
-		if i >= len(m.ids) {
-			m.ids = append(m.ids, make([]NodeID, i+1-len(m.ids))...)
+		for len(m.ids) <= i {
+			m.ids = append(m.ids, 0)
 		}
 		m.ids[i] = id + 1
 	}
@@ -279,43 +345,61 @@ func (b *Builder) Listener() engine.DerivationListener {
 	return func(d engine.Derivation) { b.observe(d) }
 }
 
-// label returns the interned label of rule i.
-func (b *Builder) label(i int) int32 {
-	if i >= len(b.labels) {
-		b.labels = append(b.labels, make([]int32, i+1-len(b.labels))...)
+// rule returns the memo of rule i, whose instantiations have bodyLen
+// atoms, resolving the projection's verdicts on its first use.
+func (b *Builder) rule(i, bodyLen int) *ruleMemo {
+	if i >= len(b.ruleMemos) {
+		b.ruleMemos = append(b.ruleMemos, make([]ruleMemo, i+1-len(b.ruleMemos))...)
 	}
-	if l := b.labels[i]; l != 0 {
-		return l - 1
+	rm := &b.ruleMemos[i]
+	if !rm.seen {
+		rm.seen = true
+		rm.include = b.proj.IncludeRule(i)
+		if rm.include {
+			rm.label = b.intern(b.proj.RuleLabel(i))
+			rm.weight = b.proj.RuleWeight(i)
+			rm.keep = b.proj.KeepBody(i)
+			rm.body = make([]*relMemo, bodyLen)
+		}
 	}
-	l := b.intern(b.proj.RuleLabel(i))
-	b.labels[i] = l + 1
-	return l
+	return rm
+}
+
+// memoAt returns rel's memo through the rule memo's cached slot, which it
+// refills when it holds another relation's.
+func (b *Builder) memoAt(slot **relMemo, rel *db.Relation) *relMemo {
+	if m := *slot; m != nil && m.rel == rel {
+		return m
+	}
+	*slot = b.memo(rel)
+	return *slot
 }
 
 func (b *Builder) observe(d engine.Derivation) {
-	if !b.proj.IncludeRule(d.RuleIndex) {
+	rm := b.rule(d.RuleIndex, len(d.Body))
+	if !rm.include {
 		return
 	}
-	headID, ok := b.fact(d.Head, d.HeadTuple)
+	headID, ok := b.factIn(b.memoAt(&rm.head, d.Head.Rel), d.Head, d.HeadTuple)
 	if !ok {
 		return
 	}
 	body := b.body[:0]
-	if keep := b.proj.KeepBody(d.RuleIndex); keep == nil {
-		for _, ref := range d.Body {
-			if id, ok := b.fact(ref, nil); ok {
+	if rm.keep == nil {
+		for j, ref := range d.Body {
+			if id, ok := b.factIn(b.memoAt(&rm.body[j], ref.Rel), ref, nil); ok {
 				body = append(body, id)
 			}
 		}
 	} else {
-		for _, pos := range keep {
-			if id, ok := b.fact(d.Body[pos], nil); ok {
+		for _, pos := range rm.keep {
+			ref := d.Body[pos]
+			if id, ok := b.factIn(b.memoAt(&rm.body[pos], ref.Rel), ref, nil); ok {
 				body = append(body, id)
 			}
 		}
 	}
 	b.body = body
-	label := b.label(d.RuleIndex)
 
 	if b.rules != nil {
 		// Dedup key: label, head node, body nodes. Two adorned versions of
@@ -323,7 +407,7 @@ func (b *Builder) observe(d engine.Derivation) {
 		// The lookup converts the reusable buffer without allocating, so
 		// only genuinely new instantiations pay a key allocation (on
 		// insert).
-		buf := appendNodeID(append(b.keyBuf[:0], b.g.names[label]...), headID)
+		buf := appendNodeID(append(b.keyBuf[:0], b.g.names[rm.label]...), headID)
 		for _, id := range body {
 			buf = appendNodeID(buf, id)
 		}
@@ -336,80 +420,121 @@ func (b *Builder) observe(d engine.Derivation) {
 		panic("wdgraph: derivation observed after Graph() finalized the CSR layout")
 	}
 	ruleID := NodeID(len(b.g.nodes))
-	b.g.nodes = append(grow(b.g.nodes), nodeRec{kind: RuleNode, name: label})
+	b.g.nodes = append(grow(b.g.nodes, 1), nodeRec{kind: RuleNode, name: rm.label})
 	if b.rules != nil {
 		b.rules[string(b.keyBuf)] = ruleID
 	}
 
 	// body -> rule edges, weight 1; then rule -> head, weight w(r).
 	for _, id := range body {
-		b.edges = append(grow(b.edges), rawEdge{from: id, to: ruleID, w: 1})
+		b.bodies.add(bodyEdge{fact: id, rule: ruleID})
 	}
-	b.edges = append(grow(b.edges), rawEdge{from: ruleID, to: headID, w: b.proj.RuleWeight(d.RuleIndex)})
+	b.heads.add(headEdge{rule: ruleID, head: headID, w: rm.weight})
 }
 
-// grow returns s with room for one more element, doubling the capacity of
-// a full slice. The node table and edge log of a full WD graph reach
-// hundreds of thousands of entries, where append's 1.25x step for large
-// slices would allocate and copy several times their final size.
-func grow[T any](s []T) []T {
-	if len(s) < cap(s) {
+// grow returns s with room for n more elements, at least doubling the
+// capacity of a slice without it. The node table and tuple storage of a
+// full WD graph reach hundreds of thousands of entries, where append's
+// 1.25x step for large slices would allocate and copy several times their
+// final size.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
 		return s
 	}
-	return slices.Grow(s, max(len(s), 16))
+	return slices.Grow(s, max(len(s), n, 16))
 }
 
 func appendNodeID(dst []byte, id NodeID) []byte {
 	return append(dst, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
 }
 
-// finalize lays the accumulated edge log out as CSR adjacency in both
-// directions. The counting sort is stable with respect to the log, so each
-// node's edge order equals its append order under the old per-node-slice
-// layout — a prerequisite for reproducing pre-CSR walk results byte for
-// byte. Idempotent.
-func (b *Builder) finalize() {
+// finalize lays the accumulated edge logs out as CSR adjacency in both
+// directions, the in-direction on a second goroutine when parallel is set.
+// The counting sort is stable with respect to the logs, so each node's
+// edge order equals its append order under the old per-node-slice layout
+// — a prerequisite for reproducing pre-CSR walk results byte for byte —
+// and both directions come out the same either way. Idempotent.
+func (b *Builder) finalize(parallel bool) {
 	if b.finalized {
 		return
 	}
 	b.finalized = true
 	g := b.g
-	n := len(g.nodes)
-	m := len(b.edges)
-
-	inDeg := make([]int32, n)
-	outDeg := make([]int32, n)
-	for _, e := range b.edges {
-		outDeg[e.from]++
-		inDeg[e.to]++
+	bodies, nb := b.bodies.chunks()
+	heads, nh := b.heads.chunks()
+	n, m := len(g.nodes), nb+nh
+	done := make(chan struct{})
+	layIn := func() {
+		defer close(done)
+		g.inOff, g.inTo, g.inW, g.inDet = layout(n, m, bodies, heads, true)
 	}
-
-	g.inOff = make([]int32, n+1)
-	g.outOff = make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		g.inOff[i+1] = g.inOff[i] + inDeg[i]
-		g.outOff[i+1] = g.outOff[i] + outDeg[i]
+	if parallel {
+		go layIn()
+	} else {
+		layIn()
 	}
+	g.outOff, g.outTo, g.outW, g.outDet = layout(n, m, bodies, heads, false)
+	<-done
+	b.bodies, b.heads = chunkLog[bodyEdge]{}, chunkLog[headEdge]{}
+}
 
-	g.inTo = make([]NodeID, m)
-	g.inW = make([]float64, m)
-	g.outTo = make([]NodeID, m)
-	g.outW = make([]float64, m)
-	// Reuse the degree arrays as placement cursors.
-	copy(inDeg, g.inOff[:n])
-	copy(outDeg, g.outOff[:n])
-	for _, e := range b.edges {
-		oi := outDeg[e.from]
-		g.outTo[oi], g.outW[oi] = e.to, e.w
-		outDeg[e.from] = oi + 1
-		ii := inDeg[e.to]
-		g.inTo[ii], g.inW[ii] = e.from, e.w
-		inDeg[e.to] = ii + 1
+// layout lays the m logged edges out over n nodes as one direction of CSR
+// adjacency, keyed by each edge's head end when in is set and by its tail
+// otherwise: per-node offsets, the far endpoints and weights in log
+// order, and the det prefixes.
+func layout(n, m int, bodies [][]bodyEdge, heads [][]headEdge, in bool) (off []int32, to []NodeID, w []float64, det []int32) {
+	bodyEnds := func(e *bodyEdge) (key, far NodeID) {
+		if in {
+			return e.rule, e.fact
+		}
+		return e.fact, e.rule
 	}
-	b.edges = nil
-
-	g.inDet = detPrefixes(g.inOff, g.inW)
-	g.outDet = detPrefixes(g.outOff, g.outW)
+	headEnds := func(e *headEdge) (key, far NodeID) {
+		if in {
+			return e.head, e.rule
+		}
+		return e.rule, e.head
+	}
+	// Count each node's edges into off[key+1] and sum the counts up, so
+	// that off[v] is v's first slot; filling then uses off[v] as v's
+	// cursor, which leaves it at v's end, and a shift restores the starts.
+	off = make([]int32, n+1)
+	for _, c := range bodies {
+		for i := range c {
+			key, _ := bodyEnds(&c[i])
+			off[key+1]++
+		}
+	}
+	for _, c := range heads {
+		for i := range c {
+			key, _ := headEnds(&c[i])
+			off[key+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	to = make([]NodeID, m)
+	w = make([]float64, m)
+	for _, c := range bodies {
+		for i := range c {
+			key, far := bodyEnds(&c[i])
+			j := off[key]
+			to[j], w[j] = far, 1
+			off[key] = j + 1
+		}
+	}
+	for _, c := range heads {
+		for i := range c {
+			key, far := headEnds(&c[i])
+			j := off[key]
+			to[j], w[j] = far, c[i].w
+			off[key] = j + 1
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return off, to, w, detPrefixes(off, w)
 }
 
 // detPrefixes computes, per node, the absolute end index of the leading run
@@ -438,8 +563,9 @@ type BuildConfig struct {
 	// Parallelism is forwarded to engine.Options.Parallelism: >= 2 runs
 	// the fixpoint on a helper goroutine while the builder consumes its
 	// derivations on the calling one, so graph construction overlaps the
-	// joins and inserts. The stream reaching the builder is byte-identical
-	// to sequential evaluation, so the constructed graph (node and edge ids
+	// joins and inserts, and then lays the two CSR directions out on two
+	// goroutines. The stream reaching the builder is byte-identical to
+	// sequential evaluation, so the constructed graph (node and edge ids
 	// included) is the same at every level.
 	Parallelism int
 	// Planner, when non-nil, is the plan cache rule compilation shares
@@ -474,7 +600,8 @@ func Build(prog *ast.Program, database *db.Database, cfg BuildConfig) (*Graph, e
 	if err != nil {
 		return nil, stats, err
 	}
-	g := b.Graph()
+	b.finalize(cfg.Parallelism >= 2)
+	g := b.g
 	cfg.Instr.GraphBuilt(g.NumNodes(), g.NumEdges(), start)
 	return g, stats, nil
 }

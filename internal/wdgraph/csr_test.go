@@ -6,6 +6,7 @@ package wdgraph
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -177,7 +178,9 @@ func captureDerivations(b *testing.B) (*ast.Program, *db.Database, []engine.Deri
 	}
 	var derivs []engine.Derivation
 	_, err = eng.Run(engine.Options{Listener: func(dv engine.Derivation) {
+		// Body and HeadTuple are valid only for the call.
 		dv.Body = append([]engine.FactRef(nil), dv.Body...)
+		dv.HeadTuple = slices.Clone(dv.HeadTuple)
 		derivs = append(derivs, dv)
 	}})
 	if err != nil {

@@ -97,7 +97,11 @@ type Graph struct {
 	outOff []int32
 	outDet []int32
 
-	factIDs map[string]NodeID // pred + "\x00" + tuple key -> node
+	// nameIDs inverts names. facts indexes the fact nodes, hashed over
+	// their name index and tuple, so a fact's node is found without a key
+	// string.
+	nameIDs map[string]int32
+	facts   db.IDTable
 }
 
 // NumNodes returns the node count.
@@ -124,10 +128,22 @@ func (g *Graph) Node(id NodeID) Node {
 }
 
 // FactID returns the node id of the fact pred(tuple) and whether it exists.
+// It reads only, so concurrent readers of a finalized graph may call it.
 func (g *Graph) FactID(pred string, t db.Tuple) (NodeID, bool) {
-	var buf [64]byte
-	id, ok := g.factIDs[string(appendFactKey(buf[:0], pred, t))]
-	return id, ok
+	name, ok := g.nameIDs[pred]
+	if !ok {
+		return 0, false
+	}
+	id, ok := g.facts.Find(t.Hash(uint64(name)), g.isFact(name, t))
+	return NodeID(id), ok
+}
+
+// isFact returns the test of whether fact node id is names[name](t).
+func (g *Graph) isFact(name int32, t db.Tuple) func(id int32) bool {
+	return func(id int32) bool {
+		r := g.nodes[id]
+		return r.name == name && db.Tuple(g.syms[r.off:r.off+r.arity]).Equal(t)
+	}
 }
 
 // InEdges returns the in-edges of v: To[i] is the i-th source node. The
@@ -168,11 +184,4 @@ func (g *Graph) FactNodes(fn func(id NodeID, n Node)) {
 			fn(NodeID(i), g.Node(NodeID(i)))
 		}
 	}
-}
-
-// appendFactKey appends the factIDs key of pred(t) to dst.
-func appendFactKey(dst []byte, pred string, t db.Tuple) []byte {
-	dst = append(dst, pred...)
-	dst = append(dst, 0)
-	return t.AppendKey(dst)
 }
