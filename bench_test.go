@@ -338,7 +338,7 @@ func BenchmarkRISvsGreedyMC(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := contribmax.GreedyMCCM(in, contribmax.GreedyMCOptions{
 				Simulations: 50,
-				Options:     contribmax.Options{Rand: rand.New(rand.NewPCG(uint64(i), 3))},
+				Rand:        rand.New(rand.NewPCG(uint64(i), 3)),
 			}); err != nil {
 				b.Fatal(err)
 			}

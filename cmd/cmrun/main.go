@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		programPath = fs.String("program", "", "path to the datalog program file (required)")
 		factsPath   = fs.String("facts", "", "path to the fact file or .cmdb snapshot (required)")
 		k           = fs.Int("k", 10, "seed-set size")
-		algo        = fs.String("algo", "magics", "algorithm: naive | magic | magics | magicg | exact | dnf")
+		algo        = fs.String("algo", "magics", "algorithm: "+strings.Join(contribmax.AlgorithmNames(), " | "))
 		rr          = fs.Int("rr", 0, "number of RR sets (0 = 30% of #targets, floored at 1000)")
 		seed        = fs.Uint64("seed", 1, "random seed")
 		parallel    = fs.Int("parallel", 1, "worker goroutines: RR generation (every sampling algorithm; 0 means 1) and, when >= 2, a full-graph build (naive/magicg/dnf/exact) runs its fixpoint beside the graph builder on a second goroutine; results are identical at every level")
@@ -95,24 +95,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var T2 []contribmax.Atom
-	var patterns []contribmax.Atom
+	var targetAtoms []contribmax.Atom
 	for _, t := range targets {
 		a, err := contribmax.ParseAtom(t)
 		if err != nil {
 			return fmt.Errorf("target %q: %w", t, err)
 		}
-		if a.IsGround() {
-			T2 = append(T2, a)
-		} else {
-			patterns = append(patterns, a)
-		}
+		targetAtoms = append(targetAtoms, a)
 	}
 	if !*nolint {
 		// Fail fast with positioned diagnostics (and surface warnings)
 		// before any evaluation or graph construction. Roots are all target
 		// predicates, ground and pattern alike.
-		diags := contribmax.AnalyzeWithDB(prog, db, append(append([]contribmax.Atom{}, T2...), patterns...))
+		diags := contribmax.AnalyzeWithDB(prog, db, targetAtoms)
 		failSeverity := contribmax.SeverityError
 		if *warnFlag == "error" {
 			failSeverity = contribmax.SeverityWarning
@@ -133,23 +128,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// -nolint keeps the engine's own validation as the only gate.
 		return fmt.Errorf("%s: %w", *programPath, err)
 	}
-	if len(patterns) > 0 {
-		// Evaluate on a scratch database sharing the edb relations, then
-		// expand each pattern against the derived facts.
-		sdb := contribmax.Database{Database: db.Scratch(prog.EDBs())}
-		if _, err := contribmax.Eval(prog, sdb); err != nil {
-			return err
-		}
-		for _, p := range patterns {
-			matches, err := sdb.Match(p)
-			if err != nil {
-				return fmt.Errorf("target pattern %s: %w", p, err)
-			}
-			if len(matches) == 0 {
-				fmt.Fprintf(stderr, "warning: pattern %s matched no derived facts\n", p)
-			}
-			T2 = append(T2, matches...)
-		}
+	T2, unmatched, err := contribmax.ExpandTargets(prog, db, targetAtoms)
+	if err != nil {
+		return err
+	}
+	for _, p := range unmatched {
+		fmt.Fprintf(stderr, "warning: pattern %s matched no derived facts\n", p)
 	}
 	if len(T2) == 0 {
 		return fmt.Errorf("no target tuples (patterns matched nothing?)")
@@ -182,23 +166,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *explain || *profileOut != "" {
 		opts.Profile = contribmax.NewRuntimeProfiler()
 	}
-	var res *contribmax.Result
-	switch *algo {
-	case "naive":
-		res, err = contribmax.NaiveCM(in, opts)
-	case "magic":
-		res, err = contribmax.MagicCM(in, opts)
-	case "magics":
-		res, err = contribmax.MagicSampledCM(in, opts)
-	case "magicg":
-		res, err = contribmax.MagicGroupedCM(in, opts)
-	case "exact":
-		res, err = contribmax.ExactCM(in, opts)
-	case "dnf":
-		res, err = contribmax.DNFCM(in, opts)
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
-	}
+	res, err := contribmax.Solve(*algo, in, opts)
 	if *stats {
 		trace.End()
 		fmt.Fprintln(stderr, "phases:")

@@ -91,3 +91,15 @@ func TestRunPruneByteIdentical(t *testing.T) {
 		t.Errorf("pruned solve diverged: %+v vs %+v", pruned, plain)
 	}
 }
+
+func TestRunUnknownAlgorithm(t *testing.T) {
+	pp, fp := writeFiles(t, tcProgram, tcFacts)
+	var out, errBuf strings.Builder
+	err := run([]string{"-program", pp, "-facts", fp, "-target", "tc(a, c)", "-k", "1", "-algo", "greedy"}, &out, &errBuf)
+	if err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+	if !strings.Contains(err.Error(), "naive, magic, magics, magicg, exact, dnf") {
+		t.Errorf("error %q does not name the six algorithms", err)
+	}
+}

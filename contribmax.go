@@ -1,6 +1,7 @@
 package contribmax
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -185,29 +186,16 @@ func ParseFactsFile(path string) ([]Atom, error) { return parser.ParseFactsFile(
 // ParseAtom parses a single atom, e.g. "dealsWith(usa, iran)".
 func ParseAtom(src string) (Atom, error) { return parser.ParseAtom(src) }
 
-// Database wraps the storage layer with convenience loaders.
+// Database wraps the storage layer with convenience loaders. InsertAll,
+// promoted from the storage layer, inserts ground atoms, ignoring
+// duplicates, and returns the number of newly added facts and the first
+// error (a non-ground atom or an arity clash).
 type Database struct {
 	*db.Database
 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() Database { return Database{db.NewDatabase()} }
-
-// InsertAll inserts ground atoms, ignoring duplicates. It returns the
-// number of newly added facts and the first error encountered (non-ground
-// atoms are errors).
-func (d Database) InsertAll(facts []Atom) (added int, err error) {
-	for _, f := range facts {
-		_, _, fresh, err := d.InsertAtom(f)
-		if err != nil {
-			return added, err
-		}
-		if fresh {
-			added++
-		}
-	}
-	return added, nil
-}
 
 // LoadDatabase parses fact text into a fresh database.
 func LoadDatabase(factSrc string) (Database, error) {
@@ -332,21 +320,7 @@ func Analyze(prog *Program, opts AnalysisOptions) []Diagnostic {
 // derived from a database and target atoms, matching the gate the CM
 // algorithms run in front of an Input.
 func AnalyzeWithDB(prog *Program, d Database, targets []Atom) []Diagnostic {
-	edb := map[string]int{}
-	for _, name := range d.RelationNames() {
-		if rel, ok := d.Lookup(name); ok {
-			edb[name] = rel.Arity()
-		}
-	}
-	var roots []string
-	seen := map[string]bool{}
-	for _, a := range targets {
-		if !seen[a.Predicate] {
-			seen[a.Predicate] = true
-			roots = append(roots, a.Predicate)
-		}
-	}
-	return analysis.Analyze(prog, analysis.Options{EDB: edb, Roots: roots})
+	return analysis.Analyze(prog, analysis.OptionsFor(d.Database, targets))
 }
 
 // ProgramProfile is the machine-readable output of the semantic program
@@ -370,6 +344,24 @@ type OptimizeReport = optimize.Report
 // dropped, duplicate deterministic rules removed. The fixpoint and the
 // contribution semantics are preserved.
 func Optimize(prog *Program) (*Program, OptimizeReport) { return optimize.Program(prog) }
+
+// ExpandTargets resolves target atoms to the ground targets of a solve:
+// the ground atoms in input order, then each pattern's matches among the
+// facts prog derives from d, pattern by pattern. d gains no derived
+// facts. unmatched lists the patterns that matched nothing.
+func ExpandTargets(prog *Program, d Database, targets []Atom) (ground, unmatched []Atom, err error) {
+	return cm.ExpandTargets(context.Background(), prog, d.Database, targets)
+}
+
+// AlgorithmNames lists the algorithm names Solve accepts: naive (NaiveCM),
+// magic (MagicCM), magics (MagicSampledCM), magicg (MagicGroupedCM), exact
+// (ExactCM) and dnf (DNFCM).
+func AlgorithmNames() []string { return cm.AlgorithmNames() }
+
+// Solve runs the CM algorithm with the given name (see AlgorithmNames).
+func Solve(algorithm string, in Input, opts Options) (*Result, error) {
+	return cm.Solve(algorithm, in, opts)
+}
 
 // NaiveCM solves the CM instance with the paper's Algorithm 2: full WD
 // graph materialization followed by targeted RIS influence maximization.
@@ -437,12 +429,13 @@ func BruteForceOPT(in Input, rrSets int, rng *rand.Rand) (*OPTResult, error) {
 // Explain returns the most probable derivation tree of target — the
 // complementary "how was this derived?" question to CM's "which inputs
 // matter most?". For positive programs only the Magic-Sets-relevant
-// subgraph is materialized; render the result with
+// subgraph is materialized; programs with negation use the full graph of
+// the positive rule firings. Render the result with
 // tree.Render(d.Symbols()).
 //
 // ok is false when target is not derivable from d under prog.
 func Explain(prog *Program, d Database, target Atom) (tree *DerivationTree, ok bool, err error) {
-	g, root, found, err := relevantGraph(prog, d, target)
+	g, root, found, err := magic.RelevantGraph(context.Background(), prog, d.Database, target)
 	if err != nil || !found {
 		return nil, false, err
 	}
@@ -450,47 +443,11 @@ func Explain(prog *Program, d Database, target Atom) (tree *DerivationTree, ok b
 	return tree, ok, nil
 }
 
-// relevantGraph materializes the WD subgraph relevant to target (via the
-// Magic-Sets rewriting when the program is positive; the full graph
-// otherwise) and locates target's node.
-func relevantGraph(prog *Program, d Database, target Atom) (*wdgraph.Graph, wdgraph.NodeID, bool, error) {
-	if !target.IsGround() {
-		return nil, 0, false, fmt.Errorf("contribmax: target %s is not ground", target)
-	}
-	scratch := d.Scratch(prog.EDBs())
-	var g *wdgraph.Graph
-	if tr, terr := magic.Transform(prog, []Atom{target}); terr == nil {
-		eng, err := engine.New(tr.Program, scratch)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		b := wdgraph.NewBuilder(tr.Projection())
-		if _, err := eng.Run(engine.Options{Listener: b.Listener()}); err != nil {
-			return nil, 0, false, err
-		}
-		g = b.Graph()
-	} else {
-		// Programs the transformation rejects (e.g. stratified negation)
-		// fall back to the full graph of the positive rule firings.
-		var err error
-		g, _, err = wdgraph.Build(prog, scratch, wdgraph.BuildConfig{})
-		if err != nil {
-			return nil, 0, false, err
-		}
-	}
-	tuple, err := d.InternAtom(target)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	root, found := g.FactID(target.Predicate, tuple)
-	return g, root, found, nil
-}
-
 // ExplainTopK returns up to k derivation trees of target, best first (see
 // Explain for the single best). The trees are cycle-free; ok is false when
 // target is not derivable.
 func ExplainTopK(prog *Program, d Database, target Atom, k int) ([]*DerivationTree, error) {
-	g, root, found, err := relevantGraph(prog, d, target)
+	g, root, found, err := magic.RelevantGraph(context.Background(), prog, d.Database, target)
 	if err != nil || !found {
 		return nil, err
 	}

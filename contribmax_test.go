@@ -204,7 +204,7 @@ func TestFacadeAlgorithmsAndFiles(t *testing.T) {
 	}
 	res, err := contribmax.GreedyMCCM(in, contribmax.GreedyMCOptions{
 		Simulations: 200,
-		Options:     contribmax.Options{Rand: rand.New(rand.NewPCG(2, 2))},
+		Rand:        rand.New(rand.NewPCG(2, 2)),
 	})
 	if err != nil {
 		t.Fatal(err)

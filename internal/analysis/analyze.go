@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"contribmax/internal/ast"
+	"contribmax/internal/db"
 )
 
 // Options configures an analysis run.
@@ -21,6 +22,28 @@ type Options struct {
 	// explosions along the roots' dependency cone (CM011). Targets that no
 	// rule defines are reported as CM008.
 	Roots []string
+}
+
+// OptionsFor derives the configuration for analyzing a program that is
+// solved over database for targets: the database's relations give the edb
+// schema, and the targets' predicates, in order of first occurrence, the
+// roots. Every solve front end gates its requests with it.
+func OptionsFor(database *db.Database, targets []ast.Atom) Options {
+	edb := map[string]int{}
+	for _, name := range database.RelationNames() {
+		if rel, ok := database.Lookup(name); ok {
+			edb[name] = rel.Arity()
+		}
+	}
+	var roots []string
+	seen := map[string]bool{}
+	for _, a := range targets {
+		if !seen[a.Predicate] {
+			seen[a.Predicate] = true
+			roots = append(roots, a.Predicate)
+		}
+	}
+	return Options{EDB: edb, Roots: roots}
 }
 
 // Analyze runs every analysis pass over prog and returns the diagnostics

@@ -2,6 +2,7 @@ package ast
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -165,5 +166,46 @@ func (r Rule) String() string {
 		}
 	}
 	sb.WriteByte('.')
+	return sb.String()
+}
+
+// CanonicalSig renders head :- body with variables renamed v0, v1, ... in
+// order of first occurrence (head first) and negated atoms marked, so
+// structurally identical rules share a signature whatever their variable
+// names. The Magic-Sets transformation dedups its generated magic rules by
+// it, and the optimizer its deterministic rules.
+func CanonicalSig(head Atom, body []Atom) string {
+	var sb strings.Builder
+	names := map[string]string{}
+	canon := func(a Atom) {
+		if a.Negated {
+			sb.WriteByte('!')
+		}
+		sb.WriteString(a.Predicate)
+		sb.WriteByte('(')
+		for i, t := range a.Terms {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			if t.IsVar() {
+				n, ok := names[t.Name]
+				if !ok {
+					n = "v" + strconv.Itoa(len(names))
+					names[t.Name] = n
+				}
+				sb.WriteString(n)
+			} else {
+				sb.WriteByte(0)
+				sb.WriteString(t.Name)
+			}
+		}
+		sb.WriteByte(')')
+	}
+	canon(head)
+	sb.WriteString(":-")
+	for _, b := range body {
+		canon(b)
+		sb.WriteByte(',')
+	}
 	return sb.String()
 }

@@ -30,13 +30,20 @@ type Estimator struct {
 // the target atoms. Input.K is not used and may be left zero-valued by
 // setting it to 1.
 func NewEstimator(in Input) (*Estimator, error) {
+	e, _, err := newEstimator(in)
+	return e, err
+}
+
+// newEstimator is NewEstimator, also returning the resolved instance whose
+// candidates GreedyMCCM selects from.
+func newEstimator(in Input) (*Estimator, *instance, error) {
 	inst, err := prepare(in, Options{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	g, _, err := wdgraph.Build(in.Program, in.DB.Scratch(in.Program.EDBs()), wdgraph.BuildConfig{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e := &Estimator{
 		database: in.DB,
@@ -52,7 +59,7 @@ func NewEstimator(in Input) (*Estimator, error) {
 		// A target absent from the graph is not derivable and contributes 0
 		// to every seed set.
 	}
-	return e, nil
+	return e, inst, nil
 }
 
 // Graph exposes the underlying full WD graph (e.g. for size reporting).
@@ -84,7 +91,22 @@ func (e *Estimator) ContributionCI(seeds []ast.Atom, samples int, rng *rand.Rand
 	if len(ids) == 0 || len(e.targets) == 0 || samples <= 0 {
 		return 0, 0, nil
 	}
-	var sum, sumSq float64
+	sum, sumSq := e.simulate(ids, samples, rng)
+	n := float64(samples)
+	mean = sum / n
+	if samples > 1 {
+		variance := (sumSq - sum*sum/n) / (n - 1)
+		if variance < 0 {
+			variance = 0
+		}
+		stderr = math.Sqrt(variance / n)
+	}
+	return mean, stderr, nil
+}
+
+// simulate draws samples forward simulations from the seed nodes and
+// returns the sum and the sum of squares of the targets each one reached.
+func (e *Estimator) simulate(ids []wdgraph.NodeID, samples int, rng *rand.Rand) (sum, sumSq float64) {
 	for s := 0; s < samples; s++ {
 		reached := 0
 		e.walker.ForwardReach(ids, rng, func(v wdgraph.NodeID) {
@@ -96,16 +118,7 @@ func (e *Estimator) ContributionCI(seeds []ast.Atom, samples int, rng *rand.Rand
 		sum += x
 		sumSq += x * x
 	}
-	n := float64(samples)
-	mean = sum / n
-	if samples > 1 {
-		variance := (sumSq - sum*sum/n) / (n - 1)
-		if variance < 0 {
-			variance = 0
-		}
-		stderr = math.Sqrt(variance / n)
-	}
-	return mean, stderr, nil
+	return sum, sumSq
 }
 
 func (e *Estimator) factNode(a ast.Atom) (wdgraph.NodeID, bool, error) {

@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"math/rand/v2"
 	"time"
 
 	"contribmax/internal/im"
@@ -12,16 +13,17 @@ type GreedyMCOptions struct {
 	// Simulations is the number of forward Monte-Carlo samples per
 	// marginal-gain estimate (default 200).
 	Simulations int
-	// Options supplies the randomness source (Theta is ignored — this
-	// algorithm does not use RR sets).
-	Options
+	// Rand drives the simulations. nil means the fixed-seed PCG source
+	// that Options.Rand defaults to.
+	Rand *rand.Rand
 }
 
 // GreedyMCCM solves the CM instance with the original greedy framework of
 // Kempe et al. [14], which predates RIS: materialize the full WD graph,
 // then greedily add the candidate with the largest Monte-Carlo-estimated
 // marginal contribution, re-simulating forward influence spread for every
-// candidate at every round.
+// candidate at every round. Each estimate is the Estimator's forward
+// simulation over the same graph.
 //
 // It has the same (1 − 1/e − ε) guarantee but costs
 // O(k · |T1| · simulations · |G|) — the baseline the RIS-based algorithms
@@ -29,54 +31,32 @@ type GreedyMCOptions struct {
 // completeness and for the ablation benchmark; use MagicSampledCM for real
 // workloads.
 func GreedyMCCM(in Input, opts GreedyMCOptions) (*Result, error) {
-	inst, err := prepare(in, Options{})
-	if err != nil {
-		return nil, err
+	sims := opts.Simulations
+	if sims <= 0 {
+		sims = 200
 	}
-	if opts.Simulations <= 0 {
-		opts.Simulations = 200
-	}
-	rng := opts.rng()
+	rng := Options{Rand: opts.Rand}.rng()
 	start := time.Now()
 	res := &Result{Algorithm: "GreedyMC"}
 
-	buildStart := time.Now()
-	g, _, err := wdgraph.Build(in.Program, in.DB.Scratch(in.Program.EDBs()), wdgraph.BuildConfig{})
+	e, inst, err := newEstimator(in)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.BuildTime = time.Since(buildStart)
-	recordBuild(&res.Stats, g)
+	res.Stats.BuildTime = time.Since(start)
+	recordBuild(&res.Stats, e.g)
 
-	// Candidate and target node ids.
 	candNodes := make([]wdgraph.NodeID, len(inst.candidates))
 	candKnown := make([]bool, len(inst.candidates))
 	for i, h := range inst.candidates {
-		candNodes[i], candKnown[i] = g.FactID(h.Pred, h.Tuple)
+		candNodes[i], candKnown[i] = e.g.FactID(h.Pred, h.Tuple)
 	}
-	isTarget := make([]bool, g.NumNodes())
-	anyTarget := false
-	for _, t := range inst.targets {
-		if id, ok := g.FactID(t.Pred, t.Tuple); ok {
-			isTarget[id] = true
-			anyTarget = true
-		}
-	}
-
-	walker := wdgraph.NewWalker(g)
 	estimate := func(seeds []wdgraph.NodeID) float64 {
-		if len(seeds) == 0 || !anyTarget {
+		if len(seeds) == 0 || len(e.targets) == 0 {
 			return 0
 		}
-		total := 0
-		for s := 0; s < opts.Simulations; s++ {
-			walker.ForwardReach(seeds, rng, func(v wdgraph.NodeID) {
-				if isTarget[v] {
-					total++
-				}
-			})
-		}
-		return float64(total) / float64(opts.Simulations)
+		sum, _ := e.simulate(seeds, sims, rng)
+		return sum / float64(sims)
 	}
 
 	selStart := time.Now()
@@ -117,7 +97,7 @@ func GreedyMCCM(in Input, opts GreedyMCOptions) (*Result, error) {
 		seeds = append(seeds, im.CandidateID(best))
 		seedNodes = append(seedNodes, candNodes[best])
 		current += bestGain
-		res.SeedGains = append(res.SeedGains, int(bestGain*float64(opts.Simulations)))
+		res.SeedGains = append(res.SeedGains, int(bestGain*float64(sims)))
 	}
 	res.Stats.SelectTime = time.Since(selStart)
 

@@ -1,7 +1,9 @@
 package cm_test
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"contribmax/internal/cm"
@@ -24,7 +26,7 @@ func TestGreedyMCMatchesRISOnClearCut(t *testing.T) {
 	}
 	res, err := cm.GreedyMCCM(in, cm.GreedyMCOptions{
 		Simulations: 400,
-		Options:     cm.Options{Rand: rand.New(rand.NewPCG(7, 7))},
+		Rand:        rand.New(rand.NewPCG(7, 7)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +64,7 @@ func TestGreedyMCAgreesWithEstimator(t *testing.T) {
 	in := cm.Input{Program: prog, DB: d, T2: derived[:4], K: 2}
 	res, err := cm.GreedyMCCM(in, cm.GreedyMCOptions{
 		Simulations: 1500,
-		Options:     cm.Options{Rand: rand.New(rand.NewPCG(1, 1))},
+		Rand:        rand.New(rand.NewPCG(1, 1)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,5 +79,53 @@ func TestGreedyMCAgreesWithEstimator(t *testing.T) {
 	}
 	if diff := res.EstContribution - want; diff > 0.15 || diff < -0.15 {
 		t.Errorf("GreedyMC estimate %.3f vs estimator %.3f", res.EstContribution, want)
+	}
+}
+
+// TestGreedyMCPinned pins GreedyMCCM's seeds, gains and estimate on two
+// instances under a fixed rng, at an explicit and at the default
+// simulation count, so a change to how it builds its graph or runs its
+// forward simulations must keep every draw.
+func TestGreedyMCPinned(t *testing.T) {
+	tc, err := workload.ByName("TC", 8, rand.New(rand.NewPCG(1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trade := workload.Trade()
+	cases := []struct {
+		name string
+		w    workload.Workload
+		pred string
+		sims int
+		want string
+	}{
+		{"TC-8/37", tc, "tc", 37,
+			"edge(n7, n0); edge(n0, n2); edge(n4, n5) | [171 23 -1] | 4.891891891891892 | 612 nodes 1584 edges"},
+		{"Trade/default", trade, "dealsWith", 0,
+			"dealsWith0(france, cuba); exports(france, wine); imports(denmark, sugar) | [1198 0 0] | 5.99 | 679 nodes 1719 edges"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			targets := evalFacts(t, c.w.Program, c.w.DB, c.pred)
+			if len(targets) > 6 {
+				targets = targets[:6]
+			}
+			res, err := cm.GreedyMCCM(cm.Input{Program: c.w.Program, DB: c.w.DB, T2: targets, K: 3}, cm.GreedyMCOptions{
+				Simulations: c.sims,
+				Rand:        rand.New(rand.NewPCG(37, 41)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seeds []string
+			for _, s := range res.Seeds {
+				seeds = append(seeds, s.String())
+			}
+			got := fmt.Sprintf("%s | %v | %v | %d nodes %d edges", strings.Join(seeds, "; "),
+				res.SeedGains, res.EstContribution, res.Stats.TotalNodes, res.Stats.TotalEdges)
+			if got != c.want {
+				t.Errorf("got  %s\nwant %s", got, c.want)
+			}
+		})
 	}
 }

@@ -369,7 +369,7 @@ func prepare(in Input, opts Options) (*instance, error) {
 		return nil, fmt.Errorf("cm: %w", err)
 	}
 	if !opts.SkipAnalysis {
-		if err := analysis.FirstError(analysis.Analyze(in.Program, analysisOptions(in))); err != nil {
+		if err := analysis.FirstError(analysis.Analyze(in.Program, analysis.OptionsFor(in.DB, in.T2))); err != nil {
 			return nil, fmt.Errorf("cm: %w", err)
 		}
 	}
@@ -386,7 +386,7 @@ func prepare(in Input, opts Options) (*instance, error) {
 		rulesTotal: len(in.Program.Rules),
 	}
 	if opts.Prune {
-		pr := analysis.Prune(in.Program, analysis.PruneOptions{Roots: analysisOptions(in).Roots})
+		pr := analysis.Prune(in.Program, analysis.PruneOptions{Roots: analysis.OptionsFor(in.DB, in.T2).Roots})
 		inst.prog = pr.Program
 		inst.rulesPruned = len(pr.Pruned)
 	}
@@ -461,26 +461,6 @@ func prepare(in Input, opts Options) (*instance, error) {
 		inst.targets = append(inst.targets, h)
 	}
 	return inst, nil
-}
-
-// analysisOptions derives the analyzer configuration from an Input: the
-// database relations give the edb schema, the T2 predicates the roots.
-func analysisOptions(in Input) analysis.Options {
-	edb := map[string]int{}
-	for _, name := range in.DB.RelationNames() {
-		if rel, ok := in.DB.Lookup(name); ok {
-			edb[name] = rel.Arity()
-		}
-	}
-	var roots []string
-	seen := map[string]bool{}
-	for _, a := range in.T2 {
-		if !seen[a.Predicate] {
-			seen[a.Predicate] = true
-			roots = append(roots, a.Predicate)
-		}
-	}
-	return analysis.Options{EDB: edb, Roots: roots}
 }
 
 // internAtomConsts interns the constant terms of an atom (variables are

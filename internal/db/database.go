@@ -97,6 +97,24 @@ func (d *Database) InsertAtom(a ast.Atom) (*Relation, TupleID, bool, error) {
 	return rel, id, added, nil
 }
 
+// InsertAll inserts ground atoms, ignoring duplicates: the one loader for
+// facts that come from outside the program (fact files, requests, a
+// session's input). It returns the number of newly added facts and the
+// first error, a non-ground atom or an arity clash; the facts before it
+// stay inserted.
+func (d *Database) InsertAll(facts []ast.Atom) (added int, err error) {
+	for _, f := range facts {
+		_, _, fresh, err := d.InsertAtom(f)
+		if err != nil {
+			return added, err
+		}
+		if fresh {
+			added++
+		}
+	}
+	return added, nil
+}
+
 // MustInsertAtom is InsertAtom for callers that know the atom is ground and
 // arity-consistent (e.g. generated workloads); a violation is an invariant
 // failure and panics.

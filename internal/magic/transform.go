@@ -206,7 +206,7 @@ func TransformWith(prog *ast.Program, queries []ast.Atom, sips SIPS) (*Transform
 				return
 			}
 		}
-		sig := canonicalRuleSig(head, body)
+		sig := ast.CanonicalSig(head, body)
 		if magicSeen[sig] {
 			return
 		}
@@ -349,37 +349,6 @@ func (t *Transformed) Rebind(qs ...ast.Atom) (*Transformed, error) {
 // and the transformation agree byte-for-byte.
 func orderBody(body []ast.Atom, bound map[string]bool, sips SIPS, idb map[string]bool) []ast.Atom {
 	return analysis.OrderBody(body, bound, sips, idb)
-}
-
-// canonicalRuleSig renders head :- body with variables renamed to v0, v1,
-// ... in order of first occurrence, so structurally identical rules share a
-// signature regardless of their variable names.
-func canonicalRuleSig(head ast.Atom, body []ast.Atom) string {
-	names := map[string]string{}
-	canon := func(a ast.Atom) string {
-		s := a.Predicate + "("
-		for i, t := range a.Terms {
-			if i > 0 {
-				s += ","
-			}
-			if t.IsVar() {
-				n, ok := names[t.Name]
-				if !ok {
-					n = "v" + strconv.Itoa(len(names))
-					names[t.Name] = n
-				}
-				s += n
-			} else {
-				s += "\x00" + t.Name
-			}
-		}
-		return s + ")"
-	}
-	sig := canon(head) + ":-"
-	for _, b := range body {
-		sig += canon(b) + ","
-	}
-	return sig
 }
 
 // magicAtomFor builds the magic atom m@pred^a(terms at bound positions).

@@ -10,11 +10,7 @@
 // whose head is one of their own body facts (which add no reachability).
 package optimize
 
-import (
-	"strconv"
-
-	"contribmax/internal/ast"
-)
+import "contribmax/internal/ast"
 
 // Report counts what the optimizer did.
 type Report struct {
@@ -70,7 +66,7 @@ rules:
 			}
 		}
 		if nr.Prob >= 1 {
-			sig := canonicalSig(nr)
+			sig := ast.CanonicalSig(nr.Head, nr.Body)
 			if seen[sig] {
 				rep.DroppedDuplicates++
 				continue rules
@@ -113,39 +109,4 @@ func foldAtom(a ast.Atom) foldResult {
 		}
 	}
 	return foldKeep
-}
-
-// canonicalSig renders a rule with variables renamed v0, v1, ... in order
-// of first occurrence (head first), so structurally identical rules share
-// a signature.
-func canonicalSig(r ast.Rule) string {
-	names := map[string]string{}
-	canon := func(a ast.Atom) string {
-		s := ""
-		if a.Negated {
-			s = "!"
-		}
-		s += a.Predicate + "("
-		for i, t := range a.Terms {
-			if i > 0 {
-				s += ","
-			}
-			if t.IsVar() {
-				n, ok := names[t.Name]
-				if !ok {
-					n = "v" + strconv.Itoa(len(names))
-					names[t.Name] = n
-				}
-				s += n
-			} else {
-				s += "\x00" + t.Name
-			}
-		}
-		return s + ")"
-	}
-	sig := canon(r.Head) + ":-"
-	for _, b := range r.Body {
-		sig += canon(b) + ","
-	}
-	return sig
 }

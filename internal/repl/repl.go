@@ -7,6 +7,7 @@ package repl
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -22,7 +23,6 @@ import (
 	"contribmax/internal/magic"
 	"contribmax/internal/parser"
 	"contribmax/internal/provenance"
-	"contribmax/internal/wdgraph"
 )
 
 // REPL is one interactive session.
@@ -134,36 +134,36 @@ func (r *REPL) load(arg string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "loaded %d rules\n", len(prog.Rules))
 	case "facts":
-		var added int
-		if strings.HasSuffix(path, ".cmdb") {
-			loaded, err := db.LoadSnapshot(path)
-			if err != nil {
-				return err
-			}
-			for _, name := range loaded.RelationNames() {
-				for _, f := range loaded.Facts(name) {
-					if _, fresh := r.base.MustInsertAtom(f); fresh {
-						added++
-					}
-				}
-			}
-		} else {
-			facts, err := parser.ParseFactsFile(path)
-			if err != nil {
-				return err
-			}
-			for _, f := range facts {
-				if _, fresh := r.base.MustInsertAtom(f); fresh {
-					added++
-				}
-			}
+		facts, err := readFacts(path)
+		if err != nil {
+			return err
 		}
+		added, err := r.base.InsertAll(facts)
 		r.fix = nil
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "loaded %d facts\n", added)
 	default:
 		return fmt.Errorf("usage: :load program|facts <path>")
 	}
 	return nil
+}
+
+// readFacts reads the facts of a fact file, or of a .cmdb snapshot.
+func readFacts(path string) ([]ast.Atom, error) {
+	if !strings.HasSuffix(path, ".cmdb") {
+		return parser.ParseFactsFile(path)
+	}
+	loaded, err := db.LoadSnapshot(path)
+	if err != nil {
+		return nil, err
+	}
+	var facts []ast.Atom
+	for _, name := range loaded.RelationNames() {
+		facts = append(facts, loaded.Facts(name)...)
+	}
+	return facts, nil
 }
 
 // addStatement parses a rule or fact statement.
@@ -213,12 +213,26 @@ func (r *REPL) addRule(rule ast.Rule) error {
 	return nil
 }
 
-// fixpoint evaluates (and caches) the program over the base facts.
+// fixpoint evaluates (and caches) the program over the base facts. The
+// evaluation shares the base relations the program only reads and copies
+// the base facts of the predicates it derives, so it never writes into the
+// base database.
 func (r *REPL) fixpoint() (*db.Database, error) {
 	if r.fix != nil {
 		return r.fix, nil
 	}
-	scratch := r.base.Scratch(r.base.RelationNames())
+	scratch := r.base.CloneSchema()
+	for _, name := range r.base.RelationNames() {
+		rel, _ := r.base.Lookup(name)
+		if !r.prog.IsIDB(name) {
+			scratch.Attach(rel)
+			continue
+		}
+		derived := scratch.Relation(name, rel.Arity())
+		for i := 0; i < rel.Len(); i++ {
+			derived.Insert(rel.Tuple(db.TupleID(i)))
+		}
+	}
 	eng, err := engine.New(r.prog, scratch)
 	if err != nil {
 		return nil, err
@@ -270,29 +284,11 @@ func (r *REPL) explain(arg string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if !target.IsGround() {
-		return fmt.Errorf("explain needs a ground tuple")
-	}
-	tr, err := magic.Transform(r.prog, []ast.Atom{target})
+	g, root, found, err := magic.RelevantGraph(context.Background(), r.prog, r.base, target)
 	if err != nil {
 		return err
 	}
-	scratch := r.base.Scratch(r.base.RelationNames())
-	eng, err := engine.New(tr.Program, scratch)
-	if err != nil {
-		return err
-	}
-	b := wdgraph.NewBuilder(tr.Projection())
-	if _, err := eng.Run(engine.Options{Listener: b.Listener()}); err != nil {
-		return err
-	}
-	g := b.Graph()
-	tuple, err := r.base.InternAtom(target)
-	if err != nil {
-		return err
-	}
-	root, ok := g.FactID(target.Predicate, tuple)
-	if !ok {
+	if !found {
 		return fmt.Errorf("%s is not derivable", target)
 	}
 	tree, ok := provenance.BestDerivation(g, root)
@@ -336,22 +332,9 @@ func (r *REPL) solve(arg string, out io.Writer) error {
 		}
 		targets = append(targets, a)
 	}
-	// Expand patterns against the fixpoint.
-	var ground []ast.Atom
-	for _, a := range targets {
-		if a.IsGround() {
-			ground = append(ground, a)
-			continue
-		}
-		fix, err := r.fixpoint()
-		if err != nil {
-			return err
-		}
-		matches, err := fix.Match(a)
-		if err != nil {
-			return err
-		}
-		ground = append(ground, matches...)
+	ground, _, err := cm.ExpandTargets(context.Background(), r.prog, r.base, targets)
+	if err != nil {
+		return err
 	}
 	if len(ground) == 0 {
 		return fmt.Errorf("no targets")

@@ -1,6 +1,8 @@
 package repl_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -79,9 +81,15 @@ func TestReplLoadAndStats(t *testing.T) {
 }
 
 func TestReplErrorsKeepSessionAlive(t *testing.T) {
+	clash := filepath.Join(t.TempDir(), "clash.facts")
+	if err := os.WriteFile(clash, []byte("p(a, b).\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	out := drive(t,
 		"broken(",
 		":nosuch",
+		"p(a).",
+		":load facts "+clash,
 		"?- fine(X).",
 		"p(X) :- q(X). ",
 		":explain p(nope)",
@@ -90,8 +98,46 @@ func TestReplErrorsKeepSessionAlive(t *testing.T) {
 	if c := strings.Count(out, "error:"); c < 2 {
 		t.Errorf("want at least 2 errors, got %d:\n%s", c, out)
 	}
+	if !strings.Contains(out, "error: db: relation p used with arities 1 and 2") {
+		t.Errorf("arity clash in a fact file should be reported:\n%s", out)
+	}
 	if !strings.Contains(out, "0 results") {
 		t.Errorf("query after errors should still run:\n%s", out)
+	}
+}
+
+// TestReplQueriesLeaveBaseFacts: a query evaluates on a copy of the base
+// facts of the predicates the program derives, so a later rule sees the
+// base facts as they were entered and :stats counts only those.
+func TestReplQueriesLeaveBaseFacts(t *testing.T) {
+	out := drive(t,
+		"q(a).",
+		"p(z).",
+		"1.0 r1: p(X) :- q(X), not r(X).",
+		"?- p(X).",
+		"1.0 r2: r(X) :- q(X).",
+		"?- p(X).",
+		":quit",
+	)
+	if !strings.HasSuffix(out, "> p(z)\n1 results\n> ") {
+		t.Errorf("second query should answer p(z) only:\n%s", out)
+	}
+
+	out = drive(t,
+		"edge(a, b).",
+		"edge(b, c).",
+		"tc(x, y).",
+		"1.0 r1: tc(X, Y) :- edge(X, Y).",
+		":stats",
+		"?- tc(X, Y).",
+		":stats",
+		":quit",
+	)
+	if c := strings.Count(out, "base facts: 3\n"); c != 2 {
+		t.Errorf("base facts should count 3 before and after the query, got %d matches:\n%s", c, out)
+	}
+	if !strings.Contains(out, "tc(x, y)\n3 results") {
+		t.Errorf("query should answer the base tc fact and the derived ones:\n%s", out)
 	}
 }
 

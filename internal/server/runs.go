@@ -149,7 +149,8 @@ func (s *server) handleSolveStart(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	if err := s.preflight(req); err != nil {
+	p, err := s.preflight(req)
+	if err != nil {
 		writeSolveError(w, err)
 		return
 	}
@@ -182,7 +183,7 @@ func (s *server) handleSolveStart(w http.ResponseWriter, r *http.Request) {
 		var resp *SolveResponse
 		release, err := s.pool.acquire(ctx, tenant)
 		if err == nil {
-			resp, err = s.solve(ctx, req, ru.journal)
+			resp, err = s.solveParsed(ctx, p, req, ru.journal)
 			release()
 		}
 		ru.mu.Lock()

@@ -36,7 +36,6 @@ import (
 	"contribmax/internal/ast"
 	"contribmax/internal/cm"
 	"contribmax/internal/db"
-	"contribmax/internal/engine"
 	"contribmax/internal/im"
 	"contribmax/internal/magic"
 	"contribmax/internal/obs"
@@ -45,7 +44,6 @@ import (
 	"contribmax/internal/prof"
 	"contribmax/internal/provenance"
 	"contribmax/internal/solvecache"
-	"contribmax/internal/wdgraph"
 )
 
 // SolveRequest is the JSON (and form) input for /api/solve.
@@ -195,9 +193,9 @@ func NewWith(cfg Config) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /{$}", handleForm)
 	mux.HandleFunc("POST /solve", s.handleSolveForm)
-	mux.HandleFunc("POST /api/solve", s.handleSolveAPI)
+	mux.HandleFunc("POST /api/solve", func(w http.ResponseWriter, r *http.Request) { serveJSON(s, w, r, s.solve) })
 	mux.HandleFunc("POST /api/solve/batch", s.handleSolveBatch)
-	mux.HandleFunc("POST /api/explain", s.handleExplainAPI)
+	mux.HandleFunc("POST /api/explain", func(w http.ResponseWriter, r *http.Request) { serveJSON(s, w, r, s.explain) })
 	mux.HandleFunc("POST /api/solve/start", s.handleSolveStart)
 	mux.HandleFunc("GET /api/solve/{id}", s.handleSolveStatus)
 	mux.HandleFunc("GET /api/solve/{id}/profile", s.handleSolveProfile)
@@ -373,29 +371,21 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-// failSeverity is the severity at which analysis findings reject requests.
-func (s *server) failSeverity() analysis.Severity {
-	if s.cfg.WarnAsError {
-		return analysis.Warning
-	}
-	return analysis.Error
-}
-
 // preflight parses and statically analyzes a solve request without running
 // it, so asynchronous starts can reject bad programs synchronously with the
 // same structured 400 the synchronous endpoint produces — instead of
-// burning a run slot on a solve that errors instantly.
-func (s *server) preflight(req SolveRequest) error {
-	prog, err := parser.ParseProgramLoose(req.Program)
+// burning a run slot on a solve that errors instantly. The run solves the
+// returned parse.
+func (s *server) preflight(req SolveRequest) (*parsedRequest, error) {
+	p, err := parseRequest(req.Program, req.Facts)
 	if err != nil {
-		return fmt.Errorf("program: %w", err)
+		return nil, err
 	}
-	database, err := loadFacts(req.Facts)
-	if err != nil {
-		return fmt.Errorf("facts: %w", err)
+	targets, _ := parseTargets(req.Targets)
+	if _, err := s.analyze(p, targets); err != nil {
+		return nil, err
 	}
-	_, err = analyzeRequest(prog, database, req.Targets, s.failSeverity())
-	return err
+	return p, nil
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -413,9 +403,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.cfg.Obs.WriteJSON(w)
 }
 
-// parsedRequest holds a solve request's program and facts parsed exactly
-// once, plus the content hashes that identify them to the solve cache.
-// Batch solving runs many parameter variations against one parsedRequest.
+// parsedRequest holds a request's program and facts parsed exactly once,
+// plus the content hashes that identify them to the solve cache. Batch
+// solving runs many parameter variations against one parsedRequest, and
+// an asynchronous run solves the parse its start request checked.
 type parsedRequest struct {
 	prog     *ast.Program
 	database *db.Database
@@ -432,8 +423,12 @@ func parseRequest(program, facts string) (*parsedRequest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("program: %w", err)
 	}
-	database, err := loadFacts(facts)
+	parsed, err := parser.ParseFacts(facts)
 	if err != nil {
+		return nil, fmt.Errorf("facts: %w", err)
+	}
+	database := db.NewDatabase()
+	if _, err := database.InsertAll(parsed); err != nil {
 		return nil, fmt.Errorf("facts: %w", err)
 	}
 	return &parsedRequest{
@@ -444,22 +439,22 @@ func parseRequest(program, facts string) (*parsedRequest, error) {
 	}, nil
 }
 
-// solve runs one CM request. jr, when non-nil, receives the solve's
-// structured event stream (asynchronous runs pass their run journal;
-// synchronous endpoints pass nil).
-func (s *server) solve(ctx context.Context, req SolveRequest, jr *journal.Journal) (*SolveResponse, error) {
+// solve parses and runs one synchronous CM request.
+func (s *server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
 	p, err := parseRequest(req.Program, req.Facts)
 	if err != nil {
 		return nil, err
 	}
-	return s.solveParsed(ctx, p, req, jr)
+	return s.solveParsed(ctx, p, req, nil)
 }
 
 // solveParsed runs one CM request against an already-parsed program and
 // database. The parse may be shared: batch solving calls this once per
 // sweep point against one parsedRequest, so every point resolves to the
 // same cache identity and the WD graph (and, for k-sweeps, the RR
-// collection) is built once and replayed.
+// collection) is built once and replayed. jr, when non-nil, receives the
+// solve's structured event stream (asynchronous runs pass their run
+// journal).
 func (s *server) solveParsed(ctx context.Context, p *parsedRequest, req SolveRequest, jr *journal.Journal) (*SolveResponse, error) {
 	if req.K <= 0 {
 		req.K = 5
@@ -473,11 +468,11 @@ func (s *server) solveParsed(ctx context.Context, p *parsedRequest, req SolveReq
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	warnings, err := analyzeRequest(p.prog, p.database, req.Targets, s.failSeverity())
+	atoms, warnings, err := s.gate(p, req.Targets)
 	if err != nil {
 		return nil, err
 	}
-	targets, err := expandTargets(ctx, p.prog, p.database, req.Targets)
+	targets, _, err := cm.ExpandTargets(ctx, p.prog, p.database, atoms)
 	if err != nil {
 		return nil, err
 	}
@@ -515,22 +510,7 @@ func (s *server) solveParsed(ctx context.Context, p *parsedRequest, req SolveReq
 	// taken through /debug/pprof while solves are in flight.
 	pprof.Do(ctx, pprof.Labels("cm_algorithm", req.Algorithm), func(ctx context.Context) {
 		opts.Context = ctx
-		switch req.Algorithm {
-		case "naive":
-			res, err = cm.NaiveCM(in, opts)
-		case "magic":
-			res, err = cm.MagicCM(in, opts)
-		case "magics":
-			res, err = cm.MagicSampledCM(in, opts)
-		case "magicg":
-			res, err = cm.MagicGroupedCM(in, opts)
-		case "exact":
-			res, err = cm.ExactCM(in, opts)
-		case "dnf":
-			res, err = cm.DNFCM(in, opts)
-		default:
-			err = fmt.Errorf("unknown algorithm %q", req.Algorithm)
-		}
+		res, err = cm.Solve(req.Algorithm, in, opts)
 	})
 	if err != nil {
 		return nil, err
@@ -568,31 +548,40 @@ func (s *server) solveParsed(ctx context.Context, p *parsedRequest, req SolveReq
 	return out, nil
 }
 
-// analyzeRequest runs the static analyzer over a submitted program against
-// the submitted facts and target predicates. Findings at or above
-// failSeverity reject the request with an *analysisError (rendered by
-// writeSolveError as a structured 400); the rest come back as rendered
-// strings for SolveResponse.Diagnostics.
-func analyzeRequest(prog *ast.Program, database *db.Database, targetLines []string, failSeverity analysis.Severity) ([]string, error) {
-	edb := map[string]int{}
-	for _, name := range database.RelationNames() {
-		if rel, ok := database.Lookup(name); ok {
-			edb[name] = rel.Arity()
+// parseTargets parses a request's target lines, skipping blank ones. It
+// returns every line that parses, so the analyzer sees all their
+// predicates as roots, and the first parse error.
+func parseTargets(lines []string) ([]ast.Atom, error) {
+	var atoms []ast.Atom
+	var first error
+	for _, line := range lines {
+		line = strings.TrimSpace(line)
+		if line == "" {
+			continue
 		}
-	}
-	var roots []string
-	seen := map[string]bool{}
-	for _, line := range targetLines {
-		a, err := parser.ParseAtom(strings.TrimSpace(line))
+		a, err := parser.ParseAtom(line)
 		if err != nil {
-			continue // reported by expandTargets with the right context
+			if first == nil {
+				first = fmt.Errorf("target %q: %w", line, err)
+			}
+			continue
 		}
-		if !seen[a.Predicate] {
-			seen[a.Predicate] = true
-			roots = append(roots, a.Predicate)
-		}
+		atoms = append(atoms, a)
 	}
-	diags := analysis.Analyze(prog, analysis.Options{EDB: edb, Roots: roots})
+	return atoms, first
+}
+
+// analyze runs the static analyzer over a request's program against its
+// facts, with the targets' predicates as roots. Errors, and warnings under
+// Config.WarnAsError, reject the request with an *analysisError (rendered
+// by writeSolveError as a structured 400); the other findings come back as
+// rendered strings for SolveResponse.Diagnostics.
+func (s *server) analyze(p *parsedRequest, targets []ast.Atom) ([]string, error) {
+	diags := analysis.Analyze(p.prog, analysis.OptionsFor(p.database, targets))
+	failSeverity := analysis.Error
+	if s.cfg.WarnAsError {
+		failSeverity = analysis.Warning
+	}
 	var warnings []string
 	failing := false
 	for _, d := range diags {
@@ -608,100 +597,38 @@ func analyzeRequest(prog *ast.Program, database *db.Database, targetLines []stri
 	return warnings, nil
 }
 
-func loadFacts(src string) (*db.Database, error) {
-	facts, err := parser.ParseFacts(src)
+// gate parses a request's target lines and analyzes its program for them
+// (see analyze). An analysis rejection takes precedence over a target line
+// that does not parse.
+func (s *server) gate(p *parsedRequest, lines []string) ([]ast.Atom, []string, error) {
+	targets, perr := parseTargets(lines)
+	warnings, err := s.analyze(p, targets)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	d := db.NewDatabase()
-	for _, f := range facts {
-		if _, _, _, err := d.InsertAtom(f); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
-}
-
-// expandTargets parses target lines; non-ground patterns are expanded
-// against the derived facts.
-func expandTargets(ctx context.Context, prog *ast.Program, database *db.Database, lines []string) ([]ast.Atom, error) {
-	var ground, patterns []ast.Atom
-	for _, line := range lines {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		a, err := parser.ParseAtom(line)
-		if err != nil {
-			return nil, fmt.Errorf("target %q: %w", line, err)
-		}
-		if a.IsGround() {
-			ground = append(ground, a)
-		} else {
-			patterns = append(patterns, a)
-		}
-	}
-	if len(patterns) > 0 {
-		scratch := database.Scratch(prog.EDBs())
-		eng, err := engine.New(prog, scratch)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.Run(engine.Options{Context: ctx}); err != nil {
-			return nil, err
-		}
-		for _, p := range patterns {
-			matches, err := scratch.Match(p)
-			if err != nil {
-				return nil, fmt.Errorf("pattern %s: %w", p, err)
-			}
-			ground = append(ground, matches...)
-		}
-	}
-	return ground, nil
+	return targets, warnings, perr
 }
 
 // explain runs one explanation request.
 func (s *server) explain(ctx context.Context, req ExplainRequest) (*ExplainResponse, error) {
-	prog, err := parser.ParseProgramLoose(req.Program)
+	p, err := parseRequest(req.Program, req.Facts)
 	if err != nil {
-		return nil, fmt.Errorf("program: %w", err)
-	}
-	database, err := loadFacts(req.Facts)
-	if err != nil {
-		return nil, fmt.Errorf("facts: %w", err)
-	}
-	if _, err := analyzeRequest(prog, database, []string{req.Target}, s.failSeverity()); err != nil {
 		return nil, err
 	}
-	target, err := parser.ParseAtom(strings.TrimSpace(req.Target))
+	targets, _, err := s.gate(p, []string{req.Target})
 	if err != nil {
-		return nil, fmt.Errorf("target: %w", err)
+		return nil, err
 	}
-	if !target.IsGround() {
-		return nil, fmt.Errorf("target %s must be ground", target)
+	if len(targets) == 0 {
+		return nil, errors.New("no target")
+	}
+	target := targets[0]
+	g, root, found, err := magic.RelevantGraph(ctx, p.prog, p.database, target)
+	if err != nil {
+		return nil, err
 	}
 	out := &ExplainResponse{Target: target.String()}
-
-	tr, err := magic.Transform(prog, []ast.Atom{target})
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(tr.Program, database.Scratch(prog.EDBs()))
-	if err != nil {
-		return nil, err
-	}
-	b := wdgraph.NewBuilder(tr.Projection())
-	if _, err := eng.Run(engine.Options{Listener: b.Listener(), Context: ctx}); err != nil {
-		return nil, err
-	}
-	g := b.Graph()
-	tuple, err := database.InternAtom(target)
-	if err != nil {
-		return nil, err
-	}
-	root, ok := g.FactID(target.Predicate, tuple)
-	if !ok {
+	if !found {
 		return out, nil // not derivable
 	}
 	tree, ok := provenance.BestDerivation(g, root)
@@ -710,12 +637,15 @@ func (s *server) explain(ctx context.Context, req ExplainRequest) (*ExplainRespo
 	}
 	out.Derivable = true
 	out.Probability = tree.Prob
-	out.Tree = tree.Render(database.Symbols())
+	out.Tree = tree.Render(p.database.Symbols())
 	return out, nil
 }
 
-func (s *server) handleSolveAPI(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
+// serveJSON answers one JSON request of a synchronous endpoint: it decodes
+// the body, runs call under the request's context and a pool slot, and
+// writes the JSON response or the error.
+func serveJSON[Req, Resp any](s *server, w http.ResponseWriter, r *http.Request, call func(context.Context, Req) (Resp, error)) {
+	var req Req
 	if !decodeRequest(w, r, &req) {
 		return
 	}
@@ -727,29 +657,7 @@ func (s *server) handleSolveAPI(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	res, err := s.solve(ctx, req, nil)
-	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(res)
-}
-
-func (s *server) handleExplainAPI(w http.ResponseWriter, r *http.Request) {
-	var req ExplainRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	release, err := s.pool.acquire(ctx, tenantOf(r.Header))
-	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
-	defer release()
-	res, err := s.explain(ctx, req)
+	res, err := call(ctx, req)
 	if err != nil {
 		writeSolveError(w, err)
 		return
@@ -785,7 +693,7 @@ func (s *server) handleSolveForm(w http.ResponseWriter, r *http.Request) {
 	if release, err := s.pool.acquire(ctx, tenantOf(r.Header)); err != nil {
 		data.Error = err.Error()
 	} else {
-		res, err := s.solve(ctx, req, nil)
+		res, err := s.solve(ctx, req)
 		release()
 		if err != nil {
 			data.Error = err.Error()
@@ -825,7 +733,7 @@ dealsWith0(france, cuba).`,
 	}
 }
 
-var pageTmpl = template.Must(template.New("page").Parse(`<!DOCTYPE html>
+var pageTmpl = template.Must(template.New("page").Funcs(template.FuncMap{"algorithms": cm.AlgorithmNames}).Parse(`<!DOCTYPE html>
 <html><head><title>contribmax</title><style>
 body { font-family: sans-serif; margin: 2em auto; max-width: 60em; }
 textarea { width: 100%; font-family: monospace; }
@@ -849,13 +757,8 @@ Targets may be patterns (variables match derived facts).</p>
 <label>Options</label>
 k <input name="k" size="3" value="{{.Req.K}}">
 algorithm <select name="algorithm">
-  <option{{if eq .Req.Algorithm "magics"}} selected{{end}}>magics</option>
-  <option{{if eq .Req.Algorithm "magic"}} selected{{end}}>magic</option>
-  <option{{if eq .Req.Algorithm "magicg"}} selected{{end}}>magicg</option>
-  <option{{if eq .Req.Algorithm "naive"}} selected{{end}}>naive</option>
-  <option{{if eq .Req.Algorithm "exact"}} selected{{end}}>exact</option>
-  <option{{if eq .Req.Algorithm "dnf"}} selected{{end}}>dnf</option>
-</select>
+{{range algorithms}}  <option{{if eq $.Req.Algorithm .}} selected{{end}}>{{.}}</option>
+{{end}}</select>
 RR sets <input name="rr" size="6" value="{{.Req.RR}}">
 max/relation <input name="diverse" size="3" value="{{.Req.MaxSeedsPerRelation}}">
 seed <input name="seed" size="6" value="{{.Req.Seed}}">
