@@ -85,12 +85,6 @@ func loadAgreeCorpus(t *testing.T) []agreeCase {
 	return cases
 }
 
-// TestSolverAgreementCorpus is the cross-solver regression matrix: on every
-// corpus instance, the RIS solvers (NaiveCM, MagicCM, Magic^G CM) and the
-// Monte-Carlo reference estimator must produce contribution estimates that
-// agree within the sampling tolerance. The solvers share one RR-set
-// distribution (Proposition 4.4), so disagreement beyond the statistical
-// bound is an implementation bug, not noise.
 // TestThreeWayAgreement is the exact/RIS/DNF differential battery: on
 // every corpus instance and at Parallelism 1, 4, and 8, the RIS sampler
 // (MagicCM) and the DNF possible-world sampler must agree within the
@@ -184,6 +178,12 @@ func TestThreeWayAgreement(t *testing.T) {
 	}
 }
 
+// TestSolverAgreementCorpus is the cross-solver regression matrix: on every
+// corpus instance, the RIS solvers (NaiveCM, MagicCM, Magic^G CM) and the
+// Monte-Carlo reference estimator must produce contribution estimates that
+// agree within the sampling tolerance. The solvers share one RR-set
+// distribution (Proposition 4.4), so disagreement beyond the statistical
+// bound is an implementation bug, not noise.
 func TestSolverAgreementCorpus(t *testing.T) {
 	const theta = 2000
 	const mcSamples = 4000

@@ -158,20 +158,20 @@ func graphSignature(g *wdgraph.Graph, symbols *db.SymbolTable, restrictTo map[st
 		}
 		// Render the rule instantiation as label: body... => head@weight.
 		var bodies []string
-		for _, u := range g.InEdges(wdgraph.NodeID(i)).To {
+		for _, u := range g.InEdges(wdgraph.NodeID(i)) {
 			bodies = append(bodies, name(u))
 		}
 		sort.Strings(bodies)
 		outs := g.OutEdges(wdgraph.NodeID(i))
-		if outs.Len() != 1 {
-			out = append(out, fmt.Sprintf("BAD rule node %d with %d out-edges", i, outs.Len()))
+		if len(outs) != 1 {
+			out = append(out, fmt.Sprintf("BAD rule node %d with %d out-edges", i, len(outs)))
 			continue
 		}
-		head := name(outs.To[0])
+		head := name(outs[0])
 		if restrictTo != nil && !restrictTo[head] {
 			continue
 		}
-		out = append(out, fmt.Sprintf("%s: %s => %s @%g", n.Pred, strings.Join(bodies, ","), head, outs.W[0]))
+		out = append(out, fmt.Sprintf("%s: %s => %s @%g", n.Pred, strings.Join(bodies, ","), head, g.Weight(wdgraph.NodeID(i))))
 	}
 	sort.Strings(out)
 	return out
@@ -295,13 +295,12 @@ func ruleSigs(g *wdgraph.Graph, symbols *db.SymbolTable, reach map[wdgraph.NodeI
 			continue
 		}
 		var bodies []string
-		for _, u := range g.InEdges(id).To {
+		for _, u := range g.InEdges(id) {
 			bodies = append(bodies, name(u))
 		}
 		sort.Strings(bodies)
-		outs := g.OutEdges(id)
-		head := name(outs.To[0])
-		out[fmt.Sprintf("%s: %s => %s @%g", n.Pred, strings.Join(bodies, ","), head, outs.W[0])] = true
+		head := name(g.OutEdges(id)[0])
+		out[fmt.Sprintf("%s: %s => %s @%g", n.Pred, strings.Join(bodies, ","), head, g.Weight(id))] = true
 	}
 	return out
 }

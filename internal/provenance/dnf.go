@@ -80,18 +80,18 @@ func newVarTable() *VarTable {
 }
 
 // idOf interns the rule node as a variable, returning (-1, false) when the
-// node's single out-edge is deterministic (weight >= 1).
+// node is deterministic (weight >= 1).
 func (vt *VarTable) idOf(g *wdgraph.Graph, r wdgraph.NodeID) (int32, bool) {
 	if id, ok := vt.byNode[r]; ok {
 		return id, true
 	}
-	outs := g.OutEdges(r)
-	if outs.Len() != 1 || outs.W[0] >= 1 {
+	w := g.Weight(r)
+	if w >= 1 {
 		return -1, false
 	}
 	id := int32(len(vt.Probs))
 	vt.byNode[r] = id
-	vt.Probs = append(vt.Probs, outs.W[0])
+	vt.Probs = append(vt.Probs, w)
 	vt.Nodes = append(vt.Nodes, r)
 	return id, true
 }
@@ -172,8 +172,8 @@ func ReachabilityLineage(g *wdgraph.Graph, root wdgraph.NodeID, budget DNFBudget
 			}
 			ins := g.InEdges(f.node)
 			advanced := false
-			for f.ei < ins.Len() {
-				next := ins.To[f.ei]
+			for f.ei < len(ins) {
+				next := ins[f.ei]
 				f.ei++
 				if onPath[next] {
 					continue // simple paths only; also breaks cycles
@@ -240,9 +240,8 @@ func DerivationLineage(g *wdgraph.Graph, root wdgraph.NodeID, budget DNFBudget) 
 		switch node.Kind {
 		case wdgraph.FactNode:
 			// OR over the rule instantiations deriving the fact.
-			ins := g.InEdges(v)
-			for i := 0; i < ins.Len(); i++ {
-				d, err := dnfOf(ins.To[i])
+			for _, u := range g.InEdges(v) {
+				d, err := dnfOf(u)
 				if err != nil {
 					return nil, err
 				}
@@ -257,9 +256,8 @@ func DerivationLineage(g *wdgraph.Graph, root wdgraph.NodeID, budget DNFBudget) 
 			if id, ok := vt.idOf(g, v); ok {
 				acc = [][]int32{{id}}
 			}
-			ins := g.InEdges(v)
-			for i := 0; i < ins.Len(); i++ {
-				d, err := dnfOf(ins.To[i])
+			for _, u := range g.InEdges(v) {
+				d, err := dnfOf(u)
 				if err != nil {
 					return nil, err
 				}

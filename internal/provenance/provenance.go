@@ -139,7 +139,7 @@ func computeScores(g *wdgraph.Graph) scores {
 			}
 		case wdgraph.RuleNode:
 			pending[i] = int32(g.InDegree(id))
-			ruleOffer[i] = ruleWeight(g, id)
+			ruleOffer[i] = g.Weight(id)
 			if pending[i] == 0 {
 				// A rule with no (kept) body atoms derives its head
 				// unconditionally with probability w(r).
@@ -158,7 +158,7 @@ func computeScores(g *wdgraph.Graph) scores {
 		sc.score[i] = top.score
 		sc.bestRule[i] = top.rule
 		// Relax the rule nodes consuming this fact.
-		for _, to := range g.OutEdges(top.id).To {
+		for _, to := range g.OutEdges(top.id) {
 			ri := int(to)
 			if g.Node(to).Kind != wdgraph.RuleNode {
 				continue
@@ -173,21 +173,10 @@ func computeScores(g *wdgraph.Graph) scores {
 	return sc
 }
 
-// offerHead pushes the head of rule node r with the given offered score.
+// offerHead pushes the head of rule node r, its one out-edge's target
+// (Definition 3.1), with the given offered score.
 func offerHead(g *wdgraph.Graph, pq *scoreHeap, r wdgraph.NodeID, offer float64) {
-	outs := g.OutEdges(r)
-	if outs.Len() != 1 {
-		return
-	}
-	heap.Push(pq, scored{id: outs.To[0], score: offer, rule: int32(r)})
-}
-
-func ruleWeight(g *wdgraph.Graph, r wdgraph.NodeID) float64 {
-	outs := g.OutEdges(r)
-	if outs.Len() != 1 {
-		return 0
-	}
-	return outs.W[0]
+	heap.Push(pq, scored{id: g.OutEdges(r)[0], score: offer, rule: int32(r)})
 }
 
 func buildTree(g *wdgraph.Graph, id wdgraph.NodeID, score []float64, bestRule []int32) *Tree {
@@ -199,7 +188,7 @@ func buildTree(g *wdgraph.Graph, id wdgraph.NodeID, score []float64, bestRule []
 	}
 	ruleID := wdgraph.NodeID(r)
 	t.Rule = g.Node(ruleID).Pred
-	for _, u := range g.InEdges(ruleID).To {
+	for _, u := range g.InEdges(ruleID) {
 		t.Children = append(t.Children, buildTree(g, u, score, bestRule))
 	}
 	return t

@@ -53,11 +53,10 @@ func TopKDerivations(g *wdgraph.Graph, root wdgraph.NodeID, k, maxExpansions int
 		node := g.Node(s.fact)
 		if node.EDB {
 			// edb leaf: close the slot with no choice.
-			heap.Push(pq, p.close(s, -1, 1, wdgraph.Edges{}, sc))
+			heap.Push(pq, p.close(s, -1, 1, nil, sc))
 			continue
 		}
-		ins := g.InEdges(s.fact)
-		for j, ruleID := range ins.To {
+		for _, ruleID := range g.InEdges(s.fact) {
 			if g.Node(ruleID).Kind != wdgraph.RuleNode {
 				continue
 			}
@@ -65,7 +64,7 @@ func TopKDerivations(g *wdgraph.Graph, root wdgraph.NodeID, k, maxExpansions int
 			// (cycle) or underivable.
 			bodies := g.InEdges(ruleID)
 			ok := true
-			for _, bu := range bodies.To {
+			for _, bu := range bodies {
 				if !sc.final[bu] || s.onPath(bu) {
 					ok = false
 					break
@@ -74,7 +73,7 @@ func TopKDerivations(g *wdgraph.Graph, root wdgraph.NodeID, k, maxExpansions int
 			if !ok {
 				continue
 			}
-			heap.Push(pq, p.close(s, int32(ruleID), ins.W[j], bodies, sc))
+			heap.Push(pq, p.close(s, int32(ruleID), g.Weight(ruleID), bodies, sc))
 		}
 	}
 	return out
@@ -116,14 +115,14 @@ type partial struct {
 
 // close returns a new partial with slot s (the last open one) resolved by
 // ruleID (weight w), pushing the rule's bodies as new open slots.
-func (p *partial) close(s slot, ruleID int32, w float64, bodies wdgraph.Edges, sc scores) *partial {
+func (p *partial) close(s slot, ruleID int32, w float64, bodies []wdgraph.NodeID, sc scores) *partial {
 	np := &partial{
 		bound:   p.bound / sc.score[s.fact] * w,
 		choices: append(append(make([]int32, 0, len(p.choices)+1), p.choices...), ruleID),
-		open:    append(make([]slot, 0, len(p.open)-1+bodies.Len()), p.open[:len(p.open)-1]...),
+		open:    append(make([]slot, 0, len(p.open)-1+len(bodies)), p.open[:len(p.open)-1]...),
 	}
 	anc := &ancNode{fact: s.fact, next: s.ancestors}
-	for _, bu := range bodies.To {
+	for _, bu := range bodies {
 		np.bound *= sc.score[bu]
 		np.open = append(np.open, slot{fact: bu, ancestors: anc})
 	}
@@ -145,8 +144,8 @@ func replay(g *wdgraph.Graph, root wdgraph.NodeID, choices []int32) *Tree {
 		}
 		ruleID := wdgraph.NodeID(c)
 		t.Rule = g.Node(ruleID).Pred
-		t.Prob = ruleWeight(g, ruleID)
-		for _, bu := range g.InEdges(ruleID).To {
+		t.Prob = g.Weight(ruleID)
+		for _, bu := range g.InEdges(ruleID) {
 			bn := g.Node(bu)
 			child := &Tree{Pred: bn.Pred, Tuple: bn.Tuple, Prob: 1}
 			t.Children = append(t.Children, child)

@@ -128,7 +128,7 @@ func (r *REPL) load(arg string, out io.Writer) error {
 			return err
 		}
 		for _, rule := range prog.Rules {
-			if err := r.addRule(rule); err != nil {
+			if _, err := r.addRule(rule); err != nil {
 				return err
 			}
 		}
@@ -136,6 +136,9 @@ func (r *REPL) load(arg string, out io.Writer) error {
 	case "facts":
 		facts, err := readFacts(path)
 		if err != nil {
+			return err
+		}
+		if err := r.arityClash(facts...); err != nil {
 			return err
 		}
 		added, err := r.base.InsertAll(facts)
@@ -176,23 +179,47 @@ func (r *REPL) addStatement(line string, out io.Writer) error {
 		return err
 	}
 	for _, rule := range prog.Rules {
-		if rule.IsFact() && rule.Prob >= 1 {
+		if rule.IsFact() && rule.Prob >= 1 && rule.Head.IsGround() {
 			// Plain ground facts go straight into the database.
-			if _, _, _, err := r.base.InsertAtom(rule.Head); err == nil {
-				r.fix = nil
-				fmt.Fprintf(out, "fact %s\n", rule.Head)
-				continue
+			if err := r.arityClash(rule.Head); err != nil {
+				return err
 			}
+			r.base.MustInsertAtom(rule.Head)
+			r.fix = nil
+			fmt.Fprintf(out, "fact %s\n", rule.Head)
+			continue
 		}
-		if err := r.addRule(rule); err != nil {
+		stored, err := r.addRule(rule)
+		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "rule %s\n", rule.String())
+		fmt.Fprintf(out, "rule %s\n", stored.String())
 	}
 	return nil
 }
 
-func (r *REPL) addRule(rule ast.Rule) error {
+// arityClash returns an error when an atom's predicate already has
+// another arity in the program or the base facts, which would fail every
+// later evaluation of the session. A base relation that exists reports
+// the clash itself, and EnsureRelation then creates nothing.
+func (r *REPL) arityClash(atoms ...ast.Atom) error {
+	arities := r.prog.Arities()
+	for _, a := range atoms {
+		if n, ok := arities[a.Predicate]; ok && n != a.Arity() {
+			return fmt.Errorf("predicate %s used with arities %d and %d", a.Predicate, n, a.Arity())
+		}
+		if _, ok := r.base.Lookup(a.Predicate); ok {
+			if _, err := r.base.EnsureRelation(a.Predicate, a.Arity()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// addRule adds rule to the program, relabeled if its label is taken, and
+// returns it as stored.
+func (r *REPL) addRule(rule ast.Rule) (ast.Rule, error) {
 	// Relabel on collision so files and interactive rules can mix.
 	if _, taken := r.prog.RuleByLabel(rule.Label); taken {
 		for {
@@ -203,14 +230,17 @@ func (r *REPL) addRule(rule ast.Rule) error {
 			}
 		}
 	}
+	if err := r.arityClash(append([]ast.Atom{rule.Head}, rule.Body...)...); err != nil {
+		return rule, err
+	}
 	next := r.prog.Clone()
 	next.Add(rule)
 	if err := next.Validate(); err != nil {
-		return err
+		return rule, err
 	}
 	r.prog = next
 	r.fix = nil
-	return nil
+	return rule, nil
 }
 
 // fixpoint evaluates (and caches) the program over the base facts. The
@@ -314,10 +344,9 @@ func (r *REPL) probability(arg string, out io.Writer) error {
 
 // solve parses "k=<n> <target> <target>..." and runs Magic^S CM.
 func (r *REPL) solve(arg string, out io.Writer) error {
-	fields := strings.Fields(arg)
 	k := 3
 	var targets []ast.Atom
-	for _, f := range fields {
+	for _, f := range atomFields(arg) {
 		if strings.HasPrefix(f, "k=") {
 			n, err := strconv.Atoi(strings.TrimPrefix(f, "k="))
 			if err != nil {
@@ -350,4 +379,29 @@ func (r *REPL) solve(arg string, out io.Writer) error {
 		fmt.Fprintf(out, "  %d. %s\n", i+1, s)
 	}
 	return nil
+}
+
+// atomFields splits s at the spaces outside parentheses and string
+// literals, so that "k=1 tc(a, c)" is two fields.
+func atomFields(s string) []string {
+	var fields []string
+	start, depth, quoted := 0, 0, false
+	for i := 0; i <= len(s); i++ {
+		switch {
+		case i == len(s) || !quoted && depth == 0 && (s[i] == ' ' || s[i] == '\t'):
+			if i > start {
+				fields = append(fields, s[start:i])
+			}
+			start = i + 1
+		case quoted && s[i] == '\\':
+			i++
+		case s[i] == '"':
+			quoted = !quoted
+		case !quoted && s[i] == '(':
+			depth++
+		case !quoted && s[i] == ')':
+			depth--
+		}
+	}
+	return fields
 }

@@ -53,15 +53,23 @@ func TestReplExplainAndProb(t *testing.T) {
 }
 
 func TestReplSolve(t *testing.T) {
-	out := drive(t,
-		"edge(a, b).", "edge(b, c).", "edge(x, y).",
-		"1.0 r1: tc(X, Y) :- edge(X, Y).",
-		"0.8 r2: tc(X, Y) :- tc(X, Z), tc(Z, Y).",
-		":solve k=1 tc(a,c)",
-		":quit",
-	)
+	session := func(solve string) string {
+		return drive(t,
+			"edge(a, b).", "edge(b, c).", "edge(x, y).",
+			"1.0 r1: tc(X, Y) :- edge(X, Y).",
+			"0.8 r2: tc(X, Y) :- tc(X, Z), tc(Z, Y).",
+			solve,
+			":quit",
+		)
+	}
+	out := session(":solve k=1 tc(a,c)")
 	if !strings.Contains(out, "1. edge(") {
 		t.Errorf("solve missing seeds:\n%s", out)
+	}
+	// A target written the way answers print it, with a space after the
+	// comma, is one target.
+	if spaced := session(":solve k=1 tc(a, c)"); spaced != out {
+		t.Errorf("tc(a, c) answered differently from tc(a,c):\n%s\nwant:\n%s", spaced, out)
 	}
 }
 
@@ -104,6 +112,37 @@ func TestReplErrorsKeepSessionAlive(t *testing.T) {
 	if !strings.Contains(out, "0 results") {
 		t.Errorf("query after errors should still run:\n%s", out)
 	}
+
+	// A fact or a rule whose arity clashes with the base facts, or a fact
+	// file that clashes with the program, is refused and leaves the
+	// session able to evaluate.
+	sclash := filepath.Join(t.TempDir(), "s.facts")
+	if err := os.WriteFile(sclash, []byte("s(a, b).\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = drive(t,
+		"p(a).",
+		"p(a, b).",
+		"q(a, b).",
+		"0.5 q(a).",
+		"1.0 r1: s(X) :- p(X).",
+		":load facts "+sclash,
+		"?- p(X).",
+		":quit",
+	)
+	for _, want := range []string{
+		"error: db: relation p used with arities 1 and 2",
+		"error: db: relation q used with arities 2 and 1",
+		"error: predicate s used with arities 1 and 2",
+		"> p(a)\n1 results\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("transcript missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "rule 1 r1: p(a, b).") || strings.Contains(out, "rule 0.5 r1: q(a).") {
+		t.Errorf("a clashing statement was stored:\n%s", out)
+	}
 }
 
 // TestReplQueriesLeaveBaseFacts: a query evaluates on a copy of the base
@@ -141,14 +180,19 @@ func TestReplQueriesLeaveBaseFacts(t *testing.T) {
 	}
 }
 
+// TestReplProgramListing also checks that a rule relabeled on a label
+// collision is echoed under the label it was stored under.
 func TestReplProgramListing(t *testing.T) {
 	out := drive(t,
 		"0.7 z: p(X) :- q(X).",
+		"0.6 z: s(X) :- q(X).",
 		":program",
 		":quit",
 	)
-	if !strings.Contains(out, "0.7 z: p(X) :- q(X).") {
-		t.Errorf(":program missing rule:\n%s", out)
+	for _, want := range []string{"0.7 z: p(X) :- q(X).", "> rule 0.6 i1: s(X) :- q(X).\n", "\n0.6 i1: s(X) :- q(X)."} {
+		if !strings.Contains(out, want) {
+			t.Errorf("transcript missing %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -29,8 +29,8 @@ type Projection struct {
 	// instantiations of different adorned versions of one origin rule merge
 	// into a single node.
 	RuleLabel func(ruleIndex int) string
-	// RuleWeight returns the probability w(r) put on the instantiation's
-	// out-edge.
+	// RuleWeight returns the probability w(r) recorded on instantiation
+	// nodes of rule i: the weight of each one's out-edge.
 	RuleWeight func(ruleIndex int) float64
 	// MapPred maps a predicate to the name recorded on fact nodes and
 	// reports whether facts of that predicate are edb. ok=false drops the
@@ -74,24 +74,10 @@ func IdentityProjection(prog *ast.Program) *Projection {
 	}
 }
 
-// The graph is bipartite: every edge joins a fact node and an
-// instantiation node. So the builder logs edges in two streams, and each
-// node's edges in either direction come from one stream alone, in the
-// order they were added:
-//   - a bodyEdge runs from a body fact to an instantiation, with weight 1:
-//     these are the out-edges of facts and the in-edges of instantiations;
-//   - a headEdge runs from an instantiation to its head, weighted by the
-//     rule's probability: the one out-edge of an instantiation, and the
-//     in-edges of facts.
-//
-// A body edge stores no weight, so it takes half the memory of a weighted
-// edge.
-type bodyEdge struct{ fact, rule NodeID }
-
-type headEdge struct {
-	rule, head NodeID
-	w          float64
-}
+// An edge is logged as the node it enters and the node it leaves, in the
+// order the builder adds it; finalize sorts the log by the entered node.
+// Its weight is its source's, so the log carries none.
+type edge struct{ to, from NodeID }
 
 // Log chunks double from firstChunk to maxChunk entries. The first is
 // small because most builds are small (a Magic RR subgraph has tens of
@@ -128,10 +114,9 @@ func (l *chunkLog[T]) chunks() ([][]T, int) {
 
 // Builder incrementally constructs a Graph from engine derivations. It is
 // the paper's Algorithm 1, generalized with a Projection. Edges accumulate
-// in insertion-ordered logs; Graph() runs a counting sort that lays both
-// adjacency directions out in CSR form, preserving per-node insertion
-// order (the order the old per-node slices grew in), so walk results are
-// unchanged by the layout.
+// in an insertion-ordered log; Graph() runs a counting sort that lays the
+// in-adjacency out in CSR form, preserving each node's insertion order, so
+// walk results are unchanged by the layout.
 //
 // Each fired instantiation costs a few array and integer-keyed lookups:
 // what the projection says about a rule (inclusion, label, weight, kept
@@ -145,8 +130,7 @@ func (l *chunkLog[T]) chunks() ([][]T, int) {
 type Builder struct {
 	proj      *Projection
 	g         *Graph
-	bodies    chunkLog[bodyEdge]
-	heads     chunkLog[headEdge]
+	edges     chunkLog[edge]
 	rels      map[*db.Relation]*relMemo
 	ruleMemos []ruleMemo        // per rule index, resolved on its first instantiation
 	rules     map[string]NodeID // instantiation dedup key -> node; nil if nothing can merge
@@ -212,7 +196,7 @@ func NewBuilderSized(proj *Projection, factHint, ruleHint int) *Builder {
 // not observe further derivations afterwards, and the graph must not be
 // handed to concurrent readers before this returns.
 func (b *Builder) Graph() *Graph {
-	b.finalize(false)
+	b.finalize()
 	return b.g
 }
 
@@ -238,6 +222,7 @@ func (b *Builder) factNode(name int32, edb bool, t db.Tuple) NodeID {
 		return NodeID(id)
 	}
 	g.nodes = append(grow(g.nodes, 1), nodeRec{kind: FactNode, name: name, edb: edb, off: int32(len(g.syms)), arity: int32(len(t))})
+	g.w = append(grow(g.w, 1), 1)
 	g.syms = append(grow(g.syms, len(t)), t...)
 	return NodeID(id)
 }
@@ -421,15 +406,16 @@ func (b *Builder) observe(d engine.Derivation) {
 	}
 	ruleID := NodeID(len(b.g.nodes))
 	b.g.nodes = append(grow(b.g.nodes, 1), nodeRec{kind: RuleNode, name: rm.label})
+	b.g.w = append(grow(b.g.w, 1), rm.weight)
 	if b.rules != nil {
 		b.rules[string(b.keyBuf)] = ruleID
 	}
 
-	// body -> rule edges, weight 1; then rule -> head, weight w(r).
+	// body -> rule edges, then rule -> head.
 	for _, id := range body {
-		b.bodies.add(bodyEdge{fact: id, rule: ruleID})
+		b.edges.add(edge{to: ruleID, from: id})
 	}
-	b.heads.add(headEdge{rule: ruleID, head: headID, w: rm.weight})
+	b.edges.add(edge{to: headID, from: ruleID})
 }
 
 // grow returns s with room for n more elements, at least doubling the
@@ -448,109 +434,44 @@ func appendNodeID(dst []byte, id NodeID) []byte {
 	return append(dst, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
 }
 
-// finalize lays the accumulated edge logs out as CSR adjacency in both
-// directions, the in-direction on a second goroutine when parallel is set.
-// The counting sort is stable with respect to the logs, so each node's
-// edge order equals its append order under the old per-node-slice layout
-// — a prerequisite for reproducing pre-CSR walk results byte for byte —
-// and both directions come out the same either way. Idempotent.
-func (b *Builder) finalize(parallel bool) {
+// finalize lays the edge log out as the CSR in-adjacency. Idempotent.
+func (b *Builder) finalize() {
 	if b.finalized {
 		return
 	}
 	b.finalized = true
-	g := b.g
-	bodies, nb := b.bodies.chunks()
-	heads, nh := b.heads.chunks()
-	n, m := len(g.nodes), nb+nh
-	done := make(chan struct{})
-	layIn := func() {
-		defer close(done)
-		g.inOff, g.inTo, g.inW, g.inDet = layout(n, m, bodies, heads, true)
-	}
-	if parallel {
-		go layIn()
-	} else {
-		layIn()
-	}
-	g.outOff, g.outTo, g.outW, g.outDet = layout(n, m, bodies, heads, false)
-	<-done
-	b.bodies, b.heads = chunkLog[bodyEdge]{}, chunkLog[headEdge]{}
+	chunks, m := b.edges.chunks()
+	b.g.inOff, b.g.inTo = csr(len(b.g.nodes), m, chunks)
+	b.edges = chunkLog[edge]{}
 }
 
-// layout lays the m logged edges out over n nodes as one direction of CSR
-// adjacency, keyed by each edge's head end when in is set and by its tail
-// otherwise: per-node offsets, the far endpoints and weights in log
-// order, and the det prefixes.
-func layout(n, m int, bodies [][]bodyEdge, heads [][]headEdge, in bool) (off []int32, to []NodeID, w []float64, det []int32) {
-	bodyEnds := func(e *bodyEdge) (key, far NodeID) {
-		if in {
-			return e.rule, e.fact
-		}
-		return e.fact, e.rule
-	}
-	headEnds := func(e *headEdge) (key, far NodeID) {
-		if in {
-			return e.head, e.rule
-		}
-		return e.rule, e.head
-	}
-	// Count each node's edges into off[key+1] and sum the counts up, so
+// csr counting-sorts m edges over n nodes into CSR form: per node, the
+// offsets of its in-edges and their sources. The sort is stable: each
+// node's in-edges keep their order in chunks, which for the builder's log
+// is the order it added them in, the order the walkers draw in.
+func csr(n, m int, chunks [][]edge) (off []int32, from []NodeID) {
+	// Count each node's in-edges into off[v+1] and sum the counts up, so
 	// that off[v] is v's first slot; filling then uses off[v] as v's
 	// cursor, which leaves it at v's end, and a shift restores the starts.
 	off = make([]int32, n+1)
-	for _, c := range bodies {
-		for i := range c {
-			key, _ := bodyEnds(&c[i])
-			off[key+1]++
-		}
-	}
-	for _, c := range heads {
-		for i := range c {
-			key, _ := headEnds(&c[i])
-			off[key+1]++
+	for _, c := range chunks {
+		for _, e := range c {
+			off[e.to+1]++
 		}
 	}
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
 	}
-	to = make([]NodeID, m)
-	w = make([]float64, m)
-	for _, c := range bodies {
-		for i := range c {
-			key, far := bodyEnds(&c[i])
-			j := off[key]
-			to[j], w[j] = far, 1
-			off[key] = j + 1
-		}
-	}
-	for _, c := range heads {
-		for i := range c {
-			key, far := headEnds(&c[i])
-			j := off[key]
-			to[j], w[j] = far, c[i].w
-			off[key] = j + 1
+	from = make([]NodeID, m)
+	for _, c := range chunks {
+		for _, e := range c {
+			from[off[e.to]] = e.from
+			off[e.to]++
 		}
 	}
 	copy(off[1:], off[:n])
 	off[0] = 0
-	return off, to, w, detPrefixes(off, w)
-}
-
-// detPrefixes computes, per node, the absolute end index of the leading run
-// of weight-1 edges (the walker's no-RNG fast path).
-func detPrefixes(off []int32, w []float64) []int32 {
-	n := len(off) - 1
-	det := make([]int32, n)
-	for v := 0; v < n; v++ {
-		end := off[v+1]
-		i := off[v]
-		for i < end && w[i] == 1 {
-			i++
-		}
-		det[v] = i
-	}
-	return det
+	return off, from
 }
 
 // BuildConfig parameterizes Build beyond the program and database. The
@@ -563,9 +484,8 @@ type BuildConfig struct {
 	// Parallelism is forwarded to engine.Options.Parallelism: >= 2 runs
 	// the fixpoint on a helper goroutine while the builder consumes its
 	// derivations on the calling one, so graph construction overlaps the
-	// joins and inserts, and then lays the two CSR directions out on two
-	// goroutines. The stream reaching the builder is byte-identical to
-	// sequential evaluation, so the constructed graph (node and edge ids
+	// joins and inserts. The stream reaching the builder is byte-identical
+	// to sequential evaluation, so the constructed graph (node and edge ids
 	// included) is the same at every level.
 	Parallelism int
 	// Planner, when non-nil, is the plan cache rule compilation shares
@@ -600,8 +520,7 @@ func Build(prog *ast.Program, database *db.Database, cfg BuildConfig) (*Graph, e
 	if err != nil {
 		return nil, stats, err
 	}
-	b.finalize(cfg.Parallelism >= 2)
-	g := b.g
+	g := b.Graph()
 	cfg.Instr.GraphBuilt(g.NumNodes(), g.NumEdges(), start)
 	return g, stats, nil
 }
@@ -632,12 +551,11 @@ func (g *Graph) DebugString(symbols *db.SymbolTable) string {
 			}
 		}
 		sb.WriteString(" ->")
-		es := g.OutEdges(NodeID(i))
-		for j, to := range es.To {
+		for _, to := range g.OutEdges(NodeID(i)) {
 			sb.WriteByte(' ')
 			sb.WriteString(strconv.Itoa(int(to)))
 			sb.WriteString("@")
-			sb.WriteString(strconv.FormatFloat(es.W[j], 'g', -1, 64))
+			sb.WriteString(strconv.FormatFloat(g.w[i], 'g', -1, 64))
 		}
 		sb.WriteByte('\n')
 	}

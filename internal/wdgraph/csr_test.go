@@ -1,8 +1,7 @@
 package wdgraph
 
 // Differential and invariant tests for the CSR adjacency layout, plus the
-// builder micro-benchmarks. These run in the internal package so they can
-// check the det-prefix invariants the walker's fast path relies on.
+// builder micro-benchmarks.
 
 import (
 	"math/rand/v2"
@@ -64,9 +63,8 @@ func dbFromFacts(t *testing.T, facts string) *db.Database {
 
 // TestCSRDifferentialAdjacency rebuilds the pre-CSR adjacency view (one
 // edge list per direction) from InEdges/OutEdges and checks that the two
-// directions describe the same edge multiset, that degrees and NumEdges
-// agree with the views, and that the det prefixes bound exactly the leading
-// weight-1 runs.
+// directions describe the same edge multiset and that degrees and NumEdges
+// agree with the views.
 func TestCSRDifferentialAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	graphs := map[string]*Graph{
@@ -88,21 +86,21 @@ func TestCSRDifferentialAdjacency(t *testing.T) {
 			for v := 0; v < n; v++ {
 				id := NodeID(v)
 				outs := g.OutEdges(id)
-				if outs.Len() != g.OutDegree(id) {
-					t.Fatalf("node %d: OutEdges len %d != OutDegree %d", v, outs.Len(), g.OutDegree(id))
+				if len(outs) != g.OutDegree(id) {
+					t.Fatalf("node %d: OutEdges len %d != OutDegree %d", v, len(outs), g.OutDegree(id))
 				}
-				for j, to := range outs.To {
-					fromOut = append(fromOut, flatEdge{from: id, to: to, w: outs.W[j]})
+				for _, to := range outs {
+					fromOut = append(fromOut, flatEdge{from: id, to: to, w: g.Weight(id)})
 				}
-				outSum += outs.Len()
+				outSum += len(outs)
 				ins := g.InEdges(id)
-				if ins.Len() != g.InDegree(id) {
-					t.Fatalf("node %d: InEdges len %d != InDegree %d", v, ins.Len(), g.InDegree(id))
+				if len(ins) != g.InDegree(id) {
+					t.Fatalf("node %d: InEdges len %d != InDegree %d", v, len(ins), g.InDegree(id))
 				}
-				for j, from := range ins.To {
-					fromIn = append(fromIn, flatEdge{from: from, to: id, w: ins.W[j]})
+				for _, from := range ins {
+					fromIn = append(fromIn, flatEdge{from: from, to: id, w: g.Weight(from)})
 				}
-				inSum += ins.Len()
+				inSum += len(ins)
 			}
 			if outSum != g.NumEdges() || inSum != g.NumEdges() {
 				t.Fatalf("degree sums out=%d in=%d, NumEdges=%d", outSum, inSum, g.NumEdges())
@@ -114,23 +112,6 @@ func TestCSRDifferentialAdjacency(t *testing.T) {
 					t.Fatalf("edge %d differs between directions: out=%+v in=%+v", i, fromOut[i], fromIn[i])
 				}
 			}
-
-			// det-prefix invariant: [off[v], det[v]) is all weight 1, and
-			// the edge at det[v] (when present) is not.
-			checkDet := func(label string, off, det []int32, w []float64) {
-				for v := 0; v < n; v++ {
-					for i := off[v]; i < det[v]; i++ {
-						if w[i] != 1 {
-							t.Fatalf("%s node %d: edge %d inside det prefix has weight %g", label, v, i, w[i])
-						}
-					}
-					if det[v] < off[v+1] && w[det[v]] == 1 {
-						t.Fatalf("%s node %d: det prefix stops early at %d", label, v, det[v])
-					}
-				}
-			}
-			checkDet("in", g.inOff, g.inDet, g.inW)
-			checkDet("out", g.outOff, g.outDet, g.outW)
 		})
 	}
 }

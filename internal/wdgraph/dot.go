@@ -30,9 +30,8 @@ func WriteDOT(w io.Writer, g *Graph, symbols *db.SymbolTable) error {
 		}
 	}
 	for i := 0; i < g.NumNodes(); i++ {
-		es := g.OutEdges(NodeID(i))
-		for j, to := range es.To {
-			if wt := es.W[j]; wt != 1 {
+		for _, to := range g.OutEdges(NodeID(i)) {
+			if wt := g.w[i]; wt != 1 {
 				if _, err := fmt.Fprintf(w, "  n%d -> n%d [label=\"%g\"];\n", i, to, wt); err != nil {
 					return err
 				}

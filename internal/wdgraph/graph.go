@@ -9,15 +9,22 @@
 // its weight (used for RR-set generation in the RIS framework) and forward
 // sampling (used by the Monte-Carlo contribution estimator).
 //
-// Graphs are stored in compressed-sparse-row (CSR) form: one flat endpoint
-// array and one flat weight array per direction, indexed by per-node offset
-// arrays. Adjacent edges of a node are adjacent in memory, so the sampled
-// reachability walks — the hot loop of every RIS-based CM algorithm —
-// stream through contiguous arrays instead of chasing one heap-allocated
-// edge slice per node. See docs/PERFORMANCE.md for the layout contract.
+// Graphs are stored in compressed-sparse-row (CSR) form: one flat array of
+// in-edge sources indexed by a per-node offset array, and one weight per
+// node. Every edge carries its source's weight (w(r) out of an
+// instantiation of r, 1 out of a fact), so the in-edges of a node are all
+// a reverse walk reads: adjacent edges are adjacent in memory, and the
+// sampled reachability walks — the hot loop of every RIS-based CM
+// algorithm — stream through contiguous arrays. The out-adjacency, which
+// only forward walks and renderings read, is the transpose, built on first
+// use. See docs/PERFORMANCE.md for the layout contract.
 package wdgraph
 
-import "contribmax/internal/db"
+import (
+	"sync"
+
+	"contribmax/internal/db"
+)
 
 // NodeID indexes a node of a Graph.
 type NodeID int32
@@ -57,45 +64,31 @@ type nodeRec struct {
 	edb   bool
 }
 
-// Edges is a view of one node's incident edges in one direction: To[i] is
-// the i-th neighbor and W[i] the i-th edge weight. Both slices alias the
-// graph's CSR arrays; callers must not modify them.
-type Edges struct {
-	To []NodeID
-	W  []float64
-}
-
-// Len returns the number of edges in the view.
-func (e Edges) Len() int { return len(e.To) }
-
 // Graph is a WD graph in CSR layout. Build one with a Builder (the builder's
 // Graph method finalizes the CSR arrays). Graphs are immutable after
-// building and safe for concurrent reads.
+// building and safe for concurrent reads; the one state built after that,
+// the out-adjacency, is built once under a sync.Once.
 type Graph struct {
 	nodes []nodeRec
 	syms  []db.Sym // fact tuples, back to back
 	names []string // predicates and rule labels, interned
 
-	// In-adjacency: the in-edges of node v are inTo[inOff[v]:inOff[v+1]]
-	// with weights inW at the same indexes. inDet[v] is the end (absolute
-	// index into inTo/inW) of v's leading run of weight-1 in-edges: the
-	// reverse walker crosses edges in [inOff[v], inDet[v]) without touching
-	// the weight array or the RNG, which covers every in-edge of every rule
-	// node (body→rule edges always have weight 1) and the deterministic
-	// prefix of fact nodes. Only the leading run is segregated — physically
-	// reordering weighted edges would change the walker's RNG consumption
-	// order and break byte-identical replay of pinned seeds.
-	inTo  []NodeID
-	inW   []float64
-	inOff []int32
-	inDet []int32
+	// w[v] is the weight of every out-edge of v: w(r) for an
+	// instantiation of rule r, 1 for a fact.
+	w []float64
 
-	// Out-adjacency, same layout (outDet covers fact→rule edges, which
-	// always have weight 1).
-	outTo  []NodeID
-	outW   []float64
-	outOff []int32
-	outDet []int32
+	// In-adjacency: the in-edges of node v come from inTo[inOff[v]:
+	// inOff[v+1]], in the order the builder added them. The walkers
+	// consume random numbers in this order, so it is part of every pinned
+	// result.
+	inTo  []NodeID
+	inOff []int32
+
+	// Out-adjacency, the same layout, transposed from the in-adjacency by
+	// the first reader that needs it (see out).
+	outOnce sync.Once
+	outTo   []NodeID
+	outOff  []int32
 
 	// nameIDs inverts names. facts indexes the fact nodes, hashed over
 	// their name index and tuple, so a fact's node is found without a key
@@ -108,7 +101,7 @@ type Graph struct {
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the edge count.
-func (g *Graph) NumEdges() int { return len(g.outTo) }
+func (g *Graph) NumEdges() int { return len(g.inTo) }
 
 // Size returns nodes + edges, the quantity the paper reports as the graph's
 // memory footprint.
@@ -146,35 +139,61 @@ func (g *Graph) isFact(name int32, t db.Tuple) func(id int32) bool {
 	}
 }
 
-// InEdges returns the in-edges of v: To[i] is the i-th source node. The
-// views alias internal CSR arrays; callers must not modify them.
-func (g *Graph) InEdges(v NodeID) Edges {
-	lo, hi := g.inOff[v], g.inOff[v+1]
-	return Edges{To: g.inTo[lo:hi], W: g.inW[lo:hi]}
+// Weight returns the weight of every out-edge of v: the rule's probability
+// w(r) for an instantiation of r, and 1 for a fact.
+func (g *Graph) Weight(v NodeID) float64 { return g.w[v] }
+
+// InEdges returns the sources of v's in-edges. The slice aliases the
+// graph's CSR arrays; callers must not modify it.
+func (g *Graph) InEdges(v NodeID) []NodeID { return g.inTo[g.inOff[v]:g.inOff[v+1]] }
+
+// OutEdges returns the targets of u's out-edges, in the order the builder
+// added them. The slice aliases the graph's CSR arrays; callers must not
+// modify it.
+func (g *Graph) OutEdges(u NodeID) []NodeID {
+	off, to := g.out()
+	return to[off[u]:off[u+1]]
 }
 
-// OutEdges returns the out-edges of u: To[i] is the i-th destination node.
-// The views alias internal CSR arrays; callers must not modify them.
-func (g *Graph) OutEdges(u NodeID) Edges {
-	lo, hi := g.outOff[u], g.outOff[u+1]
-	return Edges{To: g.outTo[lo:hi], W: g.outW[lo:hi]}
-}
-
-// InDegree returns the number of in-edges of v without materializing a view.
+// InDegree returns the number of in-edges of v.
 func (g *Graph) InDegree(v NodeID) int { return int(g.inOff[v+1] - g.inOff[v]) }
 
-// OutDegree returns the number of out-edges of u without materializing a
-// view.
-func (g *Graph) OutDegree(u NodeID) int { return int(g.outOff[u+1] - g.outOff[u]) }
+// OutDegree returns the number of out-edges of u.
+func (g *Graph) OutDegree(u NodeID) int {
+	off, _ := g.out()
+	return int(off[u+1] - off[u])
+}
 
-// MemoryBytes estimates the resident size of the CSR arrays (nodes
-// excluded): endpoint, weight, offset, and deterministic-prefix arrays for
-// both directions.
+// out returns the out-adjacency's offsets and targets, transposing the
+// in-adjacency on first use. Only forward walks (the Monte-Carlo
+// estimator), the provenance passes and the renderings read out-edges; RR
+// walks and solves read in-edges alone, so most graphs never build it.
+func (g *Graph) out() ([]int32, []NodeID) {
+	g.outOnce.Do(g.transpose)
+	return g.outOff, g.outTo
+}
+
+// transpose lays the out-adjacency out as the in-adjacency of the reversed
+// edges, read in target order. Each node's out-edges then come in target
+// order, which is the order the builder added them in: a fact's out-edges
+// lead to instantiations, numbered as they were made, and an instantiation
+// has one out-edge.
+func (g *Graph) transpose() {
+	reversed := make([]edge, 0, len(g.inTo))
+	for v := range g.nodes {
+		for _, u := range g.InEdges(NodeID(v)) {
+			reversed = append(reversed, edge{to: u, from: NodeID(v)})
+		}
+	}
+	g.outOff, g.outTo = csr(len(g.nodes), len(reversed), [][]edge{reversed})
+}
+
+// MemoryBytes estimates the resident size of the in-adjacency and the
+// weights (the node table excluded). It leaves out the out-adjacency,
+// which no solve builds, so a cached graph never holds it.
 func (g *Graph) MemoryBytes() int64 {
 	const nodeIDSize, weightSize, offSize = 4, 8, 4
-	edges := int64(len(g.inTo) + len(g.outTo))
-	offs := int64(len(g.inOff) + len(g.outOff) + len(g.inDet) + len(g.outDet))
-	return edges*(nodeIDSize+weightSize) + offs*offSize
+	return int64(len(g.inTo))*nodeIDSize + int64(len(g.inOff))*offSize + int64(len(g.w))*weightSize
 }
 
 // FactNodes calls fn for every fact node.

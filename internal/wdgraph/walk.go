@@ -71,10 +71,10 @@ func (w *Walker) begin() {
 // already sampled during construction (Magic^S CM).
 //
 // Edge iteration is in CSR order, which finalize() guarantees equals the
-// pre-CSR per-node insertion order, and the RNG is consulted for exactly
-// the weight<1 edges in that order — so a pinned seed reproduces the same
-// RR set the old layout produced. Each node's leading run of weight-1
-// in-edges (inDet) is crossed without loading the weight at all.
+// order the builder added the edges in, and the RNG is consulted for
+// exactly the unvisited weight<1 edges in that order, so a pinned seed
+// reproduces the same RR set. An edge's weight is its source's (Weight):
+// the in-edges of an instantiation come from facts and never draw.
 //
 // rng may be nil only when deterministic is true.
 func (w *Walker) ReverseReachable(root NodeID, rng *rand.Rand, deterministic bool, visit func(NodeID)) {
@@ -87,25 +87,11 @@ func (w *Walker) ReverseReachable(root NodeID, rng *rand.Rand, deterministic boo
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		lo, hi := g.inOff[v], g.inOff[v+1]
-		det := hi
-		if !deterministic {
-			det = g.inDet[v]
-		}
-		for _, u := range g.inTo[lo:det] {
+		for _, u := range g.inTo[g.inOff[v]:g.inOff[v+1]] {
 			if visited[u] == epoch {
 				continue
 			}
-			visited[u] = epoch
-			queue = append(queue, u)
-			visit(u)
-		}
-		for i := det; i < hi; i++ {
-			u := g.inTo[i]
-			if visited[u] == epoch {
-				continue
-			}
-			if wt := g.inW[i]; wt < 1 && rng.Float64() >= wt {
+			if wt := g.w[u]; !deterministic && wt < 1 && rng.Float64() >= wt {
 				continue
 			}
 			visited[u] = epoch
@@ -121,9 +107,11 @@ func (w *Walker) ReverseReachable(root NodeID, rng *rand.Rand, deterministic boo
 // every node reached (including the seeds). It is the forward analogue used
 // by the Monte-Carlo contribution estimator: one call simulates one random
 // program execution restricted to derivations reachable from the seeds.
+// The first forward walk on a graph builds its out-adjacency.
 func (w *Walker) ForwardReach(seeds []NodeID, rng *rand.Rand, visit func(NodeID)) {
 	w.begin()
 	g := w.g
+	off, to := g.out()
 	visited, epoch := w.visited, w.epoch
 	queue := w.queue
 	for _, s := range seeds {
@@ -136,22 +124,12 @@ func (w *Walker) ForwardReach(seeds []NodeID, rng *rand.Rand, visit func(NodeID)
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		lo, hi := g.outOff[v], g.outOff[v+1]
-		det := g.outDet[v]
-		for _, u := range g.outTo[lo:det] {
+		wt := g.w[v]
+		for _, u := range to[off[v]:off[v+1]] {
 			if visited[u] == epoch {
 				continue
 			}
-			visited[u] = epoch
-			queue = append(queue, u)
-			visit(u)
-		}
-		for i := det; i < hi; i++ {
-			u := g.outTo[i]
-			if visited[u] == epoch {
-				continue
-			}
-			if wt := g.outW[i]; wt < 1 && rng.Float64() >= wt {
+			if wt < 1 && rng.Float64() >= wt {
 				continue
 			}
 			visited[u] = epoch

@@ -73,21 +73,21 @@ func TestWDGraphStructureDefinition31(t *testing.T) {
 		if n.Kind != wdgraph.RuleNode {
 			continue
 		}
-		for _, w := range g.InEdges(wdgraph.NodeID(i)).W {
-			if w != 1 {
+		for _, u := range g.InEdges(wdgraph.NodeID(i)) {
+			if w := g.Weight(u); w != 1 {
 				t.Errorf("rule in-edge weight = %g, want 1", w)
 			}
 		}
 		outs := g.OutEdges(wdgraph.NodeID(i))
-		if outs.Len() != 1 {
-			t.Fatalf("rule node %d has %d out-edges", i, outs.Len())
+		if len(outs) != 1 {
+			t.Fatalf("rule node %d has %d out-edges", i, len(outs))
 		}
 		want := 1.0
 		if n.Pred == "r2" {
 			want = 0.8
 		}
-		if outs.W[0] != want {
-			t.Errorf("rule %s out-edge weight = %g, want %g", n.Pred, outs.W[0], want)
+		if w := g.Weight(wdgraph.NodeID(i)); w != want {
+			t.Errorf("rule %s out-edge weight = %g, want %g", n.Pred, w, want)
 		}
 	}
 
@@ -355,7 +355,7 @@ func TestWideInstantiation(t *testing.T) {
 	if !ok {
 		t.Fatal("h(a) missing")
 	}
-	if in := g.InEdges(head); in.Len() != 1 || in.To[0] != r || in.W[0] != 0.5 {
+	if in := g.InEdges(head); len(in) != 1 || in[0] != r || g.Weight(r) != 0.5 {
 		t.Errorf("h(a) in-edges = %+v, want one edge from rule node %d weighted 0.5", in, r)
 	}
 	if g.NumNodes() != width+2 || g.NumEdges() != width+1 {
