@@ -1,6 +1,7 @@
 package contribmax_test
 
 import (
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -153,6 +154,25 @@ func TestFacadeExplain(t *testing.T) {
 	nonGround, _ := contribmax.ParseAtom("tc(X, c)")
 	if _, _, err := contribmax.Explain(prog, db, nonGround); err == nil {
 		t.Error("non-ground target should error")
+	}
+}
+
+// TestFacadeExplainPredicateNamedM: a predicate named m keeps its adorned
+// relation m@bb under the Magic transform, whose magic relations are
+// named m@m@bb, so Explain finds its facts.
+func TestFacadeExplainPredicateNamedM(t *testing.T) {
+	prog, _ := contribmax.ParseProgram(`
+		0.9 r1: m(X, Y) :- e(X, Y).
+		0.8 r2: m(X, Z) :- m(X, Y), e(Y, Z).
+	`)
+	db, _ := contribmax.LoadDatabase(`e(a, b). e(b, c). e(c, d).`)
+	target, _ := contribmax.ParseAtom("m(a, d)")
+	tree, ok, err := contribmax.Explain(prog, db, target)
+	if err != nil || !ok {
+		t.Fatalf("Explain: ok=%v err=%v", ok, err)
+	}
+	if tree.Rule != "r2" || math.Abs(tree.Prob-0.9*0.8*0.8) > 1e-12 {
+		t.Errorf("tree = (%s, %g), want (r2, 0.576)", tree.Rule, tree.Prob)
 	}
 }
 

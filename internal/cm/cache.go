@@ -194,11 +194,11 @@ func (s *solve) groupedGraph(queryAtoms []ast.Atom) (*wdgraph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := engine.Compile(tr.Program, in.DB.Symbols(), s.res.pl)
+		eng, err := engine.NewPlanned(tr.Program, in.DB.Scratch(in.Program.EDBs()), s.res.pl)
 		if err != nil {
 			return nil, err
 		}
-		g, _, err := buildMagicGraph(tr, c, in.DB.Scratch(in.Program.EDBs()), 0, false, s.opts.ctx(), s.h, s.opts.Parallelism)
+		g, _, err := buildMagicGraph(tr, eng, 0, false, s.opts.ctx(), s.h, s.opts.Parallelism)
 		return g, err
 	})
 }

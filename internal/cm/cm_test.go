@@ -1,9 +1,11 @@
 package cm_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"testing"
 
 	"contribmax/internal/ast"
@@ -102,6 +104,41 @@ func TestAllAlgorithmsAgreeOnClearCutInstance(t *testing.T) {
 				t.Errorf("estimated contribution = %g", res.EstContribution)
 			}
 		})
+	}
+}
+
+// TestPredicatesNamedLikeGeneratedNames: user predicates named m and q,
+// the first parts of the Magic transform's magic (m@p@β) and query
+// (q@p@β) relation names, keep their adorned relations (m@β, q@β), so
+// every solver answers as NaiveCM does, at the default θ and at θ = 200.
+// Every rule has probability 1, so each RR set holds all three edges and
+// every estimate is exact.
+func TestPredicatesNamedLikeGeneratedNames(t *testing.T) {
+	for _, pred := range []string{"m", "q"} {
+		prog, err := parser.ParseProgram(strings.ReplaceAll(`
+			1 r1: P(X, Y) :- e(X, Y).
+			1 r2: P(X, Z) :- P(X, Y), e(Y, Z).
+		`, "P", pred))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := cm.Input{
+			Program: prog,
+			DB:      mustFactsDB(t, `e(a, b). e(b, c). e(c, d).`),
+			T2:      atoms(t, pred+"(a, d)"),
+			K:       1,
+		}
+		for _, theta := range []int{0, 200} { // 0: the default θ
+			for _, al := range algos {
+				res, err := al.run(in, cm.Options{Theta: im.ThetaSpec{Explicit: theta}, Rand: rand.New(rand.NewPCG(1, 2))})
+				if err != nil {
+					t.Fatalf("%s, predicate %s, θ=%d: %v", al.name, pred, theta, err)
+				}
+				if got := fmt.Sprint(res.Seeds, res.EstContribution); got != "[e(a, b)] 1" {
+					t.Errorf("%s, predicate %s, θ=%d: seeds and estimate %s, want [e(a, b)] 1", al.name, pred, theta, got)
+				}
+			}
+		}
 	}
 }
 

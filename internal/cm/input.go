@@ -99,13 +99,15 @@ type Options struct {
 	// Magic^G CM, and possible-world samples for DNFCM. Magic^S CM hands
 	// each worker one target predicate's slots at a time, so a batch whose
 	// targets share one predicate keeps one worker busy until its
-	// remaining gated slots are spread over all of them. When >= 2 it also pipelines *full-graph* builds (NaiveCM's,
-	// DNFCM's and ExactCM's WD graph, Magic^G CM's union graph): the
-	// fixpoint runs on a helper goroutine while the graph builder consumes
-	// its derivations on the solve's (engine.Options.Parallelism; a build
-	// uses two goroutines at every level >= 2, and per-tuple subgraph
-	// builds stay sequential inside the already-parallel RR workers); the
-	// graph is byte-identical at every level.
+	// remaining gated slots are spread over all of them.
+	//
+	// When >= 2 it also pipelines *full-graph* builds (NaiveCM's, DNFCM's
+	// and ExactCM's WD graph, Magic^G CM's union graph): the fixpoint runs
+	// on a helper goroutine while the graph builder consumes its
+	// derivations on the solve's (engine.Options.Parallelism; a build uses
+	// two goroutines at every level >= 2, and per-tuple subgraph builds
+	// stay sequential inside the already-parallel RR workers); the graph
+	// is byte-identical at every level.
 	Parallelism int
 	// Obs, when non-nil, receives the pipeline metrics of the solve (cm.*,
 	// rr.*, wdgraph.*, engine.*, imm.* — see internal/obs and

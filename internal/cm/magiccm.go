@@ -96,27 +96,31 @@ func magicVariant(s *solve, sampled bool) error {
 }
 
 // magicShape is one target predicate's Magic program under the solve's
-// SIPS, transformed and compiled once per solve. A ground, all-bound
-// query enters its program only through the seed fact, so every engine
-// run for targets of the predicate binds this one compilation over a
-// fresh scratch database: a gated run with its target's own seed, and a
-// Magic^S grounding with the seeds of all the targets it covers
-// (engine.Compiled.Bind takes a repeated seed fact).
+// SIPS, transformed and compiled once per solve. The shape reads its
+// queries from the predicate's query relation, so every engine run for
+// targets of the predicate binds this one compilation over a fresh
+// scratch database holding its queries: a gated run its target's, and a
+// Magic^S grounding those of all the targets it covers.
 type magicShape struct {
 	tr       *magic.Transformed // the program of the predicate's first target
-	compiled *engine.Compiled
+	compiled *engine.Compiled   // tr.Shape()
+}
+
+// bind loads the queries pred(tuples[i]) into scratch, a scratch copy of
+// the input database, and binds the shape over it.
+func (sh *magicShape) bind(scratch *db.Database, pred string, tuples ...db.Tuple) (*engine.Engine, error) {
+	if err := sh.tr.LoadQueries(scratch, pred, tuples...); err != nil {
+		return nil, err
+	}
+	return sh.compiled.Bind(scratch)
 }
 
 // magicShapes is a solve's shapes, byPred in order of each predicate's
-// first target, and per target its shape (shape), its own program,
-// rebound from the shape (trs), and its query atom (atoms). byPred and
-// shape are read-only once built; a target's trs and atoms entries are
-// set on its first use (magicRR.bindTarget).
+// first target, and per target the index of its shape. Both are
+// read-only once built.
 type magicShapes struct {
 	byPred []*magicShape
 	shape  []int
-	trs    []*magic.Transformed
-	atoms  []ast.Atom
 }
 
 // newMagicShapes transforms and compiles one shape per distinct target
@@ -124,25 +128,22 @@ type magicShapes struct {
 // requests thus depend on the targets alone, not on the RR slots,
 // Parallelism or scheduling.
 func newMagicShapes(inst *instance, sips magic.SIPS, pl *planner.Planner) (*magicShapes, error) {
-	n := len(inst.targets)
-	out := &magicShapes{shape: make([]int, n), trs: make([]*magic.Transformed, n), atoms: make([]ast.Atom, n)}
+	out := &magicShapes{shape: make([]int, len(inst.targets))}
 	byPred := map[string]int{}
 	for ti, target := range inst.targets {
 		k, ok := byPred[target.Pred]
 		if !ok {
-			out.atoms[ti] = inst.atomOf(target)
-			tr, err := magic.TransformWith(inst.prog, []ast.Atom{out.atoms[ti]}, sips)
+			tr, err := magic.TransformWith(inst.prog, []ast.Atom{inst.atomOf(target)}, sips)
 			if err != nil {
 				return nil, err
 			}
-			c, err := engine.Compile(tr.Program, inst.in.DB.Symbols(), pl)
+			c, err := engine.Compile(tr.Shape(), inst.in.DB.Symbols(), pl)
 			if err != nil {
 				return nil, err
 			}
 			k = len(out.byPred)
 			byPred[target.Pred] = k
 			out.byPred = append(out.byPred, &magicShape{tr: tr, compiled: c})
-			out.trs[ti] = tr
 		}
 		out.shape[ti] = k
 	}
@@ -161,7 +162,7 @@ type magicRR struct {
 	// edbs names the input program's edb relations, which every scratch
 	// database attaches.
 	edbs []string
-	// shapes holds the compiled shapes and the targets' programs.
+	// shapes holds the compiled shapes.
 	shapes *magicShapes
 	// route sums Magic^S's routes over every batch of the solve: the one
 	// rr.route event.
@@ -179,22 +180,20 @@ type groupRoute struct {
 // shapeOf returns target ti's shape.
 func (m *magicRR) shapeOf(ti int) *magicShape { return m.shapes.byPred[m.shapes.shape[ti]] }
 
-// bindTarget rebinds target ti's program from its shape, and records its
-// query atom, on the target's first use. Only the worker that owns the
-// target's pass-1 group calls it, and pass 2 and later batches only read
-// the entries, so no two workers write one target's.
-func (m *magicRR) bindTarget(ti int) error {
-	s := m.shapes
-	if s.trs[ti] != nil {
-		return nil
-	}
-	s.atoms[ti] = m.inst.atomOf(m.inst.targets[ti])
-	tr, err := m.shapeOf(ti).tr.Rebind(s.atoms[ti])
+// targetGraph evaluates target ti's Magic program — its shape bound over
+// a scratch database holding ti's query — and returns the projected
+// subgraph and the run's engine stats; sampled gates the run by gateSeed
+// (one Magic^S sampled run). Per-tuple subgraphs build without the engine
+// pipeline: the RR phase already runs one worker per Parallelism slot,
+// and the subgraphs are small — a second goroutine per build would
+// oversubscribe.
+func (m *magicRR) targetGraph(ti int, gateSeed uint64, sampled bool) (*wdgraph.Graph, engine.Stats, error) {
+	sh, target := m.shapeOf(ti), m.inst.targets[ti]
+	eng, err := sh.bind(m.in.DB.Scratch(m.edbs), target.Pred, target.Tuple)
 	if err != nil {
-		return err
+		return nil, engine.Stats{}, err
 	}
-	s.trs[ti] = tr
-	return nil
+	return buildMagicGraph(sh.tr, eng, gateSeed, sampled, m.ctx, m.h, 0)
 }
 
 // gatedRR evaluates target ti's Magic program gated by gateSeed (one
@@ -202,10 +201,7 @@ func (m *magicRR) bindTarget(ti int) error {
 // to arena. It also returns the run's attempted instantiations (fired plus
 // gate-suppressed).
 func (m *magicRR) gatedRR(ti int, gateSeed uint64, st *Stats, sc *rrScratch, arena []im.CandidateID) ([]im.CandidateID, int64, error) {
-	// Per-tuple subgraphs build without the engine pipeline: the RR phase
-	// already runs one worker per Parallelism slot, and the subgraphs are
-	// small — a second goroutine per build would oversubscribe.
-	g, est, err := buildMagicGraph(m.shapes.trs[ti], m.shapeOf(ti).compiled, m.in.DB.Scratch(m.edbs), gateSeed, true, m.ctx, m.h, 0)
+	g, est, err := m.targetGraph(ti, gateSeed, true)
 	if err != nil {
 		return arena, 0, err
 	}
@@ -252,27 +248,23 @@ const (
 )
 
 // groundGroup decides the route of a group of n slots over the distinct
-// targets qs whose first gated run attempted a1 instantiations and, when
-// the route allows, grounds the program of qs: tr rebound to qs, bound
-// from tr's compiled program c over a scratch copy of database with the
-// edb relations edbs attached. The grounding's query q is qs[q]. It
-// returns the grounding only on routeGrounded; the route depends on
-// counts alone, so it is the same at every Parallelism level.
-func groundGroup(tr *magic.Transformed, c *engine.Compiled, database *db.Database, edbs []string, qs []ast.Atom, n int, a1 int64, gopts magic.GroundOptions) (*magic.Grounding, magic.GroundStats, groundRoute, error) {
+// targets pred(qs[i]) whose first gated run attempted a1 instantiations
+// and, when the route allows, grounds sh bound over a scratch copy of
+// database, with the edb relations edbs attached, that holds the queries
+// qs. The grounding's query q is qs[q]. It returns the grounding only on
+// routeGrounded; the route depends on counts alone, so it is the same at
+// every Parallelism level.
+func groundGroup(sh *magicShape, database *db.Database, edbs []string, pred string, qs []db.Tuple, n int, a1 int64, gopts magic.GroundOptions) (*magic.Grounding, magic.GroundStats, groundRoute, error) {
 	if groundCapFactor*(n-len(qs)) <= 1 {
 		return nil, magic.GroundStats{}, routeTooFew, nil
 	}
-	gt, err := tr.Rebind(qs...)
-	if err != nil {
-		return nil, magic.GroundStats{}, 0, err
-	}
-	eng, err := c.Bind(gt.Program, database.Scratch(edbs))
+	eng, err := sh.bind(database.Scratch(edbs), pred, qs...)
 	if err != nil {
 		return nil, magic.GroundStats{}, 0, err
 	}
 	gopts.Cap = int64(groundCapFactor*(n-1)) * a1
 	gopts.SizeHint = a1
-	g, st, err := magic.Ground(gt, eng, gopts)
+	g, st, err := magic.Ground(sh.tr, eng, gopts)
 	if err != nil {
 		return nil, st, 0, err
 	}
@@ -382,10 +374,7 @@ func (m *magicRR) groupedPhase(p *slotPhase) {
 func (m *magicRR) unsampledGroup(p *slotPhase, w *rrWorker, idx []int) error {
 	t0 := w.rec.Start()
 	ti := p.slots[idx[0]].ti
-	if err := m.bindTarget(ti); err != nil {
-		return err
-	}
-	g, _, err := buildMagicGraph(m.shapes.trs[ti], m.shapeOf(ti).compiled, m.in.DB.Scratch(m.edbs), 0, false, m.ctx, m.h, 0)
+	g, _, err := m.targetGraph(ti, 0, false)
 	if err != nil {
 		return err
 	}
@@ -422,12 +411,9 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, idx []int, r *groupRou
 	}
 	slices.Sort(w.drawn)
 	w.drawn = slices.Compact(w.drawn)
-	qs := make([]ast.Atom, len(w.drawn))
+	qs := make([]db.Tuple, len(w.drawn))
 	for q, tq := range w.drawn {
-		if err := m.bindTarget(tq); err != nil {
-			return err
-		}
-		qs[q] = m.shapes.atoms[tq]
+		qs[q] = m.inst.targets[tq].Tuple
 	}
 
 	lo := len(w.arena)
@@ -441,8 +427,7 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, idx []int, r *groupRou
 	p.emit(w, idx[0], lo, t0)
 	rest := idx[1:]
 
-	sh := m.shapeOf(ti)
-	g, gst, route, err := groundGroup(sh.tr, sh.compiled, m.in.DB, m.edbs, qs, len(idx), a1,
+	g, gst, route, err := groundGroup(m.shapeOf(ti), m.in.DB, m.edbs, m.inst.targets[ti].Pred, qs, len(idx), a1,
 		magic.GroundOptions{Context: m.ctx, Instr: m.h})
 	if err != nil {
 		return err
@@ -513,24 +498,20 @@ type seedRoot struct {
 	rootOK     bool
 }
 
-// buildMagicGraph evaluates the transformed program tr, bound from its
-// compiled program c over the scratch database scratch (which shares the
-// original edb relations), and returns the projected WD subgraph and the
-// run's engine stats. With sampled=true a HashGate seeded with gateSeed
-// vetoes instantiations, so the returned graph is one random execution.
+// buildMagicGraph runs eng, an engine of the transformed program tr (its
+// Program or its Shape) over a scratch database that shares the original
+// edb relations, and returns the projected WD subgraph and the run's
+// engine stats. With sampled=true a HashGate seeded with gateSeed vetoes
+// instantiations, so the returned graph is one random execution.
 // ctx cancels the evaluation between fixpoint rounds. h records the
 // evaluation and the build (instr.GraphBuilt, as wdgraph.Build does for
 // the full graph, which has neither projection nor gate): the grouped
 // variant's one full union-graph build passes the solve's instrument, the
 // per-target builds its Quiet form, which keeps their thousands of
 // graph.build and engine.round events out of the journal.
-func buildMagicGraph(tr *magic.Transformed, c *engine.Compiled, scratch *db.Database, gateSeed uint64, sampled bool,
+func buildMagicGraph(tr *magic.Transformed, eng *engine.Engine, gateSeed uint64, sampled bool,
 	ctx context.Context, h *instr.Instr, par int) (*wdgraph.Graph, engine.Stats, error) {
 	start := time.Now()
-	eng, err := c.Bind(tr.Program, scratch)
-	if err != nil {
-		return nil, engine.Stats{}, err
-	}
 	b := wdgraph.NewBuilder(tr.Projection())
 	var gate engine.FireGate
 	if sampled {

@@ -44,19 +44,24 @@ func DerivationProbability(prog *ast.Program, database *db.Database, target ast.
 		return 0, err
 	}
 	adorned := tr.Queries[0]
+	tuple, err := database.InternAtom(target)
+	if err != nil {
+		return 0, err
+	}
 	seeds := make([]uint64, samples)
 	for s := range seeds {
 		seeds[s] = rng.Uint64()
 	}
-	// One compilation: every gated sample and the grounding bind it.
-	c, err := engine.Compile(tr.Program, database.Symbols(), nil)
-	if err != nil {
+	// One compilation of the shape: every gated sample and the grounding
+	// bind it.
+	sh := &magicShape{tr: tr}
+	if sh.compiled, err = engine.Compile(tr.Shape(), database.Symbols(), nil); err != nil {
 		return 0, err
 	}
 	edbs := prog.EDBs()
 	gated := func(seed uint64) (hit bool, attempted int64, err error) {
 		scratch := database.Scratch(edbs)
-		eng, err := c.Bind(tr.Program, scratch)
+		eng, err := sh.bind(scratch, target.Predicate, tuple)
 		if err != nil {
 			return false, 0, err
 		}
@@ -65,15 +70,9 @@ func DerivationProbability(prog *ast.Program, database *db.Database, target ast.
 			return false, 0, err
 		}
 		attempted = st.Instantiations + st.Suppressed
-		rel, ok := scratch.Lookup(adorned.Predicate)
-		if !ok {
-			return false, attempted, nil
+		if rel, ok := scratch.Lookup(adorned.Predicate); ok {
+			_, hit = rel.Contains(tuple)
 		}
-		tuple, err := scratch.InternAtom(adorned)
-		if err != nil {
-			return false, 0, err
-		}
-		_, hit = rel.Contains(tuple)
 		return hit, attempted, nil
 	}
 	hits := 0
@@ -84,15 +83,11 @@ func DerivationProbability(prog *ast.Program, database *db.Database, target ast.
 	if hit {
 		hits++
 	}
-	g, _, _, err := groundGroup(tr, c, database, edbs, []ast.Atom{target}, samples, a1, magic.GroundOptions{})
+	g, _, _, err := groundGroup(sh, database, edbs, target.Predicate, []db.Tuple{tuple}, samples, a1, magic.GroundOptions{})
 	if err != nil {
 		return 0, err
 	}
 	if g != nil {
-		tuple, err := database.InternAtom(adorned)
-		if err != nil {
-			return 0, err
-		}
 		f, derivable := g.Fact(adorned.Predicate, tuple)
 		var p magic.Propagator
 		for _, seed := range seeds[1:] {

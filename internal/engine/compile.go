@@ -114,7 +114,6 @@ type relSchema struct {
 // Compiled is written after Compile returns, so any number of engines may
 // bind it and run at once, on any goroutines.
 type Compiled struct {
-	prog    *ast.Program
 	symbols *db.SymbolTable
 	rules   []*compiledRule
 	// rels numbers the relations in the order the rules first mention
@@ -139,7 +138,7 @@ func Compile(prog *ast.Program, symbols *db.SymbolTable, pl *planner.Planner) (*
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: invalid program: %w", err)
 	}
-	c := &Compiled{prog: prog, symbols: symbols, rules: make([]*compiledRule, len(prog.Rules))}
+	c := &Compiled{symbols: symbols, rules: make([]*compiledRule, len(prog.Rules))}
 	relNo := map[string]int{}
 	relOf := func(a ast.Atom) (int, error) {
 		if a.Arity() > 31 {
@@ -231,28 +230,16 @@ func Compile(prog *ast.Program, symbols *db.SymbolTable, pl *planner.Planner) (*
 	return c, nil
 }
 
-// Bind returns a single-use engine evaluating prog over database with the
-// compiled rules. It resolves every numbered relation in database
-// (creating the absent ones empty) and compiles nothing but the facts prog
-// rebinds: prog must be the compiled program, or one with the same rules
-// except that a rule with an empty body may carry other constants in its
-// head — a Magic-Sets program's seed for another target of the same
-// predicate — and may be followed by further such facts of its predicate,
-// arity and probability, each under its own label: the seeds of several
-// targets at once. Derivation.Rule, Derivation.RuleIndex and the runtime
-// profile report prog's own rules. database must use the symbol table the
-// program was compiled against.
-func (c *Compiled) Bind(prog *ast.Program, database *db.Database) (*Engine, error) {
+// Bind returns a single-use engine evaluating the compiled program over
+// database. It resolves every numbered relation in database, creating the
+// absent ones empty, and compiles nothing, so one compilation serves runs
+// over any number of databases that hold different input facts. database
+// must use the symbol table the program was compiled against.
+func (c *Compiled) Bind(database *db.Database) (*Engine, error) {
 	if database.Symbols() != c.symbols {
 		return nil, fmt.Errorf("engine: database does not share the compiled program's symbol table")
 	}
-	e := &Engine{c: c, db: database, rules: c.rules, strata: c.strata}
-	if prog != c.prog {
-		if err := e.bindRules(prog); err != nil {
-			return nil, err
-		}
-	}
-	e.rels = make([]*db.Relation, len(c.rels))
+	e := &Engine{c: c, db: database, rels: make([]*db.Relation, len(c.rels))}
 	for i, rs := range c.rels {
 		rel, err := database.EnsureRelation(rs.name, rs.arity)
 		if err != nil {
@@ -261,73 +248,4 @@ func (c *Compiled) Bind(prog *ast.Program, database *db.Database) (*Engine, erro
 		e.rels[i] = rel
 	}
 	return e, nil
-}
-
-// bindRules matches prog's rules, in order, to the compiled ones (see
-// Bind) and sets e's rules. When prog repeats a fact its rules are
-// renumbered, so it also sets e's strata: each repeat joins its compiled
-// fact's stratum, and every stratum keeps its rules in program order, as
-// Stratify(prog) lists them.
-func (e *Engine) bindRules(prog *ast.Program) error {
-	c := e.c
-	rules := make([]*compiledRule, len(prog.Rules))
-	j := 0
-	for i := range prog.Rules {
-		r := &prog.Rules[i]
-		switch {
-		case j < len(c.rules) && r.Equal(c.rules[j].src):
-			rules[i] = c.rules[j]
-			j++
-		case j < len(c.rules) && rebindsFact(r, &c.rules[j].src) && r.Label == c.rules[j].src.Label:
-			rules[i] = c.bindFact(c.rules[j], r)
-			j++
-		case j > 0 && rebindsFact(r, &c.rules[j-1].src):
-			rules[i] = c.bindFact(c.rules[j-1], r)
-		default:
-			return fmt.Errorf("engine: rule %d (%s) differs from the compiled rules", i, r)
-		}
-	}
-	if j < len(c.rules) {
-		return fmt.Errorf("engine: program lacks compiled rule %d (%s)", j, &c.rules[j].src)
-	}
-	e.rules = rules
-	if len(rules) == len(c.rules) {
-		return nil
-	}
-	renumbered := make([]compiledRule, len(rules))
-	bound := make([][]int, len(c.rules)) // compiled rule -> its rules in prog
-	for i, cr := range rules {
-		bound[cr.index] = append(bound[cr.index], i)
-		renumbered[i] = *cr
-		renumbered[i].index = i
-		rules[i] = &renumbered[i]
-	}
-	e.strata = make([][]int, len(c.strata))
-	for s, idx := range c.strata {
-		for _, ci := range idx {
-			e.strata[s] = append(e.strata[s], bound[ci]...)
-		}
-	}
-	return nil
-}
-
-// rebindsFact reports whether r is compiled rule src with other constants
-// and, perhaps, another label: both are ground facts of one probability,
-// predicate and arity.
-func rebindsFact(r, src *ast.Rule) bool {
-	return len(r.Body) == 0 && len(src.Body) == 0 && r.Prob == src.Prob &&
-		r.Head.Predicate == src.Head.Predicate && r.Head.Arity() == src.Head.Arity() &&
-		!r.Head.Negated && r.Head.IsGround()
-}
-
-// bindFact compiles fact r in place of compiled fact cr: the head's
-// constants are r's, everything else is cr's.
-func (c *Compiled) bindFact(cr *compiledRule, r *ast.Rule) *compiledRule {
-	b := *cr
-	b.src = *r
-	b.head.terms = make([]atomTerm, len(r.Head.Terms))
-	for j, t := range r.Head.Terms {
-		b.head.terms[j] = atomTerm{sym: c.symbols.Intern(t.Name)}
-	}
-	return &b
 }

@@ -145,13 +145,9 @@ func (s Stats) HottestRule() int {
 type Engine struct {
 	c  *Compiled
 	db *db.Database
-	// rules are the bound program's rules: the compiled ones, with the
-	// facts Bind rebound; strata lists them per stratum, as the compiled
-	// strata do; rels[n] is relation number n in db.
-	rules  []*compiledRule
-	strata [][]int
-	rels   []*db.Relation
-	ran    bool
+	// rels[n] is relation number n in db.
+	rels []*db.Relation
+	ran  bool
 }
 
 // New compiles prog against database with per-engine planning and no plan
@@ -172,13 +168,13 @@ func NewPlanned(prog *ast.Program, database *db.Database, pl *planner.Planner) (
 	if err != nil {
 		return nil, err
 	}
-	return c.Bind(prog, database)
+	return c.Bind(database)
 }
 
 // RuleVarNames returns the variable slot names of rule ruleIndex, in slot
 // order. Gates use this to map slot bindings back to source variables.
 func (e *Engine) RuleVarNames(ruleIndex int) []string {
-	return e.rules[ruleIndex].varNames
+	return e.c.rules[ruleIndex].varNames
 }
 
 // Run evaluates to fixpoint. It may be called once.
@@ -188,12 +184,13 @@ func (e *Engine) Run(opts Options) (Stats, error) {
 	}
 	e.ran = true
 	start := time.Now()
-	stats := Stats{FiredByRule: make([]int64, len(e.rules))}
+	rules := e.c.rules
+	stats := Stats{FiredByRule: make([]int64, len(rules))}
 	ev := &evaluator{engine: e, opts: opts, stats: &stats}
 	if pf := opts.Instr.Profile(); pf != nil {
-		names := make([]string, len(e.rules))
-		lens := make([]int, len(e.rules))
-		for i, cr := range e.rules {
+		names := make([]string, len(rules))
+		lens := make([]int, len(rules))
+		for i, cr := range rules {
 			names[i] = cr.src.String()
 			lens[i] = len(cr.body)
 		}
@@ -224,7 +221,7 @@ func (e *Engine) Run(opts Options) (Stats, error) {
 // head before any derivation uses it as a body fact, which is what lets a
 // pipelined listener work from the stream alone.
 func (e *Engine) derivedEmpty() bool {
-	for _, cr := range e.rules {
+	for _, cr := range e.c.rules {
 		if e.rels[cr.head.rel].Len() > 0 {
 			return false
 		}
@@ -274,7 +271,7 @@ func (ev *evaluator) run() error {
 	}
 	ev.processedLen = make([]int, len(c.rels))
 	ev.roundLen = make([]int, len(c.rels))
-	for si, ruleIdxs := range ev.engine.strata {
+	for si, ruleIdxs := range c.strata {
 		ev.stratum = si
 		if err := ev.runStratum(ruleIdxs); err != nil {
 			return err
@@ -303,7 +300,7 @@ func (ev *evaluator) runStratum(ruleIdxs []int) error {
 
 	// Fact rules of this stratum fire once, before the first round.
 	for _, ri := range ruleIdxs {
-		if cr := e.rules[ri]; len(cr.body) == 0 {
+		if cr := e.c.rules[ri]; len(cr.body) == 0 {
 			ev.fireFact(cr)
 		}
 	}
@@ -339,7 +336,7 @@ func (ev *evaluator) runStratum(ruleIdxs []int) error {
 		ev.opts.Instr.EngineRound(ev.stats.Rounds, int(delta))
 		ev.prof.BeginRound(ev.stratum, int(delta))
 		for _, ri := range ruleIdxs {
-			if cr := e.rules[ri]; len(cr.body) > 0 {
+			if cr := e.c.rules[ri]; len(cr.body) > 0 {
 				ev.applyRule(cr)
 			}
 		}

@@ -6,8 +6,8 @@ const PipeBatchLen = pipeBatchLen
 // PlanOrders exposes each compiled rule's per-delta join orders so external
 // tests can assert them against ReferenceOrders.
 func (e *Engine) PlanOrders() [][][]int {
-	out := make([][][]int, len(e.rules))
-	for i, cr := range e.rules {
+	out := make([][][]int, len(e.c.rules))
+	for i, cr := range e.c.rules {
 		out[i] = cr.plans
 	}
 	return out
@@ -20,8 +20,8 @@ func (e *Engine) PlanOrders() [][][]int {
 // means the derivation stream (and every golden fingerprint over it) is
 // unchanged.
 func (e *Engine) ReferenceOrders() [][][]int {
-	out := make([][][]int, len(e.rules))
-	for i, cr := range e.rules {
+	out := make([][][]int, len(e.c.rules))
+	for i, cr := range e.c.rules {
 		out[i] = referenceOrders(cr)
 	}
 	return out

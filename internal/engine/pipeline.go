@@ -135,7 +135,7 @@ func (ev *evaluator) runPipelined() error {
 			}
 		}
 	}()
-	p.deliver(ev.engine.rules, ev.engine.rels, ev.opts.Listener)
+	p.deliver(ev.engine.c.rules, ev.engine.rels, ev.opts.Listener)
 	delivered = true
 	if pv := <-exited; pv != nil {
 		panic(pv)

@@ -39,7 +39,8 @@ func adornmentFor(atom ast.Atom, bound map[string]bool) Adornment {
 
 // Naming scheme for generated predicates. The '@' separator cannot occur in
 // bare parsed identifiers, so generated names never collide with user
-// predicates.
+// predicates, and the number of separators tells the kinds apart: one in
+// an adorned name, two in a magic or query name.
 
 // AdornedPred returns the name of the adorned version of pred.
 func AdornedPred(pred string, a Adornment) string {
@@ -51,18 +52,24 @@ func MagicPred(pred string, a Adornment) string {
 	return "m@" + pred + "@" + string(a)
 }
 
-// SplitAdorned parses an adorned or magic predicate name. It returns the
-// original predicate, the adornment, whether the name is a magic predicate,
-// and ok=false for plain (untransformed) names.
-func SplitAdorned(name string) (orig string, a Adornment, isMagic bool, ok bool) {
-	rest := name
-	if strings.HasPrefix(rest, "m@") {
-		isMagic = true
-		rest = rest[2:]
-	}
-	i := strings.LastIndexByte(rest, '@')
+// QueryPred returns the name of the query relation for pred^a: the input
+// relation that holds the ground queries of pred a Magic program answers.
+func QueryPred(pred string, a Adornment) string {
+	return "q@" + pred + "@" + string(a)
+}
+
+// SplitAdorned parses an adorned, magic or query predicate name. It
+// returns the original predicate, the adornment, whether the name is a
+// magic or query predicate (aux: one without a counterpart in the origin
+// program's WD graph), and ok=false for plain (untransformed) names.
+func SplitAdorned(name string) (orig string, a Adornment, aux bool, ok bool) {
+	i := strings.LastIndexByte(name, '@')
 	if i < 0 {
 		return "", "", false, false
 	}
-	return rest[:i], Adornment(rest[i+1:]), isMagic, true
+	orig, a = name[:i], Adornment(name[i+1:])
+	if j := strings.IndexByte(orig, '@'); j >= 0 {
+		return orig[j+1:], a, true, true
+	}
+	return orig, a, false, true
 }

@@ -5,7 +5,6 @@ package magic
 func (p *Propagator) Epoch() uint32     { return p.epoch }
 func (p *Propagator) SetEpoch(e uint32) { p.epoch = e }
 
-// RuleOf returns the rule of instantiation i, and QuerySeed the seed rule
-// of query q, so a test can check where Grounding.Seed points.
-func (g *Grounding) RuleOf(i int32) int    { return int(g.rule[i]) }
-func (t *Transformed) QuerySeed(q int) int { return t.querySeed[q] }
+// RuleOf returns the rule of instantiation i, so a test can check where
+// Grounding.Seed points.
+func (g *Grounding) RuleOf(i int32) int { return int(g.rule[i]) }

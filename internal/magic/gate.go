@@ -39,8 +39,8 @@ type hashGateRule struct {
 }
 
 // NewHashGate builds a gate for the transformed program t as compiled by
-// eng (the engine must have been constructed from t.Program), seeded for
-// one random execution.
+// eng (the engine must have been constructed from t.Program or t.Shape()),
+// seeded for one random execution.
 func NewHashGate(t *Transformed, eng *engine.Engine, seed uint64) *HashGate {
 	gr := gateRules(t)
 	g := &HashGate{rules: make([]hashGateRule, len(t.Meta))}

@@ -24,10 +24,11 @@ import (
 // per-instantiation counters of underived body facts, in time linear in
 // the part of the ground program it touches.
 //
-// A program with several queries (Remark 1's grouping) grounds once for
-// all of them: the instantiations reachable from one query's seed
-// instantiation are that query's own unsampled run, so propagation from
-// that seed alone (Grounding.Seed) draws the query's sampled runs.
+// A shape evaluated over several loaded queries of its predicate (Remark
+// 1's grouping) grounds once for all of them: the instantiations
+// reachable from one query's seed instantiation are that query's own
+// unsampled run, so propagation from that seed alone (Grounding.Seed)
+// draws the query's sampled runs.
 //
 // A Grounding is read-only once built.
 type Grounding struct {
@@ -56,7 +57,7 @@ type Grounding struct {
 	nKeys   int
 
 	// Propagation indexes: need[i] counts i's idb body occurrences,
-	// seeds[q] is the instantiation of query q's seed rule,
+	// seeds[q] is the q-th seed-rule instantiation,
 	// watch[watchOff[f]:watchOff[f+1]] the instantiations with idb fact f
 	// in their body (one entry per occurrence), and
 	// prod[prodOff[p]:prodOff[p+1]] the modified instantiations whose
@@ -117,10 +118,10 @@ type GroundStats struct {
 	Size int
 }
 
-// Ground evaluates t without sampling on eng (compiled from t.Program
-// over a scratch database whose idb relations are empty) and records the
-// run as a Grounding. When the run exceeds opts.Cap it returns a nil
-// Grounding with Aborted set.
+// Ground evaluates t without sampling on eng (compiled from t.Shape() and
+// bound over a scratch database holding the loaded queries and empty idb
+// relations) and records the run as a Grounding. When the run exceeds
+// opts.Cap it returns a nil Grounding with Aborted set.
 func Ground(t *Transformed, eng *engine.Engine, opts GroundOptions) (*Grounding, GroundStats, error) {
 	rec, err := newRecorder(t)
 	if err != nil {
@@ -175,11 +176,12 @@ func (c *capGate) ShouldFire(int, []db.Sym) bool {
 
 func (c *capGate) tripped() bool { return c.n > c.limit }
 
-// groundRule is the recorder's static view of one rule of the transformed
-// program. Positions index the engine's positive body atoms (the order of
+// groundRule is the recorder's static view of one rule of the shape.
+// Positions index the engine's positive body atoms (the order of
 // engine.Derivation.Body).
 type groundRule struct {
 	modified bool
+	seed     bool
 	idbPos   []int    // positions over idb relations
 	vals     []varRef // where each origin variable's value is read
 	keep     []int    // Meta.KeepBody (modified only)
@@ -219,7 +221,8 @@ type recorder struct {
 func newRecorder(t *Transformed) (*recorder, error) {
 	g := &Grounding{gates: gateRules(t), relOf: map[string]int32{}}
 	r := &recorder{t: t, g: g, idb: map[string]bool{}, relIdx: map[*db.Relation]int32{}}
-	for _, rule := range t.Program.Rules {
+	shape := t.Shape().Rules
+	for _, rule := range shape {
 		r.idb[rule.Head.Predicate] = true
 	}
 	labels := map[string]int32{}
@@ -229,10 +232,11 @@ func newRecorder(t *Transformed) (*recorder, error) {
 			count[m.Origin]++
 		}
 	}
-	r.rules = make([]groundRule, len(t.Program.Rules))
-	for i, rule := range t.Program.Rules {
+	r.rules = make([]groundRule, len(shape))
+	for i, rule := range shape {
 		gr := &r.rules[i]
 		m := t.Meta[i]
+		gr.seed = m.Kind == SeedRule
 		var pos []ast.Atom
 		for _, a := range rule.Body {
 			if !a.Negated && !ast.IsBuiltin(a.Predicate) {
@@ -400,9 +404,6 @@ func (r *recorder) finish() *Grounding {
 	g.pHead = make([]int32, n)
 	g.key = make([]int32, n)
 	g.need = make([]int32, n)
-	// ruleInst[r] is an instantiation of body-less rule r: a seed rule's
-	// one firing (an unsampled run fires every seed rule).
-	ruleInst := make([]int32, len(r.rules))
 	keys := map[string]int32{}
 	at := 0
 	for i := 0; i < n; i++ {
@@ -417,8 +418,8 @@ func (r *recorder) finish() *Grounding {
 		}
 		g.bodyOff[i+1] = int32(len(g.body))
 		g.need[i] = int32(len(gr.idbPos))
-		if g.need[i] == 0 {
-			ruleInst[g.rule[i]] = int32(i)
+		if gr.seed {
+			g.seeds = append(g.seeds, int32(i))
 		}
 		rec = rec[len(gr.idbPos):]
 		for j := range gr.vals {
@@ -471,10 +472,6 @@ func (r *recorder) finish() *Grounding {
 		g.key[i] = id
 	}
 	r.raw = nil
-	g.seeds = make([]int32, len(r.t.querySeed))
-	for q, rule := range r.t.querySeed {
-		g.seeds[q] = ruleInst[rule]
-	}
 
 	g.watchOff = csrOffsets(g.nFacts, g.body)
 	g.watch = make([]int32, len(g.body))
@@ -571,9 +568,11 @@ func (g *Grounding) EDBFacts(fn func(pf int32, pred string, t db.Tuple)) {
 // [0, NumProjected()).
 func (g *Grounding) NumProjected() int { return g.nPF }
 
-// Seed returns the instantiation of the seed rule of the transformed
-// program's query q (in Transformed.Queries order): where propagation of
-// a sampled run for that query starts.
+// Seed returns the instantiation that seeds query q, the q-th distinct
+// query loaded (Transformed.LoadQueries): where propagation of a sampled
+// run for that query starts. It is the q-th seed-rule instantiation, which
+// is query q's when the grounding covers one query predicate, as Magic^S
+// CM's do.
 func (g *Grounding) Seed(q int) int32 { return g.seeds[q] }
 
 // Propagator draws sampled runs over a Grounding. It owns reusable

@@ -100,25 +100,43 @@ type groundedQuery struct {
 	queryOK bool
 }
 
-// groundProgram grounds tr, the transform of prog for targets (in order),
-// over d without a cap.
-func groundProgram(t testing.TB, prog *ast.Program, d *db.Database, tr *magic.Transformed, targets []ast.Atom) *grounded {
+// compileShape compiles tr's shape for d's symbol table.
+func compileShape(t testing.TB, d *db.Database, tr *magic.Transformed) *engine.Compiled {
 	t.Helper()
-	c, err := engine.Compile(tr.Program, d.Symbols(), nil)
+	c, err := engine.Compile(tr.Shape(), d.Symbols(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return groundBound(t, prog, d, c, tr, targets)
+	return c
 }
 
-// groundBound grounds tr, the transform of prog for targets (in order),
-// bound from c, over d without a cap.
-func groundBound(t testing.TB, prog *ast.Program, d *db.Database, c *engine.Compiled, tr *magic.Transformed, targets []ast.Atom) *grounded {
+// boundShape binds c, the compiled shape of tr, a transform of prog, over
+// a scratch copy of d holding the queries targets, in order, as Magic^S CM
+// binds its runs.
+func boundShape(t testing.TB, prog *ast.Program, d *db.Database, c *engine.Compiled, tr *magic.Transformed, targets []ast.Atom) *engine.Engine {
 	t.Helper()
-	eng, err := c.Bind(tr.Program, d.Scratch(prog.EDBs()))
+	scratch := d.Scratch(prog.EDBs())
+	for _, target := range targets {
+		tuple, err := d.InternAtom(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.LoadQueries(scratch, target.Predicate, tuple); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng, err := c.Bind(scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng
+}
+
+// groundProgram grounds the shape of tr, a transform of prog, with the
+// queries targets (in order) over d without a cap.
+func groundProgram(t testing.TB, prog *ast.Program, d *db.Database, tr *magic.Transformed, targets []ast.Atom) *grounded {
+	t.Helper()
+	eng := boundShape(t, prog, d, compileShape(t, d, tr), tr, targets)
 	g, st, err := magic.Ground(tr, eng, magic.GroundOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +155,11 @@ func groundBound(t testing.TB, prog *ast.Program, d *db.Database, c *engine.Comp
 			t.Fatal(err)
 		}
 		gq := groundedQuery{from: g.Seed(q)}
-		if got, want := g.RuleOf(gq.from), tr.QuerySeed(q); got != want {
-			t.Fatalf("query %d (%s): seed instantiation of rule %d, want its seed rule %d", q, target, got, want)
+		if r := g.RuleOf(gq.from); tr.Meta[r].Kind != magic.SeedRule {
+			t.Fatalf("query %d (%s): seed instantiation of %v rule %d, want a seed rule", q, target, tr.Meta[r].Kind, r)
 		}
 		gq.root, gq.rootOK = g.ProjectedFact(target.Predicate, tuple)
-		gq.query, gq.queryOK = g.Fact(tr.Queries[q].Predicate, tuple)
+		gq.query, gq.queryOK = g.Fact(magic.AdornedPred(target.Predicate, magic.AllBound(target.Arity())), tuple)
 		out.queries = append(out.queries, gq)
 	}
 	return out
@@ -208,9 +226,9 @@ func byPredicate(targets []ast.Atom) [][]ast.Atom {
 }
 
 // checkPredicateGroundedVsGated grounds targets once per predicate (one
-// multi-seed program each, bound as Magic^S binds it: from the compiled
-// single-query program of the predicate's first target, its seed
-// repeated per target) and compares, per target and gate seed,
+// multi-seed run each, bound as Magic^S binds it: the compiled shape of
+// the predicate's first target's transform, with every target's query
+// loaded) and compares, per target and gate seed,
 // propagation from the target's own seed with the engine-gated run of the
 // target's single-query program; it returns the mismatch count.
 func checkPredicateGroundedVsGated(t testing.TB, prog *ast.Program, d *db.Database, targets []ast.Atom, seedsPerTarget int, rng *rand.Rand) int {
@@ -222,15 +240,7 @@ func checkPredicateGroundedVsGated(t testing.TB, prog *ast.Program, d *db.Databa
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := engine.Compile(first.Program, d.Symbols(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := first.Rebind(group...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gr := groundBound(t, prog, d, c, tr, group)
+		gr := groundProgram(t, prog, d, first, group)
 		for q, target := range group {
 			single, err := magic.Transform(prog, []ast.Atom{target})
 			if err != nil {
@@ -388,15 +398,14 @@ func TestGroundedRRMatchesGated(t *testing.T) {
 func TestGroundingCapAborts(t *testing.T) {
 	prog := mustProgram(t, tcProgram)
 	d := mustDB(t, "e(a, b). e(b, c). e(c, d). e(d, a).")
-	tr, err := magic.Transform(prog, []ast.Atom{atom(t, "tc(a, c)")})
+	target := atom(t, "tc(a, c)")
+	tr, err := magic.Transform(prog, []ast.Atom{target})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := compileShape(t, d, tr)
 	ground := func(limit int64) (*magic.Grounding, magic.GroundStats) {
-		eng, err := engine.New(tr.Program, d.Scratch(prog.EDBs()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := boundShape(t, prog, d, c, tr, []ast.Atom{target})
 		g, st, err := magic.Ground(tr, eng, magic.GroundOptions{Cap: limit})
 		if err != nil {
 			t.Fatal(err)
@@ -541,22 +550,23 @@ var (
 )
 
 // amie8Targets builds a magics-amie-shaped instance (AMIE-8) and returns
-// the transforms of a few of its derived targets.
-func amie8Targets(b *testing.B) (*ast.Program, *db.Database, []*magic.Transformed) {
+// a few of its derived targets and their transforms.
+func amie8Targets(b *testing.B) (*ast.Program, *db.Database, []ast.Atom, []*magic.Transformed) {
 	b.Helper()
 	w, err := workload.ByName("AMIE", 8, rand.New(rand.NewPCG(8, 1)))
 	if err != nil {
 		b.Fatal(err)
 	}
+	targets := derivedTargets(b, w.Program, w.DB, 8, rand.New(rand.NewPCG(8, 2)))
 	var trs []*magic.Transformed
-	for _, target := range derivedTargets(b, w.Program, w.DB, 8, rand.New(rand.NewPCG(8, 2))) {
+	for _, target := range targets {
 		tr, err := magic.Transform(w.Program, []ast.Atom{target})
 		if err != nil {
 			b.Fatal(err)
 		}
 		trs = append(trs, tr)
 	}
-	return w.Program, w.DB, trs
+	return w.Program, w.DB, targets, trs
 }
 
 // BenchmarkGatedRun times Magic^S's per-RR evaluation on AMIE-8 targets
@@ -564,7 +574,7 @@ func amie8Targets(b *testing.B) (*ast.Program, *db.Database, []*magic.Transforme
 // instantiation. With BenchmarkGrounding it gives the per-instantiation
 // cost ratio behind the grounding cap factor in internal/cm.
 func BenchmarkGatedRun(b *testing.B) {
-	prog, d, trs := amie8Targets(b)
+	prog, d, _, trs := amie8Targets(b)
 	var attempted int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -587,16 +597,13 @@ func BenchmarkGatedRun(b *testing.B) {
 // BenchmarkGrounding times one grounding of an AMIE-8 target (compile,
 // unsampled fixpoint, recording listener, index build), per instantiation.
 func BenchmarkGrounding(b *testing.B) {
-	prog, d, trs := amie8Targets(b)
+	prog, d, targets, trs := amie8Targets(b)
 	var fired int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := trs[i%len(trs)]
-		eng, err := engine.New(tr.Program, d.Scratch(prog.EDBs()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		g, st, err := magic.Ground(tr, eng, magic.GroundOptions{})
+		k := i % len(trs)
+		eng := boundShape(b, prog, d, compileShape(b, d, trs[k]), trs[k], targets[k:k+1])
+		g, st, err := magic.Ground(trs[k], eng, magic.GroundOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -609,18 +616,10 @@ func BenchmarkGrounding(b *testing.B) {
 // BenchmarkPropagate times one propagation plus graph-size count over an
 // AMIE-8 target's grounding, per ground instantiation.
 func BenchmarkPropagate(b *testing.B) {
-	prog, d, trs := amie8Targets(b)
+	prog, d, targets, trs := amie8Targets(b)
 	var gs []*magic.Grounding
-	for _, tr := range trs {
-		eng, err := engine.New(tr.Program, d.Scratch(prog.EDBs()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		g, _, err := magic.Ground(tr, eng, magic.GroundOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		gs = append(gs, g)
+	for k, tr := range trs {
+		gs = append(gs, groundTarget(b, prog, d, tr, targets[k]).g)
 	}
 	var p magic.Propagator
 	var insts int64
@@ -635,18 +634,19 @@ func BenchmarkPropagate(b *testing.B) {
 }
 
 // amie8Groups builds a magics-amie-shaped instance (AMIE-8, 30 derived
-// targets), groups the targets by predicate, and returns each predicate's
-// multi-seed transform and, per target, the instantiation count of its
-// own single-target grounding.
-func amie8Groups(b *testing.B) (*ast.Program, *db.Database, []*magic.Transformed, [][]int) {
+// targets), groups the targets by predicate, and returns the groups, each
+// predicate's multi-seed transform and, per target, the instantiation
+// count of its own single-target grounding.
+func amie8Groups(b *testing.B) (*ast.Program, *db.Database, [][]ast.Atom, []*magic.Transformed, [][]int) {
 	b.Helper()
 	w, err := workload.ByName("AMIE", 8, rand.New(rand.NewPCG(8, 1)))
 	if err != nil {
 		b.Fatal(err)
 	}
+	groups := byPredicate(derivedTargets(b, w.Program, w.DB, 30, rand.New(rand.NewPCG(8, 2))))
 	var trs []*magic.Transformed
 	var own [][]int
-	for _, group := range byPredicate(derivedTargets(b, w.Program, w.DB, 30, rand.New(rand.NewPCG(8, 2)))) {
+	for _, group := range groups {
 		tr, err := magic.Transform(w.Program, group)
 		if err != nil {
 			b.Fatal(err)
@@ -662,23 +662,20 @@ func amie8Groups(b *testing.B) (*ast.Program, *db.Database, []*magic.Transformed
 		}
 		own = append(own, sizes)
 	}
-	return w.Program, w.DB, trs, own
+	return w.Program, w.DB, groups, trs, own
 }
 
 // BenchmarkGroundingPerPredicate times one grounding of a target
 // predicate's multi-seed program on AMIE-8 (compile, unsampled fixpoint,
 // recording listener, index build), per instantiation.
 func BenchmarkGroundingPerPredicate(b *testing.B) {
-	prog, d, trs, _ := amie8Groups(b)
+	prog, d, groups, trs, _ := amie8Groups(b)
 	var fired int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := trs[i%len(trs)]
-		eng, err := engine.New(tr.Program, d.Scratch(prog.EDBs()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		g, st, err := magic.Ground(tr, eng, magic.GroundOptions{})
+		k := i % len(trs)
+		eng := boundShape(b, prog, d, compileShape(b, d, trs[k]), trs[k], groups[k])
+		g, st, err := magic.Ground(trs[k], eng, magic.GroundOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -693,7 +690,7 @@ func BenchmarkGroundingPerPredicate(b *testing.B) {
 // per instantiation of the target's own unsampled run (the unit of
 // BenchmarkPropagate, so the two compare directly).
 func BenchmarkPropagatePerPredicate(b *testing.B) {
-	prog, d, trs, own := amie8Groups(b)
+	prog, d, groups, trs, own := amie8Groups(b)
 	type draw struct {
 		g    *magic.Grounding
 		from int32
@@ -701,7 +698,7 @@ func BenchmarkPropagatePerPredicate(b *testing.B) {
 	}
 	var draws []draw
 	for k, tr := range trs {
-		gr := groundProgram(b, prog, d, tr, nil)
+		gr := groundProgram(b, prog, d, tr, groups[k])
 		for q, size := range own[k] {
 			draws = append(draws, draw{gr.g, gr.g.Seed(q), size})
 		}

@@ -56,7 +56,7 @@ func TestTransformStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var modified, magicRules, seeds int
+	var modified, magicRules, seeds, queries int
 	for i, m := range tr.Meta {
 		r := tr.Program.Rules[i]
 		switch m.Kind {
@@ -73,10 +73,13 @@ func TestTransformStructure(t *testing.T) {
 			if r.Prob != orig.Prob {
 				t.Errorf("rule %s: prob %g, want origin's %g", r.Label, r.Prob, orig.Prob)
 			}
-		case magic.MagicRule, magic.SeedRule:
-			if m.Kind == magic.SeedRule {
+		case magic.MagicRule, magic.SeedRule, magic.QueryFact:
+			switch m.Kind {
+			case magic.SeedRule:
 				seeds++
-			} else {
+			case magic.QueryFact:
+				queries++
+			default:
 				magicRules++
 			}
 			if r.Prob != 1 {
@@ -84,8 +87,14 @@ func TestTransformStructure(t *testing.T) {
 			}
 		}
 	}
-	if seeds != 1 {
-		t.Errorf("seeds = %d, want 1", seeds)
+	if seeds != 1 || queries != 1 {
+		t.Errorf("seeds = %d, query facts = %d, want 1 each", seeds, queries)
+	}
+	if got := tr.Program.Rules[len(tr.Program.Rules)-1].String(); got != "1 q1: q@tc@bb(a, b)." {
+		t.Errorf("last rule %s, want the query fact", got)
+	}
+	if got, want := len(tr.Shape().Rules), len(tr.Program.Rules)-1; got != want {
+		t.Errorf("shape has %d rules, want %d", got, want)
 	}
 	if modified == 0 || magicRules == 0 {
 		t.Errorf("modified=%d magic=%d, want both positive", modified, magicRules)
@@ -624,7 +633,8 @@ func mustDerivedAtoms(t *testing.T, prog *ast.Program, d *db.Database, pred stri
 
 func TestRuleKindStringAndPredHelpers(t *testing.T) {
 	if magic.Modified.String() != "modified" || magic.MagicRule.String() != "magic" ||
-		magic.SeedRule.String() != "seed" || magic.RuleKind(99).String() != "unknown" {
+		magic.SeedRule.String() != "seed" || magic.QueryFact.String() != "query" ||
+		magic.RuleKind(99).String() != "unknown" {
 		t.Error("RuleKind.String wrong")
 	}
 	prog := mustProgram(t, tcProgram)
@@ -632,8 +642,27 @@ func TestRuleKindStringAndPredHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.IsMagicPred(magic.MagicPred("tc", "bb")) || tr.IsMagicPred("tc") {
-		t.Error("IsMagicPred wrong")
+	// Generated names parse by their number of separators, so user
+	// predicates named m and q keep their adorned relations.
+	for _, c := range []struct {
+		name, orig string
+		ad         magic.Adornment
+		aux        bool
+	}{
+		{"m@bb", "m", "bb", false},
+		{"m@m@bb", "m", "bb", true},
+		{"q@b", "q", "b", false},
+		{"q@q@b", "q", "b", true},
+		{magic.QueryPred("tc", "bb"), "tc", "bb", true},
+	} {
+		orig, ad, aux, ok := magic.SplitAdorned(c.name)
+		if !ok || orig != c.orig || ad != c.ad || aux != c.aux {
+			t.Errorf("SplitAdorned(%q) = %q %q %v %v, want %q %q %v true", c.name, orig, ad, aux, ok, c.orig, c.ad, c.aux)
+		}
+		orig, ok = tr.OrigPred(c.name)
+		if ok == c.aux || (ok && orig != c.orig) {
+			t.Errorf("OrigPred(%q) = %q %v", c.name, orig, ok)
+		}
 	}
 	if orig, ok := tr.OrigPred(magic.AdornedPred("tc", "bf")); !ok || orig != "tc" {
 		t.Errorf("OrigPred adorned = %q %v", orig, ok)

@@ -38,15 +38,42 @@ func derivedFacts(t testing.TB, prog *ast.Program, d *db.Database) [][]ast.Atom 
 	return out
 }
 
-// checkRebinds compares, for every derived fact q of prog over d, the
-// program rebound from its predicate's first fact's transform with
-// TransformWith of q itself: rule text, Meta and Queries; and likewise the
-// program rebound to all of the predicate's facts (a multi-seed program,
-// with the first fact repeated at the end) with their TransformWith. A
-// transform that fails under sips must fail under LeftToRight too: the
-// transform's validity depends on the program, not on the order it
-// processes bodies in. It returns the number of facts checked.
-func checkRebinds(t *testing.T, name string, prog *ast.Program, d *db.Database, sips magic.SIPS) int {
+// shapeGraph binds c, the compiled shape of tr, over a scratch copy of d
+// holding the query q, and renders the projected WD subgraph of the run.
+func shapeGraph(t *testing.T, prog *ast.Program, d *db.Database, c *engine.Compiled, tr *magic.Transformed, q ast.Atom) string {
+	t.Helper()
+	return projectedGraph(t, boundShape(t, prog, d, c, tr, []ast.Atom{q}), tr, d)
+}
+
+// programGraph evaluates tr's self-contained program over a scratch copy
+// of d and renders the projected WD subgraph of the run.
+func programGraph(t *testing.T, prog *ast.Program, d *db.Database, tr *magic.Transformed) string {
+	t.Helper()
+	eng, err := engine.New(tr.Program, d.Scratch(prog.EDBs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return projectedGraph(t, eng, tr, d)
+}
+
+func projectedGraph(t *testing.T, eng *engine.Engine, tr *magic.Transformed, d *db.Database) string {
+	t.Helper()
+	b := wdgraph.NewBuilder(tr.Projection())
+	if _, err := eng.Run(engine.Options{Listener: b.Listener()}); err != nil {
+		t.Fatal(err)
+	}
+	return b.Graph().DebugString(d.Symbols())
+}
+
+// checkShapes checks, for every derived fact q of prog over d, that q's
+// transform has the shape of its predicate's first fact's transform (rule
+// text and Meta), as the transform of all the predicate's facts at once
+// does, and that the WD subgraph of that one compiled shape with q loaded
+// equals the one of q's own self-contained program. A transform that
+// fails under sips must fail under LeftToRight too: the transform's
+// validity depends on the program, not on the order it processes bodies
+// in. It returns the number of facts checked.
+func checkShapes(t *testing.T, name string, prog *ast.Program, d *db.Database, sips magic.SIPS) int {
 	t.Helper()
 	n := 0
 	for _, facts := range derivedFacts(t, prog, d) {
@@ -54,6 +81,13 @@ func checkRebinds(t *testing.T, name string, prog *ast.Program, d *db.Database, 
 		if shapeErr != nil && sips != magic.LeftToRight {
 			if _, err := magic.TransformWith(prog, facts[:1], magic.LeftToRight); err == nil {
 				t.Errorf("%s: transform of %s fails under SIPS %v only: %v", name, facts[0], sips, shapeErr)
+			}
+		}
+		var c *engine.Compiled
+		if shapeErr == nil {
+			var err error
+			if c, err = engine.Compile(shape.Shape(), d.Symbols(), planner.New(nil)); err != nil {
+				t.Fatalf("%s: compile the shape of %s: %v", name, facts[0], err)
 			}
 		}
 		for _, q := range facts {
@@ -67,45 +101,42 @@ func checkRebinds(t *testing.T, name string, prog *ast.Program, d *db.Database, 
 				continue
 			}
 			n++
-			checkRebind(t, name, shape, []ast.Atom{q}, want)
+			checkShape(t, name, shape, []ast.Atom{q}, want)
+			if got, want := shapeGraph(t, prog, d, c, shape, q), programGraph(t, prog, d, want); got != want {
+				t.Fatalf("%s: %s: graph of the bound shape\n%s\nwant\n%s", name, q, got, want)
+			}
 		}
 		if shapeErr != nil {
 			continue
 		}
-		all := append(facts[:len(facts):len(facts)], facts[0])
-		want, err := magic.TransformWith(prog, all, sips)
+		want, err := magic.TransformWith(prog, facts, sips)
 		if err != nil {
-			t.Fatalf("%s: transform of %d facts of %s: %v", name, len(all), facts[0].Predicate, err)
+			t.Fatalf("%s: transform of %d facts of %s: %v", name, len(facts), facts[0].Predicate, err)
 		}
-		checkRebind(t, name, shape, all, want)
+		checkShape(t, name, shape, facts, want)
 	}
 	return n
 }
 
-// checkRebind compares shape rebound to qs with want: rule text, Meta
-// and Queries.
-func checkRebind(t *testing.T, name string, shape *magic.Transformed, qs []ast.Atom, want *magic.Transformed) {
+// checkShape compares the shape of tr, the transform of qs, with shape's:
+// rule text and Meta.
+func checkShape(t *testing.T, name string, shape *magic.Transformed, qs []ast.Atom, tr *magic.Transformed) {
 	t.Helper()
-	got, err := shape.Rebind(qs...)
-	if err != nil {
-		t.Fatalf("%s: rebind %s: %v", name, qs, err)
+	if got, want := tr.Shape().String(), shape.Shape().String(); got != want {
+		t.Fatalf("%s: shape of %s:\n%s\nwant\n%s", name, qs, got, want)
 	}
-	if g, w := got.Program.String(), want.Program.String(); g != w {
-		t.Fatalf("%s: rebind %s: program\n%s\nwant\n%s", name, qs, g, w)
-	}
-	if !reflect.DeepEqual(got.Meta, want.Meta) {
-		t.Fatalf("%s: rebind %s: meta %+v, want %+v", name, qs, got.Meta, want.Meta)
-	}
-	if g, w := fmt.Sprint(got.Queries), fmt.Sprint(want.Queries); g != w {
-		t.Fatalf("%s: rebind %s: queries %s, want %s", name, qs, g, w)
+	n := len(shape.Shape().Rules)
+	if len(tr.Shape().Rules) != n || !reflect.DeepEqual(tr.Meta[:n], shape.Meta[:n]) {
+		t.Fatalf("%s: shape meta of %s: %+v, want %+v", name, qs, tr.Meta, shape.Meta[:n])
 	}
 }
 
-// TestShapeRebindMatchesTransform: a target's program rebound from another
-// target's transform of the same predicate equals its own transform, for
-// both SIPS, on every derived fact of small TC, Explain, IRIS and AMIE
-// instances and of the 40 random positive programs TestGroundedRRMatchesGated
-// draws.
+// TestShapeRebindMatchesTransform: every target's transform has the shape
+// of its predicate's first target's transform, and the compiled shape,
+// bound over a database holding the target's query, builds the WD
+// subgraph of the target's own program, for both SIPS, on every derived
+// fact of small TC, Explain, IRIS and AMIE instances and of the 40 random
+// positive programs TestGroundedRRMatchesGated draws.
 func TestShapeRebindMatchesTransform(t *testing.T) {
 	for _, sips := range []magic.SIPS{magic.LeftToRight, magic.BoundFirst} {
 		checked := 0
@@ -116,7 +147,7 @@ func TestShapeRebindMatchesTransform(t *testing.T) {
 				continue
 			}
 			programs++
-			checked += checkRebinds(t, fmt.Sprintf("random program %d", programs), prog, d, sips)
+			checked += checkShapes(t, fmt.Sprintf("random program %d", programs), prog, d, sips)
 		}
 		for _, f := range []struct {
 			name string
@@ -126,7 +157,7 @@ func TestShapeRebindMatchesTransform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checked += checkRebinds(t, f.name, w.Program, w.DB, sips)
+			checked += checkShapes(t, f.name, w.Program, w.DB, sips)
 		}
 		if checked < 1000 {
 			t.Errorf("SIPS %v: only %d facts checked", sips, checked)
@@ -134,42 +165,49 @@ func TestShapeRebindMatchesTransform(t *testing.T) {
 	}
 }
 
-// TestShapeRebindRejects: only a single-query program rebinds, and only to
-// ground atoms of its query predicate and arity.
+// TestShapeRebindRejects: LoadQueries takes queries of the program's query
+// predicates only, at their arity.
 func TestShapeRebindRejects(t *testing.T) {
-	prog := mustProgram(t, tcProgram)
-	tc := func(a, b string) ast.Atom { return ast.NewAtom("tc", ast.C(a), ast.C(b)) }
-	single, err := magic.Transform(prog, []ast.Atom{tc("a", "b")})
+	prog := mustProgram(t, tcProgram+`0.5 r3: far(X) :- tc(X, X).`)
+	d := mustDB(t, "e(a, b). e(b, c). e(c, a).")
+	tuple := func(consts ...string) db.Tuple {
+		out := make(db.Tuple, len(consts))
+		for i, c := range consts {
+			out[i] = d.Symbols().Intern(c)
+		}
+		return out
+	}
+	single, err := magic.Transform(prog, []ast.Atom{atom(t, "tc(a, b)")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped, err := magic.Transform(prog, []ast.Atom{tc("a", "b"), tc("b", "c")})
+	for _, bad := range []struct {
+		pred  string
+		tuple db.Tuple
+	}{{"e", tuple("a", "b")}, {"far", tuple("a")}, {"tc", tuple("a")}, {"tc", tuple("a", "b", "c")}} {
+		if err := single.LoadQueries(d.Scratch(nil), bad.pred, bad.tuple); err == nil {
+			t.Errorf("tc program loaded the query %s%v", bad.pred, bad.tuple)
+		}
+	}
+	if err := single.LoadQueries(d.Scratch(nil), "tc", tuple("b", "c"), tuple("a")); err == nil {
+		t.Error("tc program loaded the queries tc(b, c) and tc(a)")
+	}
+	if err := single.LoadQueries(d.Scratch(nil), "tc", tuple("b", "c"), tuple("c", "a")); err != nil {
+		t.Errorf("load tc(b, c) and tc(c, a): %v", err)
+	}
+	grouped, err := magic.Transform(prog, []ast.Atom{atom(t, "tc(a, b)"), atom(t, "far(a)")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := grouped.Rebind(tc("a", "c")); err == nil {
-		t.Error("a multi-query program rebound")
+	scratch := d.Scratch(nil)
+	if err := grouped.LoadQueries(scratch, "tc", tuple("b", "c")); err != nil {
+		t.Errorf("grouped program: load tc(b, c): %v", err)
 	}
-	for _, q := range []ast.Atom{
-		ast.NewAtom("edge", ast.C("a"), ast.C("b")),
-		ast.NewAtom("tc", ast.C("a")),
-		ast.NewAtom("tc", ast.C("a"), ast.V("X")),
-	} {
-		if _, err := single.Rebind(q); err == nil {
-			t.Errorf("tc program rebound to %s", q)
-		}
-		if _, err := single.Rebind(tc("b", "c"), q); err == nil {
-			t.Errorf("tc program rebound to tc(b, c) and %s", q)
-		}
+	if err := grouped.LoadQueries(scratch, "far", tuple("b")); err != nil {
+		t.Errorf("grouped program: load far(b): %v", err)
 	}
-	if _, err := single.Rebind(); err == nil {
-		t.Error("tc program rebound to no atom")
-	}
-	if _, err := single.Rebind(tc("b", "c")); err != nil {
-		t.Errorf("rebind to tc(b, c): %v", err)
-	}
-	if _, err := single.Rebind(tc("b", "c"), tc("c", "a")); err != nil {
-		t.Errorf("rebind to tc(b, c) and tc(c, a): %v", err)
+	if got := fmt.Sprint(scratch.Facts(magic.QueryPred("tc", "bb")), scratch.Facts(magic.QueryPred("far", "b"))); got != "[q@tc@bb(b, c)] [q@far@b(b)]" {
+		t.Errorf("loaded queries %s", got)
 	}
 }
 
@@ -203,9 +241,10 @@ func runGated(eng *engine.Engine, scratch, d *db.Database, tr *magic.Transformed
 
 // TestShapeBindConcurrent binds one compiled shape from four goroutines at
 // once, each running gated Magic^S evaluations of every target of the
-// predicate under every seed, and checks each run against an engine
-// compiled on its own with NewPlanned: the same RR set, target and query
-// verdicts, and node and edge counts.
+// predicate under every seed over a database holding the target's query,
+// and checks each run against an engine NewPlanned compiles from the
+// target's own program: the same RR set, target and query verdicts, and
+// node and edge counts.
 func TestShapeBindConcurrent(t *testing.T) {
 	w, err := workload.ByName("AMIE", 8, rand.New(rand.NewPCG(8, 1)))
 	if err != nil {
@@ -225,13 +264,13 @@ func TestShapeBindConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := engine.Compile(shape.Program, d.Symbols(), planner.New(nil))
+	compiled, err := engine.Compile(shape.Shape(), d.Symbols(), planner.New(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trs := make([]*magic.Transformed, len(targets))
+	tuples := make([]db.Tuple, len(targets))
 	for i, q := range targets {
-		if trs[i], err = shape.Rebind(q); err != nil {
+		if tuples[i], err = d.InternAtom(q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,14 +278,18 @@ func TestShapeBindConcurrent(t *testing.T) {
 	type job struct{ ti, si int }
 	var jobs []job
 	want := map[job]sampledRun{}
-	for ti := range targets {
+	for ti, q := range targets {
+		tr, err := magic.Transform(prog, []ast.Atom{q})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for si, seed := range seeds {
 			scratch := d.Scratch(prog.EDBs())
-			eng, err := engine.NewPlanned(trs[ti].Program, scratch, nil)
+			eng, err := engine.NewPlanned(tr.Program, scratch, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := runGated(eng, scratch, d, trs[ti], targets[ti], seed)
+			r, err := runGated(eng, scratch, d, tr, q, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,12 +305,16 @@ func TestShapeBindConcurrent(t *testing.T) {
 			for k := range jobs {
 				j := jobs[(k+g*len(jobs)/4)%len(jobs)]
 				scratch := d.Scratch(prog.EDBs())
-				eng, err := compiled.Bind(trs[j.ti].Program, scratch)
+				if err := shape.LoadQueries(scratch, "dealsWith", tuples[j.ti]); err != nil {
+					t.Error(err)
+					return
+				}
+				eng, err := compiled.Bind(scratch)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got, err := runGated(eng, scratch, d, trs[j.ti], targets[j.ti], seeds[j.si])
+				got, err := runGated(eng, scratch, d, shape, targets[j.ti], seeds[j.si])
 				if err != nil {
 					t.Error(err)
 					return

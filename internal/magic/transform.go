@@ -2,10 +2,12 @@ package magic
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"contribmax/internal/analysis"
 	"contribmax/internal/ast"
+	"contribmax/internal/db"
 )
 
 // RuleKind classifies the rules of a transformed program.
@@ -18,9 +20,14 @@ const (
 	Modified RuleKind = iota
 	// MagicRule rules derive magic ("relevant binding") facts; probability 1.
 	MagicRule
-	// SeedRule rules are the body-less magic seed facts m@q^b..b(c...)
-	// that trigger the evaluation; probability 1.
+	// SeedRule rules m@p@b..b(X1, ..., Xn) :- q@p@b..b(X1, ..., Xn), one
+	// per query predicate p, turn the queries in p's query relation into
+	// the magic seeds that trigger the evaluation; probability 1.
 	SeedRule
+	// QueryFact rules are the body-less facts q@p@b..b(c1, ..., cn) of the
+	// query relations, one per distinct query atom, after every other
+	// rule; probability 1. The shape (Transformed.Shape) leaves them out.
+	QueryFact
 )
 
 func (k RuleKind) String() string {
@@ -31,6 +38,8 @@ func (k RuleKind) String() string {
 		return "magic"
 	case SeedRule:
 		return "seed"
+	case QueryFact:
+		return "query"
 	}
 	return "unknown"
 }
@@ -55,8 +64,9 @@ type RuleMeta struct {
 
 // Transformed is the result of the Magic-Sets transformation.
 type Transformed struct {
-	// Program is the transformed program (P^m, w^m). Rule probabilities
-	// follow Definition 4.3.
+	// Program is the transformed program (P^m, w^m): the shape, then one
+	// QueryFact rule per distinct query atom, so it evaluates on its own.
+	// Rule probabilities follow Definition 4.3.
 	Program *ast.Program
 	// Meta is parallel to Program.Rules.
 	Meta []RuleMeta
@@ -64,29 +74,51 @@ type Transformed struct {
 	// the transformed program (the fact t^m whose derivation answers the
 	// query).
 	Queries []ast.Atom
-	// querySeed[q] is the index of query q's seed rule in Program.Rules
-	// (equal queries share one seed rule).
-	querySeed []int
+	// shape is Program without its trailing QueryFact rules, and
+	// queryRels names the query relations its seed rules read.
+	shape     *ast.Program
+	queryRels map[string]bool
 	// origEDB records the edb predicates of the origin program.
 	origEDB map[string]bool
 }
 
-// IsMagicPred reports whether pred is a magic predicate of this program.
-func (t *Transformed) IsMagicPred(pred string) bool {
-	_, _, isMagic, ok := SplitAdorned(pred)
-	return ok && isMagic
+// Shape returns the program without its query facts: it reads the queries
+// from the query relations, so it does not depend on the query atoms'
+// constants and one compilation of it answers every query of its
+// predicates (see LoadQueries). Its rules are Program's first rules, so
+// rule indexes and Meta apply to both.
+func (t *Transformed) Shape() *ast.Program { return t.shape }
+
+// LoadQueries adds the ground queries pred(tuples[i]), in order, to
+// database's query relation of pred, which must be a query predicate of t
+// of the tuples' arity. The tuples hold symbols of database's symbol
+// table. An evaluation of the shape over database then answers exactly
+// the queries loaded, as Program does its own.
+func (t *Transformed) LoadQueries(database *db.Database, pred string, tuples ...db.Tuple) error {
+	for _, tuple := range tuples {
+		name := QueryPred(pred, AllBound(len(tuple)))
+		if !t.queryRels[name] {
+			return fmt.Errorf("magic: %s/%d is not a query predicate of the program", pred, len(tuple))
+		}
+		rel, err := database.EnsureRelation(name, len(tuple))
+		if err != nil {
+			return fmt.Errorf("magic: %w", err)
+		}
+		rel.Insert(tuple)
+	}
+	return nil
 }
 
 // OrigPred maps a transformed predicate name to the original predicate
 // name: adorned predicates map to their origin, plain (edb) predicates map
-// to themselves, and magic predicates return ok=false (they have no
-// counterpart in the origin program's WD graph).
+// to themselves, and magic and query predicates return ok=false (they have
+// no counterpart in the origin program's WD graph).
 func (t *Transformed) OrigPred(pred string) (string, bool) {
-	orig, _, isMagic, ok := SplitAdorned(pred)
+	orig, _, aux, ok := SplitAdorned(pred)
 	if !ok {
 		return pred, true
 	}
-	if isMagic {
+	if aux {
 		return "", false
 	}
 	return orig, true
@@ -143,7 +175,7 @@ func TransformWith(prog *ast.Program, queries []ast.Atom, sips SIPS) (*Transform
 	for _, r := range prog.Rules {
 		idb[r.Head.Predicate] = true
 	}
-	out := &Transformed{Program: ast.NewProgram(), origEDB: map[string]bool{}}
+	out := &Transformed{Program: ast.NewProgram(), queryRels: map[string]bool{}, origEDB: map[string]bool{}}
 	for _, p := range prog.EDBs() {
 		out.origEDB[p] = true
 	}
@@ -162,11 +194,17 @@ func TransformWith(prog *ast.Program, queries []ast.Atom, sips SIPS) (*Transform
 		}
 	}
 
-	// Seeds: one body-less rule m@q^b..b(c1,...,cn) per query atom, and the
-	// corresponding adorned goal. (The paper also adds a boolean query rule
-	// Q() :- q^b..b(c...); it carries no probability mass and no WD-graph
+	// Seeds: one rule m@p^b..b(X1,...,Xn) :- q@p^b..b(X1,...,Xn) per query
+	// predicate p, and the corresponding adorned goal; each distinct query
+	// atom becomes a fact of its query relation q@p^b..b, appended after
+	// every other rule. (The paper seeds the body-less magic fact
+	// m@p^b..b(c...) instead; the seed rule derives the same facts one
+	// round later, and keeps the rest of the program free of the query's
+	// constants. The paper also adds a boolean query rule
+	// Q() :- p^b..b(c...); it carries no probability mass and no WD-graph
 	// content, so we track the adorned query atom directly instead.)
-	seedRule := map[string]int{}
+	var queryFacts []ast.Rule
+	queryFact := map[string]bool{}
 	for _, q := range queries {
 		if !q.IsGround() {
 			return nil, fmt.Errorf("magic: query atom %s is not ground", q)
@@ -175,21 +213,27 @@ func TransformWith(prog *ast.Program, queries []ast.Atom, sips SIPS) (*Transform
 			return nil, fmt.Errorf("magic: query predicate %s is not intensional", q.Predicate)
 		}
 		a := AllBound(q.Arity())
-		enqueue(adornedGoal{q.Predicate, a})
 		out.Queries = append(out.Queries, q.Rename(AdornedPred(q.Predicate, a)))
-		seed := q.Rename(MagicPred(q.Predicate, a))
-		i, ok := seedRule[seed.String()]
-		if !ok {
-			i = len(out.Program.Rules)
-			seedRule[seed.String()] = i
+		if g := (adornedGoal{q.Predicate, a}); !seen[g] {
+			enqueue(g)
+			out.queryRels[QueryPred(q.Predicate, a)] = true
+			vars := make([]ast.Term, q.Arity())
+			for j := range vars {
+				vars[j] = ast.V("X" + strconv.Itoa(j+1))
+			}
 			out.Program.Add(ast.Rule{
-				Label: "seed" + strconv.Itoa(i+1),
+				Label: "seed" + strconv.Itoa(len(out.Program.Rules)+1),
 				Prob:  1,
-				Head:  seed,
+				Head:  ast.NewAtom(MagicPred(q.Predicate, a), vars...),
+				Body:  []ast.Atom{ast.NewAtom(QueryPred(q.Predicate, a), slices.Clone(vars)...)},
 			})
 			out.Meta = append(out.Meta, RuleMeta{Kind: SeedRule})
 		}
-		out.querySeed = append(out.querySeed, i)
+		fact := q.Rename(QueryPred(q.Predicate, a))
+		if key := fact.String(); !queryFact[key] {
+			queryFact[key] = true
+			queryFacts = append(queryFacts, ast.Rule{Label: "q" + strconv.Itoa(len(queryFacts)+1), Prob: 1, Head: fact})
+		}
 	}
 
 	nMagic := 0
@@ -288,59 +332,15 @@ func TransformWith(prog *ast.Program, queries []ast.Atom, sips SIPS) (*Transform
 			})
 		}
 	}
+	n := len(out.Program.Rules)
+	out.shape = ast.NewProgram(out.Program.Rules[:n:n]...)
+	for _, f := range queryFacts {
+		out.Program.Add(f)
+		out.Meta = append(out.Meta, RuleMeta{Kind: QueryFact})
+	}
 	if err := out.Program.Validate(); err != nil {
 		return nil, fmt.Errorf("magic: transformed program invalid: %w", err)
 	}
-	return out, nil
-}
-
-// Rebind returns the program of other ground atoms qs of t's query
-// predicate. Only the seed rules and the queries depend on the query
-// atoms' constants, so the result shares every other rule and the edb set
-// with t (and Meta when qs is one atom), and equals TransformWith of qs
-// over t's origin program and SIPS: one seed rule per distinct atom, in
-// order, then t's magic and modified rules. It rejects a multi-query t
-// (Magic^G's) and an atom of another predicate or arity or with
-// variables.
-func (t *Transformed) Rebind(qs ...ast.Atom) (*Transformed, error) {
-	if len(t.Queries) != 1 || len(t.Meta) == 0 || t.Meta[0].Kind != SeedRule {
-		return nil, fmt.Errorf("magic: rebind needs a single-query program, have %d queries", len(t.Queries))
-	}
-	if len(qs) == 0 {
-		return nil, fmt.Errorf("magic: no query atoms")
-	}
-	orig, _ := t.OrigPred(t.Queries[0].Predicate)
-	seedPred := t.Program.Rules[0].Head.Predicate
-	out := &Transformed{Meta: t.Meta, origEDB: t.origEDB}
-	var rules []ast.Rule
-	seedRule := map[string]int{}
-	for _, q := range qs {
-		if q.Predicate != orig || q.Arity() != t.Queries[0].Arity() {
-			return nil, fmt.Errorf("magic: cannot rebind a %s/%d program to %s", orig, t.Queries[0].Arity(), q)
-		}
-		if !q.IsGround() {
-			return nil, fmt.Errorf("magic: query atom %s is not ground", q)
-		}
-		out.Queries = append(out.Queries, q.Rename(t.Queries[0].Predicate))
-		seed := q.Rename(seedPred)
-		i, ok := seedRule[seed.String()]
-		if !ok {
-			i = len(rules)
-			seedRule[seed.String()] = i
-			rule := t.Program.Rules[0]
-			rule.Label, rule.Head = "seed"+strconv.Itoa(i+1), seed
-			rules = append(rules, rule)
-		}
-		out.querySeed = append(out.querySeed, i)
-	}
-	if len(rules) > 1 {
-		out.Meta = make([]RuleMeta, 0, len(rules)+len(t.Meta)-1)
-		for range rules {
-			out.Meta = append(out.Meta, t.Meta[0])
-		}
-		out.Meta = append(out.Meta, t.Meta[1:]...)
-	}
-	out.Program = ast.NewProgram(append(rules, t.Program.Rules[1:]...)...)
 	return out, nil
 }
 

@@ -237,13 +237,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry, for binaries (cmserve) that
-// want one shared sink without plumbing a registry through construction.
-// Libraries must take a *Registry and treat nil as disabled.
-func Default() *Registry { return defaultRegistry }
-
 // Counter returns the named counter, creating it on first use. Nil on a
 // nil registry.
 func (r *Registry) Counter(name string) *Counter {
