@@ -23,8 +23,9 @@ test:
 # of the compiled-program binding tests and the solver determinism
 # battery, whose RR workers bind one compiled Magic program at once, then
 # ten of the shared-grounding tests: propagators that share one
-# multi-seed grounding reset their counters lazily and must write only
-# state they own, and a worker releases each grounding before its next,
+# multi-seed grounding must write only state they own, a propagator
+# reused across groundings of different sizes must reset every mask a
+# pass touched, and a worker releases each grounding before its next,
 # then ten of the lock-free readers of shared tables: RR workers probe
 # and lazily index shared edb relations, the solve cache's requests call
 # FactID on one shared graph, and the first reader of a graph's
@@ -33,7 +34,7 @@ race:
 	$(GO) test -race ./internal/cm ./internal/db ./internal/im ./internal/engine ./internal/engine/difftest ./internal/magic ./internal/obs ./internal/obs/instr ./internal/obs/journal ./internal/planner ./internal/prof ./internal/server ./internal/solvecache ./internal/wdgraph
 	$(GO) test -race -count=10 -run 'Parallel|Pipeline' ./internal/engine ./internal/engine/difftest
 	$(GO) test -race -count=10 -run 'TestShapeBind|TestDeterminismAcrossParallelism' ./internal/engine ./internal/magic ./internal/cm
-	$(GO) test -race -count=10 -run 'TestPropagatorsShareGrounding|TestGroundingReleasedPerGroup' ./internal/magic ./internal/cm
+	$(GO) test -race -count=10 -run 'TestPropagatorsShareGrounding|TestPropagatorReuse|TestGroundingReleasedPerGroup' ./internal/magic ./internal/cm
 	$(GO) test -race -count=10 -run 'TestRelationConcurrentReaders|TestFactIDConcurrentReaders|TestConcurrentGraphReads' ./internal/db ./internal/wdgraph
 
 # Run every Go micro-benchmark once: a compile-and-run guard for the bench
@@ -61,9 +62,11 @@ journal-demo:
 # accepts), then the exact-vs-RIS estimator
 # differential (random hierarchical instances; the sampled estimate must
 # stay within its error proxy of the exact lifted value), then Magic^S's
-# grounding differential (random positive programs; propagation over a
-# target's own grounding, and from its own seed over its predicate's
-# multi-seed grounding, must reproduce every engine-gated sampled run).
+# grounding differential (random positive programs; every slot of a
+# masked propagation pass, over a target's own grounding and from its own
+# seed over its predicate's multi-seed grounding, alone, with its
+# target's other seeds and mixed with the predicate's other targets, must
+# reproduce its own engine-gated sampled run).
 # CI runs the same smokes; longer local runs: make fuzz FUZZTIME=10m
 FUZZTIME ?= 30s
 fuzz:

@@ -61,8 +61,8 @@ func magicCM(s *solve) error { return magicVariant(s, false) }
 // RR set by a gated evaluation; when that pays (see groundGroup), one
 // recorded unsampled evaluation of the predicate's multi-seed Magic
 // program (Remark 1's grouping, magic.Grounding), over which every other
-// slot is drawn by Horn propagation from its own target's seed; and by
-// gated evaluations otherwise. The grounding covers only the targets the
+// slot is drawn by Horn propagation from its own target's seed, up to 64
+// slots per pass (magic.Propagator); and by gated evaluations otherwise. The grounding covers only the targets the
 // batch drew of the predicate. Every RR set equals the gated evaluation's
 // as a set.
 func MagicSampledCM(in Input, opts Options) (*Result, error) {
@@ -213,17 +213,19 @@ func (m *magicRR) gatedRR(ti int, gateSeed uint64, st *Stats, sc *rrScratch, are
 // group's grounding may fire at most c·(n−1)·A₁ instantiations, n the
 // group's slot count and A₁ the instantiations its first gated run
 // attempted. Per instantiation, a grounding and a gated run cost about the
-// same: 1.0–1.3 µs per instantiation for a predicate's grounding (compile,
-// unsampled fixpoint, recording listener, index build) against 1.0–1.1 µs
+// same: 0.38 µs per instantiation for a predicate's grounding (compile,
+// unsampled fixpoint, recording listener, index build) against 0.41 µs
 // per attempted instantiation for a gated run (compile, gated fixpoint,
-// WD-graph builder), while a propagation from one target's seed costs
-// about 0.06 µs per instantiation of that target's own run (internal/magic
-// BenchmarkGroundingPerPredicate, BenchmarkGatedRun and
-// BenchmarkPropagatePerPredicate on AMIE-8, 2-vCPU linux/amd64 host). So
-// with c = 1 a grounding that completes costs at most about as much as
-// the n−1 gated runs it replaces, and one that aborts wastes at most that
-// much. c also sets the least number of repeat slots (see routeTooFew) a
-// group needs before a grounding is tried.
+// WD-graph builder), while propagation costs about 0.05 µs per slot and
+// instantiation of the slot's target's own run in a one-slot pass and
+// 0.012–0.014 µs in a full pass of magic.SlotsPerPass slots
+// (internal/magic BenchmarkGroundingPerPredicate, BenchmarkGatedRun,
+// BenchmarkPropagate and BenchmarkPropagatePerPredicate on AMIE-8, 2-vCPU
+// linux/amd64 host, Go 1.24). So with c = 1 a grounding that completes
+// costs at most about as much as the n−1 gated runs it replaces, and one
+// that aborts wastes at most that much. c also sets the least number of
+// repeat slots (see routeTooFew) a group needs before a grounding is
+// tried.
 const groundCapFactor = 1
 
 // groundRoute is how a group's slots after the first were drawn.
@@ -240,7 +242,8 @@ const (
 	// this is c·(n−1) <= 1, where the cap would be at most A₁ and is
 	// certain to trip. The slots are evaluated gated.
 	routeTooFew groundRoute = iota
-	// routeGrounded: one grounding, one propagation per slot.
+	// routeGrounded: one grounding, over which the slots are propagated
+	// up to magic.SlotsPerPass at a time.
 	routeGrounded
 	// routeCapTripped: the grounding exceeded its cap and was dropped; the
 	// slots are evaluated gated.
@@ -397,11 +400,12 @@ func (m *magicRR) unsampledGroup(p *slotPhase, w *rrWorker, idx []int) error {
 }
 
 // sampledGroup is Magic^S's pass-1 work for one target predicate's slots
-// idx (ascending): the first slot by a gated evaluation, then either one
-// propagation per remaining slot, from its own target's seed, over the
-// grounding of the multi-seed program of the targets the slots drew, or —
-// when the route rejects grounding — the remaining slots queued for
-// pass 2. It records the route in r.
+// idx (ascending): the first slot by a gated evaluation, then either the
+// remaining slots propagated over the grounding of the multi-seed program
+// of the targets the slots drew, up to magic.SlotsPerPass per propagation
+// pass and each from its own target's seed, or — when the route rejects
+// grounding — the remaining slots queued for pass 2. Slots are read back
+// and emitted in group order. It records the route in r.
 func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, idx []int, r *groupRoute) error {
 	t0 := w.rec.Start()
 	// The targets the slots drew, in T2 order: the grounding's queries.
@@ -466,25 +470,42 @@ func (m *magicRR) sampledGroup(p *slotPhase, w *rrWorker, idx []int, r *groupRou
 			w.cand[pf] = int32(c)
 		}
 	})
-	for _, i := range rest {
+	for len(rest) > 0 {
 		if m.ctx.Err() != nil {
 			return nil
 		}
+		pass := rest[:min(len(rest), magic.SlotsPerPass)]
+		rest = rest[len(pass):]
 		t0 := w.rec.Start()
-		lo := len(w.arena)
-		s := w.seeds[p.slots[i].ti]
-		w.prop.Propagate(g, p.slots[i].gate(), s.from)
-		nodes, edges := w.prop.GraphSize()
-		recordGraph(&w.stats, nodes, edges)
-		if s.rootOK {
-			w.reached, _ = w.prop.AppendReached(w.reached[:0], s.root)
-			for _, pf := range w.reached {
-				if c := w.cand[pf]; c >= 0 {
-					w.arena = append(w.arena, im.CandidateID(c))
+		seeds, froms := w.gateSeeds[:len(pass)], w.froms[:len(pass)]
+		for s, i := range pass {
+			seeds[s], froms[s] = p.slots[i].gate(), w.seeds[p.slots[i].ti].from
+		}
+		w.prop.Propagate(g, seeds, froms)
+		w.prop.Sizes(w.nodes[:], w.edges[:])
+		// The profile times each slot from its own start: an equal share
+		// of the pass, then its own reads.
+		var share time.Duration
+		if !t0.IsZero() {
+			share = time.Since(t0) / time.Duration(len(pass))
+		}
+		for s, i := range pass {
+			t0 := w.rec.Start()
+			if !t0.IsZero() {
+				t0 = t0.Add(-share)
+			}
+			lo := len(w.arena)
+			recordGraph(&w.stats, w.nodes[s], w.edges[s])
+			if sr := w.seeds[p.slots[i].ti]; sr.rootOK {
+				w.reached, _ = w.prop.AppendReached(w.reached[:0], sr.root, s)
+				for _, pf := range w.reached {
+					if c := w.cand[pf]; c >= 0 {
+						w.arena = append(w.arena, im.CandidateID(c))
+					}
 				}
 			}
+			p.emit(w, i, lo, t0)
 		}
-		p.emit(w, i, lo, t0)
 	}
 	return nil
 }

@@ -88,6 +88,12 @@ type rrWorker struct {
 	rec      *instr.RR
 	fallback []int
 	err      error
+
+	// One propagation pass's gate seeds, seed instantiations and graph
+	// sizes, per slot of the pass.
+	gateSeeds    [magic.SlotsPerPass]uint64
+	froms        [magic.SlotsPerPass]int32
+	nodes, edges [magic.SlotsPerPass]int
 }
 
 // seeded returns w's rng on slot s's own PCG stream.

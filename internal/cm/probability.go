@@ -24,8 +24,9 @@ import (
 // instantiation whose body facts were all derived — stricter than the
 // reachability that the contribution measure (Definition 3.4) is built on.
 // The first sample runs gated; the others propagate their seeds through
-// one grounding of the program when Magic^S CM's route (groundGroup)
-// allows, and run gated otherwise — the same executions either way.
+// one grounding of the program, up to magic.SlotsPerPass samples per
+// propagation pass, when Magic^S CM's route (groundGroup) allows, and run
+// gated otherwise — the same executions either way.
 //
 // The program must be positive (no negation); the standard error of the
 // estimate is at most 1/(2·sqrt(samples)).
@@ -90,10 +91,18 @@ func DerivationProbability(prog *ast.Program, database *db.Database, target ast.
 	if g != nil {
 		f, derivable := g.Fact(adorned.Predicate, tuple)
 		var p magic.Propagator
-		for _, seed := range seeds[1:] {
-			p.Propagate(g, seed, g.Seed(0))
-			if derivable && p.Derived(f) {
-				hits++
+		var froms [magic.SlotsPerPass]int32
+		for s := range froms {
+			froms[s] = g.Seed(0)
+		}
+		for rest := seeds[1:]; len(rest) > 0; {
+			pass := rest[:min(len(rest), magic.SlotsPerPass)]
+			rest = rest[len(pass):]
+			p.Propagate(g, pass, froms[:len(pass)])
+			for s := range pass {
+				if derivable && p.Derived(f, s) {
+					hits++
+				}
 			}
 		}
 		return float64(hits) / float64(samples), nil

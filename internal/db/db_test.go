@@ -436,3 +436,51 @@ func TestInvariantPanicMessage(t *testing.T) {
 	}()
 	d.Relation("p", 3)
 }
+
+// fillTable adds keys[i] under id i to tab, hashed with HashIDs, and
+// returns how many of them tab already held.
+func fillTable(tab *db.IDTable, keys []int32) int {
+	seen := 0
+	for i, k := range keys {
+		if _, ok := tab.FindOrAdd(db.HashIDs(5, []int32{k}), int32(i), func(id int32) bool { return keys[id] == k }); ok {
+			seen++
+		}
+	}
+	return seen
+}
+
+// TestIDTableReserve checks that a table reserved for n ids takes n adds
+// with the one allocation Reserve makes (an unreserved one grows several
+// times), finds every id after them, and that HashIDs hashes ids as
+// Tuple.Hash hashes the same symbols.
+func TestIDTableReserve(t *testing.T) {
+	keys := make([]int32, 1000)
+	for i := range keys {
+		keys[i] = int32(i*7919 + 1)
+	}
+	reserved := testing.AllocsPerRun(5, func() {
+		var tab db.IDTable
+		tab.Reserve(len(keys))
+		fillTable(&tab, keys)
+	})
+	grown := testing.AllocsPerRun(5, func() {
+		var tab db.IDTable
+		fillTable(&tab, keys)
+	})
+	if reserved != 1 || grown <= 1 {
+		t.Errorf("%d adds allocate %.1f times after Reserve and %.1f times without; want 1 and more", len(keys), reserved, grown)
+	}
+	var tab db.IDTable
+	tab.Reserve(len(keys))
+	if seen := fillTable(&tab, keys); seen != 0 {
+		t.Fatalf("%d of %d distinct keys found before they were added", seen, len(keys))
+	}
+	for i, k := range keys {
+		if id, ok := tab.Find(db.HashIDs(5, []int32{k}), func(id int32) bool { return keys[id] == k }); !ok || id != int32(i) {
+			t.Fatalf("Find(%d) = %d, %v; want %d, true", k, id, ok, i)
+		}
+	}
+	if db.HashIDs(5, []db.Sym{3, 1, 4}) != (db.Tuple{3, 1, 4}).Hash(5) {
+		t.Error("HashIDs and Tuple.Hash disagree on the same symbols")
+	}
+}

@@ -25,10 +25,15 @@ func mix(h, v uint64) uint64 {
 // Hash returns a hash of t salted with salt, for keying an IDTable. It is
 // keyed once per process, so equal tuples hash alike within a process and
 // no table layout carries over between processes.
-func (t Tuple) Hash(salt uint64) uint64 {
+func (t Tuple) Hash(salt uint64) uint64 { return HashIDs(salt, t) }
+
+// HashIDs returns a hash of a sequence of int32-based ids (symbols, fact
+// or node ids) salted with salt, for keying an IDTable over such
+// sequences. Tuple.Hash is HashIDs over the tuple's symbols.
+func HashIDs[T ~int32](salt uint64, ids []T) uint64 {
 	h := mix(hashSeed, salt)
-	for _, s := range t {
-		h = mix(h, uint64(uint32(s)))
+	for _, id := range ids {
+		h = mix(h, uint64(uint32(id)))
 	}
 	return h
 }
@@ -86,6 +91,18 @@ func (t *IDTable) FindOrAdd(h uint64, id int32, eq func(id int32) bool) (int32, 
 	t.put((h&0xffffffff)<<32 | uint64(uint32(id+1)))
 	t.n++
 	return id, false
+}
+
+// Reserve sizes an empty table so that its first n adds do not grow it.
+func (t *IDTable) Reserve(n int) {
+	if t.n > 0 || n <= 0 {
+		return
+	}
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	t.slots = make([]uint64, size)
 }
 
 // grow doubles the table, placing every slot by its stored hash.

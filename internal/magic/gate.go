@@ -17,8 +17,9 @@ import (
 // instantiation key is mapped to a uniform [0, 1) value and compared to
 // w(origin). That makes the gate order-independent and safe for
 // concurrent use — and no memoization table is needed: re-deriving the
-// same instantiation recomputes the same verdict. Propagator draws the same verdicts over a
-// Grounding through the same hash (gateRule).
+// same instantiation recomputes the same verdict. Propagator draws the
+// same verdicts over a Grounding, for up to 64 seeds per pass, through the
+// same hash (gateRule).
 //
 // A HashGate represents one random execution; use a fresh seed per RR set
 // so draws are independent across RR sets.

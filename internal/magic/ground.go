@@ -3,6 +3,8 @@ package magic
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"contribmax/internal/ast"
 	"contribmax/internal/db"
@@ -20,9 +22,10 @@ import (
 // fires iff its gate verdict is yes and all its body facts are derived",
 // taken over the instantiations of the unsampled run (Proposition 4.4
 // makes that run the target's backward subgraph). Propagator computes
-// that fixpoint per gate seed by Horn propagation (Dowling–Gallier):
-// per-instantiation counters of underived body facts, in time linear in
-// the part of the ground program it touches.
+// that fixpoint for up to 64 gate seeds at once by Horn propagation
+// (Dowling–Gallier) over slot masks: one bit per seed on every
+// instantiation and idb fact, in time linear in the part of the ground
+// program the pass touches.
 //
 // A shape evaluated over several loaded queries of its predicate (Remark
 // 1's grouping) grounds once for all of them: the instantiations
@@ -35,9 +38,10 @@ type Grounding struct {
 	gates []gateRule // per rule of the transformed program
 
 	// Per instantiation, in firing order. body[bodyOff[i]:bodyOff[i+1]]
-	// lists i's idb body facts (with multiplicity; edb facts are always
-	// present and are not counted), vals[valOff[i]:valOff[i+1]] the origin
-	// variable values its gate verdict hashes (sampled rules only).
+	// lists i's idb body facts (with multiplicity; edb facts are present in
+	// every run, so propagation never waits on them), and
+	// vals[valOff[i]:valOff[i+1]] the origin variable values its gate
+	// verdict hashes (sampled rules only).
 	rule    []int32
 	head    []int32 // idb fact id
 	bodyOff []int32
@@ -56,13 +60,11 @@ type Grounding struct {
 	key     []int32
 	nKeys   int
 
-	// Propagation indexes: need[i] counts i's idb body occurrences,
-	// seeds[q] is the q-th seed-rule instantiation,
+	// Propagation indexes: seeds[q] is the q-th seed-rule instantiation,
 	// watch[watchOff[f]:watchOff[f+1]] the instantiations with idb fact f
 	// in their body (one entry per occurrence), and
 	// prod[prodOff[p]:prodOff[p+1]] the modified instantiations whose
 	// projected head is p.
-	need     []int32
 	seeds    []int32
 	watchOff []int32
 	watch    []int32
@@ -72,15 +74,26 @@ type Grounding struct {
 	// Facts. Idb fact ids are dense: relation rels[k]'s tuple j is fact
 	// base[k]+j. Projected facts (wdgraph fact nodes) number nPF: the idb
 	// ones first (adorned relations of one predicate merge), then the edb
-	// ones from nIDBPF on.
-	rels   []*db.Relation
-	relOf  map[string]int32 // relation name -> index into rels
-	base   []int32
-	nFacts int
-	nIDBPF int
-	nPF    int
-	pfOf   map[string]int32 // origin predicate NUL tuple -> projected idb fact
-	edbPF  []edbFact        // projected facts nIDBPF.., in id order
+	// ones from nIDBPF on. pf indexes the projected idb facts, hashed over
+	// the origin predicate's index (origOf, relOrig) and the tuple, and
+	// pfRep holds the first fact that projects to each.
+	rels    []*db.Relation
+	relOf   map[string]int32 // relation name -> index into rels
+	base    []int32
+	nFacts  int
+	nIDBPF  int
+	nPF     int
+	origOf  map[string]int32 // origin predicate -> index
+	relOrig []int32          // per relation: its origin predicate's index, -1 for magic relations
+	pf      db.IDTable
+	pfRep   []factRef
+	edbPF   []edbFact // projected facts nIDBPF.., in id order
+}
+
+// factRef locates one idb fact: tuple id of relation rels[rel].
+type factRef struct {
+	rel int32
+	id  db.TupleID
 }
 
 // edbFact locates one projected edb fact.
@@ -361,24 +374,32 @@ func (r *recorder) finish() *Grounding {
 	// Projected idb facts: one per (origin predicate, tuple); magic
 	// relations project to nothing.
 	factPF := make([]int32, g.nFacts)
-	g.pfOf = make(map[string]int32)
-	var key []byte
+	g.origOf = map[string]int32{}
+	g.relOrig = make([]int32, len(g.rels))
 	for k, rel := range g.rels {
+		facts := factPF[g.base[k] : int(g.base[k])+rel.Len()]
 		orig, ok := r.t.OrigPred(rel.Name())
-		for j := 0; j < rel.Len(); j++ {
-			f := g.base[k] + int32(j)
-			if !ok {
-				factPF[f] = -1
-				continue
+		if !ok {
+			g.relOrig[k] = -1
+			for j := range facts {
+				facts[j] = -1
 			}
-			key = appendFactKey(key[:0], orig, rel.Tuple(db.TupleID(j)))
-			p, seen := g.pfOf[string(key)]
+			continue
+		}
+		o, seen := g.origOf[orig]
+		if !seen {
+			o = int32(len(g.origOf))
+			g.origOf[orig] = o
+		}
+		g.relOrig[k] = o
+		for j := range facts {
+			t := rel.Tuple(db.TupleID(j))
+			p, seen := g.pf.FindOrAdd(t.Hash(uint64(o)), int32(g.nIDBPF), g.isPF(o, t))
 			if !seen {
-				p = int32(g.nIDBPF)
 				g.nIDBPF++
-				g.pfOf[string(key)] = p
+				g.pfRep = append(g.pfRep, factRef{rel: int32(k), id: db.TupleID(j)})
 			}
-			factPF[f] = p
+			facts[j] = p
 		}
 	}
 	g.nPF = g.nIDBPF
@@ -403,8 +424,7 @@ func (r *recorder) finish() *Grounding {
 	g.kept = make([]int32, 0, nKept)
 	g.pHead = make([]int32, n)
 	g.key = make([]int32, n)
-	g.need = make([]int32, n)
-	keys := map[string]int32{}
+	var keys db.IDTable // shared-label rule nodes -> their first instantiation
 	at := 0
 	for i := 0; i < n; i++ {
 		rec := r.raw[at:]
@@ -417,7 +437,6 @@ func (r *recorder) finish() *Grounding {
 			g.body = append(g.body, g.base[gr.rels[p]]+rec[j])
 		}
 		g.bodyOff[i+1] = int32(len(g.body))
-		g.need[i] = int32(len(gr.idbPos))
 		if gr.seed {
 			g.seeds = append(g.seeds, int32(i))
 		}
@@ -458,18 +477,18 @@ func (r *recorder) finish() *Grounding {
 		}
 		// Adorned versions of one origin rule can fire the same projected
 		// instantiation; wdgraph.Builder merges those into one rule node.
-		key = appendID(key[:0], gr.label)
-		key = appendID(key, g.pHead[i])
-		for _, p := range g.kept[lo:] {
-			key = appendID(key, p)
+		kept := g.kept[lo:]
+		h := db.HashIDs(uint64(gr.label)<<32|uint64(uint32(g.pHead[i])), kept)
+		first, seen := keys.FindOrAdd(h, int32(i), func(j int32) bool {
+			return r.rules[g.rule[j]].label == gr.label && g.pHead[j] == g.pHead[i] &&
+				slices.Equal(g.kept[g.keptOff[j]:g.keptOff[j+1]], kept)
+		})
+		if seen {
+			g.key[i] = g.key[first]
+			continue
 		}
-		id, seen := keys[string(key)]
-		if !seen {
-			id = int32(g.nKeys)
-			g.nKeys++
-			keys[string(key)] = id
-		}
-		g.key[i] = id
+		g.key[i] = int32(g.nKeys)
+		g.nKeys++
 	}
 	r.raw = nil
 
@@ -514,21 +533,6 @@ func csrOffsets(n int, items []int32) []int32 {
 	return off
 }
 
-func appendID(dst []byte, id int32) []byte {
-	return append(dst, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
-}
-
-// appendFactKey encodes pred(t) as pred NUL then 4 big-endian bytes per
-// symbol.
-func appendFactKey(dst []byte, pred string, t db.Tuple) []byte {
-	dst = append(dst, pred...)
-	dst = append(dst, 0)
-	for _, s := range t {
-		dst = append(dst, byte(s>>24), byte(s>>16), byte(s>>8), byte(s))
-	}
-	return dst
-}
-
 // Instantiations returns the number of recorded instantiations.
 func (g *Grounding) Instantiations() int { return len(g.rule) }
 
@@ -551,9 +555,20 @@ func (g *Grounding) Fact(pred string, t db.Tuple) (int32, bool) {
 // idb fact pred(t), pred an origin-program predicate, if the unsampled run
 // derived it under any adornment.
 func (g *Grounding) ProjectedFact(pred string, t db.Tuple) (int32, bool) {
-	var buf [64]byte
-	p, ok := g.pfOf[string(appendFactKey(buf[:0], pred, t))]
-	return p, ok
+	o, ok := g.origOf[pred]
+	if !ok {
+		return 0, false
+	}
+	return g.pf.Find(t.Hash(uint64(o)), g.isPF(o, t))
+}
+
+// isPF returns the test of whether projected idb fact p is the fact t of
+// origin predicate o.
+func (g *Grounding) isPF(o int32, t db.Tuple) func(p int32) bool {
+	return func(p int32) bool {
+		rep := g.pfRep[p]
+		return g.relOrig[rep.rel] == o && g.rels[rep.rel].Tuple(rep.id).Equal(t)
+	}
 }
 
 // EDBFacts calls fn for every projected edb fact: the edb facts in kept
@@ -575,115 +590,173 @@ func (g *Grounding) NumProjected() int { return g.nPF }
 // CM's do.
 func (g *Grounding) Seed(q int) int32 { return g.seeds[q] }
 
-// Propagator draws sampled runs over a Grounding. It owns reusable
-// counters and epoch-stamped marks, so a steady-state propagation
+// SlotsPerPass is the most sampled runs one Propagate draws: one bit of a
+// uint64 mask per run.
+const SlotsPerPass = 64
+
+// Propagator draws sampled runs over a Grounding, up to SlotsPerPass of
+// them in one pass. Run s of a pass is slot s: bit s of a per-instantiation
+// mask records the runs in which the instantiation's body was complete
+// (tried) and those in which it fired, and bit s of a per-fact mask the
+// runs that derived the fact. The arrays are reused from pass to pass and
+// reset through lists of what the pass touched, so a steady-state pass
 // allocates nothing and costs only the instantiations and facts it
 // touches. It never writes to the Grounding. Not safe for concurrent use;
 // give each goroutine its own (several propagators may share one
 // Grounding).
 type Propagator struct {
 	g       *Grounding
-	epoch   uint32
-	walkEp  uint32
-	cnt     []int32  // instantiation -> idb body facts not yet derived
-	counted []uint32 // instantiation -> epoch cnt was set in
-	fired   []uint32 // instantiation -> epoch it fired in
-	derived []uint32 // idb fact -> epoch it was derived in
-	pfMark  []uint32
-	keyMark []uint32
-	walked  []uint32
-	queue   []int32
-	firedIn []int32 // the fired instantiations, in propagation order
-	originH []uint64
+	tried   []uint64 // instantiation -> slots its idb body was derived in
+	fired   []uint64 // instantiation -> slots it fired in
+	derived []uint64 // idb fact -> slots it was derived in
+	queued  []bool   // idb fact -> in queue
+	queue   []int32  // facts whose mask grew since they were last read, FIFO
+	insts   []int32  // instantiations with tried != 0
+	facts   []int32  // facts with derived != 0
+	originH []uint64 // rule*SlotsPerPass + slot -> origin hash (sampled rules)
+
+	// Scratch of Sizes (the slots each projected fact p, at p, and rule
+	// node k, at nPF+k, was counted in, and the entries it set) and of
+	// AppendReached. All zero or empty between calls.
+	sizeMask []uint64
+	sized    []int32
+	walked   []bool
+	marked   []int32
 }
 
-// Propagate computes the sampled run of g with the given gate seed that
-// starts from the seed instantiation from (see Grounding.Seed): the least
-// set of instantiations, reached from from, whose HashGate verdict (seeded
-// with seed) is yes and whose idb body facts are all derived by
-// instantiations of the set. For the seed of query q it equals the run of
-// the engine gated by NewHashGate(t, eng, seed) on the program with q
-// alone: the verdicts depend only on origin rules and bindings, and the
-// instantiations reachable from q's seed are those of q's own unsampled
-// run, which a grounding of a program with q among its queries contains.
-func (p *Propagator) Propagate(g *Grounding, seed uint64, from int32) {
+// Propagate computes len(seeds) sampled runs of g at once. Slot s is the
+// run with gate seed seeds[s] that starts from the seed instantiation
+// froms[s] (see Grounding.Seed): the least set of instantiations, reached
+// from froms[s], whose HashGate verdict (seeded with seeds[s]) is yes and
+// whose idb body facts are all derived by instantiations of the set. For
+// the seed of query q it equals the run of the engine gated by
+// NewHashGate(t, eng, seeds[s]) on the program with q alone: the verdicts
+// depend only on origin rules and bindings, and the instantiations
+// reachable from q's seed are those of q's own unsampled run, which a
+// grounding of a program with q among its queries contains. The slots may
+// start from the seeds of different queries. len(seeds) = len(froms) is at
+// most SlotsPerPass.
+//
+// Each run is a least fixpoint, so it does not depend on the order the
+// pass visits instantiations in, and bit s of the masks follows slot s's
+// run alone. An instantiation is attempted, with the slots in which its
+// body is complete and that it has not been attempted in, when a body
+// fact's mask grows; its verdict is hashed once per such slot. Facts wait
+// in a FIFO queue, at most once each, so the bits of several slots collect
+// while a fact waits and its watchers are read once for all of them.
+func (p *Propagator) Propagate(g *Grounding, seeds []uint64, froms []int32) {
+	if len(seeds) != len(froms) || len(seeds) > SlotsPerPass {
+		panic(fmt.Sprintf("magic: Propagate of %d seeds from %d instantiations", len(seeds), len(froms)))
+	}
 	p.reset(g)
 	for r := range g.gates {
 		if g.gates[r].sample {
-			p.originH[r] = g.gates[r].originHash(seed)
+			hs := p.originH[r*SlotsPerPass:]
+			for s, seed := range seeds {
+				hs[s] = g.gates[r].originHash(seed)
+			}
 		}
 	}
-	ep := p.epoch
-	cnt, counted := p.cnt, p.counted
-	queue := append(p.queue[:0], from)
-	fired := p.firedIn[:0]
-	for len(queue) > 0 {
-		i := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		r := g.rule[i]
-		if gr := &g.gates[r]; gr.sample {
-			h := p.originH[r]
-			for _, v := range g.vals[g.valOff[i]:g.valOff[i+1]] {
-				h = mixGate(h, v)
-			}
-			if !gateFires(h, gr.prob) {
+	for s, from := range froms {
+		p.attempt(from, 1<<s)
+	}
+	for k := 0; k < len(p.queue); k++ {
+		f := p.queue[k]
+		p.queued[f] = false
+		df := p.derived[f]
+		for _, j := range g.watch[g.watchOff[f]:g.watchOff[f+1]] {
+			avail := df &^ p.tried[j]
+			if avail == 0 {
 				continue
 			}
-		}
-		p.fired[i] = ep
-		fired = append(fired, i)
-		f := g.head[i]
-		if p.derived[f] == ep {
-			continue
-		}
-		p.derived[f] = ep
-		for _, j := range g.watch[g.watchOff[f]:g.watchOff[f+1]] {
-			if counted[j] != ep {
-				counted[j] = ep
-				cnt[j] = g.need[j]
+			for _, b := range g.body[g.bodyOff[j]:g.bodyOff[j+1]] {
+				avail &= p.derived[b]
 			}
-			cnt[j]--
-			if cnt[j] == 0 {
-				queue = append(queue, j)
+			if avail != 0 {
+				p.attempt(j, avail)
 			}
 		}
 	}
-	p.queue, p.firedIn = queue, fired
+	p.queue = p.queue[:0]
 }
 
-// reset sizes the scratch for g and opens a new epoch.
-func (p *Propagator) reset(g *Grounding) {
-	p.g = g
-	n := len(g.rule)
-	p.cnt = resize(p.cnt, n)
-	p.counted = resize(p.counted, n)
-	p.fired = resize(p.fired, n)
-	p.derived = resize(p.derived, g.nFacts)
-	p.pfMark = resize(p.pfMark, g.nPF)
-	p.keyMark = resize(p.keyMark, g.nKeys)
-	p.walked = resize(p.walked, g.nPF)
-	p.originH = resize(p.originH, len(g.gates))
-	p.epoch++
-	if p.epoch == 0 {
-		// Wrapped: stale marks, also those past the current lengths, could
-		// equal a future epoch.
-		clear(p.counted[:cap(p.counted)])
-		clear(p.fired[:cap(p.fired)])
-		clear(p.derived[:cap(p.derived)])
-		clear(p.pfMark[:cap(p.pfMark)])
-		clear(p.keyMark[:cap(p.keyMark)])
-		p.epoch = 1
+// attempt tries instantiation j in the slots of avail: it draws j's
+// verdict in each slot it was not tried in yet and grows its head's mask
+// by the slots it fires in, queueing the head when the mask grows.
+func (p *Propagator) attempt(j int32, avail uint64) {
+	g := p.g
+	fresh := avail &^ p.tried[j]
+	if fresh == 0 {
+		return
 	}
+	if p.tried[j] == 0 {
+		p.insts = append(p.insts, j)
+	}
+	p.tried[j] |= fresh
+	fires := fresh
+	r := g.rule[j]
+	if gr := &g.gates[r]; gr.sample {
+		fires = 0
+		vals := g.vals[g.valOff[j]:g.valOff[j+1]]
+		hs := p.originH[int(r)*SlotsPerPass:]
+		for m := fresh; m != 0; m &= m - 1 {
+			s := bits.TrailingZeros64(m)
+			h := hs[s]
+			for _, v := range vals {
+				h = mixGate(h, v)
+			}
+			if gateFires(h, gr.prob) {
+				fires |= 1 << s
+			}
+		}
+		if fires == 0 {
+			return
+		}
+	}
+	p.fired[j] |= fires
+	f := g.head[j]
+	if fires&^p.derived[f] == 0 {
+		return
+	}
+	if p.derived[f] == 0 {
+		p.facts = append(p.facts, f)
+	}
+	p.derived[f] |= fires
+	if !p.queued[f] {
+		p.queued[f] = true
+		p.queue = append(p.queue, f)
+	}
+}
+
+// reset clears what the last pass touched and sizes the arrays for g.
+// Every mask is zero between passes up to its capacity, so growing or
+// shrinking the arrays exposes no stale bits.
+func (p *Propagator) reset(g *Grounding) {
+	for _, i := range p.insts {
+		p.tried[i], p.fired[i] = 0, 0
+	}
+	for _, f := range p.facts {
+		p.derived[f] = 0
+	}
+	p.insts, p.facts = p.insts[:0], p.facts[:0]
+	p.g = g
+	p.tried = resize(p.tried, len(g.rule))
+	p.fired = resize(p.fired, len(g.rule))
+	p.derived = resize(p.derived, g.nFacts)
+	p.queued = resize(p.queued, g.nFacts)
+	p.originH = resize(p.originH, len(g.gates)*SlotsPerPass)
+	p.sizeMask = resize(p.sizeMask, g.nPF+g.nKeys)
+	p.walked = resize(p.walked, g.nPF)
 }
 
 // Release drops the propagator's reference to the last propagated
 // Grounding, so a propagator kept for reuse does not keep that ground
 // program (and the scratch relations it indexes) alive. The scratch is
-// kept; Derived, GraphSize and AppendReached need a new Propagate.
+// kept; Derived, Sizes and AppendReached need a new Propagate.
 func (p *Propagator) Release() { p.g = nil }
 
 // resize returns s with length n, keeping its contents; grown elements are
-// zero, which no live epoch equals.
+// zero.
 func resize[T any](s []T, n int) []T {
 	if n <= cap(s) {
 		return s[:n]
@@ -691,59 +764,67 @@ func resize[T any](s []T, n int) []T {
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
-// Derived reports whether idb fact f (see Grounding.Fact) was derived by
-// the last propagation.
-func (p *Propagator) Derived(f int32) bool { return p.derived[f] == p.epoch }
+// Derived reports whether idb fact f (see Grounding.Fact) was derived in
+// slot s of the last pass.
+func (p *Propagator) Derived(f int32, s int) bool { return p.derived[f]>>s&1 != 0 }
 
-// GraphSize returns the node and edge counts of the WD graph
-// wdgraph.Builder would build from the last propagation's run under the
-// Magic projection: its projected facts, its rule nodes (instantiations
-// merged by origin label, head and kept body), and one edge per kept body
-// fact plus one head edge per rule node. Call it at most once per
-// propagation.
-func (p *Propagator) GraphSize() (nodes, edges int) {
-	g, ep := p.g, p.epoch
-	for _, i := range p.firedIn {
-		h := g.pHead[i]
-		if h < 0 {
-			continue
+// Sizes sets nodes[s] and edges[s], for every slot s of the last pass, to
+// the node and edge counts of the WD graph wdgraph.Builder would build
+// from slot s's run under the Magic projection: its projected facts, its
+// rule nodes (instantiations merged by origin label, head and kept body),
+// and one edge per kept body fact plus one head edge per rule node. It
+// reads the fired masks in one sweep over the instantiations the pass
+// touched. nodes and edges must be at least as long as the pass; entries
+// past it are set to zero.
+func (p *Propagator) Sizes(nodes, edges []int) {
+	g := p.g
+	clear(nodes)
+	clear(edges)
+	// count adds node x (and width edges) to the slots of m it was not
+	// counted in yet.
+	count := func(x int32, m uint64, width int) {
+		fresh := m &^ p.sizeMask[x]
+		if fresh == 0 {
+			return
 		}
-		if p.pfMark[h] != ep {
-			p.pfMark[h] = ep
-			nodes++
+		if p.sizeMask[x] == 0 {
+			p.sized = append(p.sized, x)
 		}
-		kept := g.kept[g.keptOff[i]:g.keptOff[i+1]]
-		for _, f := range kept {
-			if p.pfMark[f] != ep {
-				p.pfMark[f] = ep
-				nodes++
-			}
-		}
-		if k := g.key[i]; p.keyMark[k] != ep {
-			p.keyMark[k] = ep
-			nodes++
-			edges += len(kept) + 1
+		p.sizeMask[x] |= fresh
+		for ; fresh != 0; fresh &= fresh - 1 {
+			s := bits.TrailingZeros64(fresh)
+			nodes[s]++
+			edges[s] += width
 		}
 	}
-	return nodes, edges
+	for _, i := range p.insts {
+		h, m := g.pHead[i], p.fired[i]
+		if h < 0 || m == 0 {
+			continue
+		}
+		count(h, m, 0)
+		kept := g.kept[g.keptOff[i]:g.keptOff[i+1]]
+		for _, f := range kept {
+			count(f, m, 0)
+		}
+		count(int32(g.nPF)+g.key[i], m, len(kept)+1)
+	}
+	for _, x := range p.sized {
+		p.sizeMask[x] = 0
+	}
+	p.sized = p.sized[:0]
 }
 
 // AppendReached appends to dst the projected edb facts reverse-reachable
-// from projected fact root through the instantiations the last
-// propagation fired — the RR set's members before candidate filtering —
-// and reports whether root is a node of that run's graph at all. Unlike
-// GraphSize it may be called repeatedly, with different roots.
-func (p *Propagator) AppendReached(dst []int32, root int32) ([]int32, bool) {
-	g, ep := p.g, p.epoch
-	p.walkEp++
-	if p.walkEp == 0 {
-		clear(p.walked[:cap(p.walked)])
-		p.walkEp = 1
-	}
-	wep := p.walkEp
+// from projected fact root through the instantiations slot s of the last
+// pass fired — the RR set's members before candidate filtering — and
+// reports whether root is a node of that run's graph at all. It may be
+// called repeatedly, with different roots and slots.
+func (p *Propagator) AppendReached(dst []int32, root int32, s int) ([]int32, bool) {
+	g, bit := p.g, uint64(1)<<s
 	found := false
 	for _, i := range g.prod[g.prodOff[root]:g.prodOff[root+1]] {
-		if p.fired[i] == ep {
+		if p.fired[i]&bit != 0 {
 			found = true
 			break
 		}
@@ -751,7 +832,8 @@ func (p *Propagator) AppendReached(dst []int32, root int32) ([]int32, bool) {
 	if !found {
 		return dst, false
 	}
-	p.walked[root] = wep
+	p.walked[root] = true
+	marked := append(p.marked[:0], root)
 	stack := append(p.queue[:0], root)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
@@ -761,17 +843,21 @@ func (p *Propagator) AppendReached(dst []int32, root int32) ([]int32, bool) {
 			continue
 		}
 		for _, i := range g.prod[g.prodOff[v]:g.prodOff[v+1]] {
-			if p.fired[i] != ep {
+			if p.fired[i]&bit == 0 {
 				continue
 			}
 			for _, u := range g.kept[g.keptOff[i]:g.keptOff[i+1]] {
-				if p.walked[u] != wep {
-					p.walked[u] = wep
+				if !p.walked[u] {
+					p.walked[u] = true
+					marked = append(marked, u)
 					stack = append(stack, u)
 				}
 			}
 		}
 	}
-	p.queue = stack
+	for _, u := range marked {
+		p.walked[u] = false
+	}
+	p.marked, p.queue = marked, stack
 	return dst, true
 }

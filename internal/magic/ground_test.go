@@ -2,7 +2,6 @@ package magic_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -88,6 +87,10 @@ type grounded struct {
 	g       *magic.Grounding
 	edbName map[int32]string
 	queries []groundedQuery
+	// The program, database and targets grounded, for gated.
+	prog    *ast.Program
+	d       *db.Database
+	targets []ast.Atom
 }
 
 // groundedQuery locates one query of a grounded program: its seed
@@ -147,7 +150,7 @@ func groundProgram(t testing.TB, prog *ast.Program, d *db.Database, tr *magic.Tr
 	if g.Instantiations() != int(st.Engine.Instantiations) {
 		t.Fatalf("grounding recorded %d instantiations, engine fired %d", g.Instantiations(), st.Engine.Instantiations)
 	}
-	out := &grounded{g: g, edbName: map[int32]string{}}
+	out := &grounded{g: g, edbName: map[int32]string{}, prog: prog, d: d, targets: targets}
 	g.EDBFacts(func(pf int32, pred string, tu db.Tuple) { out.edbName[pf] = renderFact(d, pred, tu) })
 	for q, target := range targets {
 		tuple, err := d.InternAtom(target)
@@ -170,26 +173,90 @@ func groundTarget(t testing.TB, prog *ast.Program, d *db.Database, tr *magic.Tra
 	return groundProgram(t, prog, d, tr, []ast.Atom{target})
 }
 
-// run propagates the sampled run of query q with the given gate seed.
-func (gr *grounded) run(p *magic.Propagator, q int, seed uint64) sampledRun {
-	gq := gr.queries[q]
-	p.Propagate(gr.g, seed, gq.from)
-	var out sampledRun
-	out.nodes, out.edges = p.GraphSize()
-	if gq.rootOK {
-		var reached []int32
-		reached, out.present = p.AppendReached(nil, gq.root)
-		for _, pf := range reached {
-			out.rr = append(out.rr, gr.edbName[pf])
-		}
+// gated returns the engine-gated run of query q alone with the given gate
+// seed: the run every propagated slot of q must reproduce.
+func (gr *grounded) gated(t testing.TB, q int, seed uint64) sampledRun {
+	t.Helper()
+	tr, err := magic.Transform(gr.prog, gr.targets[q:q+1])
+	if err != nil {
+		t.Fatal(err)
 	}
-	out.derived = gq.queryOK && p.Derived(gq.query)
-	slices.Sort(out.rr)
+	return gatedRun(t, gr.prog, gr.d, tr, gr.targets[q], seed)
+}
+
+// pass propagates one pass of len(qs) slots over the grounding, slot s
+// drawing query qs[s]'s sampled run with gate seed seeds[s], and reads
+// every slot back.
+func (gr *grounded) pass(p *magic.Propagator, qs []int, seeds []uint64) []sampledRun {
+	froms := make([]int32, len(qs))
+	for s, q := range qs {
+		froms[s] = gr.queries[q].from
+	}
+	p.Propagate(gr.g, seeds, froms)
+	nodes, edges := make([]int, len(qs)), make([]int, len(qs))
+	p.Sizes(nodes, edges)
+	out := make([]sampledRun, len(qs))
+	for s, q := range qs {
+		gq := gr.queries[q]
+		out[s] = sampledRun{nodes: nodes[s], edges: edges[s]}
+		if gq.rootOK {
+			var reached []int32
+			reached, out[s].present = p.AppendReached(nil, gq.root, s)
+			for _, pf := range reached {
+				out[s].rr = append(out[s].rr, gr.edbName[pf])
+			}
+		}
+		out[s].derived = gq.queryOK && p.Derived(gq.query, s)
+		slices.Sort(out[s].rr)
+	}
 	return out
 }
 
+// run propagates the sampled run of query q with the given gate seed, in
+// a pass of its own.
+func (gr *grounded) run(p *magic.Propagator, q int, seed uint64) sampledRun {
+	return gr.pass(p, []int{q}, []uint64{seed})[0]
+}
+
+// slotDraw is one slot checked against the engine: the query it draws,
+// its gate seed, and the gated run it must reproduce.
+type slotDraw struct {
+	q    int
+	seed uint64
+	want sampledRun
+}
+
+// checkDraws propagates draws over gr, each in a pass of its own and then
+// SlotsPerPass at a time in the order given, and compares every slot with
+// its gated run; it returns the mismatch count.
+func (gr *grounded) checkDraws(t testing.TB, p *magic.Propagator, draws []slotDraw, what string) int {
+	t.Helper()
+	bad := 0
+	check := func(d slotDraw, got sampledRun, how string) {
+		if got.String() != d.want.String() {
+			bad++
+			t.Errorf("%s, query %d, seed %#x, %s:\n  grounded %s\n  gated    %s", what, d.q, d.seed, how, got, d.want)
+		}
+	}
+	for _, d := range draws {
+		check(d, gr.run(p, d.q, d.seed), "own pass")
+	}
+	for lo := 0; lo < len(draws); lo += magic.SlotsPerPass {
+		chunk := draws[lo:min(lo+magic.SlotsPerPass, len(draws))]
+		qs, seeds := make([]int, len(chunk)), make([]uint64, len(chunk))
+		for s, d := range chunk {
+			qs[s], seeds[s] = d.q, d.seed
+		}
+		for s, got := range gr.pass(p, qs, seeds) {
+			check(chunk[s], got, fmt.Sprintf("slot %d of a %d-slot pass", s, len(chunk)))
+		}
+	}
+	return bad
+}
+
 // checkGroundedVsGated compares, per gate seed, propagation over one
-// grounding with the engine-gated run; it returns the mismatch count.
+// grounding with the engine-gated run, one seed per pass and all seeds in
+// one pass; it returns the mismatch count.
 func checkGroundedVsGated(t testing.TB, prog *ast.Program, d *db.Database, target ast.Atom, seeds []uint64) int {
 	t.Helper()
 	tr, err := magic.Transform(prog, []ast.Atom{target})
@@ -197,16 +264,11 @@ func checkGroundedVsGated(t testing.TB, prog *ast.Program, d *db.Database, targe
 		t.Fatal(err)
 	}
 	gr := groundTarget(t, prog, d, tr, target)
-	p := &magic.Propagator{}
-	bad := 0
-	for _, seed := range seeds {
-		want := gatedRun(t, prog, d, tr, target, seed)
-		if got := gr.run(p, 0, seed); got.String() != want.String() {
-			bad++
-			t.Errorf("target %s seed %#x:\n  grounded %s\n  gated    %s\nprogram:\n%s", target, seed, got, want, prog)
-		}
+	draws := make([]slotDraw, len(seeds))
+	for i, seed := range seeds {
+		draws[i] = slotDraw{0, seed, gatedRun(t, prog, d, tr, target, seed)}
 	}
-	return bad
+	return gr.checkDraws(t, &magic.Propagator{}, draws, fmt.Sprintf("target %s\nprogram:\n%s", target, prog))
 }
 
 // byPredicate splits targets by predicate, in order of first occurrence.
@@ -241,20 +303,31 @@ func checkPredicateGroundedVsGated(t testing.TB, prog *ast.Program, d *db.Databa
 			t.Fatal(err)
 		}
 		gr := groundProgram(t, prog, d, first, group)
+		// byQuery[q][k] is query q's k-th draw.
+		byQuery := make([][]slotDraw, len(group))
 		for q, target := range group {
 			single, err := magic.Transform(prog, []ast.Atom{target})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, seed := range gateSeeds(rng, seedsPerTarget) {
-				want := gatedRun(t, prog, d, single, target, seed)
-				if got := gr.run(p, q, seed); got.String() != want.String() {
-					bad++
-					t.Errorf("target %s (query %d of %d) seed %#x:\n  grounded %s\n  gated    %s\nprogram:\n%s",
-						target, q, len(group), seed, got, want, prog)
-				}
+				byQuery[q] = append(byQuery[q], slotDraw{q, seed, gatedRun(t, prog, d, single, target, seed)})
+			}
+			what := fmt.Sprintf("target %s (query %d of %d)\nprogram:\n%s", target, q, len(group), prog)
+			bad += gr.checkDraws(t, p, byQuery[q], what)
+		}
+		if len(group) == 1 {
+			continue
+		}
+		// The same draws, interleaved so that neighbouring slots of a pass
+		// start from different queries' seeds.
+		var mixed []slotDraw
+		for k := 0; k < seedsPerTarget; k++ {
+			for q := range group {
+				mixed = append(mixed, byQuery[q][k])
 			}
 		}
+		bad += gr.checkDraws(t, p, mixed, fmt.Sprintf("%d targets of %s mixed\nprogram:\n%s", len(group), group[0].Predicate, prog))
 	}
 	return bad
 }
@@ -321,11 +394,14 @@ func gateSeeds(rng *rand.Rand, n int) []uint64 {
 
 // TestGroundedRRMatchesGated is the differential test of the grounding:
 // for random positive programs and small instances of the benchmark
-// families, every propagation must reproduce the engine-gated run's RR set
-// (as a set), target verdict, adorned-query verdict, and projected node
-// and edge counts — over each target's own grounding, and, on a second
-// draw of programs and targets, from each target's own seed over one
-// multi-seed grounding of its predicate's targets.
+// families, every propagated slot must reproduce its own engine-gated
+// run's RR set (as a set), target verdict, adorned-query verdict, and
+// projected node and edge counts — over each target's own grounding, and,
+// on a second draw of programs and targets, from each target's own seed
+// over one multi-seed grounding of its predicate's targets. Each slot is
+// checked in a pass of its own and in a pass with the target's other
+// seeds; on the multi-seed groundings the predicate's targets' slots are
+// also interleaved in passes of up to SlotsPerPass.
 func TestGroundedRRMatchesGated(t *testing.T) {
 	const seedsPerTarget = 25
 	rng := rand.New(rand.NewPCG(0x6A0, 0x0D))
@@ -453,36 +529,53 @@ func amie4Grounding(t *testing.T) *grounded {
 	return groundProgram(t, w.Program, w.DB, tr, group)
 }
 
+// mixedDraws returns n slots over gr's queries in turn, with gate seeds
+// drawn from rng.
+func mixedDraws(gr *grounded, n int, rng *rand.Rand) (qs []int, seeds []uint64) {
+	for i, seed := range gateSeeds(rng, n) {
+		qs = append(qs, i%len(gr.queries))
+		seeds = append(seeds, seed)
+	}
+	return qs, seeds
+}
+
+// passString renders a pass's slots, one line each.
+func passString(runs []sampledRun) string {
+	var sb strings.Builder
+	for s, r := range runs {
+		fmt.Fprintf(&sb, "slot %d: %s\n", s, r)
+	}
+	return sb.String()
+}
+
 // TestPropagatorsShareGrounding reads one multi-seed Grounding from
 // several goroutines, each with its own Propagator, and checks every
 // result against a sequential pass (run with -race: a propagation writes
 // only its propagator's state).
 func TestPropagatorsShareGrounding(t *testing.T) {
 	gr := amie4Grounding(t)
-	type draw struct {
-		q    int
-		seed uint64
-	}
-	var draws []draw
-	for i, seed := range gateSeeds(rand.New(rand.NewPCG(5, 6)), 64) {
-		draws = append(draws, draw{i % len(gr.queries), seed})
-	}
-	want := make([]string, len(draws))
+	qs, seeds := mixedDraws(gr, magic.SlotsPerPass, rand.New(rand.NewPCG(5, 6)))
+	want := make([]string, len(qs))
 	p := &magic.Propagator{}
-	for i, d := range draws {
-		want[i] = gr.run(p, d.q, d.seed).String()
+	for s := range qs {
+		want[s] = gr.run(p, qs[s], seeds[s]).String()
 	}
 	var wg sync.WaitGroup
-	errs := make(chan string, 4*len(draws))
+	errs := make(chan string, 4*len(qs))
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			p := &magic.Propagator{}
-			for k := range draws {
-				i := (k + w*17) % len(draws)
-				if got := gr.run(p, draws[i].q, draws[i].seed).String(); got != want[i] {
-					errs <- fmt.Sprintf("worker %d draw %d: %s, want %s", w, i, got, want[i])
+			// Passes of every fourth width from w+1 on, each over a window
+			// of the slots, then one over all of them.
+			for n := w + 1; n <= len(qs)+4; n += 4 {
+				n := min(n, len(qs))
+				lo := (n * 7) % (len(qs) - n + 1)
+				for s, got := range gr.pass(p, qs[lo:lo+n], seeds[lo:lo+n]) {
+					if got.String() != want[lo+s] {
+						errs <- fmt.Sprintf("worker %d: slot %d of a %d-slot pass: %s, want %s", w, s, n, got, want[lo+s])
+					}
 				}
 			}
 		}(w)
@@ -494,37 +587,47 @@ func TestPropagatorsShareGrounding(t *testing.T) {
 	}
 }
 
-// TestPropagatorEpochWrap forces a propagator's epoch to wrap between
-// propagations from different seeds of one multi-seed grounding: every
-// propagation must still equal a fresh propagator's, so no mark or lazily
-// reset counter stamped before the wrap may pass for a current one.
-func TestPropagatorEpochWrap(t *testing.T) {
-	gr := amie4Grounding(t)
-	seeds := gateSeeds(rand.New(rand.NewPCG(7, 7)), 6)
-	check := func(p *magic.Propagator, q int, seed uint64) {
-		t.Helper()
-		want := gr.run(&magic.Propagator{}, q, seed).String()
-		if got := gr.run(p, q, seed).String(); got != want {
-			t.Errorf("epoch %d, query %d, seed %#x: %s, want %s", p.Epoch(), q, seed, got, want)
-		}
+// TestPropagatorReuse runs one propagator's passes over a larger
+// grounding, then a smaller one, then the larger one again: every pass
+// must equal a fresh propagator's, so nothing a pass leaves in the reused
+// masks, queue or marks, over either grounding, may leak into the next;
+// and every slot must equal its own gated run.
+func TestPropagatorReuse(t *testing.T) {
+	large := amie4Grounding(t)
+	prog := mustProgram(t, tcProgram)
+	d := mustDB(t, "e(a, b). e(b, c). e(c, d). e(d, a). e(b, d).")
+	targets := []ast.Atom{atom(t, "tc(a, c)"), atom(t, "tc(b, a)"), atom(t, "tc(d, d)")}
+	tr, err := magic.Transform(prog, targets)
+	if err != nil {
+		t.Fatal(err)
 	}
+	small := groundProgram(t, prog, d, tr, targets)
+	if small.g.Instantiations() >= large.g.Instantiations() {
+		t.Fatalf("small grounding has %d instantiations, large %d", small.g.Instantiations(), large.g.Instantiations())
+	}
+	rng := rand.New(rand.NewPCG(7, 7))
 	p := &magic.Propagator{}
-	// Stamp the first epochs from every query.
-	for q := range gr.queries {
-		check(p, q, seeds[0])
-	}
-	p.SetEpoch(math.MaxUint32 - 2)
-	for k, seed := range seeds {
-		check(p, (k+1)%len(gr.queries), seed)
-	}
-	if p.Epoch() > uint32(len(seeds)) {
-		t.Fatalf("epoch %d: the propagator did not wrap", p.Epoch())
+	for k, gr := range []*grounded{large, large, small, small, large} {
+		for _, n := range []int{magic.SlotsPerPass, 5, 1} {
+			qs, seeds := mixedDraws(gr, n, rng)
+			fresh := gr.pass(&magic.Propagator{}, qs, seeds)
+			if got, want := passString(gr.pass(p, qs, seeds)), passString(fresh); got != want {
+				t.Errorf("grounding %d, %d-slot pass:\n%s\nwant\n%s", k, n, got, want)
+			}
+			for s, run := range fresh {
+				if want := gr.gated(t, qs[s], seeds[s]); run.String() != want.String() {
+					t.Errorf("grounding %d, slot %d of a %d-slot pass: %s, gated %s", k, s, n, run, want)
+				}
+			}
+		}
 	}
 }
 
 // FuzzGroundedVsGated checks the differential property on programs drawn
-// from the difftest generator: the fuzz input seeds the generator, the
-// target choice and the gate seeds.
+// from the difftest generator, every slot in a pass of its own and in
+// passes of several slots (mixing the targets of a multi-seed grounding):
+// the fuzz input seeds the generator, the target choice and the gate
+// seeds.
 func FuzzGroundedVsGated(f *testing.F) {
 	for _, s := range []uint64{1, 2, 3, 0x6A0, 0xBEEF, 1 << 40} {
 		f.Add(s)
@@ -613,24 +716,49 @@ func BenchmarkGrounding(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/inst")
 }
 
-// BenchmarkPropagate times one propagation plus graph-size count over an
-// AMIE-8 target's grounding, per ground instantiation.
+// passWidths are the slot counts the propagation benchmarks time a pass
+// at: one slot and a full pass.
+var passWidths = []int{1, magic.SlotsPerPass}
+
+// benchPasses times passes of each width in passWidths: draw(i, n) fills
+// pass i's n slots and returns the number of instantiations their own
+// runs hold, the unit ns/slot-inst divides by. Each pass also counts its
+// slots' graph sizes, as Magic^S does.
+func benchPasses(b *testing.B, draw func(i, n int, seeds []uint64, froms []int32) (*magic.Grounding, int)) {
+	for _, n := range passWidths {
+		b.Run(fmt.Sprintf("slots=%d", n), func(b *testing.B) {
+			var p magic.Propagator
+			seeds, froms := make([]uint64, n), make([]int32, n)
+			nodes, edges := make([]int, n), make([]int, n)
+			var insts int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g, size := draw(i, n, seeds, froms)
+				p.Propagate(g, seeds, froms)
+				p.Sizes(nodes, edges)
+				sinkNodes = nodes[0]
+				insts += int64(size)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/slot-inst")
+		})
+	}
+}
+
+// BenchmarkPropagate times passes over an AMIE-8 target's grounding, per
+// slot and ground instantiation.
 func BenchmarkPropagate(b *testing.B) {
 	prog, d, targets, trs := amie8Targets(b)
 	var gs []*magic.Grounding
 	for k, tr := range trs {
 		gs = append(gs, groundTarget(b, prog, d, tr, targets[k]).g)
 	}
-	var p magic.Propagator
-	var insts int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchPasses(b, func(i, n int, seeds []uint64, froms []int32) (*magic.Grounding, int) {
 		g := gs[i%len(gs)]
-		p.Propagate(g, uint64(i), g.Seed(0))
-		sinkNodes, _ = p.GraphSize()
-		insts += int64(g.Instantiations())
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+		for s := range seeds {
+			seeds[s], froms[s] = uint64(i*n+s), g.Seed(0)
+		}
+		return g, n * g.Instantiations()
+	})
 }
 
 // amie8Groups builds a magics-amie-shaped instance (AMIE-8, 30 derived
@@ -685,32 +813,25 @@ func BenchmarkGroundingPerPredicate(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/inst")
 }
 
-// BenchmarkPropagatePerPredicate times one propagation plus graph-size
-// count from one target's seed over its predicate's grounding on AMIE-8,
-// per instantiation of the target's own unsampled run (the unit of
-// BenchmarkPropagate, so the two compare directly).
+// BenchmarkPropagatePerPredicate times passes over a target predicate's
+// grounding on AMIE-8, whose slots start from the predicate's targets'
+// seeds in turn, per slot and instantiation of the slot's target's own
+// unsampled run (the unit of BenchmarkPropagate, so the two compare
+// directly).
 func BenchmarkPropagatePerPredicate(b *testing.B) {
 	prog, d, groups, trs, own := amie8Groups(b)
-	type draw struct {
-		g    *magic.Grounding
-		from int32
-		size int
-	}
-	var draws []draw
+	var gs []*magic.Grounding
 	for k, tr := range trs {
-		gr := groundProgram(b, prog, d, tr, groups[k])
-		for q, size := range own[k] {
-			draws = append(draws, draw{gr.g, gr.g.Seed(q), size})
+		gs = append(gs, groundProgram(b, prog, d, tr, groups[k]).g)
+	}
+	benchPasses(b, func(i, n int, seeds []uint64, froms []int32) (*magic.Grounding, int) {
+		k := i % len(gs)
+		size := 0
+		for s := range seeds {
+			q := (i/len(gs)*n + s) % len(own[k])
+			seeds[s], froms[s] = uint64(i*n+s), gs[k].Seed(q)
+			size += own[k][q]
 		}
-	}
-	var p magic.Propagator
-	var insts int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dr := draws[i%len(draws)]
-		p.Propagate(dr.g, uint64(i), dr.from)
-		sinkNodes, _ = p.GraphSize()
-		insts += int64(dr.size)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+		return gs[k], size
+	})
 }

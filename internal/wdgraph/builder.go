@@ -41,7 +41,7 @@ type Projection struct {
 	KeepBody func(ruleIndex int) []int
 
 	// distinctInstantiations records that no two fired instantiations can
-	// project to the same rule node, so the builder skips its dedup map.
+	// project to the same rule node, so the builder keeps no rule-node merge table.
 	// Only IdentityProjection sets it, after checking that the program's
 	// rule labels are distinct: the engine fires each (rule, body facts)
 	// instantiation once, and under the identity projection a label names
@@ -132,10 +132,16 @@ type Builder struct {
 	g         *Graph
 	edges     chunkLog[edge]
 	rels      map[*db.Relation]*relMemo
-	ruleMemos []ruleMemo        // per rule index, resolved on its first instantiation
-	rules     map[string]NodeID // instantiation dedup key -> node; nil if nothing can merge
-	body      []NodeID          // the current instantiation's body nodes
-	keyBuf    []byte            // reusable key scratch
+	ruleMemos []ruleMemo // per rule index, resolved on its first instantiation
+	body      []NodeID   // the current instantiation's body nodes
+	// Rule-node merging, for projections under which two instantiations
+	// can project to one rule node (all three stay empty otherwise): rules
+	// indexes the merged keys, hashed over label, head node and body
+	// nodes, and merged key k is keys[keyOff[k]:keyOff[k+1]] (label, head,
+	// body).
+	rules     db.IDTable
+	keys      []NodeID
+	keyOff    []int32
 	finalized bool
 }
 
@@ -176,7 +182,7 @@ func NewBuilder(proj *Projection) *Builder {
 
 // NewBuilderSized is NewBuilder with capacity hints: factHint pre-sizes the
 // fact-node tables (e.g. the edb tuple count when preloading, or a previous
-// run's engine.Stats.NewFacts), ruleHint the instantiation-dedup map of
+// run's engine.Stats.NewFacts), ruleHint the rule-node merge table of
 // projections that need one (e.g. engine.Stats.Instantiations). Hints are
 // optional; zero means unknown.
 func NewBuilderSized(proj *Projection, factHint, ruleHint int) *Builder {
@@ -187,7 +193,8 @@ func NewBuilderSized(proj *Projection, factHint, ruleHint int) *Builder {
 		rels: make(map[*db.Relation]*relMemo),
 	}
 	if !proj.distinctInstantiations {
-		b.rules = make(map[string]NodeID, max(ruleHint, 0))
+		b.rules.Reserve(ruleHint)
+		b.keyOff = append(make([]int32, 0, max(ruleHint, 0)+1), 0)
 	}
 	return b
 }
@@ -386,20 +393,16 @@ func (b *Builder) observe(d engine.Derivation) {
 	}
 	b.body = body
 
-	if b.rules != nil {
-		// Dedup key: label, head node, body nodes. Two adorned versions of
+	if !b.proj.distinctInstantiations {
+		// Merge key: label, head node, body nodes. Two adorned versions of
 		// one origin rule instantiation produce identical keys and merge.
-		// The lookup converts the reusable buffer without allocating, so
-		// only genuinely new instantiations pay a key allocation (on
-		// insert).
-		buf := appendNodeID(append(b.keyBuf[:0], b.g.names[rm.label]...), headID)
-		for _, id := range body {
-			buf = appendNodeID(buf, id)
-		}
-		b.keyBuf = buf
-		if _, seen := b.rules[string(buf)]; seen {
+		h := db.HashIDs(uint64(rm.label)<<32|uint64(uint32(headID)), body)
+		k := int32(len(b.keyOff) - 1)
+		if _, seen := b.rules.FindOrAdd(h, k, b.isRuleKey(rm.label, headID, body)); seen {
 			return
 		}
+		b.keys = append(append(b.keys, NodeID(rm.label), headID), body...)
+		b.keyOff = append(b.keyOff, int32(len(b.keys)))
 	}
 	if b.finalized {
 		panic("wdgraph: derivation observed after Graph() finalized the CSR layout")
@@ -407,9 +410,6 @@ func (b *Builder) observe(d engine.Derivation) {
 	ruleID := NodeID(len(b.g.nodes))
 	b.g.nodes = append(grow(b.g.nodes, 1), nodeRec{kind: RuleNode, name: rm.label})
 	b.g.w = append(grow(b.g.w, 1), rm.weight)
-	if b.rules != nil {
-		b.rules[string(b.keyBuf)] = ruleID
-	}
 
 	// body -> rule edges, then rule -> head.
 	for _, id := range body {
@@ -430,8 +430,13 @@ func grow[T any](s []T, n int) []T {
 	return slices.Grow(s, max(len(s), n, 16))
 }
 
-func appendNodeID(dst []byte, id NodeID) []byte {
-	return append(dst, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
+// isRuleKey returns the test of whether merged rule node k has the key
+// (label, head, body).
+func (b *Builder) isRuleKey(label int32, head NodeID, body []NodeID) func(k int32) bool {
+	return func(k int32) bool {
+		key := b.keys[b.keyOff[k]:b.keyOff[k+1]]
+		return key[0] == NodeID(label) && key[1] == head && slices.Equal(key[2:], body)
+	}
 }
 
 // finalize lays the edge log out as the CSR in-adjacency. Idempotent.
